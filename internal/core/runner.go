@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"varpower/internal/attrib"
 	"varpower/internal/cluster"
@@ -85,9 +86,8 @@ func (fw *Framework) Clone() *Framework {
 // BuildPMT constructs the scheme's power model for the allocated modules:
 //
 //   - Naive: TDP-based constants, no measurement at all;
-//   - Pc: single-module test runs calibrated through the PVT, then averaged
-//     so every module is treated identically (application-aware,
-//     variation-unaware);
+//   - Pc: the oracle measurement of every module, averaged so every module
+//     is treated identically (application-aware, variation-unaware);
 //   - VaPc / VaFs: single-module test runs calibrated through the PVT
 //     (Section 5.2);
 //   - VaPcOr / VaFsOr: oracle measurement of every module.
@@ -95,28 +95,41 @@ func (fw *Framework) Clone() *Framework {
 // The test module for calibrated schemes is drawn from the job's own
 // allocation, as in the paper; see testModuleFor for how it is chosen.
 func (fw *Framework) BuildPMT(bench *workload.Benchmark, moduleIDs []int, scheme Scheme) (*PMT, error) {
+	pmt, err := fw.measurePMT(bench, moduleIDs, scheme)
+	if err != nil {
+		return nil, err
+	}
+	return pmt.forScheme(scheme), nil
+}
+
+// measurePMT makes the measurement the scheme's model rests on (see
+// Scheme.measurement) and returns the table it yields, before Pc averages
+// it.
+func (fw *Framework) measurePMT(bench *workload.Benchmark, moduleIDs []int, scheme Scheme) (*PMT, error) {
 	if len(moduleIDs) == 0 {
 		return nil, fmt.Errorf("core: empty module allocation")
 	}
-	switch scheme {
-	case Naive:
+	switch scheme.measurement() {
+	case measureNone:
 		return NaivePMT(fw.Sys, moduleIDs), nil
-	case Pc:
-		// The paper's Pc uses "the application-specific average values
-		// across all modules" — an all-module measurement averaged into a
-		// uniform table, not the single-module calibration.
-		pmt, err := OraclePMTWorkers(fw.Sys, bench, moduleIDs, fw.Workers)
-		if err != nil {
-			return nil, err
-		}
-		return pmt.Uniform(), nil
-	case VaPc, VaFs:
-		return fw.calibrated(bench, moduleIDs)
-	case VaPcOr, VaFsOr:
+	case measureOracle:
 		return OraclePMTWorkers(fw.Sys, bench, moduleIDs, fw.Workers)
+	case measureCalibration:
+		return fw.calibrated(bench, moduleIDs)
 	default:
 		return nil, fmt.Errorf("core: unknown scheme %v", scheme)
 	}
+}
+
+// forScheme returns the scheme's view of a measured table. The paper's Pc
+// uses "the application-specific average values across all modules" — the
+// all-module measurement averaged into a uniform table, not the
+// single-module calibration; every other scheme reads the table as is.
+func (p *PMT) forScheme(scheme Scheme) *PMT {
+	if scheme == Pc {
+		return p.Uniform()
+	}
+	return p
 }
 
 func (fw *Framework) calibrated(bench *workload.Benchmark, moduleIDs []int) (*PMT, error) {
@@ -234,12 +247,39 @@ func (e ErrBudgetInfeasible) Error() string {
 	return fmt.Sprintf("core: budget %v infeasible under scheme %v (exceeds fmin power)", e.Budget, e.Scheme)
 }
 
-// Run executes the full pipeline for one (application, allocation, budget,
-// scheme) combination: instrument, test-run/calibrate per the scheme, solve
-// for α, enforce via PC or FS, and run the application.
-func (fw *Framework) Run(bench *workload.Benchmark, moduleIDs []int, budget units.Watts, scheme Scheme) (*SchemeRun, error) {
-	span := telemetry.StartSpan("framework.run").Annotate("%s %v %v", bench.Name, budget, scheme)
-	defer span.End()
+// Model is the budget-independent half of a scheme evaluation: the power
+// model the α-solve reads and, for VaFs, the budget reserve measured on a
+// held-out module. Nothing in it depends on the budget, so one model serves
+// every budget: build it once, then RunModel it per budget.
+type Model struct {
+	Scheme  Scheme
+	Bench   *workload.Benchmark
+	Modules []int
+	PMT     *PMT
+	// Margin is the fractional budget reserve the α-solve holds back. FS
+	// enforces a clock, not a power bound (Section 5.3's caveat), so a
+	// calibration under-estimate turns directly into a budget violation;
+	// VaFs guards with the model's *measured* error on a held-out module —
+	// one extra cheap test pair. Every other scheme's margin is 0.
+	Margin float64
+}
+
+// BuildModel is Run's model step: instrument the application and make the
+// scheme's test runs.
+func (fw *Framework) BuildModel(bench *workload.Benchmark, moduleIDs []int, scheme Scheme) (*Model, error) {
+	models, err := fw.BuildModels(bench, moduleIDs, []Scheme{scheme})
+	if err != nil {
+		return nil, err
+	}
+	return models[0], nil
+}
+
+// BuildModels is BuildModel for schemes whose models rest on one
+// measurement (one group of ModelGroups): the test runs are made once and
+// every scheme's model is derived from them, equal to the model BuildModel
+// would build for that scheme on a replica in the same state. VaFs's
+// hold-out pair runs after the calibration it checks, as it does in Run.
+func (fw *Framework) BuildModels(bench *workload.Benchmark, moduleIDs []int, schemes []Scheme) ([]*Model, error) {
 	inst, err := Instrument(bench)
 	if err != nil {
 		return nil, err
@@ -247,43 +287,97 @@ func (fw *Framework) Run(bench *workload.Benchmark, moduleIDs []int, budget unit
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
+	if len(schemes) == 0 || len(ModelGroups(schemes)) != 1 {
+		return nil, fmt.Errorf("core: schemes %v do not share one measurement", schemes)
+	}
+	pmt, err := fw.measurePMT(bench, moduleIDs, schemes[0])
+	if err != nil {
+		return nil, err
+	}
+	var margin float64
+	if slices.Contains(schemes, VaFs) {
+		if margin, err = fw.fsMargin(pmt, bench, moduleIDs); err != nil {
+			return nil, err
+		}
+	}
+	models := make([]*Model, len(schemes))
+	for i, s := range schemes {
+		models[i] = &Model{Scheme: s, Bench: bench, Modules: moduleIDs, PMT: pmt.forScheme(s)}
+		if s == VaFs {
+			models[i].Margin = margin
+		}
+	}
+	return models, nil
+}
+
+// ModelGroups partitions schemes by the measurement their models rest on,
+// keeping the order in which each group's first scheme appears. The oracle
+// sweep feeds Pc (averaged), VaPcOr and VaFsOr; the two-run calibration
+// feeds VaPc and VaFs; Naive measures nothing. Each group needs one
+// BuildModels call on a replica of its own: test runs leave sub-unit energy
+// residue on the counters they read, so two measurements on one replica
+// would not each equal a fresh one.
+func ModelGroups(schemes []Scheme) [][]Scheme {
+	var groups [][]Scheme
+	at := make(map[measurement]int)
+	for _, s := range schemes {
+		i, ok := at[s.measurement()]
+		if !ok {
+			i = len(groups)
+			at[s.measurement()] = i
+			groups = append(groups, nil)
+		}
+		groups[i] = append(groups[i], s)
+	}
+	return groups
+}
+
+// Run executes the full pipeline for one (application, allocation, budget,
+// scheme) combination: BuildModel (instrument, test-run/calibrate per the
+// scheme), then RunModel (solve for α, enforce via PC or FS, and run the
+// application).
+func (fw *Framework) Run(bench *workload.Benchmark, moduleIDs []int, budget units.Watts, scheme Scheme) (*SchemeRun, error) {
+	span := telemetry.StartSpan("framework.run").Annotate("%s %v %v", bench.Name, budget, scheme)
+	defer span.End()
 	sp := span.Start("pmt.build")
-	pmt, err := fw.BuildPMT(bench, moduleIDs, scheme)
+	m, err := fw.BuildModel(bench, moduleIDs, scheme)
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	solveBudget := budget
-	if scheme == VaFs {
-		// FS enforces a clock, not a power bound (Section 5.3's caveat),
-		// so a calibration under-estimate turns directly into a budget
-		// violation. Guard with a margin equal to the model's *measured*
-		// error on a held-out module — one extra cheap test pair.
-		margin, err := fw.fsMargin(pmt, bench, moduleIDs)
-		if err != nil {
-			return nil, err
-		}
-		solveBudget = units.Watts(float64(budget) * (1 - margin))
-	}
-	sp = span.Start("budget.solve")
-	alloc, err := Solve(pmt, fw.Sys.Spec.Arch, solveBudget)
+	return fw.runModel(span, m, budget)
+}
+
+// RunModel is Run's solve-and-execute step: solve for α under the budget
+// less the model's margin, enforce the allocation via PC or FS, and run the
+// application on the model's modules. A model may be run any number of
+// times, at any budget, on any replica of the framework that built it.
+func (fw *Framework) RunModel(m *Model, budget units.Watts) (*SchemeRun, error) {
+	span := telemetry.StartSpan("framework.run").Annotate("%s %v %v", m.Bench.Name, budget, m.Scheme)
+	defer span.End()
+	return fw.runModel(span, m, budget)
+}
+
+func (fw *Framework) runModel(span *telemetry.Span, m *Model, budget units.Watts) (*SchemeRun, error) {
+	sp := span.Start("budget.solve")
+	alloc, err := Solve(m.PMT, fw.Sys.Spec.Arch, units.Watts(float64(budget)*(1-m.Margin)))
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
 	alloc.Budget = budget
 	if !alloc.Feasible {
-		return nil, ErrBudgetInfeasible{Scheme: scheme, Budget: budget}
+		return nil, ErrBudgetInfeasible{Scheme: m.Scheme, Budget: budget}
 	}
 	sp = span.Start("framework.execute")
-	res, err := fw.Execute(bench, moduleIDs, alloc, scheme)
+	res, err := fw.Execute(m.Bench, m.Modules, alloc, m.Scheme)
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
 	return &SchemeRun{
-		Scheme: scheme, Bench: bench.Name, Budget: budget,
-		PMT: pmt, Alloc: alloc, Result: res,
+		Scheme: m.Scheme, Bench: m.Bench.Name, Budget: budget,
+		PMT: m.PMT, Alloc: alloc, Result: res,
 	}, nil
 }
 

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"math"
+	"reflect"
 	"testing"
 
 	"varpower/internal/cluster"
+	"varpower/internal/flight"
 	"varpower/internal/stats"
 	"varpower/internal/units"
 	"varpower/internal/workload"
@@ -119,6 +122,88 @@ func TestBuildPMTPerScheme(t *testing.T) {
 
 	if _, err := fw.BuildPMT(bench, nil, VaPc); err == nil {
 		t.Error("empty allocation accepted")
+	}
+}
+
+// TestRunIsModelThenRunModel: Run is its two steps composed. On one replica,
+// BuildModel followed by RunModel must measure exactly what Run does — the
+// final run's energies included, since the test runs precede it on the same
+// counters — and record a byte-identical flight trace.
+func TestRunIsModelThenRunModel(t *testing.T) {
+	fw, ids := testFramework(t, 16)
+	bench := workload.MHD()
+	budget := units.Watts(16 * 75)
+	traced := func(run func(*Framework) (*SchemeRun, error)) (*SchemeRun, []byte) {
+		t.Helper()
+		r := fw.Clone()
+		r.Recorder = flight.New(flight.Config{Hz: 1})
+		res, err := run(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := flight.WriteTrace(&buf, r.Recorder.Snapshot()); err != nil {
+			t.Fatal(err)
+		}
+		return res, buf.Bytes()
+	}
+	for _, scheme := range AllSchemes() {
+		want, wantTrace := traced(func(r *Framework) (*SchemeRun, error) {
+			return r.Run(bench, ids, budget, scheme)
+		})
+		got, gotTrace := traced(func(r *Framework) (*SchemeRun, error) {
+			m, err := r.BuildModel(bench, ids, scheme)
+			if err != nil {
+				return nil, err
+			}
+			return r.RunModel(m, budget)
+		})
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("%v: BuildModel+RunModel differs from Run", scheme)
+		}
+		if !bytes.Equal(wantTrace, gotTrace) {
+			t.Errorf("%v: BuildModel+RunModel recorded a different flight trace", scheme)
+		}
+	}
+}
+
+// TestBuildModelsSharesMeasurement: the schemes of one ModelGroups group get
+// from one shared measurement exactly the models each would get from its
+// own measurement on a fresh replica.
+func TestBuildModelsSharesMeasurement(t *testing.T) {
+	fw, ids := testFramework(t, 32)
+	bench := workload.BT()
+	groups := ModelGroups(AllSchemes())
+	want := [][]Scheme{{Naive}, {Pc, VaPcOr, VaFsOr}, {VaPc, VaFs}}
+	if !reflect.DeepEqual(groups, want) {
+		t.Fatalf("ModelGroups = %v, want %v", groups, want)
+	}
+	for _, group := range groups {
+		shared, err := fw.Clone().BuildModels(bench, ids, group)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, scheme := range group {
+			own, err := fw.Clone().BuildModel(bench, ids, scheme)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(shared[i], own) {
+				t.Errorf("%v: shared model differs from its own measurement's", scheme)
+			}
+			if (scheme == VaFs) != (own.Margin > 0) {
+				t.Errorf("%v: margin %v", scheme, own.Margin)
+			}
+		}
+	}
+	if _, err := fw.BuildModels(bench, ids, []Scheme{VaPc, VaPcOr}); err == nil {
+		t.Error("schemes on different measurements shared one")
+	}
+	if _, err := fw.BuildModels(bench, ids, nil); err == nil {
+		t.Error("no schemes accepted")
+	}
+	if _, err := fw.BuildModel(bench, ids, Scheme(42)); err == nil {
+		t.Error("unknown scheme accepted")
 	}
 }
 

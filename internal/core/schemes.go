@@ -85,3 +85,27 @@ func (s Scheme) UsesFS() bool { return s == VaFs || s == VaFsOr }
 
 // Oracle reports whether the scheme assumes perfect model calibration.
 func (s Scheme) Oracle() bool { return s == VaPcOr || s == VaFsOr }
+
+// measurement names the test runs a scheme's model rests on; schemes with
+// the same measurement can share one (see ModelGroups).
+type measurement int
+
+const (
+	measureUnknown     measurement = iota // not one of the paper's schemes
+	measureNone                           // TDP constants, no test run
+	measureOracle                         // every module at fmax and fmin
+	measureCalibration                    // two runs on one module, through the PVT
+)
+
+func (s Scheme) measurement() measurement {
+	switch s {
+	case Naive:
+		return measureNone
+	case Pc, VaPcOr, VaFsOr:
+		return measureOracle
+	case VaPc, VaFs:
+		return measureCalibration
+	default:
+		return measureUnknown
+	}
+}

@@ -45,8 +45,8 @@ type EvalGrid struct {
 	T4      Table4Result
 	Cells   []GridCell
 
-	// Uncapped holds each benchmark's unconstrained elapsed time for
-	// normalisation.
+	// Uncapped is never filled or read; it is kept for callers that still
+	// set it in EvalGrid literals.
 	Uncapped map[string]units.Seconds
 }
 
@@ -54,11 +54,21 @@ type EvalGrid struct {
 // (generating the PVT), derives the feasible scenario set from Table 4, and
 // executes all six schemes on every X-marked (benchmark, Cs) pair.
 //
-// The cells fan out over Options.Workers goroutines, each on its own
-// framework clone (the PVT is shared read-only; the system replica keeps
-// RAPL limits and pinned frequencies private to the cell). Every worker
-// count — including the serial 1 — evaluates the same cloned-cell
-// sequence, so the grid is byte-identical regardless of parallelism.
+// A scheme's model does not depend on the budget, so each benchmark's
+// models are built once, before its cells: one task per group of schemes
+// that share a measurement (core.ModelGroups), each on a fresh replica so
+// its test runs start from power-on counters exactly as a per-cell Run's
+// would. The cells then only solve and execute. Both stages fan out over
+// Options.Workers goroutines, each task on its own framework replica (the
+// PVT is shared read-only; the system replica keeps RAPL limits and pinned
+// frequencies private to the task). Every worker count — including the
+// serial 1 — evaluates the same sequence of tasks on fresh replicas, so the
+// grid is byte-identical regardless of parallelism.
+//
+// The final runs' measured energies can differ from a per-cell Run's by at
+// most one RAPL unit (2⁻¹⁶ J) per 30 s poll chunk: a cell's counters no
+// longer carry the sub-unit residue of test runs made earlier on its
+// replica. Models, allocations and timings are unchanged.
 func EvaluationGrid(o Options) (*EvalGrid, error) {
 	o = o.withDefaults()
 	sys, ids, err := o.haSystem()
@@ -73,35 +83,83 @@ func EvaluationGrid(o Options) (*EvalGrid, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := &EvalGrid{
-		Opts: o, Sys: sys, Modules: ids, FW: fw, T4: t4,
-		Uncapped: make(map[string]units.Seconds),
-	}
+	g := &EvalGrid{Opts: o, Sys: sys, Modules: ids, FW: fw, T4: t4}
 	type cellSpec struct {
 		bench  *workload.Benchmark
 		cs     units.Watts
 		scheme core.Scheme
 	}
+	type modelSpec struct {
+		bench   *workload.Benchmark
+		schemes []core.Scheme
+	}
 	var specs []cellSpec
+	var modelSpecs []modelSpec
 	for _, bench := range workload.Evaluated() {
-		for _, cs := range t4.EvaluatedConstraints(bench.Name) {
+		constraints := t4.EvaluatedConstraints(bench.Name)
+		if len(constraints) == 0 {
+			continue
+		}
+		for _, schemes := range core.ModelGroups(core.AllSchemes()) {
+			modelSpecs = append(modelSpecs, modelSpec{bench: bench, schemes: schemes})
+		}
+		for _, cs := range constraints {
 			for _, scheme := range core.AllSchemes() {
 				specs = append(specs, cellSpec{bench: bench, cs: cs, scheme: scheme})
 			}
 		}
 	}
-	// Cells borrow framework replicas from a pool instead of cloning per
-	// cell: a recycled replica is reset to the fresh-clone state on return,
+	// Tasks borrow framework replicas from a pool instead of cloning per
+	// task: a recycled replica is reset to the fresh-clone state on return,
 	// so the grid stays byte-identical while the allocation cost drops to
 	// one replica per concurrent worker.
 	pool := core.NewReplicaPool(fw)
+	type modelKey struct {
+		bench  string
+		scheme core.Scheme
+	}
+	// A measurement that fails fails each cell of its schemes, as the cells'
+	// own Runs would; the rest of the grid still runs.
+	type builtModel struct {
+		model *core.Model
+		err   error
+	}
+	built, err := parallel.MapCtx(o.progressCtx("grid models"), o.Workers, len(modelSpecs), func(_ context.Context, i int) ([]builtModel, error) {
+		s := modelSpecs[i]
+		span := telemetry.StartSpan("grid.model").Annotate("%s %v", s.bench.Name, s.schemes)
+		defer span.End()
+		mfw := pool.Get()
+		models, err := mfw.BuildModels(s.bench, ids, s.schemes)
+		pool.Put(mfw)
+		out := make([]builtModel, len(s.schemes))
+		for j := range out {
+			if out[j].err = err; err == nil {
+				out[j].model = models[j]
+			}
+		}
+		return out, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	models := make(map[modelKey]builtModel)
+	for i, s := range modelSpecs {
+		for j, scheme := range s.schemes {
+			models[modelKey{s.bench.Name, scheme}] = built[i][j]
+		}
+	}
 	g.Cells, err = parallel.MapCtx(o.progressCtx("grid"), o.Workers, len(specs), func(_ context.Context, i int) (GridCell, error) {
 		s := specs[i]
 		span := telemetry.StartSpan("grid.cell").Annotate("%s %v %v", s.bench.Name, s.cs, s.scheme)
 		defer span.End()
-		cfw := pool.Get()
-		run, err := cfw.Run(s.bench, ids, CsForScale(s.cs, len(ids)), s.scheme)
-		pool.Put(cfw)
+		m := models[modelKey{s.bench.Name, s.scheme}]
+		var run *core.SchemeRun
+		err := m.err
+		if err == nil {
+			cfw := pool.Get()
+			run, err = cfw.RunModel(m.model, CsForScale(s.cs, len(ids)))
+			pool.Put(cfw)
+		}
 		cell := GridCell{Bench: s.bench.Name, Cs: s.cs, Scheme: s.scheme, Err: err}
 		if err == nil {
 			cell.Elapsed = run.Elapsed()

@@ -2,9 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"reflect"
 	"testing"
 
 	"varpower/internal/core"
+	"varpower/internal/measure"
+	"varpower/internal/workload"
 )
 
 // gridOpts is even smaller than smallOpts because the grid runs every
@@ -167,6 +172,117 @@ func TestFigure8Homogenization(t *testing.T) {
 	if err := RenderFigure8(&buf, f8); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// energyUnit is one RAPL energy-counter unit, 2⁻¹⁶ J.
+const energyUnit = 1.0 / (1 << 16)
+
+// TestGridMatchesPerCellRun is the reference for the grid's shared models:
+// at every worker width, each cell must equal what Framework.Run on a fresh
+// pool replica measures for the same (benchmark, budget, scheme). With the
+// energy fields zeroed the cells must be deep-equal — errors, elapsed
+// times, and for the VaFs cells that keep their run, the PMT, allocation
+// and every rank's operating point and timings. Measured energies may
+// differ only by the counter residue the reference's own test runs leave
+// behind: at most one unit per poll chunk per counter.
+func TestGridMatchesPerCellRun(t *testing.T) {
+	o := smallOpts()
+	o.HA8KModules = 96
+	var want []GridCell
+	var chunks []int
+	worst := 0.0
+	for _, w := range workerWidths() {
+		o.Workers = w
+		g, err := EvaluationGrid(o)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		if want == nil {
+			want, chunks = perCellReference(t, g)
+		}
+		if len(g.Cells) != len(want) {
+			t.Fatalf("workers=%d: %d cells, reference %d", w, len(g.Cells), len(want))
+		}
+		for i, c := range g.Cells {
+			ref := want[i]
+			name := fmt.Sprintf("workers=%d cell %s %v %v", w, c.Bench, c.Cs, c.Scheme)
+			if ref.Err != nil {
+				if !reflect.DeepEqual(c, ref) {
+					t.Fatalf("%s: got %+v, reference %+v", name, c, ref)
+				}
+				continue
+			}
+			// Each rank's two counters may each be a unit per chunk off.
+			ranks := len(g.Modules)
+			tol := float64(2*ranks*chunks[i]) * energyUnit / float64(ref.Elapsed)
+			if d := math.Abs(float64(c.AvgTotalPower - ref.AvgTotalPower)); d > tol {
+				t.Errorf("%s: average power %v, reference %v (tolerance %v W)", name, c.AvgTotalPower, ref.AvgTotalPower, tol)
+			}
+			if c.Run != nil && ref.Run != nil {
+				for r := range c.Run.Result.Ranks {
+					got, exp := c.Run.Result.Ranks[r], ref.Run.Result.Ranks[r]
+					for _, d := range []float64{
+						math.Abs(float64(got.PkgEnergy - exp.PkgEnergy)),
+						math.Abs(float64(got.DramEnergy - exp.DramEnergy)),
+					} {
+						if d > float64(chunks[i])*energyUnit {
+							t.Errorf("%s rank %d: energy off by %v J over %d chunks", name, r, d, chunks[i])
+						}
+						worst = math.Max(worst, d/energyUnit/float64(chunks[i]))
+					}
+				}
+			}
+			if got, exp := withoutEnergy(c), withoutEnergy(ref); !reflect.DeepEqual(got, exp) {
+				t.Fatalf("%s differs from the per-cell reference beyond its energies", name)
+			}
+		}
+	}
+	t.Logf("worst per-rank energy gap: %.2f units per poll chunk", worst)
+}
+
+// perCellReference evaluates every cell of g the per-cell way — Run on a
+// fresh replica — and returns the cells it would have yielded, with each
+// cell's poll-chunk count.
+func perCellReference(t *testing.T, g *EvalGrid) ([]GridCell, []int) {
+	t.Helper()
+	pool := core.NewReplicaPool(g.FW)
+	cells := make([]GridCell, len(g.Cells))
+	chunks := make([]int, len(g.Cells))
+	for i, c := range g.Cells {
+		bench, err := workload.ByName(c.Bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fw := pool.Get()
+		run, err := fw.Run(bench, g.Modules, CsForScale(c.Cs, len(g.Modules)), c.Scheme)
+		pool.Put(fw)
+		cells[i] = GridCell{Bench: c.Bench, Cs: c.Cs, Scheme: c.Scheme, Err: err}
+		if err == nil {
+			cells[i].Elapsed, cells[i].AvgTotalPower = run.Elapsed(), run.Result.AvgTotalPower
+			if c.Scheme == core.VaFs {
+				cells[i].Run = run
+			}
+			chunks[i] = int(float64(run.Result.Elapsed)/30) + 1
+		}
+	}
+	return cells, chunks
+}
+
+// withoutEnergy returns a copy of c with every field derived from measured
+// energy zeroed.
+func withoutEnergy(c GridCell) GridCell {
+	c.AvgTotalPower = 0
+	if c.Run != nil {
+		run := *c.Run
+		run.Result.TotalEnergy, run.Result.AvgTotalPower = 0, 0
+		run.Result.Ranks = append([]measure.RankResult(nil), run.Result.Ranks...)
+		for i := range run.Result.Ranks {
+			r := &run.Result.Ranks[i]
+			r.PkgEnergy, r.DramEnergy, r.AvgCPUPower, r.AvgDramPower = 0, 0, 0, 0
+		}
+		c.Run = &run
+	}
+	return c
 }
 
 func TestGridSpeedupBaseline(t *testing.T) {

@@ -29,8 +29,8 @@ package telemetry
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -41,25 +41,27 @@ import (
 type Labels map[string]string
 
 // key returns the canonical serialised form ("a=1,b=2").
-func (l Labels) key() string {
-	if len(l) == 0 {
-		return ""
-	}
-	keys := make([]string, 0, len(l))
+func (l Labels) key() string { return string(l.appendKey(nil)) }
+
+// appendKey appends the canonical serialised form to b. Up to eight label
+// names sort in a stack array, so with a stack-backed b the lookup of an
+// existing series allocates nothing.
+func (l Labels) appendKey(b []byte) []byte {
+	var names [8]string
+	keys := names[:0]
 	for k := range l {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
-	var b strings.Builder
+	slices.Sort(keys)
 	for i, k := range keys {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(k)
-		b.WriteByte('=')
-		b.WriteString(l[k])
+		b = append(b, k...)
+		b = append(b, '=')
+		b = append(b, l[k]...)
 	}
-	return b.String()
+	return b
 }
 
 // clone returns an independent copy so callers cannot mutate a registered
@@ -181,9 +183,18 @@ func Default() *Registry { return defaultRegistry }
 // consistency: re-registering a name with a different type panics, because
 // it is always a programming error in the instrumentation layer.
 func (r *Registry) family(name, help string, typ MetricType, buckets []float64) *family {
+	// Fast path: a family that exists with its type and help settled needs
+	// only the read lock — the common case, e.g. every Span.End.
+	r.mu.RLock()
+	f, ok := r.families[name]
+	warm := ok && f.typ == typ && (f.help != "" || help == "")
+	r.mu.RUnlock()
+	if warm {
+		return f
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f, ok := r.families[name]
+	f, ok = r.families[name]
 	if !ok {
 		f = &family{name: name, help: help, typ: typ, buckets: buckets, series: make(map[string]*series)}
 		r.families[name] = f
@@ -201,15 +212,17 @@ func (r *Registry) family(name, help string, typ MetricType, buckets []float64) 
 
 // get returns (creating if needed) the series for the label set.
 func (f *family) get(labels Labels) *series {
-	k := labels.key()
+	var buf [128]byte
+	kb := labels.appendKey(buf[:0])
 	f.mu.RLock()
-	s, ok := f.series[k]
+	s, ok := f.series[string(kb)]
 	f.mu.RUnlock()
 	if ok {
 		return s
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	k := string(kb)
 	if s, ok = f.series[k]; ok {
 		return s
 	}
@@ -259,8 +272,8 @@ func (r *Registry) Reset() {
 // SeriesSnapshot is one exported time series.
 type SeriesSnapshot struct {
 	Labels Labels
-	Value  float64        // counters and gauges
-	Hist   *HistSnapshot  // histograms
+	Value  float64       // counters and gauges
+	Hist   *HistSnapshot // histograms
 }
 
 // FamilySnapshot is one exported metric family.

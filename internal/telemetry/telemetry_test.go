@@ -44,6 +44,34 @@ func TestLabelIdentity(t *testing.T) {
 	}
 }
 
+// TestWarmLookupAllocFree pins the lookup of an existing series — what every
+// Span.End does for its phase histogram — at zero allocations, and checks
+// that Reset still drops what the fast path returns.
+func TestWarmLookupAllocFree(t *testing.T) {
+	r := NewRegistry()
+	lookups := map[string]func(){
+		"span phase histogram": func() {
+			r.Histogram(PhaseDurationMetric, "h", DefTimeBuckets, Labels{"phase": "warm"}).Observe(1e-3)
+		},
+		"two-label counter": func() { r.Counter("c_total", "h", Labels{"b": "2", "a": "1"}).Inc() },
+		"unlabeled gauge":   func() { r.Gauge("g", "h", nil).Set(1) },
+	}
+	for name, lookup := range lookups {
+		lookup() // register
+		if allocs := testing.AllocsPerRun(100, lookup); allocs != 0 {
+			t.Errorf("%s: warm lookup costs %v allocs, want 0", name, allocs)
+		}
+	}
+	r.Histogram(PhaseDurationMetric, "", DefTimeBuckets, Labels{"phase": "warm"}).Observe(1)
+	r.Reset()
+	if n := r.Histogram(PhaseDurationMetric, "", DefTimeBuckets, Labels{"phase": "warm"}).Snapshot().Count; n != 0 {
+		t.Fatalf("series after Reset holds %d samples, want a fresh one", n)
+	}
+	if f := r.Gather(); len(f) != 1 || f[0].Help != "" {
+		t.Fatalf("Reset kept family metadata: %+v", f)
+	}
+}
+
 func TestTypeMismatchPanics(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("m", "", nil)
