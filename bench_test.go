@@ -684,6 +684,43 @@ func BenchmarkHeteroSolve(b *testing.B) {
 	}
 }
 
+// BenchmarkSolveKernel measures the α-kernel layer alone: core.Solve on a
+// calibrated 1,920-module PMT (the paper-scale HA8K job), cycling through an
+// interior budget, a clamped best-effort one (0.95·ΣMin) and a slack one
+// (1.2·ΣMax) so every branch of Equation 6 is timed. The Allocation and its
+// entries are the only allocations (benchgate.json caps it at 2 allocs/op).
+func BenchmarkSolveKernel(b *testing.B) {
+	const modules = 1920
+	sys := cluster.MustNew(cluster.HA8K(), modules, 0x5c15)
+	fw, err := core.NewFramework(sys, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ids, err := sys.AllocateFirst(modules)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pmt, err := fw.BuildPMT(workload.MHD(), ids, core.VaPc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var sumMin, sumMax units.Watts
+	for _, e := range pmt.Entries {
+		sumMin += e.ModuleMin()
+		sumMax += e.ModuleMax()
+	}
+	budgets := []units.Watts{(sumMin + sumMax) / 2, 0.95 * sumMin, 1.2 * sumMax}
+	arch := sys.Spec.Arch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		alloc, err := core.Solve(pmt, arch, budgets[i%len(budgets)])
+		if err != nil || !alloc.Feasible {
+			b.Fatalf("solve at %v infeasible: %v", budgets[i%len(budgets)], err)
+		}
+	}
+}
+
 func floatName(prefix string, v float64) string {
 	s := prefix + "-"
 	whole := int(v)

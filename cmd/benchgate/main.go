@@ -179,12 +179,11 @@ func readBenches(path string, gomaxprocs int) ([]benchparse.Bench, error) {
 	if err != nil {
 		return nil, err
 	}
-	benches, err := benchparse.ReadAny(data)
+	benches, err := benchparse.ReadAny(data, gomaxprocs)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	// JSON artifacts were normalised when written; raw text has not been.
-	return benchparse.Normalize(benches, gomaxprocs), nil
+	return benches, nil
 }
 
 func run() error {

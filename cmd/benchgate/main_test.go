@@ -1,6 +1,10 @@
 package main
 
 import (
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -138,5 +142,48 @@ func TestRenderCountsFailures(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "2 checks, 1 failed") {
 		t.Fatalf("report summary missing: %q", sb.String())
+	}
+}
+
+// TestCommittedBaselineAgainstRawTextAtWidth2 gates the committed BENCH.json
+// against the same records printed as raw `go test` text on a 2-CPU host,
+// where every name carries a -2 suffix. Only the text is normalised, so the
+// baseline's own BenchmarkAblationCliff/exp-2 keeps its name and an
+// identical run passes.
+func TestCommittedBaselineAgainstRawTextAtWidth2(t *testing.T) {
+	const width = 2
+	basePath := filepath.Join("..", "..", "BENCH.json")
+	data, err := os.ReadFile(basePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []benchparse.Bench
+	if err := json.Unmarshal(data, &recs); err != nil {
+		t.Fatal(err)
+	}
+	var text strings.Builder
+	for _, r := range recs {
+		fmt.Fprintf(&text, "%s-%d\t1\t%g ns/op\t%d allocs/op\n", r.Name, width, r.NsOp, r.AllocsOp)
+	}
+	curPath := filepath.Join(t.TempDir(), "bench.txt")
+	if err := os.WriteFile(curPath, []byte(text.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	base, err := readBenches(basePath, width)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := readBenches(curPath, width)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig()
+	cfg.AllocCeilings, cfg.PairRules = nil, nil
+	fs, err := gate(cfg, base, cur, width)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bad := failures(fs); len(bad) != 0 {
+		t.Fatalf("identical run failed the gate: %v", bad)
 	}
 }

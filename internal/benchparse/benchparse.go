@@ -83,8 +83,10 @@ func Normalize(benches []Bench, gomaxprocs int) []Bench {
 
 // ReadAny decodes benchmark records from data that is either the BENCH.json
 // artifact (a JSON array) or raw `go test -bench` text, detected by the
-// first non-space byte.
-func ReadAny(data []byte) ([]Bench, error) {
+// first non-space byte. Raw text is normalised for the width gomaxprocs it
+// ran at; JSON names were normalised when the artifact was written, so they
+// are kept as is (stripping again would turn "exp-2" into "exp" at width 2).
+func ReadAny(data []byte, gomaxprocs int) ([]Bench, error) {
 	trimmed := bytes.TrimLeft(data, " \t\r\n")
 	if len(trimmed) > 0 && trimmed[0] == '[' {
 		var out []Bench
@@ -93,7 +95,11 @@ func ReadAny(data []byte) ([]Bench, error) {
 		}
 		return out, nil
 	}
-	return Parse(bytes.NewReader(data))
+	benches, err := Parse(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	return Normalize(benches, gomaxprocs), nil
 }
 
 // ByName indexes records by name. Duplicate names (a benchmark run twice,

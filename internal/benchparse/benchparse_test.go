@@ -66,19 +66,19 @@ func TestNormalizeKeepsMeaningfulSuffixes(t *testing.T) {
 }
 
 func TestReadAny(t *testing.T) {
-	fromText, err := ReadAny([]byte(sample))
+	fromText, err := ReadAny([]byte(sample), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fromText) != 4 {
-		t.Fatalf("text: %d records", len(fromText))
+	if len(fromText) != 4 || fromText[3].Name != "BenchmarkAblationCliff/exp-2" {
+		t.Fatalf("text: %+v", fromText)
 	}
-	js := `[{"name":"BenchmarkTable4","ns_op":5,"allocs_op":7}]`
-	fromJSON, err := ReadAny([]byte("  \n" + js))
+	js := `[{"name":"BenchmarkTable4","ns_op":5,"allocs_op":7},{"name":"BenchmarkAblationCliff/exp-2","ns_op":1,"allocs_op":1}]`
+	fromJSON, err := ReadAny([]byte("  \n"+js), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fromJSON) != 1 || fromJSON[0].AllocsOp != 7 {
+	if len(fromJSON) != 2 || fromJSON[0].AllocsOp != 7 || fromJSON[1].Name != "BenchmarkAblationCliff/exp-2" {
 		t.Fatalf("json: %+v", fromJSON)
 	}
 }

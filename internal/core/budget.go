@@ -38,35 +38,88 @@ type ModuleAlloc struct {
 	Pcpu     units.Watts
 }
 
-// Allocation is the output of the budgeting algorithm for one application
-// under one power constraint.
-type Allocation struct {
-	// Alpha is the application-wide power-performance coefficient
-	// (Equation 6), clamped to [0, 1]. Alpha is common to all modules so
-	// that they all target the same frequency — that is the homogeneity
-	// mechanism.
+// Solution is the α-kernel's verdict on one budget, shared by every level
+// that budgets (modules, GPU devices, device classes, jobs).
+type Solution struct {
+	// Alpha is the power-performance coefficient (Equation 6), clamped to
+	// [0, 1]. It is common to all members so that they all target the same
+	// frequency — that is the homogeneity mechanism.
 	Alpha float64
-	// Freq is the common target CPU frequency f = α(fmax−fmin)+fmin
-	// (Equation 1).
-	Freq units.Hertz
-	// Feasible is false when even α = 0 (every module at fmin) exceeds the
-	// budget by more than the best-effort margin — the paper's "–"
+	// Feasible is false when even α = 0 (every member at its floor) exceeds
+	// the budget by more than the best-effort margin — the paper's "–"
 	// scenarios.
 	Feasible bool
 	// Clamped reports best-effort admission: the model predicted that even
-	// fmin operation slightly exceeds the budget (α would be negative), so
-	// α was clamped to 0 and the per-module allocations scaled down
-	// proportionally to fit. This happens at boundary budgets when the
-	// calibrated model over-predicts power; the modules then run at (or
-	// just below) fmin.
+	// floor operation slightly exceeds the budget (α would be negative), so
+	// α was clamped to 0 and the allocations scaled down proportionally to
+	// fit. This happens at boundary budgets when the calibrated model
+	// over-predicts power; members then run at (or just below) the floor.
 	Clamped bool
 	// Constrained is false when α = 1 satisfies the budget with slack,
-	// i.e. no capping below fmax is needed.
+	// i.e. no capping below the nominal clock is needed.
 	Constrained bool
+	// Budget echoes the power constraint.
+	Budget units.Watts
+}
+
+// bestEffortMargin bounds how far below the predicted floor power a budget
+// may fall and still be admitted (with proportionally shrunk allocations).
+// Beyond it the budget is declared infeasible.
+const bestEffortMargin = 0.85
+
+// SolveAlpha is the α-kernel (Equation 6): the largest α in [0, 1] with
+//
+//	α·sumRange + sumMin ≤ budget
+//
+// where sumMin and sumRange sum the members' floor powers and power ranges.
+// Below sumMin, α is 0 and every allocation is scaled by the returned shrink
+// factor budget/sumMin (1 otherwise). The kernel validates nothing and
+// records nothing: callers check their inputs and count their solves.
+func SolveAlpha(sumMin, sumRange float64, budget units.Watts) (Solution, float64) {
+	sol := Solution{Budget: budget, Feasible: true, Constrained: true}
+	shrink := 1.0
+	switch {
+	case float64(budget) < sumMin:
+		sol.Clamped = true
+		shrink = float64(budget) / sumMin
+		if shrink < bestEffortMargin {
+			sol.Feasible = false
+		}
+	case sumRange == 0:
+		sol.Alpha = 1
+		sol.Constrained = false
+	default:
+		sol.Alpha = (float64(budget) - sumMin) / sumRange
+		if sol.Alpha >= 1 {
+			sol.Alpha = 1
+			sol.Constrained = false
+		}
+	}
+	return sol, shrink
+}
+
+// recordSolve counts one module- or device-level solve by outcome and
+// observes its α.
+func recordSolve(sol Solution) {
+	mSolves.Inc()
+	if !sol.Feasible {
+		mSolveInfeasible.Inc()
+	}
+	if sol.Clamped {
+		mSolveClamped.Inc()
+	}
+	mAlphaHist.Observe(sol.Alpha)
+}
+
+// Allocation is the output of the budgeting algorithm for one application
+// under one power constraint.
+type Allocation struct {
+	Solution
+	// Freq is the common target CPU frequency f = α(fmax−fmin)+fmin
+	// (Equation 1).
+	Freq units.Hertz
 	// Entries are the per-module allocations.
 	Entries []ModuleAlloc
-	// Budget echoes the application-level power constraint.
-	Budget units.Watts
 }
 
 // TotalPredicted sums the per-module allocations — by construction ≤ Budget
@@ -94,8 +147,9 @@ func (a *Allocation) CPUCaps() []units.Watts {
 //
 //	Σᵢ ( α·(Pmodule_max,i − Pmodule_min,i) + Pmodule_min,i ) ≤ budget
 //
-// then derive each module's allocation at that α. The arch parameter
-// supplies the frequency range for Equation 1.
+// (SolveAlpha over the modules' summed ranges), then derive each module's
+// allocation at that α. The arch parameter supplies the frequency range for
+// Equation 1.
 func Solve(pmt *PMT, arch *module.Arch, budget units.Watts) (*Allocation, error) {
 	if len(pmt.Entries) == 0 {
 		return nil, fmt.Errorf("core: solve on empty PMT")
@@ -104,7 +158,8 @@ func Solve(pmt *PMT, arch *module.Arch, budget units.Watts) (*Allocation, error)
 		return nil, fmt.Errorf("core: non-positive budget %v", budget)
 	}
 	var sumMin, sumRange float64
-	for _, e := range pmt.Entries {
+	for i := range pmt.Entries {
+		e := &pmt.Entries[i]
 		min := float64(e.ModuleMin())
 		max := float64(e.ModuleMax())
 		if min < 0 || max < min {
@@ -113,40 +168,16 @@ func Solve(pmt *PMT, arch *module.Arch, budget units.Watts) (*Allocation, error)
 		sumMin += min
 		sumRange += max - min
 	}
-
-	// bestEffortMargin bounds how far below the predicted fmin power a
-	// budget may fall and still be admitted (with proportionally shrunk
-	// caps). Beyond it the job is declared infeasible.
-	const bestEffortMargin = 0.85
-
-	alloc := &Allocation{Budget: budget, Feasible: true, Constrained: true}
-	shrink := 1.0
-	switch {
-	case float64(budget) < sumMin:
-		// Even fmin everywhere exceeds the predicted budget.
-		alloc.Alpha = 0
-		alloc.Clamped = true
-		shrink = float64(budget) / sumMin
-		if shrink < bestEffortMargin {
-			alloc.Feasible = false
-		}
-	case sumRange == 0:
-		alloc.Alpha = 1
-		alloc.Constrained = false
-	default:
-		alpha := (float64(budget) - sumMin) / sumRange
-		if alpha >= 1 {
-			alpha = 1
-			alloc.Constrained = false
-		}
-		alloc.Alpha = alpha
+	sol, shrink := SolveAlpha(sumMin, sumRange, budget)
+	alloc := &Allocation{
+		Solution: sol,
+		Freq:     units.Hertz(units.Lerp(float64(arch.FMin), float64(arch.FNom), sol.Alpha)),
+		Entries:  make([]ModuleAlloc, len(pmt.Entries)),
 	}
-
-	alloc.Freq = units.Hertz(units.Lerp(float64(arch.FMin), float64(arch.FNom), alloc.Alpha))
-	alloc.Entries = make([]ModuleAlloc, len(pmt.Entries))
-	for i, e := range pmt.Entries {
-		pm := units.Watts(units.Lerp(float64(e.ModuleMin()), float64(e.ModuleMax()), alloc.Alpha) * shrink)
-		pd := units.Watts(units.Lerp(float64(e.DramMin), float64(e.DramMax), alloc.Alpha) * shrink)
+	for i := range pmt.Entries {
+		e := &pmt.Entries[i]
+		pm := units.Watts(units.Lerp(float64(e.ModuleMin()), float64(e.ModuleMax()), sol.Alpha) * shrink)
+		pd := units.Watts(units.Lerp(float64(e.DramMin), float64(e.DramMax), sol.Alpha) * shrink)
 		alloc.Entries[i] = ModuleAlloc{
 			ModuleID: e.ModuleID,
 			Pmodule:  pm,
@@ -154,15 +185,8 @@ func Solve(pmt *PMT, arch *module.Arch, budget units.Watts) (*Allocation, error)
 			Pcpu:     pm - pd,
 		}
 	}
-	mSolves.Inc()
-	if !alloc.Feasible {
-		mSolveInfeasible.Inc()
-	}
-	if alloc.Clamped {
-		mSolveClamped.Inc()
-	}
+	recordSolve(alloc.Solution)
 	mAlphaGauge.Set(alloc.Alpha)
-	mAlphaHist.Observe(alloc.Alpha)
 	mResidualGauge.Set(float64(budget - alloc.TotalPredicted()))
 	return alloc, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"varpower/internal/cluster"
 	"varpower/internal/faults"
@@ -68,8 +69,8 @@ type GPUPVTEntry struct {
 // GPUPVT is the install-time, application-independent Power Variation Table
 // of a system's GPU device class.
 type GPUPVT struct {
-	System string        `json:"system"`
-	Kernel string        `json:"kernel"`
+	System  string        `json:"system"`
+	Kernel  string        `json:"kernel"`
 	Entries []GPUPVTEntry `json:"entries"`
 
 	// Quarantined lists devices whose install-time measurements fell
@@ -86,6 +87,16 @@ func (p *GPUPVT) IsQuarantined(deviceID int) bool {
 		}
 	}
 	return false
+}
+
+// deviation is a device's L1 distance from the population mean in GPU PVT
+// scales, +Inf for quarantined or unknown devices (see PVT.deviation).
+func (p *GPUPVT) deviation(deviceID int) float64 {
+	e, err := p.Entry(deviceID)
+	if err != nil || p.IsQuarantined(deviceID) {
+		return math.Inf(1)
+	}
+	return math.Abs(e.PowerMax-1) + math.Abs(e.PowerMin-1)
 }
 
 // Entry returns the scales for a device ID.
@@ -332,16 +343,12 @@ type GPUAlloc struct {
 }
 
 // GPUAllocation is the α-solve output for the GPU class under its class
-// budget: the same linear program as the CPU side with the SM-clock ladder
-// standing in for the P-state ladder.
+// budget: the same kernel as the CPU side with the SM-clock ladder standing
+// in for the P-state ladder.
 type GPUAllocation struct {
-	Alpha       float64
-	Clock       units.Hertz
-	Feasible    bool
-	Clamped     bool
-	Constrained bool
-	Entries     []GPUAlloc
-	Budget      units.Watts
+	Solution
+	Clock   units.Hertz
+	Entries []GPUAlloc
 }
 
 // TotalPredicted sums the per-device allocations.
@@ -353,19 +360,10 @@ func (a *GPUAllocation) TotalPredicted() units.Watts {
 	return sum
 }
 
-// Limits returns the per-device board power limits in entry order.
-func (a *GPUAllocation) Limits() []units.Watts {
-	out := make([]units.Watts, len(a.Entries))
-	for i, e := range a.Entries {
-		out[i] = e.Power
-	}
-	return out
-}
-
 // SolveGPU runs the α-solve for the device class: the maximum α with
-// Σᵢ(α·(Pmax_i − Pmin_i) + Pmin_i) ≤ budget, then per-device allocations at
-// that α. Identical math (including the best-effort admission margin) to
-// the CPU Solve, so the two classes compose under one hierarchical budget.
+// Σᵢ(α·(Pmax_i − Pmin_i) + Pmin_i) ≤ budget (SolveAlpha, as for modules),
+// then per-device allocations at that α, so the two classes compose under
+// one hierarchical budget.
 func SolveGPU(pmt *GPUPMT, arch *gpu.Arch, budget units.Watts) (*GPUAllocation, error) {
 	if len(pmt.Entries) == 0 {
 		return nil, fmt.Errorf("core: GPU solve on empty PMT")
@@ -382,43 +380,18 @@ func SolveGPU(pmt *GPUPMT, arch *gpu.Arch, budget units.Watts) (*GPUAllocation, 
 		sumMin += min
 		sumRange += max - min
 	}
-	const bestEffortMargin = 0.85
-	alloc := &GPUAllocation{Budget: budget, Feasible: true, Constrained: true}
-	shrink := 1.0
-	switch {
-	case float64(budget) < sumMin:
-		alloc.Alpha = 0
-		alloc.Clamped = true
-		shrink = float64(budget) / sumMin
-		if shrink < bestEffortMargin {
-			alloc.Feasible = false
-		}
-	case sumRange == 0:
-		alloc.Alpha = 1
-		alloc.Constrained = false
-	default:
-		alpha := (float64(budget) - sumMin) / sumRange
-		if alpha >= 1 {
-			alpha = 1
-			alloc.Constrained = false
-		}
-		alloc.Alpha = alpha
+	sol, shrink := SolveAlpha(sumMin, sumRange, budget)
+	alloc := &GPUAllocation{
+		Solution: sol,
+		Clock:    units.Hertz(units.Lerp(float64(arch.ClockMin), float64(arch.ClockNom), sol.Alpha)),
+		Entries:  make([]GPUAlloc, len(pmt.Entries)),
 	}
-	alloc.Clock = units.Hertz(units.Lerp(float64(arch.ClockMin), float64(arch.ClockNom), alloc.Alpha))
-	alloc.Entries = make([]GPUAlloc, len(pmt.Entries))
 	for i, e := range pmt.Entries {
 		alloc.Entries[i] = GPUAlloc{
 			DeviceID: e.DeviceID,
 			Power:    units.Watts(units.Lerp(float64(e.PowerMin), float64(e.PowerMax), alloc.Alpha) * shrink),
 		}
 	}
-	mSolves.Inc()
-	if !alloc.Feasible {
-		mSolveInfeasible.Inc()
-	}
-	if alloc.Clamped {
-		mSolveClamped.Inc()
-	}
-	mAlphaHist.Observe(alloc.Alpha)
+	recordSolve(alloc.Solution)
 	return alloc, nil
 }

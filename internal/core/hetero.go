@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"varpower/internal/cluster"
 	"varpower/internal/flight"
@@ -76,86 +75,34 @@ func (hf *HeteroFramework) AllDevices() []int {
 }
 
 // BuildGPUPMT constructs the scheme's power model for the allocated
-// devices, mirroring BuildPMT case for case: Naive uses the spec sheet
-// (TDP / minimum limit), Pc measures all devices but averages the table,
-// VaPc/VaFs calibrate one test device through the GPU PVT, and the oracle
-// schemes measure every device.
+// devices from the same measurement BuildPMT makes for modules (see
+// Scheme.measurement): Naive uses the spec sheet (TDP / minimum limit), Pc
+// measures all devices but averages the table, VaPc/VaFs calibrate one test
+// device through the GPU PVT, and the oracle schemes measure every device.
 func (hf *HeteroFramework) BuildGPUPMT(bench *workload.Benchmark, deviceIDs []int, scheme Scheme) (*GPUPMT, error) {
 	if len(deviceIDs) == 0 {
 		return nil, fmt.Errorf("core: empty GPU device allocation")
 	}
 	garch := hf.Sys.Spec.GPU.Arch
 	k := KernelFor(bench, hf.Sys.Spec.Arch, garch)
-	switch scheme {
-	case Naive:
+	switch scheme.measurement() {
+	case measureNone:
 		return NaiveGPUPMT(garch, deviceIDs), nil
-	case Pc:
+	case measureOracle:
 		pmt, err := OracleGPUPMT(hf.Sys, k, deviceIDs, hf.Workers)
-		if err != nil {
-			return nil, err
+		if err == nil && scheme == Pc {
+			pmt = pmt.Uniform()
 		}
-		return pmt.Uniform(), nil
-	case VaPc, VaFs:
-		pair, err := RunGPUTestPair(hf.Sys, k, hf.testDeviceFor(deviceIDs))
+		return pmt, err
+	case measureCalibration:
+		pair, err := RunGPUTestPair(hf.Sys, k, closestToMean(deviceIDs, -1, hf.GPVT.deviation))
 		if err != nil {
 			return nil, err
 		}
 		return CalibrateGPU(hf.GPVT, pair, k.Kernel, deviceIDs)
-	case VaPcOr, VaFsOr:
-		return OracleGPUPMT(hf.Sys, k, deviceIDs, hf.Workers)
 	default:
 		return nil, fmt.Errorf("core: unknown scheme %v", scheme)
 	}
-}
-
-// testDeviceFor picks the allocated device whose GPU PVT scales lie closest
-// to the population mean — the same least-leverage argument as
-// testModuleFor, with quarantined devices (placeholder scales of exactly 1)
-// skipped outright.
-func (hf *HeteroFramework) testDeviceFor(deviceIDs []int) int {
-	best := deviceIDs[0]
-	bestDev := math.Inf(1)
-	for _, id := range deviceIDs {
-		if hf.GPVT.IsQuarantined(id) {
-			continue
-		}
-		e, err := hf.GPVT.Entry(id)
-		if err != nil {
-			continue
-		}
-		dev := math.Abs(e.PowerMax-1) + math.Abs(e.PowerMin-1)
-		if dev < bestDev {
-			bestDev = dev
-			best = id
-		}
-	}
-	return best
-}
-
-// holdoutDeviceFor returns the allocated device ranked second-closest to
-// the population mean (the closest hosts the calibration test runs).
-func (hf *HeteroFramework) holdoutDeviceFor(deviceIDs []int) int {
-	test := hf.testDeviceFor(deviceIDs)
-	best := deviceIDs[0]
-	if best == test && len(deviceIDs) > 1 {
-		best = deviceIDs[1]
-	}
-	bestDev := math.Inf(1)
-	for _, id := range deviceIDs {
-		if id == test || hf.GPVT.IsQuarantined(id) {
-			continue
-		}
-		e, err := hf.GPVT.Entry(id)
-		if err != nil {
-			continue
-		}
-		dev := math.Abs(e.PowerMax-1) + math.Abs(e.PowerMin-1)
-		if dev < bestDev {
-			bestDev = dev
-			best = id
-		}
-	}
-	return best
 }
 
 // gpuFsMargin measures the GPU model's relative prediction error on a
@@ -163,7 +110,8 @@ func (hf *HeteroFramework) holdoutDeviceFor(deviceIDs []int) int {
 // band the CPU FS margin uses — locked clocks enforce no power bound, so
 // the GPU class needs the identical guard.
 func (hf *HeteroFramework) gpuFsMargin(pmt *GPUPMT, k gpu.KernelProfile, deviceIDs []int) (float64, error) {
-	holdout := hf.holdoutDeviceFor(deviceIDs)
+	test := closestToMean(deviceIDs, -1, hf.GPVT.deviation)
+	holdout := closestToMean(deviceIDs, test, hf.GPVT.deviation)
 	pair, err := RunGPUTestPair(hf.Sys, k, holdout)
 	if err != nil {
 		return 0, fmt.Errorf("core: GPU FS margin holdout run: %w", err)

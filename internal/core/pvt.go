@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"varpower/internal/cluster"
 	"varpower/internal/faults"
@@ -66,6 +67,24 @@ func (p *PVT) IsQuarantined(moduleID int) bool {
 		}
 	}
 	return false
+}
+
+// deviation is a module's distance from the population mean (see
+// PVTEntry.deviation), +Inf for quarantined or unknown modules: their
+// placeholder scales of exactly 1.0 are deceptively "closest to the mean".
+func (p *PVT) deviation(moduleID int) float64 {
+	e, err := p.Entry(moduleID)
+	if err != nil || p.IsQuarantined(moduleID) {
+		return math.Inf(1)
+	}
+	return e.deviation()
+}
+
+// deviation is the L1 distance of the entry's scales from the population
+// mean of 1, DRAM weighted a quarter.
+func (e PVTEntry) deviation() float64 {
+	return math.Abs(e.CPUMax-1) + math.Abs(e.CPUMin-1) +
+		0.25*(math.Abs(e.DramMax-1)+math.Abs(e.DramMin-1))
 }
 
 // Entry returns the scales for a module ID.

@@ -55,8 +55,8 @@ type ModuleRefresh struct {
 
 // RefreshReport summarises one incremental refresh.
 type RefreshReport struct {
-	System         string          `json:"system"`
-	Microbenchmark string          `json:"microbenchmark"`
+	System         string `json:"system"`
+	Microbenchmark string `json:"microbenchmark"`
 	// Reference is the unflagged module whose test pair anchored the
 	// population averages.
 	Reference int             `json:"reference"`
@@ -201,7 +201,7 @@ func RefreshPVT(sys *cluster.System, pvt *PVT, modules []int, workers int) (*PVT
 }
 
 // refreshReference picks the module anchoring the implied population
-// averages: not being refreshed, not quarantined, and — like testModuleFor
+// averages: not being refreshed, not quarantined, and — like closestToMean
 // — the one whose scales lie closest to the population mean, where any
 // measurement idiosyncrasy has the least leverage.
 func refreshReference(pvt *PVT, refreshing []int) (int, error) {
@@ -214,7 +214,7 @@ func refreshReference(pvt *PVT, refreshing []int) (int, error) {
 		if skip[e.ModuleID] || pvt.IsQuarantined(e.ModuleID) {
 			continue
 		}
-		dev := abs(e.CPUMax-1) + abs(e.CPUMin-1) + 0.25*(abs(e.DramMax-1)+abs(e.DramMin-1))
+		dev := e.deviation()
 		if best < 0 || dev < bestDev {
 			best, bestDev = e.ModuleID, dev
 		}
@@ -223,14 +223,6 @@ func refreshReference(pvt *PVT, refreshing []int) (int, error) {
 		return 0, fmt.Errorf("core: refresh has no healthy reference module (all %d flagged or quarantined)", len(pvt.Entries))
 	}
 	return best, nil
-}
-
-// abs avoids importing math for one call site.
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // Refresh re-measures the listed modules and splices the result into the

@@ -193,10 +193,11 @@ func TestPVTQuarantineUnderSensorFaults(t *testing.T) {
 	if e.CPUMax != 1 || e.DramMax != 1 || e.CPUMin != 1 || e.DramMin != 1 {
 		t.Fatalf("quarantined entry not neutral: %+v", e)
 	}
-	if got := fw.testModuleFor(ids); got == 6 {
+	test := closestToMean(ids, -1, fw.PVT.deviation)
+	if test == 6 {
 		t.Fatal("quarantined module chosen as calibration test module")
 	}
-	if got := fw.holdoutModuleFor(ids); got == 6 {
+	if got := closestToMean(ids, test, fw.PVT.deviation); got == 6 {
 		t.Fatal("quarantined module chosen as FS holdout")
 	}
 	// The pipeline still runs end to end on the degraded table.

@@ -93,7 +93,7 @@ func (fw *Framework) Clone() *Framework {
 //   - VaPcOr / VaFsOr: oracle measurement of every module.
 //
 // The test module for calibrated schemes is drawn from the job's own
-// allocation, as in the paper; see testModuleFor for how it is chosen.
+// allocation, as in the paper; see closestToMean for how it is chosen.
 func (fw *Framework) BuildPMT(bench *workload.Benchmark, moduleIDs []int, scheme Scheme) (*PMT, error) {
 	pmt, err := fw.measurePMT(bench, moduleIDs, scheme)
 	if err != nil {
@@ -133,7 +133,7 @@ func (p *PMT) forScheme(scheme Scheme) *PMT {
 }
 
 func (fw *Framework) calibrated(bench *workload.Benchmark, moduleIDs []int) (*PMT, error) {
-	pair, err := RunTestPair(fw.Sys, bench, fw.testModuleFor(moduleIDs))
+	pair, err := RunTestPair(fw.Sys, bench, closestToMean(moduleIDs, -1, fw.PVT.deviation))
 	if err != nil {
 		return nil, err
 	}
@@ -145,7 +145,8 @@ func (fw *Framework) calibrated(bench *workload.Benchmark, moduleIDs []int) (*PM
 // mean) and returns it, clamped to [0.005, 0.08], as the fractional budget
 // reserve for frequency selection.
 func (fw *Framework) fsMargin(pmt *PMT, bench *workload.Benchmark, moduleIDs []int) (float64, error) {
-	holdout := fw.holdoutModuleFor(moduleIDs)
+	test := closestToMean(moduleIDs, -1, fw.PVT.deviation)
+	holdout := closestToMean(moduleIDs, test, fw.PVT.deviation)
 	pair, err := RunTestPair(fw.Sys, bench, holdout)
 	if err != nil {
 		return 0, fmt.Errorf("core: FS margin holdout run: %w", err)
@@ -164,59 +165,29 @@ func (fw *Framework) fsMargin(pmt *PMT, bench *workload.Benchmark, moduleIDs []i
 	return units.Clamp(margin, 0.005, 0.08), nil
 }
 
-// holdoutModuleFor returns the allocated module ranked second-closest to
-// the PVT population mean (the closest hosts the calibration test runs).
-func (fw *Framework) holdoutModuleFor(moduleIDs []int) int {
-	test := fw.testModuleFor(moduleIDs)
-	best := moduleIDs[0]
-	if best == test && len(moduleIDs) > 1 {
-		best = moduleIDs[1]
-	}
-	bestDev := math.Inf(1)
-	for _, id := range moduleIDs {
-		if id == test || fw.PVT.IsQuarantined(id) {
-			continue
-		}
-		e, err := fw.PVT.Entry(id)
-		if err != nil {
-			continue
-		}
-		dev := math.Abs(e.CPUMax-1) + math.Abs(e.CPUMin-1) +
-			0.25*(math.Abs(e.DramMax-1)+math.Abs(e.DramMin-1))
-		if dev < bestDev {
-			bestDev = dev
-			best = id
-		}
-	}
-	return best
-}
-
-// testModuleFor picks which allocated module hosts the single-module test
-// runs: the one whose PVT scales lie closest to the population mean.
+// closestToMean picks, among the allocated ids other than skip, the one
+// whose install-time scales lie closest to the population mean (smallest
+// finite deviation, ties to the earliest); with none, ids[0], or ids[1]
+// when ids[0] is skip. It chooses the calibration's test module or device
+// (skip -1) and then, skipping that one, the VaFs hold-out.
 //
-// Calibration divides the test measurement by the test module's scales, so
-// any idiosyncrasy of that one module (an extreme leakage/dynamic mix, a
+// Calibration divides the test measurement by the test member's scales, so
+// any idiosyncrasy of that one member (an extreme leakage/dynamic mix, a
 // large workload residual) biases the whole table — and through α, the
-// power of *every* module of an FS run. An average module has the least
+// power of *every* member of an FS run. An average member has the least
 // leverage; the PVT, which the system already has, identifies it for free.
-// Quarantined modules carry placeholder scales of exactly 1.0 — deceptively
-// "closest to the mean" — so they are skipped outright.
-func (fw *Framework) testModuleFor(moduleIDs []int) int {
-	best := moduleIDs[0]
+func closestToMean(ids []int, skip int, deviation func(id int) float64) int {
+	best := ids[0]
+	if best == skip && len(ids) > 1 {
+		best = ids[1]
+	}
 	bestDev := math.Inf(1)
-	for _, id := range moduleIDs {
-		if fw.PVT.IsQuarantined(id) {
+	for _, id := range ids {
+		if id == skip {
 			continue
 		}
-		e, err := fw.PVT.Entry(id)
-		if err != nil {
-			continue
-		}
-		dev := math.Abs(e.CPUMax-1) + math.Abs(e.CPUMin-1) +
-			0.25*(math.Abs(e.DramMax-1)+math.Abs(e.DramMin-1))
-		if dev < bestDev {
-			bestDev = dev
-			best = id
+		if dev := deviation(id); dev < bestDev {
+			best, bestDev = id, dev
 		}
 	}
 	return best

@@ -97,10 +97,8 @@ type ClassDemand struct {
 // alphaAt inverts a class budget into the class α the per-class solve will
 // reach (clamped to [0, 1]; 0 when the class is starved below Min).
 func (d *ClassDemand) alphaAt(budget units.Watts) float64 {
-	if d.Max <= d.Min {
-		return 1
-	}
-	return units.Clamp(float64(budget-d.Min)/float64(d.Max-d.Min), 0, 1)
+	sol, _ := SolveAlpha(float64(d.Min), float64(d.Max-d.Min), budget)
+	return sol.Alpha
 }
 
 // splitChunks is the granularity of the greedy splitter: the headroom above

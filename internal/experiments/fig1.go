@@ -53,7 +53,9 @@ func Figure1(o Options) ([]Fig1Series, error) {
 	panels := []func() (Fig1Series, error){
 		func() (Fig1Series, error) { return socketSeries(cluster.Cab(), o.CabSockets, o.Seed, false, o.Workers) },
 		func() (Fig1Series, error) { return boardSeries(cluster.Vulcan(), o.VulcanBoards, o.Seed, o.Workers) },
-		func() (Fig1Series, error) { return socketSeries(cluster.Teller(), o.TellerSockets, o.Seed, true, o.Workers) },
+		func() (Fig1Series, error) {
+			return socketSeries(cluster.Teller(), o.TellerSockets, o.Seed, true, o.Workers)
+		},
 	}
 	names := []string{"Cab", "Vulcan", "Teller"}
 	return parallel.Map(o.Workers, len(panels), func(i int) (Fig1Series, error) {

@@ -1,9 +1,8 @@
 // Package flight is the simulator's flight recorder: a bounded, in-memory
 // record of what the simulated hardware did *during* a run, keyed by the
 // simulator's virtual clock. Where internal/telemetry answers "what did the
-// pipeline's own execution cost" (wall-clock spans and counters) and
-// internal/trace stores sensor-style per-module power CSVs for figures,
-// flight captures the paper's temporal mechanism itself: per-module power,
+// pipeline's own execution cost" (wall-clock spans and counters), flight
+// captures the paper's temporal mechanism itself: per-module power,
 // RAPL cap, delivered frequency and a temperature proxy sampled against
 // simulated time, plus per-rank phase intervals (compute, point-to-point
 // wait, collective wait, duty-cycle throttling) and the control-plane

@@ -2,16 +2,12 @@
 // tracing, structured logging and SLO burn-rate monitoring, dependency-free
 // and threaded through the served path via context.Context.
 //
-// It is the third layer of the repository's observability split:
-//
-//   - internal/trace synthesizes *simulated power data* — an experiment
-//     artifact that belongs in a figure;
-//   - internal/telemetry instruments the simulator *in aggregate* — metric
-//     counters and phase histograms that belong on a dashboard;
-//   - internal/obs (this package) explains *one request* — where did this
-//     solve's latency go, which cache answered it, did it meet its
-//     objective — the per-request causality the paper's mitigation schemes
-//     need operators to see before they can trust them at scale.
+// Where internal/telemetry instruments the simulator *in aggregate* —
+// metric counters and phase histograms that belong on a dashboard — this
+// package explains *one request*: where did this solve's latency go, which
+// cache answered it, did it meet its objective — the per-request causality
+// the paper's mitigation schemes need operators to see before they can
+// trust them at scale.
 //
 // Tracing: every request gets a W3C trace context (128-bit trace ID, 64-bit
 // span ID, parsed from and emitted as a `traceparent` header) whose spans —

@@ -33,13 +33,13 @@ func TestTraceparentRejectsMalformed(t *testing.T) {
 	bad := []string{
 		"",
 		"00-abc-def-01",
-		"01-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",         // unknown version
-		"00-00000000000000000000000000000000-b7ad6b7169203331-01",         // zero trace
-		"00-0af7651916cd43dd8448eb211c80319c-0000000000000000-01",         // zero span
-		"00-0af7651916cd43dd8448eb211c80319X-b7ad6b7169203331-01",         // non-hex
-		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01-extra",   // too long
-		"00+0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",         // bad dash
-		"00-0af7651916cd43dd8448eb211c80319c_b7ad6b7169203331-01",         // bad dash
+		"01-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",       // unknown version
+		"00-00000000000000000000000000000000-b7ad6b7169203331-01",       // zero trace
+		"00-0af7651916cd43dd8448eb211c80319c-0000000000000000-01",       // zero span
+		"00-0af7651916cd43dd8448eb211c80319X-b7ad6b7169203331-01",       // non-hex
+		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01-extra", // too long
+		"00+0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",       // bad dash
+		"00-0af7651916cd43dd8448eb211c80319c_b7ad6b7169203331-01",       // bad dash
 	}
 	for _, h := range bad {
 		if _, _, _, err := ParseTraceparent(h); err == nil {

@@ -298,9 +298,10 @@ func (s *Scheduler) partition(jobs []Job, allocs [][]int, cfg Config) ([]units.W
 }
 
 // globalAlpha solves the paper's Equation 6 across all jobs at once: find
-// the single α with Σ_jobs Σ_modules (α·range + min) ≤ Csys, then budget
-// each job at its α allocation. When even α = 0 does not fit, budgets are
-// shrunk proportionally (the same best-effort rule as core.Solve).
+// the single α with Σ_jobs Σ_modules (α·range + min) ≤ Csys (core.SolveAlpha
+// over the jobs' summed ranges), then budget each job at its α allocation.
+// When even α = 0 does not fit, budgets are shrunk proportionally (the same
+// best-effort rule as core.Solve).
 func (s *Scheduler) globalAlpha(jobs []Job, allocs [][]int, csys units.Watts) ([]units.Watts, error) {
 	type jobModel struct {
 		min, rng float64
@@ -321,25 +322,10 @@ func (s *Scheduler) globalAlpha(jobs []Job, allocs [][]int, csys units.Watts) ([
 		sumMin += m.min
 		sumRange += m.rng
 	}
+	sol, shrink := core.SolveAlpha(sumMin, sumRange, csys)
 	out := make([]units.Watts, len(jobs))
-	switch {
-	case float64(csys) < sumMin:
-		shrink := float64(csys) / sumMin
-		for i, m := range models {
-			out[i] = units.Watts(m.min * shrink)
-		}
-	case sumRange == 0:
-		for i, m := range models {
-			out[i] = units.Watts(m.min)
-		}
-	default:
-		alpha := (float64(csys) - sumMin) / sumRange
-		if alpha > 1 {
-			alpha = 1
-		}
-		for i, m := range models {
-			out[i] = units.Watts(m.min + alpha*m.rng)
-		}
+	for i, m := range models {
+		out[i] = units.Watts((m.min + sol.Alpha*m.rng) * shrink)
 	}
 	return out, nil
 }

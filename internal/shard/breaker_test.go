@@ -8,9 +8,9 @@ import (
 // fakeClock is an injectable breaker clock.
 type fakeClock struct{ t time.Time }
 
-func (c *fakeClock) now() time.Time            { return c.t }
-func (c *fakeClock) advance(d time.Duration)   { c.t = c.t.Add(d) }
-func newClock() *fakeClock                     { return &fakeClock{t: time.Unix(1_000_000, 0)} }
+func (c *fakeClock) now() time.Time          { return c.t }
+func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
+func newClock() *fakeClock                   { return &fakeClock{t: time.Unix(1_000_000, 0)} }
 func testBreaker(clk *fakeClock, cfg BreakerConfig) *Breaker {
 	cfg.Now = clk.now
 	return NewBreaker(cfg)

@@ -135,8 +135,8 @@ func TestReadRejectsCorruption(t *testing.T) {
 
 func TestJSONRoundTrip(t *testing.T) {
 	type state struct {
-		Name string  `json:"name"`
-		Gen  uint64  `json:"gen"`
+		Name string `json:"name"`
+		Gen  uint64 `json:"gen"`
 		Vals []float64
 	}
 	path := filepath.Join(t.TempDir(), "s.snap")

@@ -20,10 +20,10 @@
 // keeps the repo's bit-reproducibility contract intact (the determinism
 // property tests run with telemetry active).
 //
-// This package is distinct from internal/trace, which synthesizes
-// *simulated power time series* (per-module watts-over-virtual-seconds
-// CSV, the paper's measurement campaigns); telemetry records *real*
-// wall-clock spans and event counts of the simulator itself.
+// This package is distinct from internal/flight, which records
+// *simulated power time series* (per-module watts over virtual seconds,
+// the paper's measurement campaigns); telemetry records *real* wall-clock
+// spans and event counts of the simulator itself.
 package telemetry
 
 import (
