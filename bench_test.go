@@ -559,7 +559,30 @@ func BenchmarkServeSolve(b *testing.B) {
 	req := service.SolveRequest{System: "HA8K", Workload: "dgemm", Scheme: "vapc", BudgetWatts: 2400}
 
 	b.Run("hot", func(b *testing.B) {
-		if _, _, err := c.Solve(ctx, req); err != nil { // warm the cache
+		// Warm the cache, and with it the process state a first request on
+		// a given P would otherwise allocate inside the timed window: the
+		// per-P sync.Pool entries (net/http's server bufio.Writer, io's
+		// body-draining buffer), the runtime's extra Ms, and first-use
+		// GODEBUG registration. Four concurrent clients reach both Ps of a
+		// 2-vCPU runner, where a single request warms only the one it ran
+		// on; every allocation the timed request makes stays measured.
+		var wg sync.WaitGroup
+		errs := make(chan error, 4)
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 50; i++ {
+					if _, _, err := c.Solve(ctx, req); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		if err := <-errs; err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()

@@ -137,6 +137,7 @@ func runSweep(benchName, budgetStr string, refModules int, sweep string, seed ui
 	if err != nil {
 		return err
 	}
+	fw.Trace = obs.Trace()
 	res, err := overprov.Analyze(fw, bench, budget, refModules, counts, core.VaFs)
 	if err != nil {
 		return err
@@ -207,6 +208,7 @@ func run(benchName, budgetStr, systemName string, modules int, schemeName, split
 	if err != nil {
 		return err
 	}
+	fw.Trace = obs.Trace()
 	pmt, err := fw.BuildPMT(bench, ids, scheme)
 	if err != nil {
 		return err
@@ -278,6 +280,7 @@ func runHetero(sys *cluster.System, bench *workload.Benchmark, ids []int,
 	if err != nil {
 		return err
 	}
+	hf.Trace = obs.Trace()
 	devs := hf.AllDevices()
 	alloc, _, _, err := hf.SolveHetero(bench, ids, devs, budget, scheme, split)
 	if err != nil {

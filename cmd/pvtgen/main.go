@@ -29,7 +29,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -97,7 +96,7 @@ func run(system, sysFile string, modules int, seed uint64, out string, workers i
 	if in := obs.Injector(); in != nil {
 		sys.InstallFaults(in)
 	}
-	ctx := context.Background()
+	ctx := obs.Context()
 	if fn := obs.ProgressFunc("pvt"); fn != nil {
 		ctx = parallel.WithProgress(ctx, fn)
 	}

@@ -116,7 +116,7 @@ func main() {
 		selftest     = flag.Bool("selftest", false, "start an in-process instance, run the load generator against it, and exit (nonzero unless cache speedup >= 5x)")
 		selfN        = flag.Int("selftest-requests", 2000, "hot-phase request count for -selftest")
 		selfC        = flag.Int("selftest-clients", 8, "client goroutines for -selftest")
-		traceMode    = flag.String("trace", "on", "request tracing + SLO monitoring: on or off (off removes all per-request overhead; response bodies are identical either way)")
+		traceMode    = flag.String("trace", "on", "request tracing + SLO monitoring: on or off (off drops the traces, the trace ring and the SLO monitor at zero per-request allocation; phase metrics stay on and response bodies are identical either way)")
 		traceRing    = flag.Int("trace-ring", 0, "retained request-trace ring capacity, half reserved for slow/error traces (0 = 256)")
 		stateDir     = flag.String("state-dir", "", "durable snapshot directory: restore owned systems from it at boot, snapshot on drain and on POST /v1/snapshot (shards sharing a fleet share this directory)")
 		snapEvery    = flag.Duration("snapshot-interval", 30*time.Second, "periodic snapshot cadence when -state-dir is set (0 disables the loop; drain still snapshots)")

@@ -160,6 +160,7 @@ func run(jobsFile, systemName string, modules int, powerStr, policyName, allocNa
 	// With -record, every job's final run lands in the flight recorder (the
 	// scheduler serialises the batch to keep the trace deterministic).
 	fw.Recorder = obs.Recorder()
+	fw.Trace = obs.Trace()
 	res, err := sched.New(fw).Run(jobs, cfg)
 	if err != nil {
 		return err

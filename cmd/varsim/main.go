@@ -95,7 +95,7 @@ func main() {
 		fail(err)
 	}
 	plotShapes = *plot
-	o := experiments.Options{Seed: *seed, HA8KModules: *modules, Workers: *workers, HeteroSystem: *system, Progress: obs.Progress(), Recorder: obs.Recorder(), Faults: obs.FaultPlan(), Attrib: obs.Attrib()}
+	o := experiments.Options{Seed: *seed, HA8KModules: *modules, Workers: *workers, HeteroSystem: *system, Progress: obs.Progress(), Recorder: obs.Recorder(), Faults: obs.FaultPlan(), Attrib: obs.Attrib(), Trace: obs.Trace()}
 	// The fleet and hetero experiments default to their own scales;
 	// -modules overrides them only when the flag was given explicitly.
 	flag.Visit(func(f *flag.Flag) {

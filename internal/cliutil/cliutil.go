@@ -5,18 +5,23 @@
 //	-metrics FILE   write the telemetry registry at exit; the extension
 //	                picks the encoding (.json → JSON, .csv → CSV,
 //	                anything else → Prometheus text format)
-//	-telemetry      print the phase-span summary to stderr at exit
+//	-telemetry      print the per-phase timing summary to stderr at exit
 //	-http ADDR      serve /metrics, /spans, /debug/vars and /debug/pprof
 //	                for the duration of the run (long sweeps)
 //	-quiet          suppress progress and informational stderr output
 //	-v              verbose: live completed/total progress lines and the
-//	                full span tree with -telemetry
+//	                run's span tree with -telemetry
 //	-log-level LVL  emit structured JSON logs (log/slog) on stderr at LVL
 //	                (debug, info, warn, error); off by default so the
 //	                -quiet contract (empty stderr) holds
 //
 // All of it is presentation-layer only: none of these flags can change a
 // rendered artifact or a simulated result.
+//
+// Every command run is one trace (internal/obs) whose root span, Trace, the
+// command hands on next to the recorder; -v and /spans print its tree. The
+// -telemetry summary is read from the phase-duration histogram, which
+// every span feeds, traced or not.
 //
 // The one deliberate exception is -faults FILE, which loads a deterministic
 // fault-injection plan (internal/faults) and hands it to the command to
@@ -32,9 +37,12 @@
 package cliutil
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -67,6 +75,7 @@ type Obs struct {
 	recorder  *flight.Recorder
 	collector *attrib.Collector
 	faultPlan *faults.Plan
+	trace     *obs.RequestTrace
 	httpSrv   *telemetry.Server
 	progMu    sync.Mutex
 	progLast  time.Time
@@ -80,9 +89,9 @@ func AddFlags(fs *flag.FlagSet) *Obs {
 	o := &Obs{}
 	fs.StringVar(&o.metricsPath, "metrics", "", "write telemetry metrics to this file at exit (.prom/.txt = Prometheus text, .json = JSON, .csv = CSV)")
 	fs.StringVar(&o.httpAddr, "http", "", "serve a debug endpoint on this address for the duration of the run (/metrics, /spans, /debug/pprof, /debug/vars)")
-	fs.BoolVar(&o.spans, "telemetry", false, "print the phase-span timing summary to stderr at exit")
+	fs.BoolVar(&o.spans, "telemetry", false, "print the per-phase timing summary to stderr at exit")
 	fs.BoolVar(&o.quiet, "quiet", false, "suppress progress and informational stderr output")
-	fs.BoolVar(&o.verbose, "v", false, "verbose stderr output (live progress lines; full span tree with -telemetry)")
+	fs.BoolVar(&o.verbose, "v", false, "verbose stderr output (live progress lines; the run's span tree with -telemetry)")
 	fs.StringVar(&o.recordPath, "record", "", "write a flight-recorder timeline of the serially executed runs to this file at exit (.trace/.json = Chrome trace-event JSON for Perfetto, .csv = samples CSV plus a .phases.csv companion, .html = self-contained timeline page); the analyzer report accompanies it as <path>.report.txt")
 	fs.Float64Var(&o.recordHz, "record-hz", flight.DefaultHz, "flight-recorder sampling rate in samples per simulated second (negative disables samples, keeping phases and events)")
 	fs.StringVar(&o.faultsPath, "faults", "", "load a deterministic fault-injection plan (JSON, see internal/faults) and install it on the command's systems")
@@ -92,11 +101,12 @@ func AddFlags(fs *flag.FlagSet) *Obs {
 	return o
 }
 
-// Start begins the run: cmd names the command for log prefixes; the flight
-// recorder is created when -record was given, and the debug HTTP server is
-// started when -http was given.
+// Start begins the run: cmd names the command for log prefixes and the
+// run's trace; the flight recorder is created when -record was given, and
+// the debug HTTP server is started when -http was given.
 func (o *Obs) Start(cmd string) error {
 	o.cmd = cmd
+	_, o.trace = obs.New(obs.Config{}).StartRequest(context.Background(), obs.Request{Route: cmd})
 	if o.logLevel != "" {
 		lvl, enabled, err := obs.ParseLevel(o.logLevel)
 		if err != nil {
@@ -131,7 +141,12 @@ func (o *Obs) Start(cmd string) error {
 		}
 	}
 	if o.httpAddr != "" {
-		srv, err := telemetry.StartServer(o.httpAddr, telemetry.DebugMux(telemetry.Default(), telemetry.DefaultTracer()))
+		mux := telemetry.DebugMux(telemetry.Default())
+		mux.HandleFunc("/spans", func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+			o.writeSpans(w, true)
+		})
+		srv, err := telemetry.StartServer(o.httpAddr, mux)
 		if err != nil {
 			return err
 		}
@@ -142,21 +157,17 @@ func (o *Obs) Start(cmd string) error {
 }
 
 // Close flushes the run's telemetry: the -metrics file, the -telemetry
-// span summary, and a graceful HTTP server shutdown (in-flight scrapes
+// phase summary, and a graceful HTTP server shutdown (in-flight scrapes
 // complete, the port is released). Safe to call exactly once, typically
 // deferred right after Start.
 func (o *Obs) Close() error {
 	if o.httpSrv != nil {
 		_ = o.httpSrv.Close()
 	}
+	o.trace.Root().End()
 	if o.spans && !o.quiet {
-		tr := telemetry.DefaultTracer()
 		fmt.Fprintf(os.Stderr, "%s: phase timing:\n", o.cmd)
-		_ = tr.WriteSummary(os.Stderr)
-		if o.verbose {
-			fmt.Fprintln(os.Stderr)
-			_ = tr.WriteTree(os.Stderr)
-		}
+		o.writeSpans(os.Stderr, o.verbose)
 	}
 	if o.collector != nil {
 		if err := o.writeAttrib(); err != nil {
@@ -181,6 +192,54 @@ func (o *Obs) Close() error {
 	}
 	o.Infof("wrote metrics to %s", o.metricsPath)
 	return nil
+}
+
+// writeSpans renders the phase-duration histogram as an aligned table, one
+// row per phase in first-observation order, then with tree the run's span
+// tree.
+func (o *Obs) writeSpans(w io.Writer, tree bool) {
+	var phases []telemetry.SeriesSnapshot
+	for _, f := range telemetry.Default().Gather() {
+		if f.Name == telemetry.PhaseDurationMetric {
+			phases = f.Series
+		}
+	}
+	width := len("phase")
+	for _, s := range phases {
+		width = max(width, len(s.Labels["phase"]))
+	}
+	secs := func(v float64) time.Duration {
+		return time.Duration(v * float64(time.Second)).Round(time.Microsecond)
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-*s  %7s  %12s  %12s  %12s\n", width, "phase", "count", "total", "mean", "max")
+	for _, s := range phases {
+		if h := s.Hist; h.Count > 0 {
+			fmt.Fprintf(&b, "%-*s  %7d  %12v  %12v  %12v\n", width, s.Labels["phase"], h.Count,
+				secs(h.Sum), secs(h.Sum/float64(h.Count)), secs(h.Max))
+		}
+	}
+	if tree {
+		b.WriteByte('\n')
+		_ = o.trace.WriteTree(&b)
+	}
+	_, _ = io.WriteString(w, b.String())
+}
+
+// Trace returns the root span of the command run's trace. Commands hand it
+// to experiments.Options and core.Framework next to the recorder so their
+// spans join the tree -v and /spans print; before Start it is untraced.
+func (o *Obs) Trace() obs.Span {
+	if o.trace == nil {
+		return obs.Span{}
+	}
+	return *o.trace.Root()
+}
+
+// Context returns a background context carrying Trace as the parent of the
+// spans opened under it, for the calls that take a context.
+func (o *Obs) Context() context.Context {
+	return obs.ContextWith(context.Background(), o.Trace())
 }
 
 // Recorder returns the -record flight recorder, or nil when recording is
@@ -281,23 +340,12 @@ func (o *Obs) writeRecord() error {
 // carry the same handler and level the command's own logs use.
 func (o *Obs) Logger() *slog.Logger { return o.logger }
 
-// Quiet reports whether -quiet is in force.
-func (o *Obs) Quiet() bool { return o.quiet }
-
 // Verbose reports whether -v is in force (and -quiet is not).
 func (o *Obs) Verbose() bool { return o.verbose && !o.quiet }
 
 // Infof prints an informational line to stderr unless -quiet.
 func (o *Obs) Infof(format string, args ...any) {
 	if o.quiet {
-		return
-	}
-	fmt.Fprintf(os.Stderr, o.cmd+": "+format+"\n", args...)
-}
-
-// Debugf prints a line to stderr only under -v.
-func (o *Obs) Debugf(format string, args ...any) {
-	if !o.Verbose() {
 		return
 	}
 	fmt.Fprintf(os.Stderr, o.cmd+": "+format+"\n", args...)

@@ -1,12 +1,18 @@
 package cliutil
 
 import (
+	"context"
 	"flag"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
+	"time"
 
+	"varpower/internal/obs"
 	"varpower/internal/telemetry"
 )
 
@@ -102,5 +108,56 @@ func TestProgressFinalAlwaysPrints(t *testing.T) {
 		t.Fatal("ProgressFunc must be non-nil under -v")
 	} else {
 		fn(1, 1)
+	}
+}
+
+// captureStderr runs fn with os.Stderr redirected and returns what it wrote.
+func captureStderr(t *testing.T, fn func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stderr
+	os.Stderr = w
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	defer func() { os.Stderr = saved }()
+	fn()
+	w.Close()
+	return <-out
+}
+
+// TestTelemetrySummaryCountsEveryPhase: the -telemetry summary is read from
+// the phase-duration histogram, so a phase that starts after tens of
+// thousands of spans still gets its row and every row its full count.
+func TestTelemetrySummaryCountsEveryPhase(t *testing.T) {
+	suffix := fmt.Sprint(time.Now().UnixNano()) // fresh rows under -count
+	bulk, late := "cliutil.bulk"+suffix, "cliutil.late"+suffix
+	const n = 20000
+	for i := 0; i < n; i++ {
+		_, sp := obs.StartSpan(context.Background(), bulk)
+		sp.End()
+	}
+	_, sp := obs.StartSpan(context.Background(), late)
+	sp.End()
+
+	o := parse(t, "-telemetry")
+	if err := o.Start("test"); err != nil {
+		t.Fatal(err)
+	}
+	out := captureStderr(t, func() {
+		if err := o.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	for phase, count := range map[string]int{bulk: n, late: 1} {
+		row := regexp.MustCompile(`(?m)^` + phase + ` +` + fmt.Sprint(count) + ` `)
+		if !row.MatchString(out) {
+			t.Errorf("summary lacks %s with count %d:\n%s", phase, count, out)
+		}
 	}
 }

@@ -9,8 +9,8 @@ import (
 	"varpower/internal/faults"
 	"varpower/internal/hw/gpu"
 	"varpower/internal/hw/module"
+	"varpower/internal/obs"
 	"varpower/internal/parallel"
-	"varpower/internal/telemetry"
 	"varpower/internal/units"
 	"varpower/internal/workload"
 )
@@ -134,7 +134,9 @@ func GenerateGPUPVT(ctx context.Context, sys *cluster.System, workers int) (*GPU
 	if n == 0 {
 		return nil, fmt.Errorf("core: %s has no GPU device class", sys.Spec.Name)
 	}
-	span := telemetry.StartSpan("gpupvt.generate").Annotate("%s devices=%d", sys.Spec.Name, n)
+	_, span := obs.StartSpan(ctx, "gpupvt.generate")
+	span.SetAttr("system", sys.Spec.Name)
+	span.SetInt("devices", n)
 	defer span.End()
 	micro := workload.PVTMicrobenchmark()
 	k := KernelFor(micro, sys.Spec.Arch, sys.Spec.GPU.Arch)
@@ -314,17 +316,21 @@ func CalibrateGPU(pvt *GPUPVT, test GPUTestPair, kernel string, deviceIDs []int)
 	return pmt, nil
 }
 
-// OracleGPUPMT measures every allocated device directly — the perfect
-// calibration bound, as impractical at scale as its CPU counterpart.
-func OracleGPUPMT(sys *cluster.System, k gpu.KernelProfile, deviceIDs []int, workers int) (*GPUPMT, error) {
-	span := telemetry.StartSpan("gpupmt.oracle").Annotate("%s devices=%d", k.Kernel, len(deviceIDs))
+// oracleGPUPMT measures every allocated device directly — the perfect
+// calibration bound, as impractical at scale as its CPU counterpart — with
+// its span under fw.Trace.
+func (fw *Framework) oracleGPUPMT(k gpu.KernelProfile, deviceIDs []int) (*GPUPMT, error) {
+	span := fw.Trace.Start("gpupmt.oracle")
+	span.SetAttr("kernel", k.Kernel)
+	span.SetInt("devices", len(deviceIDs))
 	defer span.End()
+	workers := fw.Workers
 	if hasDuplicates(deviceIDs) {
 		workers = 1
 	}
 	entries, err := parallel.Map(workers, len(deviceIDs), func(i int) (GPUPMTEntry, error) {
 		id := deviceIDs[i]
-		pair, err := RunGPUTestPair(sys, k, id)
+		pair, err := RunGPUTestPair(fw.Sys, k, id)
 		if err != nil {
 			return GPUPMTEntry{}, fmt.Errorf("core: oracle GPU PMT device %d: %w", id, err)
 		}

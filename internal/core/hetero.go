@@ -8,7 +8,6 @@ import (
 	"varpower/internal/flight"
 	"varpower/internal/hw/gpu"
 	"varpower/internal/measure"
-	"varpower/internal/telemetry"
 	"varpower/internal/units"
 	"varpower/internal/workload"
 )
@@ -89,7 +88,7 @@ func (hf *HeteroFramework) BuildGPUPMT(bench *workload.Benchmark, deviceIDs []in
 	case measureNone:
 		return NaiveGPUPMT(garch, deviceIDs), nil
 	case measureOracle:
-		pmt, err := OracleGPUPMT(hf.Sys, k, deviceIDs, hf.Workers)
+		pmt, err := hf.oracleGPUPMT(k, deviceIDs)
 		if err == nil && scheme == Pc {
 			pmt = pmt.Uniform()
 		}
@@ -173,13 +172,15 @@ func (hf *HeteroFramework) classTimes(bench *workload.Benchmark) (cpuTime, gpuTi
 // the chosen policy, then run each class's α-solve on its share.
 func (hf *HeteroFramework) SolveHetero(bench *workload.Benchmark, moduleIDs, deviceIDs []int,
 	budget units.Watts, scheme Scheme, splitter Splitter) (*HeteroAllocation, *PMT, *GPUPMT, error) {
-	span := telemetry.StartSpan("hetero.solve").Annotate("%s %v %v/%v", bench.Name, budget, scheme, splitter)
+	span := hf.startSpan("hetero.solve", bench, budget, scheme)
+	span.SetAttr("splitter", splitter.String())
 	defer span.End()
-	pmt, err := hf.BuildPMT(bench, moduleIDs, scheme)
+	in := &HeteroFramework{Framework: hf.under(span), GPVT: hf.GPVT}
+	pmt, err := in.BuildPMT(bench, moduleIDs, scheme)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	gpmt, err := hf.BuildGPUPMT(bench, deviceIDs, scheme)
+	gpmt, err := in.BuildGPUPMT(bench, deviceIDs, scheme)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -284,9 +285,11 @@ func (e ErrClassBudgetInfeasible) Error() string {
 // budget, scheme, splitter) combination.
 func (hf *HeteroFramework) RunHetero(bench *workload.Benchmark, moduleIDs, deviceIDs []int,
 	budget units.Watts, scheme Scheme, splitter Splitter) (*HeteroRun, error) {
-	span := telemetry.StartSpan("hetero.run").Annotate("%s %v %v/%v", bench.Name, budget, scheme, splitter)
+	span := hf.startSpan("hetero.run", bench, budget, scheme)
+	span.SetAttr("splitter", splitter.String())
 	defer span.End()
-	alloc, _, _, err := hf.SolveHetero(bench, moduleIDs, deviceIDs, budget, scheme, splitter)
+	in := &HeteroFramework{Framework: hf.under(span), GPVT: hf.GPVT}
+	alloc, _, _, err := in.SolveHetero(bench, moduleIDs, deviceIDs, budget, scheme, splitter)
 	if err != nil {
 		return nil, err
 	}
@@ -296,7 +299,7 @@ func (hf *HeteroFramework) RunHetero(bench *workload.Benchmark, moduleIDs, devic
 	if !alloc.GPU.Feasible {
 		return nil, ErrClassBudgetInfeasible{Class: "gpu", Scheme: scheme, Splitter: splitter, Budget: alloc.GPUBudget}
 	}
-	return hf.ExecuteHetero(bench, moduleIDs, deviceIDs, alloc, scheme)
+	return in.ExecuteHetero(bench, moduleIDs, deviceIDs, alloc, scheme)
 }
 
 // ExecuteHetero enforces a hierarchical allocation and runs the

@@ -6,7 +6,6 @@ import (
 	"varpower/internal/cluster"
 	"varpower/internal/measure"
 	"varpower/internal/parallel"
-	"varpower/internal/telemetry"
 	"varpower/internal/units"
 	"varpower/internal/workload"
 )
@@ -132,14 +131,23 @@ func OraclePMT(sys *cluster.System, bench *workload.Benchmark, moduleIDs []int) 
 // worker count. Duplicate module IDs fall back to the serial loop — their
 // test runs reprogram the shared governor in order.
 func OraclePMTWorkers(sys *cluster.System, bench *workload.Benchmark, moduleIDs []int, workers int) (*PMT, error) {
-	span := telemetry.StartSpan("pmt.oracle").Annotate("%s modules=%d", bench.Name, len(moduleIDs))
+	return (&Framework{Sys: sys, Workers: workers}).oraclePMT(bench, moduleIDs)
+}
+
+// oraclePMT is OraclePMTWorkers on the framework's system and width, with
+// its span under fw.Trace.
+func (fw *Framework) oraclePMT(bench *workload.Benchmark, moduleIDs []int) (*PMT, error) {
+	span := fw.Trace.Start("pmt.oracle")
+	span.SetAttr("bench", bench.Name)
+	span.SetInt("modules", len(moduleIDs))
 	defer span.End()
+	workers := fw.Workers
 	if hasDuplicates(moduleIDs) {
 		workers = 1
 	}
 	entries, err := parallel.Map(workers, len(moduleIDs), func(i int) (PMTEntry, error) {
 		id := moduleIDs[i]
-		pair, err := RunTestPair(sys, bench, id)
+		pair, err := RunTestPair(fw.Sys, bench, id)
 		if err != nil {
 			return PMTEntry{}, fmt.Errorf("core: oracle PMT module %d: %w", id, err)
 		}

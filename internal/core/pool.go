@@ -1,6 +1,10 @@
 package core
 
-import "sync"
+import (
+	"sync"
+
+	"varpower/internal/obs"
+)
 
 // ReplicaPool recycles framework replicas across the cells of a sweep.
 //
@@ -40,8 +44,8 @@ func (p *ReplicaPool) Get() *Framework {
 
 // Put resets fw's system to its power-on state and shelves the replica for
 // reuse. fw must have come from Get on this pool and must not be used after
-// Put. Any recorder attached for the borrow is detached (Clone never copies
-// one either).
+// Put. Any recorder, collector or trace span attached for the borrow is
+// detached (Clone never copies them either).
 func (p *ReplicaPool) Put(fw *Framework) {
 	if fw == nil {
 		return
@@ -49,6 +53,7 @@ func (p *ReplicaPool) Put(fw *Framework) {
 	fw.Recorder = nil
 	fw.Attrib = nil
 	fw.Tenant, fw.JobID = "", ""
+	fw.Trace = obs.Span{}
 	fw.Sys.Reset()
 	p.pool.Put(fw)
 }

@@ -27,8 +27,8 @@ import (
 	"varpower/internal/cluster"
 	"varpower/internal/faults"
 	"varpower/internal/measure"
+	"varpower/internal/obs"
 	"varpower/internal/parallel"
-	"varpower/internal/telemetry"
 	"varpower/internal/workload"
 )
 
@@ -131,7 +131,9 @@ func GeneratePVTCtx(ctx context.Context, sys *cluster.System, micro *workload.Be
 	if micro == nil {
 		micro = workload.PVTMicrobenchmark()
 	}
-	span := telemetry.StartSpan("pvt.generate").Annotate("%s modules=%d", sys.Spec.Name, sys.NumModules())
+	_, span := obs.StartSpan(ctx, "pvt.generate")
+	span.SetAttr("system", sys.Spec.Name)
+	span.SetInt("modules", sys.NumModules())
 	defer span.End()
 	arch := sys.Spec.Arch
 	n := sys.NumModules()

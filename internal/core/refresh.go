@@ -17,11 +17,13 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
 	"varpower/internal/cluster"
 	"varpower/internal/measure"
+	"varpower/internal/obs"
 	"varpower/internal/parallel"
 	"varpower/internal/telemetry"
 	"varpower/internal/units"
@@ -99,7 +101,8 @@ func RefreshPVT(sys *cluster.System, pvt *PVT, modules []int, workers int) (*PVT
 	}
 	arch := sys.Spec.Arch
 	mRecalibrations.Inc()
-	span := telemetry.StartSpan("pvt.refresh").Annotate("%s modules=%d", sys.Spec.Name, len(ids))
+	// A calibration sweep: timed, but in no trace.
+	_, span := obs.StartSpan(context.Background(), "pvt.refresh")
 	defer span.End()
 
 	// The population averages the original sweep normalised against are

@@ -9,7 +9,7 @@ import (
 	"varpower/internal/cluster"
 	"varpower/internal/flight"
 	"varpower/internal/measure"
-	"varpower/internal/telemetry"
+	"varpower/internal/obs"
 	"varpower/internal/units"
 	"varpower/internal/workload"
 )
@@ -44,6 +44,11 @@ type Framework struct {
 	// accounting (collector defaults apply when empty).
 	Tenant string
 	JobID  string
+
+	// Trace, when traced, parents the spans of Run, RunModel, Execute and
+	// the oracle measurement (test runs open none); Clone does not copy it
+	// and ReplicaPool.Put detaches it.
+	Trace obs.Span
 }
 
 // NewFramework instantiates the framework, generating the system's PVT with
@@ -113,7 +118,7 @@ func (fw *Framework) measurePMT(bench *workload.Benchmark, moduleIDs []int, sche
 	case measureNone:
 		return NaivePMT(fw.Sys, moduleIDs), nil
 	case measureOracle:
-		return OraclePMTWorkers(fw.Sys, bench, moduleIDs, fw.Workers)
+		return fw.oraclePMT(bench, moduleIDs)
 	case measureCalibration:
 		return fw.calibrated(bench, moduleIDs)
 	default:
@@ -308,10 +313,10 @@ func ModelGroups(schemes []Scheme) [][]Scheme {
 // scheme), then RunModel (solve for α, enforce via PC or FS, and run the
 // application).
 func (fw *Framework) Run(bench *workload.Benchmark, moduleIDs []int, budget units.Watts, scheme Scheme) (*SchemeRun, error) {
-	span := telemetry.StartSpan("framework.run").Annotate("%s %v %v", bench.Name, budget, scheme)
+	span := fw.startSpan("framework.run", bench, budget, scheme)
 	defer span.End()
 	sp := span.Start("pmt.build")
-	m, err := fw.BuildModel(bench, moduleIDs, scheme)
+	m, err := fw.under(sp).BuildModel(bench, moduleIDs, scheme)
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -324,12 +329,33 @@ func (fw *Framework) Run(bench *workload.Benchmark, moduleIDs []int, budget unit
 // application on the model's modules. A model may be run any number of
 // times, at any budget, on any replica of the framework that built it.
 func (fw *Framework) RunModel(m *Model, budget units.Watts) (*SchemeRun, error) {
-	span := telemetry.StartSpan("framework.run").Annotate("%s %v %v", m.Bench.Name, budget, m.Scheme)
+	span := fw.startSpan("framework.run", m.Bench, budget, m.Scheme)
 	defer span.End()
 	return fw.runModel(span, m, budget)
 }
 
-func (fw *Framework) runModel(span *telemetry.Span, m *Model, budget units.Watts) (*SchemeRun, error) {
+// startSpan opens a span for one scheme evaluation under fw.Trace.
+func (fw *Framework) startSpan(name string, bench *workload.Benchmark, budget units.Watts, scheme Scheme) obs.Span {
+	span := fw.Trace.Start(name)
+	span.SetAttr("bench", bench.Name)
+	span.SetFloat("budget_w", float64(budget))
+	span.SetAttr("scheme", scheme.String())
+	return span
+}
+
+// under returns fw with its spans opening under span: a shallow copy when
+// span is traced, fw itself when it is not (its spans are untraced then
+// either way).
+func (fw *Framework) under(span obs.Span) *Framework {
+	if span.ID().IsZero() {
+		return fw
+	}
+	c := *fw
+	c.Trace = span
+	return &c
+}
+
+func (fw *Framework) runModel(span obs.Span, m *Model, budget units.Watts) (*SchemeRun, error) {
 	sp := span.Start("budget.solve")
 	alloc, err := Solve(m.PMT, fw.Sys.Spec.Arch, units.Watts(float64(budget)*(1-m.Margin)))
 	sp.End()
@@ -341,7 +367,7 @@ func (fw *Framework) runModel(span *telemetry.Span, m *Model, budget units.Watts
 		return nil, ErrBudgetInfeasible{Scheme: m.Scheme, Budget: budget}
 	}
 	sp = span.Start("framework.execute")
-	res, err := fw.Execute(m.Bench, m.Modules, alloc, m.Scheme)
+	res, err := fw.under(sp).Execute(m.Bench, m.Modules, alloc, m.Scheme)
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -367,6 +393,7 @@ func (fw *Framework) Execute(bench *workload.Benchmark, moduleIDs []int, alloc *
 		Attrib:      fw.Attrib,
 		Tenant:      fw.Tenant,
 		JobID:       fw.JobID,
+		Trace:       fw.Trace,
 	}
 	if scheme.UsesFS() {
 		f := fw.Sys.Spec.Arch.QuantizeDown(alloc.Freq)

@@ -10,7 +10,6 @@ import (
 	"varpower/internal/core"
 	"varpower/internal/faults"
 	"varpower/internal/report"
-	"varpower/internal/telemetry"
 	"varpower/internal/units"
 	"varpower/internal/workload"
 )
@@ -89,7 +88,8 @@ type DriftResult struct {
 func Drift(o Options) (*DriftResult, error) {
 	o = o.withDefaults()
 	n := o.HA8KModules
-	span := telemetry.StartSpan("drift").Annotate("modules=%d", n)
+	span := o.Trace.Start("drift")
+	span.SetInt("modules", n)
 	defer span.End()
 
 	plan := o.Faults
@@ -132,6 +132,7 @@ func Drift(o Options) (*DriftResult, error) {
 	}
 	fw.Recorder = o.Recorder
 	fw.Attrib = collector
+	fw.Trace = span
 
 	// Three tenant-labelled jobs on the drifting cluster — the runs the
 	// system was executing anyway are the detector's entire evidence.

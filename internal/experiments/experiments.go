@@ -26,6 +26,7 @@ import (
 	"varpower/internal/cluster"
 	"varpower/internal/faults"
 	"varpower/internal/flight"
+	"varpower/internal/obs"
 	"varpower/internal/parallel"
 	"varpower/internal/units"
 )
@@ -90,12 +91,17 @@ type Options struct {
 	// into the experiments); nil lets the experiment build its own. Like
 	// Recorder, attribution is write-only for every rendered artifact.
 	Attrib *attrib.Collector
+
+	// Trace, when traced, parents the generators' spans (grid models and
+	// cells, Table 4 rows, experiment phases) and the runs under them.
+	Trace obs.Span
 }
 
-// progressCtx returns a context carrying this Options' progress callback
-// bound to a stage name (background context when no callback is set).
-func (o Options) progressCtx(stage string) context.Context {
-	ctx := context.Background()
+// stageCtx returns the context a generator stage's tasks run under: it
+// carries this Options' trace span as the parent of the tasks' spans and
+// its progress callback bound to the stage name.
+func (o Options) stageCtx(stage string) context.Context {
+	ctx := obs.ContextWith(context.Background(), o.Trace)
 	if o.Progress == nil {
 		return ctx
 	}

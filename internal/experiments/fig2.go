@@ -63,7 +63,7 @@ func Figure2i(o Options) ([]Fig2iResult, error) {
 	for _, b := range []*workload.Benchmark{workload.DGEMM(), workload.MHD()} {
 		res, err := measure.Run(sys, measure.Config{
 			Bench: b, Modules: ids, Mode: measure.ModeUncapped, Workers: o.Workers,
-			Recorder: o.Recorder, RecordLabel: b.Name + "/uncapped",
+			Recorder: o.Recorder, RecordLabel: b.Name + "/uncapped", Trace: o.Trace,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: figure 2(i) %s: %w", b.Name, err)

@@ -73,6 +73,7 @@ func Figure3(o Options) (Fig3Result, error) {
 		cfg := measure.Config{
 			Bench: bench, Modules: ids, Mode: measure.ModeUncapped, Workers: o.Workers,
 			Recorder: o.Recorder, RecordLabel: fmt.Sprintf("fig3/%s/Cm=%.0fW", bench.Name, float64(cm)),
+			Trace: o.Trace,
 		}
 		var ccpu units.Watts
 		if cm == 0 {

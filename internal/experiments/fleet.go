@@ -9,7 +9,6 @@ import (
 	"varpower/internal/core"
 	"varpower/internal/faults"
 	"varpower/internal/report"
-	"varpower/internal/telemetry"
 	"varpower/internal/units"
 	"varpower/internal/workload"
 )
@@ -78,7 +77,8 @@ func Fleet(o Options) (*FleetResult, error) {
 	if n <= 0 {
 		n = DefaultFleetModules
 	}
-	span := telemetry.StartSpan("fleet").Annotate("modules=%d", n)
+	span := o.Trace.Start("fleet")
+	span.SetInt("modules", n)
 	defer span.End()
 	bench := workload.MHD()
 	out := &FleetResult{Modules: n, Bench: bench.Name, Cs: FleetCmAvg * units.Watts(float64(n))}
@@ -130,6 +130,7 @@ func Fleet(o Options) (*FleetResult, error) {
 		return nil, fmt.Errorf("experiments: fleet PVT: %w", err)
 	}
 	out.Quarantined = len(fw.PVT.Quarantined)
+	fw.Trace = span
 
 	var pmt *core.PMT
 	if err := timed("pmt", func() error {

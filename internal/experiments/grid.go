@@ -6,8 +6,8 @@ import (
 
 	"varpower/internal/cluster"
 	"varpower/internal/core"
+	"varpower/internal/obs"
 	"varpower/internal/parallel"
-	"varpower/internal/telemetry"
 	"varpower/internal/units"
 	"varpower/internal/workload"
 )
@@ -124,11 +124,16 @@ func EvaluationGrid(o Options) (*EvalGrid, error) {
 		model *core.Model
 		err   error
 	}
-	built, err := parallel.MapCtx(o.progressCtx("grid models"), o.Workers, len(modelSpecs), func(_ context.Context, i int) ([]builtModel, error) {
+	built, err := parallel.MapCtx(o.stageCtx("grid models"), o.Workers, len(modelSpecs), func(ctx context.Context, i int) ([]builtModel, error) {
 		s := modelSpecs[i]
-		span := telemetry.StartSpan("grid.model").Annotate("%s %v", s.bench.Name, s.schemes)
+		_, span := obs.StartSpan(ctx, "grid.model")
+		span.SetAttr("bench", s.bench.Name)
+		for _, scheme := range s.schemes {
+			span.SetAttr("scheme", scheme.String())
+		}
 		defer span.End()
 		mfw := pool.Get()
+		mfw.Trace = span
 		models, err := mfw.BuildModels(s.bench, ids, s.schemes)
 		pool.Put(mfw)
 		out := make([]builtModel, len(s.schemes))
@@ -148,15 +153,19 @@ func EvaluationGrid(o Options) (*EvalGrid, error) {
 			models[modelKey{s.bench.Name, scheme}] = built[i][j]
 		}
 	}
-	g.Cells, err = parallel.MapCtx(o.progressCtx("grid"), o.Workers, len(specs), func(_ context.Context, i int) (GridCell, error) {
+	g.Cells, err = parallel.MapCtx(o.stageCtx("grid"), o.Workers, len(specs), func(ctx context.Context, i int) (GridCell, error) {
 		s := specs[i]
-		span := telemetry.StartSpan("grid.cell").Annotate("%s %v %v", s.bench.Name, s.cs, s.scheme)
+		_, span := obs.StartSpan(ctx, "grid.cell")
+		span.SetAttr("bench", s.bench.Name)
+		span.SetFloat("cs_w", float64(s.cs))
+		span.SetAttr("scheme", s.scheme.String())
 		defer span.End()
 		m := models[modelKey{s.bench.Name, s.scheme}]
 		var run *core.SchemeRun
 		err := m.err
 		if err == nil {
 			cfw := pool.Get()
+			cfw.Trace = span
 			run, err = cfw.RunModel(m.model, CsForScale(s.cs, len(ids)))
 			pool.Put(cfw)
 		}

@@ -10,7 +10,6 @@ import (
 	"varpower/internal/faults"
 	"varpower/internal/parallel"
 	"varpower/internal/report"
-	"varpower/internal/telemetry"
 	"varpower/internal/units"
 	"varpower/internal/workload"
 )
@@ -121,7 +120,9 @@ func Hetero(o Options) (*HeteroResult, error) {
 	if !spec.Hybrid() {
 		return nil, fmt.Errorf("experiments: hetero needs a hybrid system, %s has no GPU class", spec.Name)
 	}
-	span := telemetry.StartSpan("hetero").Annotate("%s modules=%d", spec.Name, n)
+	span := o.Trace.Start("hetero")
+	span.SetAttr("system", spec.Name)
+	span.SetInt("modules", n)
 	defer span.End()
 	sys, err := cluster.New(spec, n, o.Seed)
 	if err != nil {
@@ -164,6 +165,7 @@ func Hetero(o Options) (*HeteroResult, error) {
 		sp := span.Start("hetero.cell")
 		defer sp.End()
 		cfw := hf.Clone()
+		cfw.Trace = sp
 		if recorded {
 			cfw.Recorder = o.Recorder
 		}
@@ -188,7 +190,7 @@ func Hetero(o Options) (*HeteroResult, error) {
 		}
 		return out, nil
 	}
-	out.Cells, err = parallel.MapCtx(o.progressCtx("hetero"), o.Workers, len(specs),
+	out.Cells, err = parallel.MapCtx(o.stageCtx("hetero"), o.Workers, len(specs),
 		func(_ context.Context, i int) (HeteroCell, error) {
 			return runCell(specs[i], false), nil
 		})

@@ -10,7 +10,6 @@ import (
 	"varpower/internal/measure"
 	"varpower/internal/parallel"
 	"varpower/internal/report"
-	"varpower/internal/telemetry"
 	"varpower/internal/units"
 	"varpower/internal/workload"
 )
@@ -141,7 +140,8 @@ func Resilience(o Options) (*ResilienceResult, error) {
 
 	budget := CsForScale(ResilienceCs, o.HA8KModules)
 	for _, lv := range levels {
-		span := telemetry.StartSpan("resilience.level").Annotate("%s", lv.name)
+		span := o.Trace.Start("resilience.level")
+		span.SetAttr("level", lv.name)
 		// A fresh system per level: the injector is part of the hardware.
 		lo := o
 		lo.Faults = lv.plan
@@ -164,13 +164,14 @@ func Resilience(o Options) (*ResilienceResult, error) {
 			workers = 1
 		}
 		pool := core.NewReplicaPool(fw)
-		res.Cells, err = parallel.MapCtx(o.progressCtx("resilience "+lv.name), workers,
+		res.Cells, err = parallel.MapCtx(o.stageCtx("resilience "+lv.name), workers,
 			len(ResilienceSchemes), func(_ context.Context, i int) (ResilienceCell, error) {
 				scheme := ResilienceSchemes[i]
 				cell := ResilienceCell{Level: lv.name, Scheme: scheme}
 				cfw := pool.Get()
 				defer pool.Put(cfw)
 				cfw.Recorder = o.Recorder
+				cfw.Trace = span
 				run, err := cfw.RunResilient(bench, ids, budget, scheme)
 				if err != nil {
 					cell.Err = err

@@ -8,10 +8,10 @@ import (
 
 	"varpower/internal/cluster"
 	"varpower/internal/measure"
+	"varpower/internal/obs"
 	"varpower/internal/parallel"
 	"varpower/internal/report"
 	"varpower/internal/stats"
-	"varpower/internal/telemetry"
 	"varpower/internal/units"
 	"varpower/internal/workload"
 )
@@ -78,9 +78,10 @@ func Table4(o Options) (Table4Result, error) {
 	// borrow, capping clone allocations at one replica per worker.
 	var sysPool sync.Pool
 	benches := workload.Evaluated()
-	out.Rows, err = parallel.MapCtx(o.progressCtx("table4"), o.Workers, len(benches), func(_ context.Context, i int) (Table4Row, error) {
+	out.Rows, err = parallel.MapCtx(o.stageCtx("table4"), o.Workers, len(benches), func(ctx context.Context, i int) (Table4Row, error) {
 		b := benches[i]
-		span := telemetry.StartSpan("table4.row").Annotate("%s", b.Name)
+		_, span := obs.StartSpan(ctx, "table4.row")
+		span.SetAttr("bench", b.Name)
 		defer span.End()
 		rsys, _ := sysPool.Get().(*cluster.System)
 		if rsys == nil {
@@ -90,11 +91,11 @@ func Table4(o Options) (Table4Result, error) {
 			rsys.Reset()
 			sysPool.Put(rsys)
 		}()
-		unc, err := measure.Run(rsys, measure.Config{Bench: b, Modules: ids, Mode: measure.ModeUncapped, Workers: o.Workers})
+		unc, err := measure.Run(rsys, measure.Config{Bench: b, Modules: ids, Mode: measure.ModeUncapped, Workers: o.Workers, Trace: span})
 		if err != nil {
 			return Table4Row{}, fmt.Errorf("experiments: table 4 %s: %w", b.Name, err)
 		}
-		min, err := measure.Run(rsys, measure.Config{Bench: b, Modules: ids, Mode: measure.ModePinned, Freqs: fmins, Workers: o.Workers})
+		min, err := measure.Run(rsys, measure.Config{Bench: b, Modules: ids, Mode: measure.ModePinned, Freqs: fmins, Workers: o.Workers, Trace: span})
 		if err != nil {
 			return Table4Row{}, fmt.Errorf("experiments: table 4 %s at fmin: %w", b.Name, err)
 		}

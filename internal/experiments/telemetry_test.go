@@ -2,11 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"varpower/internal/obs"
 	"varpower/internal/telemetry"
 )
 
@@ -37,6 +40,59 @@ func TestGridEmitsRequiredMetricFamilies(t *testing.T) {
 	}
 	if !strings.Contains(out, `varpower_phase_duration_seconds_bucket{le="`) {
 		t.Error("phase-duration histogram has no unlabeled buckets? expected per-phase series")
+	}
+}
+
+// TestTracedGridSpanTree runs a small grid under a trace and checks that
+// the phases nest as DESIGN §8 draws them: each framework.run under a
+// grid.cell, budget.solve and framework.execute under a framework.run, and
+// each cell's measured run under its framework.execute. Test runs stay out
+// of the tree, so it holds one measure.run per application run.
+func TestTracedGridSpanTree(t *testing.T) {
+	_, rt := obs.New(obs.Config{}).StartRequest(context.Background(), obs.Request{Route: "grid"})
+	g, err := EvaluationGrid(Options{HA8KModules: 48, Trace: *rt.Root()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Root().End()
+	spans := rt.View().Spans
+	byID := make(map[string]obs.SpanView, len(spans))
+	count := map[string]int{}
+	for _, sp := range spans {
+		byID[sp.SpanID] = sp
+		count[sp.Name]++
+	}
+	parent := func(sp obs.SpanView) string { return byID[sp.ParentID].Name }
+	wantParent := map[string][]string{
+		"grid.cell":         {"grid"},
+		"grid.model":        {"grid"},
+		"table4.row":        {"grid"},
+		"framework.run":     {"grid.cell"},
+		"budget.solve":      {"framework.run"},
+		"framework.execute": {"framework.run"},
+		"pmt.oracle":        {"grid.model"},
+		"measure.run":       {"framework.execute", "table4.row"},
+		"measure.resolve":   {"measure.run"},
+		"measure.simulate":  {"measure.run"},
+		"measure.account":   {"measure.run"},
+	}
+	for _, sp := range spans[1:] {
+		want, ok := wantParent[sp.Name]
+		if !ok {
+			t.Fatalf("unexpected span %q in the grid's tree", sp.Name)
+		}
+		if got := parent(sp); !slices.Contains(want, got) {
+			t.Errorf("%s is a child of %q, want one of %v", sp.Name, got, want)
+		}
+	}
+	cells := len(g.Cells)
+	for _, name := range []string{"grid.cell", "framework.run"} {
+		if count[name] != cells {
+			t.Errorf("%d %s spans, want one per cell (%d)", count[name], name, cells)
+		}
+	}
+	if want := count["framework.execute"] + 2*count["table4.row"]; count["measure.run"] != want {
+		t.Errorf("%d measure.run spans, want %d: one per final run and two per Table 4 row", count["measure.run"], want)
 	}
 }
 

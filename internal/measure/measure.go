@@ -20,6 +20,7 @@ import (
 	"varpower/internal/faults"
 	"varpower/internal/flight"
 	"varpower/internal/hw/module"
+	"varpower/internal/obs"
 	"varpower/internal/parallel"
 	"varpower/internal/simmpi"
 	"varpower/internal/telemetry"
@@ -132,6 +133,10 @@ type Config struct {
 	// (both default inside the collector: "default"/benchmark name).
 	Tenant string
 	JobID  string
+
+	// Trace, when traced, parents the run's measure.run span. TestRun
+	// leaves it unset, so calibration test runs never grow a trace.
+	Trace obs.Span
 }
 
 // ExplicitNoise returns a pointer for Config.RunNoiseSigma (0 disables
@@ -246,7 +251,9 @@ func Run(sys *cluster.System, cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	mRuns[cfg.Mode].Inc()
-	span := telemetry.StartSpan("measure.run").Annotate("%s ranks=%d", cfg.Bench.Name, len(cfg.Modules))
+	span := cfg.Trace.Start("measure.run")
+	span.SetAttr("bench", cfg.Bench.Name)
+	span.SetInt("ranks", len(cfg.Modules))
 	defer span.End()
 	n := len(cfg.Modules)
 	prof := cfg.Bench.ProfileFor(sys.Spec.Arch)

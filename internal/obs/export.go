@@ -47,7 +47,7 @@ func (rt *RequestTrace) View() TraceView {
 		Status:    rt.status,
 		Start:     rt.start,
 		DurUS:     rt.dur.Microseconds(),
-		Important: rt.status >= 500 || rt.status == 429 || rt.dur >= rt.o.cfg.SlowThreshold,
+		Important: rt.important(),
 		Spans:     make([]SpanView, 0, len(rt.spans)),
 	}
 	for _, sp := range rt.spans {

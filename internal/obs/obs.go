@@ -1,13 +1,15 @@
-// Package obs is varpowerd's request-scoped observability layer: per-request
-// tracing, structured logging and SLO burn-rate monitoring, dependency-free
-// and threaded through the served path via context.Context.
+// Package obs is the repository's one span model plus varpowerd's
+// request-scoped observability layer: per-request tracing, structured
+// logging and SLO burn-rate monitoring, threaded through the served path
+// via context.Context.
 //
-// Where internal/telemetry instruments the simulator *in aggregate* —
-// metric counters and phase histograms that belong on a dashboard — this
-// package explains *one request*: where did this solve's latency go, which
-// cache answered it, did it meet its objective — the per-request causality
-// the paper's mitigation schemes need operators to see before they can
-// trust them at scale.
+// Every Span is timed and feeds internal/telemetry's phase-duration
+// histogram — the simulator *in aggregate*, on a dashboard. Inside a trace
+// a span is also a node of that trace's tree, which explains *one request*
+// or one command run: where did this solve's latency go, which cache
+// answered it, which of a job's phases was slow — the per-request
+// causality the paper's mitigation schemes need operators to see before
+// they can trust them at scale.
 //
 // Tracing: every request gets a W3C trace context (128-bit trace ID, 64-bit
 // span ID, parsed from and emitted as a `traceparent` header) whose spans —
@@ -27,14 +29,14 @@
 // budget is being spent exactly as fast as it accrues; sustained values
 // above ~1 mean the objective will be missed.
 //
-// Everything here is presentation-layer: a nil *Observer disables the whole
-// stack at zero per-request cost, and no method can change a served body.
+// Everything here is presentation-layer: a nil *Observer disables tracing,
+// the ring and the SLO monitor at zero per-request allocation (spans stay
+// timed), and no method can change a served body.
 package obs
 
 import (
 	"context"
 	"log/slog"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -120,77 +122,7 @@ func (o *Observer) NewRequestID() string {
 	if o == nil {
 		return ""
 	}
-	var s SpanID
-	s = o.ids.spanID()
-	return "r-" + s.String()
-}
-
-// Attr is one span attribute. Attributes are an ordered list, not a map,
-// so span export is deterministic.
-type Attr struct {
-	Key string `json:"key"`
-	Val string `json:"val"`
-}
-
-// Span is one timed stage of a request: a node in the request's span tree.
-// All methods are safe on a nil receiver, which is how call sites stay
-// unconditional — when tracing is off every span is nil and every call a
-// no-op.
-type Span struct {
-	rt     *RequestTrace
-	id     SpanID
-	parent SpanID // zero for the root span of an entry
-	name   string
-	start  time.Time
-	dur    time.Duration
-	done   bool
-	errMsg string
-	attrs  []Attr
-}
-
-// ID returns the span's identifier (zero for nil).
-func (s *Span) ID() SpanID {
-	if s == nil {
-		return SpanID{}
-	}
-	return s.id
-}
-
-// SetAttr attaches a string attribute.
-func (s *Span) SetAttr(key, val string) {
-	if s == nil {
-		return
-	}
-	s.rt.mu.Lock()
-	s.attrs = append(s.attrs, Attr{Key: key, Val: val})
-	s.rt.mu.Unlock()
-}
-
-// SetInt attaches an integer attribute.
-func (s *Span) SetInt(key string, val int) { s.SetAttr(key, strconv.Itoa(val)) }
-
-// Fail marks the span as errored with the given error's message.
-func (s *Span) Fail(err error) {
-	if s == nil || err == nil {
-		return
-	}
-	s.rt.mu.Lock()
-	s.errMsg = err.Error()
-	s.rt.mu.Unlock()
-}
-
-// End finishes the span (idempotent).
-func (s *Span) End() {
-	if s == nil {
-		return
-	}
-	end := s.rt.o.now()
-	s.rt.mu.Lock()
-	if !s.done {
-		s.done = true
-		s.dur = end.Sub(s.start)
-	}
-	s.rt.mu.Unlock()
+	return "r-" + o.ids.spanID().String()
 }
 
 // RequestTrace is one traced request (or one traced continuation, e.g. the
@@ -209,8 +141,8 @@ type RequestTrace struct {
 	start        time.Time
 
 	mu     sync.Mutex
-	spans  []*Span
-	root   *Span
+	spans  []*node // creation order; spans[0] is the root's
+	root   Span
 	status int
 	dur    time.Duration
 	done   bool
@@ -249,7 +181,7 @@ func (rt *RequestTrace) Root() *Span {
 	if rt == nil {
 		return nil
 	}
-	return rt.root
+	return &rt.root
 }
 
 // Traceparent renders the trace context of the entry's root span — what a
@@ -258,7 +190,7 @@ func (rt *RequestTrace) Traceparent() string {
 	if rt == nil {
 		return ""
 	}
-	return Traceparent(rt.trace, rt.root.id)
+	return Traceparent(rt.trace, rt.root.n.id)
 }
 
 // Ref captures the context needed to continue this trace elsewhere (the job
@@ -275,16 +207,16 @@ func (rt *RequestTrace) Ref() Ref {
 	if rt == nil {
 		return Ref{}
 	}
-	return Ref{Trace: rt.trace, Parent: rt.root.id, RequestID: rt.requestID, Tenant: rt.tenant}
+	return Ref{Trace: rt.trace, Parent: rt.root.n.id, RequestID: rt.requestID, Tenant: rt.tenant}
 }
 
-// newSpan appends a span to the entry.
-func (rt *RequestTrace) newSpan(name string, parent SpanID) *Span {
-	sp := &Span{rt: rt, id: rt.o.ids.spanID(), parent: parent, name: name, start: rt.o.now()}
+// open starts a span under parent and records it in the entry.
+func (rt *RequestTrace) open(name string, parent SpanID) Span {
+	n := &node{rt: rt, id: rt.o.ids.spanID(), parent: parent, name: name, start: rt.o.now()}
 	rt.mu.Lock()
-	rt.spans = append(rt.spans, sp)
+	rt.spans = append(rt.spans, n)
 	rt.mu.Unlock()
-	return sp
+	return Span{name: name, start: n.start, n: n}
 }
 
 // Request describes one incoming request for StartRequest.
@@ -298,15 +230,6 @@ type Request struct {
 	RequestID string
 	// Tenant labels the trace and log line (empty omits the field).
 	Tenant string
-}
-
-// ctxKey keys the active trace scope in a context.
-type ctxKey struct{}
-
-// scope is the context-carried position in a request's span tree.
-type scope struct {
-	rt     *RequestTrace
-	parent SpanID
 }
 
 // StartRequest opens a trace entry for an incoming request: the trace
@@ -335,8 +258,8 @@ func (o *Observer) StartRequest(ctx context.Context, req Request) (context.Conte
 	if rt.requestID == "" {
 		rt.requestID = o.NewRequestID()
 	}
-	rt.root = rt.newSpan(req.Route, rt.remoteParent)
-	return context.WithValue(ctx, ctxKey{}, &scope{rt: rt, parent: rt.root.id}), rt
+	rt.root = rt.open(req.Route, rt.remoteParent)
+	return context.WithValue(ctx, ctxKey{}, rt.root.n), rt
 }
 
 // Continue opens a trace entry that continues an existing trace (a queued
@@ -355,31 +278,8 @@ func (o *Observer) Continue(ctx context.Context, ref Ref, route string) (context
 		requestID: ref.RequestID,
 		start:     o.now(),
 	}
-	rt.root = rt.newSpan(route, ref.Parent)
-	return context.WithValue(ctx, ctxKey{}, &scope{rt: rt, parent: rt.root.id}), rt
-}
-
-// StartSpan opens a child span under the context's active parent and
-// returns a context in which it is the new parent. Without an active trace
-// (tracing disabled, or a context that never passed through StartRequest)
-// it returns the context unchanged and a nil span, at zero allocation.
-func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
-	sc, _ := ctx.Value(ctxKey{}).(*scope)
-	if sc == nil {
-		return ctx, nil
-	}
-	sp := sc.rt.newSpan(name, sc.parent)
-	return context.WithValue(ctx, ctxKey{}, &scope{rt: sc.rt, parent: sp.id}), sp
-}
-
-// FromContext returns the context's active trace entry (nil when tracing is
-// off) — call sites use it for log correlation fields and exemplars.
-func FromContext(ctx context.Context) *RequestTrace {
-	sc, _ := ctx.Value(ctxKey{}).(*scope)
-	if sc == nil {
-		return nil
-	}
-	return sc.rt
+	rt.root = rt.open(route, ref.Parent)
+	return context.WithValue(ctx, ctxKey{}, rt.root.n), rt
 }
 
 // EndRequest seals a trace entry: the root span ends, the entry is
@@ -398,23 +298,18 @@ func (o *Observer) EndRequest(rt *RequestTrace, status int) {
 	}
 	rt.done = true
 	rt.status = status
-	rt.dur = rt.root.dur
-	dur := rt.dur
+	rt.dur = rt.root.n.dur
+	dur, important := rt.dur, rt.important()
 	rt.mu.Unlock()
 
-	important := status >= 500 || status == 429 || dur >= o.cfg.SlowThreshold
 	o.ring.add(rt, important)
 	o.slo.Record(rt.route, dur, status)
 	o.logRequest(rt, status, dur)
 }
 
-// Important reports whether the sealed entry was classified slow or error.
-func (rt *RequestTrace) Important() bool {
-	if rt == nil {
-		return false
-	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
+// important classifies a sealed entry for tail retention: errors, shed load
+// and slow requests. The caller holds rt.mu.
+func (rt *RequestTrace) important() bool {
 	return rt.status >= 500 || rt.status == 429 || rt.dur >= rt.o.cfg.SlowThreshold
 }
 
@@ -486,7 +381,7 @@ func (o *Observer) logRequest(rt *RequestTrace, status int, dur time.Duration) {
 		slog.Int("status", status),
 		slog.Float64("dur_ms", float64(dur)/float64(time.Millisecond)),
 		slog.String("trace_id", rt.trace.String()),
-		slog.String("span_id", rt.root.id.String()),
+		slog.String("span_id", rt.root.n.id.String()),
 		slog.String("request_id", rt.requestID),
 	)
 	if rt.tenant != "" {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 
 	"varpower/internal/attrib"
@@ -45,18 +46,25 @@ type SolveRequest struct {
 	Tenant string `json:"tenant,omitempty"`
 }
 
-// budget resolves the two budget fields into watts.
+// budget resolves the two budget fields into watts, rejecting a budget
+// that is not a positive, finite power before any work is done for it.
 func (r *SolveRequest) budget() (units.Watts, error) {
+	w := units.Watts(r.BudgetWatts)
 	switch {
 	case r.Budget != "" && r.BudgetWatts != 0:
 		return 0, fmt.Errorf("set budget or budget_watts, not both")
 	case r.Budget != "":
-		return units.ParseWatts(r.Budget)
-	case r.BudgetWatts > 0:
-		return units.Watts(r.BudgetWatts), nil
-	default:
+		var err error
+		if w, err = units.ParseWatts(r.Budget); err != nil {
+			return 0, err
+		}
+	case r.BudgetWatts == 0:
 		return 0, fmt.Errorf("missing budget (give budget %q-style or budget_watts)", "134kW")
 	}
+	if !(w > 0) || math.IsInf(float64(w), 1) {
+		return 0, fmt.Errorf("budget %v is not a positive, finite power", w)
+	}
+	return w, nil
 }
 
 // ModuleAllocation is one module's share of a solved budget (Equations 7–9).

@@ -513,6 +513,123 @@ func TestJobTraceContinuation(t *testing.T) {
 	}
 }
 
+// postTraced issues a POST under the given trace ID and decodes the JSON
+// answer into out.
+func postTraced(t *testing.T, url, traceID string, req service.SolveRequest, out any) {
+	t.Helper()
+	buf, _ := json.Marshal(req)
+	hreq, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hreq.Header.Set("Content-Type", "application/json")
+	hreq.Header.Set("traceparent", "00-"+traceID+"-"+fixedParentSpan+"-01")
+	resp, err := http.DefaultClient.Do(hreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode >= 300 {
+		b, _ := io.ReadAll(resp.Body)
+		t.Fatalf("POST %s: status %d: %s", url, resp.StatusCode, b)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// tracedJobRun runs one job under traceID and returns its job.run entry.
+func tracedJobRun(t *testing.T, baseURL string, c *client.Client, traceID string, req service.SolveRequest) obs.TraceView {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	var st service.JobStatus
+	postTraced(t, baseURL+"/v1/jobs", traceID, req, &st)
+	if done, err := c.WaitJob(ctx, st.ID, 20*time.Millisecond); err != nil || done.State != service.JobDone {
+		t.Fatalf("job %s: %+v, %v", st.ID, done, err)
+	}
+	entries, err := c.Trace(ctx, traceID)
+	if err != nil {
+		t.Fatalf("fetch trace: %v", err)
+	}
+	for _, v := range entries {
+		if v.Route == "job.run" {
+			assertWellFormed(t, v)
+			return v
+		}
+	}
+	t.Fatalf("trace %s has no job.run entry: %+v", traceID, entries)
+	return obs.TraceView{}
+}
+
+// assertChild fails unless the entry's first span named child has the
+// first span named parent as its parent, and returns the child.
+func assertChild(t *testing.T, v obs.TraceView, parent, child string) *obs.SpanView {
+	t.Helper()
+	p, c := spanByName(v, parent), spanByName(v, child)
+	if p == nil || c == nil || c.ParentID != p.SpanID {
+		t.Fatalf("%s is not a child of %s in %s: %+v", child, parent, v.Route, v.Spans)
+	}
+	return c
+}
+
+// TestJobTraceHoldsFrameworkRun pins a job as one tree: the executor's
+// measure span holds core's framework.run, whose phases hold the measured
+// run.
+func TestJobTraceHoldsFrameworkRun(t *testing.T) {
+	cfg, _ := tracedConfig()
+	_, hs, c := newTestServer(t, cfg)
+	run := tracedJobRun(t, hs.URL, c, fixedTraceID, solveReq())
+	assertChild(t, run, "job.run", "measure")
+	assertChild(t, run, "measure", "framework.run")
+	for _, phase := range []string{"pmt.build", "budget.solve", "framework.execute"} {
+		assertChild(t, run, "framework.run", phase)
+	}
+	assertChild(t, run, "framework.execute", "measure.run")
+	assertChild(t, run, "measure.run", "measure.simulate")
+}
+
+// TestJobSpanCountIndependentOfModules: calibration test runs stay out of
+// a trace, so a job's tree has the same shape at 32 and at 256 modules.
+func TestJobSpanCountIndependentOfModules(t *testing.T) {
+	cfg, _ := tracedConfig()
+	_, hs, c := newTestServer(t, cfg)
+	counts := map[int]int{}
+	for i, n := range []int{32, 256} {
+		req := solveReq()
+		req.Modules = n
+		req.BudgetWatts = 75 * float64(n)
+		traceID := fmt.Sprintf("%031x%d", 0xabc, i+1)
+		run := tracedJobRun(t, hs.URL, c, traceID, req)
+		assertChild(t, run, "framework.execute", "measure.run")
+		counts[n] = len(run.Spans)
+	}
+	if counts[32] != counts[256] {
+		t.Fatalf("job span counts differ with module count: %v", counts)
+	}
+}
+
+// TestOracleColdSolveHoldsPMTOracle: a VaPcOr cold solve's oracle
+// measurement lands under the request's calibrate/measure spans.
+func TestOracleColdSolveHoldsPMTOracle(t *testing.T) {
+	cfg, _ := tracedConfig()
+	_, hs, c := newTestServer(t, cfg)
+	req := solveReq()
+	req.Scheme = "vapcor"
+	var resp service.SolveResponse
+	postTraced(t, hs.URL+"/v1/solve", fixedTraceID, req, &resp)
+	entries, err := c.Trace(context.Background(), fixedTraceID)
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("fetch trace: %d entries, %v", len(entries), err)
+	}
+	v := entries[0]
+	assertWellFormed(t, v)
+	assertChild(t, v, "calibrate", "measure")
+	if sp := assertChild(t, v, "measure", "pmt.oracle"); attrVal(sp, "modules") != "32" {
+		t.Fatalf("pmt.oracle attrs %+v, want modules=32", sp.Attrs)
+	}
+}
+
 // TestClientRetrySameRequestID pins the retry correlation contract: every
 // attempt of one logical request carries the same X-Request-ID, and a 503
 // is retried to success.

@@ -486,7 +486,7 @@ func (s *Server) routes() *http.ServeMux {
 	mux.Handle("GET /v1/traces", s.instrument("/v1/traces", s.handleTraces))
 	mux.Handle("GET /v1/traces/{id}", s.instrument("/v1/traces/get", s.handleTrace))
 	mux.Handle("GET /v1/slo", s.instrument("/v1/slo", s.handleSLO))
-	mux.Handle("/debug/", telemetry.DebugMux(telemetry.Default(), telemetry.DefaultTracer()))
+	mux.Handle("/debug/", telemetry.DebugMux(telemetry.Default()))
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, CodeNotFound, "no route for %s %s", r.Method, r.URL.Path)
 	})
@@ -822,6 +822,7 @@ func (s *Server) calibrate(ctx context.Context, gen uint64, req SolveRequest, b 
 		_, msp := obs.StartSpan(ctx, "measure")
 		msp.SetAttr("kind", "pmt_sweep")
 		msp.SetInt("modules", req.Modules)
+		fw.Trace = msp
 		pmt, err := fw.BuildPMT(bench, ids, scheme)
 		msp.Fail(err)
 		msp.End()
@@ -927,6 +928,7 @@ func (s *Server) solveHeteroBody(ctx context.Context, req SolveRequest, b *baseS
 	msp.SetAttr("kind", "hetero_solve")
 	msp.SetInt("modules", req.Modules)
 	msp.SetInt("devices", len(devs))
+	hf.Trace = msp
 	alloc, _, _, err := hf.SolveHetero(bench, ids, devs, budget, scheme, splitter)
 	msp.Fail(err)
 	msp.End()
@@ -1216,6 +1218,7 @@ func (s *Server) runJob(j *job) {
 		_, msp := obs.StartSpan(ctx, "measure")
 		msp.SetAttr("kind", "final_run")
 		msp.SetAttr("workload", req.Workload)
+		fw.Trace = msp
 		run, err := fw.Run(bench, ids, units.Watts(req.BudgetWatts), scheme)
 		msp.Fail(err)
 		if err != nil {

@@ -317,6 +317,37 @@ func TestSolveBadRequests(t *testing.T) {
 	}
 }
 
+// TestNonPositiveBudgetRejectedBeforeWork: a zero or negative budget, in
+// either field, is a 400 naming the value on the solve and job routes, and
+// no calibration runs for it.
+func TestNonPositiveBudgetRejectedBeforeWork(t *testing.T) {
+	s, hs, _ := newTestServer(t, testConfig())
+	const prefix = `{"system":"HA8K","workload":"dgemm","scheme":"vapc",`
+	cases := []struct{ body, value string }{
+		{prefix + `"budget":"-5kW"}`, "-5 kW"},
+		{prefix + `"budget":"0W"}`, "0 W"},
+		{prefix + `"budget_watts":-5000}`, "-5 kW"},
+	}
+	for _, route := range []string{"/v1/solve", "/v1/jobs"} {
+		for _, tc := range cases {
+			resp, err := http.Post(hs.URL+route, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var apiErr service.APIError
+			err = json.NewDecoder(resp.Body).Decode(&apiErr)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusBadRequest || !strings.Contains(apiErr.Err.Message, tc.value) {
+				t.Errorf("%s %s: status %d, error %+v (%v); want 400 naming %q",
+					route, tc.body, resp.StatusCode, apiErr.Err, err, tc.value)
+			}
+		}
+	}
+	if m := s.PMTCacheStats().Misses; m != 0 {
+		t.Fatalf("rejected budgets cost %d PMT calibrations, want 0", m)
+	}
+}
+
 // TestSolveWithFaults solves against a named fault rung and requires the
 // response to differ from the healthy solve (the plan actually installed).
 func TestSolveWithFaults(t *testing.T) {

@@ -85,24 +85,17 @@ func (s *Server) Close() error {
 // DebugMux builds the debug endpoint's routes:
 //
 //	/metrics      Prometheus text exposition of reg
-//	/spans        the tracer's phase summary and span tree
 //	/debug/vars   expvar (Go runtime memstats, cmdline)
 //	/debug/pprof  the standard pprof profiles
 //
 // Handlers only read telemetry state, so serving them never interferes with
 // simulation determinism. varpowerd mounts the /debug subtree of this mux
 // next to its /v1 API.
-func DebugMux(reg *Registry, tracer *Tracer) *http.ServeMux {
+func DebugMux(reg *Registry) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = WritePrometheus(w, reg)
-	})
-	mux.HandleFunc("/spans", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_ = tracer.WriteSummary(w)
-		fmt.Fprintln(w)
-		_ = tracer.WriteTree(w)
 	})
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -111,15 +104,4 @@ func DebugMux(reg *Registry, tracer *Tracer) *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
-}
-
-// Serve starts the opt-in debug endpoint for long-running sweeps on addr and
-// returns the bound listener address plus a shutdown func that drains
-// gracefully (releasing the port) instead of cutting connections.
-func Serve(addr string, reg *Registry, tracer *Tracer) (string, func() error, error) {
-	s, err := StartServer(addr, DebugMux(reg, tracer))
-	if err != nil {
-		return "", nil, err
-	}
-	return s.Addr(), s.Close, nil
 }

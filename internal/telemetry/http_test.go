@@ -11,17 +11,17 @@ import (
 )
 
 // TestServeGracefulShutdownReleasesPort starts the debug endpoint, hits
-// /metrics, shuts it down, and proves the port is immediately reusable —
-// the leak the bare-listener implementation had.
+// /metrics, closes it, and proves the port is immediately reusable — the
+// leak the bare-listener implementation had.
 func TestServeGracefulShutdownReleasesPort(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("varpower_test_total", "test counter", nil).Inc()
-	tr := NewTracer(reg, time.Now)
 
-	addr, stop, err := Serve("127.0.0.1:0", reg, tr)
+	s, err := StartServer("127.0.0.1:0", DebugMux(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
+	addr := s.Addr()
 	resp, err := http.Get("http://" + addr + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -34,10 +34,10 @@ func TestServeGracefulShutdownReleasesPort(t *testing.T) {
 	if !strings.Contains(string(body), "varpower_test_total") {
 		t.Fatalf("/metrics missing registered counter:\n%s", body)
 	}
-	if err := stop(); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
-	// The port must be free the moment stop returns.
+	// The port must be free the moment Close returns.
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		t.Fatalf("port not released after shutdown: %v", err)
@@ -46,7 +46,8 @@ func TestServeGracefulShutdownReleasesPort(t *testing.T) {
 }
 
 // TestStartServerShutdownWaitsForInflight proves Shutdown is graceful: a
-// handler that is mid-response when Shutdown begins still completes.
+// handler that is mid-response when Shutdown begins still completes, and
+// the port is reusable once Shutdown returns.
 func TestStartServerShutdownWaitsForInflight(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
@@ -98,4 +99,10 @@ func TestStartServerShutdownWaitsForInflight(t *testing.T) {
 	if err := <-shutdownDone; err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
+	// The port must be free the moment Shutdown returns.
+	ln, err := net.Listen("tcp", s.Addr())
+	if err != nil {
+		t.Fatalf("port not released after shutdown: %v", err)
+	}
+	ln.Close()
 }

@@ -1,8 +1,9 @@
 // Package telemetry is the simulation pipeline's runtime observability
 // substrate: a dependency-free metrics registry (counters, gauges,
 // histograms with quantiles; labeled, safe under the internal/parallel
-// fan-out) plus a span tracer for phase timing (span.go) and exporters in
-// Prometheus text, JSON and CSV form (export.go, http.go).
+// fan-out) and exporters in Prometheus text, JSON and CSV form (export.go,
+// http.go). Phase timing comes from internal/obs spans, each of which
+// records its duration into PhaseDurationMetric here.
 //
 // The paper's argument rests on measuring what a power cap does to a
 // machine — per-module power, delivered frequency, per-rank wait time
@@ -34,6 +35,12 @@ import (
 	"sync"
 	"sync/atomic"
 )
+
+// PhaseDurationMetric is the histogram family every ended span
+// (internal/obs) records its duration into, labeled by phase (the span
+// name). Span names must therefore stay low-cardinality; per-item detail
+// goes into span attributes, which only a trace keeps.
+const PhaseDurationMetric = "varpower_phase_duration_seconds"
 
 // Labels is a set of name→value metric labels. Label sets are serialised
 // in sorted key order, so two Labels values with equal contents always
