@@ -768,3 +768,70 @@ func itoa(v int) string {
 	}
 	return string(buf[i:])
 }
+
+// BenchmarkDESRun measures the simmpi DES layer inside one application run:
+// a capped 480-module MHD Framework.Execute from a fixed VaPc allocation at
+// the interior budget halfway between ΣMin and ΣMax, at workers 1. Each
+// iteration resolves the caps, runs the 400-round halo-exchange DES and
+// accounts the energy counters, as every grid cell's final run does.
+func BenchmarkDESRun(b *testing.B) {
+	const modules = 480
+	sys := cluster.MustNew(cluster.HA8K(), modules, 0x5c15)
+	fw, err := core.NewFrameworkWorkers(sys, nil, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ids, err := sys.AllocateFirst(modules)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bench := workload.MHD()
+	pmt, err := fw.BuildPMT(bench, ids, core.VaPc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var sumMin, sumMax units.Watts
+	for _, e := range pmt.Entries {
+		sumMin += e.ModuleMin()
+		sumMax += e.ModuleMax()
+	}
+	alloc, err := core.Solve(pmt, sys.Spec.Arch, (sumMin+sumMax)/2)
+	if err != nil || !alloc.Feasible {
+		b.Fatalf("interior budget infeasible: %v", err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := fw.Execute(bench, ids, alloc, core.VaPc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCalibratePMT measures the PMT calibration layer: the two
+// single-module MHD test runs (fmax and fmin) and the PVT-scaled prediction
+// of all 480 modules' four parameters from them.
+func BenchmarkCalibratePMT(b *testing.B) {
+	const modules = 480
+	sys := cluster.MustNew(cluster.HA8K(), modules, 0x5c15)
+	fw, err := core.NewFrameworkWorkers(sys, nil, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ids, err := sys.AllocateFirst(modules)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bench := workload.MHD()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pair, err := core.RunTestPair(sys, bench, ids[0])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := core.Calibrate(fw.PVT, pair, bench, ids); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

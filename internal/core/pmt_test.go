@@ -103,7 +103,7 @@ func TestOraclePMTMatchesModuleModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range pmt.Entries {
-		want := sys.Module(e.ModuleID).CPUPower(prof, sys.Spec.Arch.FNom)
+		want := sys.Module(e.ModuleID).Curve(prof).CPUPower(sys.Spec.Arch.FNom)
 		if math.Abs(float64(e.CPUMax-want))/float64(want) > 0.02 {
 			t.Fatalf("oracle CPUMax %v vs model %v", e.CPUMax, want)
 		}

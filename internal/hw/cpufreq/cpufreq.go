@@ -120,7 +120,7 @@ func (g *Governor) Pinned() (units.Hertz, bool) { return g.target, g.pinned }
 // simply set — which is the root of FS's performance homogeneity.
 func (g *Governor) OperatingPoint(p module.PowerProfile) module.OperatingPoint {
 	if !g.pinned {
-		return g.mod.Uncapped(p)
+		return g.mod.Curve(p).Uncapped()
 	}
-	return g.mod.AtFrequency(p, g.target)
+	return g.mod.Curve(p).AtFrequency(g.target)
 }

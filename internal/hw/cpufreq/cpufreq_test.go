@@ -68,7 +68,7 @@ func TestOperatingPointExact(t *testing.T) {
 	if op.Freq != f {
 		t.Fatalf("pinned op freq %v, want %v", op.Freq, f)
 	}
-	if op.CPUPower != m.CPUPower(p, f) {
+	if op.CPUPower != m.Curve(p).CPUPower(f) {
 		t.Fatal("pinned power does not follow the module curve")
 	}
 	if op.Throttled {
@@ -85,7 +85,7 @@ func TestReleaseReturnsToUncapped(t *testing.T) {
 	if _, ok := g.Pinned(); ok {
 		t.Fatal("still pinned after release")
 	}
-	if op := g.OperatingPoint(p); op != m.Uncapped(p) {
+	if op := g.OperatingPoint(p); op != m.Curve(p).Uncapped() {
 		t.Fatal("released governor does not run uncapped")
 	}
 }

@@ -311,9 +311,9 @@ func (d *Device) Uncapped(k KernelProfile) OperatingPoint {
 }
 
 // Limited returns the steady-state operating point under an enforced board
-// power limit — the accelerator counterpart of module.Capped, with the same
-// three regimes: non-binding, clock-managed, and the clock-gating cliff
-// below ClockMin. ok is false only when the limit is below the device's
+// power limit — the accelerator counterpart of module.Curve.Capped, with
+// the same three regimes: non-binding, clock-managed, and the clock-gating
+// cliff below ClockMin. ok is false only when the limit is below the device's
 // idle floor (no operating point exists).
 func (d *Device) Limited(k KernelProfile, limit units.Watts) (OperatingPoint, bool) {
 	if limit > d.Arch.TDP {

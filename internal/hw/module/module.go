@@ -220,23 +220,44 @@ func (m *Module) residual(p PowerProfile) float64 {
 // fRel returns f/FNom.
 func (m *Module) fRel(f units.Hertz) float64 { return float64(f) / float64(m.Arch.FNom) }
 
-// CPUPower returns the CPU package power this module draws running workload
-// p at frequency f. Frequencies above FNom model turbo; below FMin they
-// model duty-cycled operation (power keeps falling roughly linearly).
-func (m *Module) CPUPower(p PowerProfile, f units.Hertz) units.Watts {
+// Curve is the module's power curve for one workload: its variation
+// factors and the workload's profile with the per-(module, workload)
+// residual drawn once. Resolving an operating point evaluates the curve
+// several times; through one Curve it draws the residual (a keyed RNG and a
+// lognormal draw) once instead of once per evaluation.
+type Curve struct {
+	m     *Module
+	p     PowerProfile
+	resid float64
+}
+
+// Curve resolves the module's power curve for workload p.
+func (m *Module) Curve(p PowerProfile) Curve {
+	return Curve{m: m, p: p, resid: m.residual(p)}
+}
+
+// CPUPower returns the CPU package power the module draws running the
+// curve's workload at frequency f. Frequencies above FNom model turbo;
+// below FMin they model duty-cycled operation (power keeps falling roughly
+// linearly).
+func (c Curve) CPUPower(f units.Hertz) units.Watts {
+	m, p := c.m, c.p
 	if f < 0 {
 		f = 0
 	}
 	r := m.fRel(f)
 	dyn := float64(p.DynPower) * m.factors.Dyn * r
 	static := float64(p.StaticPower) * m.factors.Leak * (staticFloor + staticSlope*r)
-	pw := m.residual(p) * (dyn + static)
+	pw := c.resid * (dyn + static)
 	floor := float64(m.IdleFloor())
 	if pw < floor {
 		pw = floor
 	}
 	return units.Watts(pw)
 }
+
+// DramPower is Module.DramPower on the curve's workload.
+func (c Curve) DramPower(f units.Hertz) units.Watts { return c.m.DramPower(c.p, f) }
 
 // DramPower returns the DRAM power drawn running workload p at CPU
 // frequency f. DRAM traffic follows CPU frequency weakly (b(f) in the
@@ -247,11 +268,6 @@ func (m *Module) DramPower(p PowerProfile, f units.Hertz) units.Watts {
 	}
 	r := m.fRel(f)
 	return units.Watts(m.factors.Dram * (float64(p.DramBase) + float64(p.DramDyn)*(dramFloor+dramSlope*r)))
-}
-
-// ModulePower returns CPU + DRAM power at frequency f.
-func (m *Module) ModulePower(p PowerProfile, f units.Hertz) units.Watts {
-	return m.CPUPower(p, f) + m.DramPower(p, f)
 }
 
 // IdleFloor is this module's frequency-independent minimum CPU power. Only
@@ -289,29 +305,35 @@ func (o OperatingPoint) ModulePower() units.Watts { return o.CPUPower + o.DramPo
 // (nearly) the same power with varying frequency, while light workloads run
 // every module at the same frequency with varying power — both behaviours
 // appear in the paper's Figure 2(i)/(ii).
-func (m *Module) Uncapped(p PowerProfile) OperatingPoint {
+func (c Curve) Uncapped() OperatingPoint {
+	m := c.m
 	f := m.MaxTurbo()
-	if m.CPUPower(p, f) > m.Arch.UncappedCeiling {
+	if c.CPUPower(f) > m.Arch.UncappedCeiling {
 		// Clamp frequency to hold the package at the platform ceiling.
-		if fc, ok := m.FreqForCPUPower(p, m.Arch.UncappedCeiling); ok {
+		if fc, ok := c.FreqForCPUPower(m.Arch.UncappedCeiling); ok {
 			f = fc
 		} else {
 			f = m.Arch.FMin
 		}
 	}
-	return OperatingPoint{Freq: f, CPUPower: m.CPUPower(p, f), DramPower: m.DramPower(p, f)}
+	return c.at(f)
+}
+
+// at is the operating point at frequency f, with no cap enforced.
+func (c Curve) at(f units.Hertz) OperatingPoint {
+	return OperatingPoint{Freq: f, CPUPower: c.CPUPower(f), DramPower: c.DramPower(f)}
 }
 
 // FreqForCPUPower inverts the CPU power curve: it returns the frequency at
-// which this module draws exactly cap watts on workload p. ok is false when
-// the cap is below Pcpu at zero frequency (the curve cannot reach it). The
-// returned frequency is not clamped to the P-state ladder and may exceed
-// FNom (turbo region) or fall below FMin (duty-cycle region); callers clamp
-// as appropriate.
-func (m *Module) FreqForCPUPower(p PowerProfile, cap units.Watts) (units.Hertz, bool) {
+// which the module draws exactly cap watts on the curve's workload. ok is
+// false when the cap is below Pcpu at zero frequency (the curve cannot
+// reach it). The returned frequency is not clamped to the P-state ladder
+// and may exceed FNom (turbo region) or fall below FMin (duty-cycle
+// region); callers clamp as appropriate.
+func (c Curve) FreqForCPUPower(cap units.Watts) (units.Hertz, bool) {
 	// Solve resid·(Dyn·dyn·r + Static·leak·(floor + slope·r)) = cap for
 	// r = f/FNom.
-	resid := m.residual(p)
+	m, p, resid := c.m, c.p, c.resid
 	a := resid * (float64(p.DynPower)*m.factors.Dyn + float64(p.StaticPower)*m.factors.Leak*staticSlope)
 	b := resid * float64(p.StaticPower) * m.factors.Leak * staticFloor
 	if float64(cap) < b || float64(cap) < float64(m.IdleFloor()) {
@@ -338,8 +360,9 @@ func (m *Module) FreqForCPUPower(p PowerProfile, cap units.Watts) (units.Hertz, 
 //
 // ok is false only when the cap is below the module's idle floor, meaning
 // no operating point can satisfy it (the paper's "–" table entries).
-func (m *Module) Capped(p PowerProfile, cap units.Watts) (OperatingPoint, bool) {
-	unc := m.Uncapped(p)
+func (c Curve) Capped(cap units.Watts) (OperatingPoint, bool) {
+	m := c.m
+	unc := c.Uncapped()
 	if cap >= unc.CPUPower {
 		return unc, true
 	}
@@ -347,16 +370,16 @@ func (m *Module) Capped(p PowerProfile, cap units.Watts) (OperatingPoint, bool) 
 	if cap <= floor {
 		return OperatingPoint{}, false
 	}
-	pmin := m.CPUPower(p, m.Arch.FMin)
+	pmin := c.CPUPower(m.Arch.FMin)
 	if cap >= pmin {
-		f, ok := m.FreqForCPUPower(p, cap)
+		f, ok := c.FreqForCPUPower(cap)
 		if !ok {
 			return OperatingPoint{}, false
 		}
 		if f > unc.Freq {
 			f = unc.Freq
 		}
-		return OperatingPoint{Freq: f, CPUPower: m.CPUPower(p, f), DramPower: m.DramPower(p, f)}, true
+		return c.at(f), true
 	}
 	// Duty-cycle cliff: power tracks the cap, throughput collapses faster.
 	duty := float64(cap-floor) / float64(pmin-floor)
@@ -364,7 +387,7 @@ func (m *Module) Capped(p PowerProfile, cap units.Watts) (OperatingPoint, bool) 
 	return OperatingPoint{
 		Freq:      feff,
 		CPUPower:  cap,
-		DramPower: m.DramPower(p, feff),
+		DramPower: c.DramPower(feff),
 		Throttled: true,
 	}, true
 }
@@ -372,13 +395,12 @@ func (m *Module) Capped(p PowerProfile, cap units.Watts) (OperatingPoint, bool) 
 // AtFrequency returns the operating point when the frequency is pinned
 // directly (the FS implementation via cpufreq): power lands wherever the
 // module's curves put it; no cap is enforced.
-func (m *Module) AtFrequency(p PowerProfile, f units.Hertz) OperatingPoint {
-	if f < m.Arch.FMin {
-		f = m.Arch.FMin
+func (c Curve) AtFrequency(f units.Hertz) OperatingPoint {
+	if f < c.m.Arch.FMin {
+		f = c.m.Arch.FMin
 	}
-	max := m.MaxTurbo()
-	if f > max {
+	if max := c.m.MaxTurbo(); f > max {
 		f = max
 	}
-	return OperatingPoint{Freq: f, CPUPower: m.CPUPower(p, f), DramPower: m.DramPower(p, f)}
+	return c.at(f)
 }

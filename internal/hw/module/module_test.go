@@ -105,7 +105,7 @@ func TestPowerMonotoneInFrequency(t *testing.T) {
 		m := New(int(id), a, 99)
 		lo := units.GHz(1 + math.Mod(math.Abs(f1), 2))
 		hi := lo + units.GHz(math.Mod(math.Abs(f2), 1)+0.01)
-		return m.CPUPower(p, hi) >= m.CPUPower(p, lo) &&
+		return m.Curve(p).CPUPower(hi) >= m.Curve(p).CPUPower(lo) &&
 			m.DramPower(p, hi) >= m.DramPower(p, lo)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -119,8 +119,8 @@ func TestFreqForCPUPowerRoundTrip(t *testing.T) {
 	f := func(id uint16, fv float64) bool {
 		m := New(int(id), a, 7)
 		freq := units.GHz(1.2 + math.Mod(math.Abs(fv), 1.8))
-		want := m.CPUPower(p, freq)
-		got, ok := m.FreqForCPUPower(p, want)
+		want := m.Curve(p).CPUPower(freq)
+		got, ok := m.Curve(p).FreqForCPUPower(want)
 		if !ok {
 			return false
 		}
@@ -133,7 +133,7 @@ func TestFreqForCPUPowerRoundTrip(t *testing.T) {
 
 func TestFreqForCPUPowerBelowFloor(t *testing.T) {
 	m := New(0, testArch(), 7)
-	if _, ok := m.FreqForCPUPower(testProfile(), 1); ok {
+	if _, ok := m.Curve(testProfile()).FreqForCPUPower(1); ok {
 		t.Fatal("cap of 1 W should be unreachable")
 	}
 }
@@ -142,17 +142,17 @@ func TestCappedRegimes(t *testing.T) {
 	a := testArch()
 	p := testProfile()
 	m := New(3, a, 7)
-	unc := m.Uncapped(p)
+	unc := m.Curve(p).Uncapped()
 
 	// Regime 1: cap above uncapped power does not bind.
-	op, ok := m.Capped(p, unc.CPUPower+20)
+	op, ok := m.Curve(p).Capped(unc.CPUPower + 20)
 	if !ok || op != unc {
 		t.Fatalf("loose cap changed operating point: %+v vs %+v", op, unc)
 	}
 
 	// Regime 2: DVFS range — power pinned at cap, frequency in range.
-	mid := m.CPUPower(p, units.GHz(1.8))
-	op, ok = m.Capped(p, mid)
+	mid := m.Curve(p).CPUPower(units.GHz(1.8))
+	op, ok = m.Curve(p).Capped(mid)
 	if !ok || op.Throttled {
 		t.Fatalf("mid cap failed: %+v", op)
 	}
@@ -164,10 +164,10 @@ func TestCappedRegimes(t *testing.T) {
 	}
 
 	// Regime 3: below Pcpu(fmin) — duty-cycle cliff.
-	pmin := m.CPUPower(p, a.FMin)
+	pmin := m.Curve(p).CPUPower(a.FMin)
 	floor := m.IdleFloor()
 	cliffCap := floor + (pmin-floor)/2
-	op, ok = m.Capped(p, cliffCap)
+	op, ok = m.Curve(p).Capped(cliffCap)
 	if !ok || !op.Throttled {
 		t.Fatalf("cliff cap not throttled: %+v", op)
 	}
@@ -180,7 +180,7 @@ func TestCappedRegimes(t *testing.T) {
 	}
 
 	// Regime 4: below the idle floor — no operating point.
-	if _, ok := m.Capped(p, floor-1); ok {
+	if _, ok := m.Curve(p).Capped(floor - 1); ok {
 		t.Fatal("cap below idle floor should be infeasible")
 	}
 }
@@ -190,11 +190,11 @@ func TestCliffMonotoneInCap(t *testing.T) {
 	p := testProfile()
 	m := New(5, a, 7)
 	floor := float64(m.IdleFloor())
-	pmin := float64(m.CPUPower(p, a.FMin))
+	pmin := float64(m.Curve(p).CPUPower(a.FMin))
 	prev := units.Hertz(0)
 	for frac := 0.05; frac <= 1; frac += 0.05 {
 		cap := units.Watts(floor + frac*(pmin-floor))
-		op, ok := m.Capped(p, cap)
+		op, ok := m.Curve(p).Capped(cap)
 		if !ok {
 			t.Fatalf("cap %v infeasible", cap)
 		}
@@ -213,12 +213,12 @@ func TestUncappedCeilingClamp(t *testing.T) {
 	var clampedPow, lightFreq []float64
 	for i := 0; i < 200; i++ {
 		m := New(i, a, 11)
-		hop := m.Uncapped(hungry)
+		hop := m.Curve(hungry).Uncapped()
 		if hop.CPUPower > a.UncappedCeiling+1e-9 {
 			t.Fatalf("uncapped power %v exceeds ceiling", hop.CPUPower)
 		}
 		clampedPow = append(clampedPow, float64(hop.CPUPower))
-		lop := m.Uncapped(light)
+		lop := m.Curve(light).Uncapped()
 		lightFreq = append(lightFreq, lop.Freq.GHz())
 	}
 	// Hungry: power pinned near the ceiling (small spread); light: all at
@@ -235,10 +235,10 @@ func TestAtFrequencyClamps(t *testing.T) {
 	a := testArch()
 	p := testProfile()
 	m := New(9, a, 7)
-	if op := m.AtFrequency(p, units.GHz(0.5)); op.Freq != a.FMin {
+	if op := m.Curve(p).AtFrequency(units.GHz(0.5)); op.Freq != a.FMin {
 		t.Fatalf("below-fmin pin gave %v", op.Freq)
 	}
-	if op := m.AtFrequency(p, units.GHz(9)); op.Freq != m.MaxTurbo() {
+	if op := m.Curve(p).AtFrequency(units.GHz(9)); op.Freq != m.MaxTurbo() {
 		t.Fatalf("above-turbo pin gave %v", op.Freq)
 	}
 }
@@ -252,7 +252,7 @@ func TestLinearityOfPowerCurves(t *testing.T) {
 	var fx, cpu, dram []float64
 	for _, f := range a.PStates() {
 		fx = append(fx, f.GHz())
-		cpu = append(cpu, float64(m.CPUPower(p, f)))
+		cpu = append(cpu, float64(m.Curve(p).CPUPower(f)))
 		dram = append(dram, float64(m.DramPower(p, f)))
 	}
 	for name, ys := range map[string][]float64{"cpu": cpu, "dram": dram} {
@@ -288,9 +288,9 @@ func TestResidualStability(t *testing.T) {
 	a := testArch()
 	p := testProfile()
 	m := New(21, a, 7)
-	first := m.CPUPower(p, a.FNom)
+	first := m.Curve(p).CPUPower(a.FNom)
 	for i := 0; i < 10; i++ {
-		if got := m.CPUPower(p, a.FNom); got != first {
+		if got := m.Curve(p).CPUPower(a.FNom); got != first {
 			t.Fatalf("power changed between queries: %v vs %v", got, first)
 		}
 	}

@@ -48,3 +48,15 @@ func FuzzEnergyDelta(f *testing.F) {
 		}
 	})
 }
+
+// FuzzTimeWindowEncoding checks the five-candidate window encoder against
+// the 128-candidate scan for any float64 bit pattern up to the largest
+// window, and that a larger window encodes as the largest.
+func FuzzTimeWindowEncoding(f *testing.F) {
+	for _, s := range []float64{0.001, 1, 1.875 / 1024, 3 << 30, 1e30, math.Inf(1)} {
+		f.Add(math.Float64bits(s))
+	}
+	f.Fuzz(func(t *testing.T, bits uint64) {
+		checkTimeWindow(t, math.Float64frombits(bits))
+	})
+}

@@ -13,6 +13,7 @@ package msr
 
 import (
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -351,27 +352,51 @@ func DecodePowerLimit(raw uint64) PowerLimit {
 }
 
 // Time windows use the SDM's (1 + Z/4) · 2^Y format in time units, with Y
-// in bits 4:0 and Z in bits 6:5 of the 7-bit field.
+// in bits 4:0 and Z in bits 6:5 of the 7-bit field. A window encodes as the
+// nearest of the 128 candidates, the first (smallest) of equally near ones;
+// a window at or above the largest candidate, 1.75 · 2^31 units (~42
+// days), encodes as that candidate. Candidate i = 4Y + Z rises with i, so
+// for a target in [2^Y, 2^(Y+1)) only row Y and the first candidate of row
+// Y+1 can be nearest; the encoder compares those five instead of scanning
+// all 128.
 func encodeTimeWindow(seconds float64) uint64 {
-	if seconds <= 0 {
+	if !(seconds > 0) { // ≤ 0 or NaN
 		return 0
 	}
 	target := seconds * (1 << timeUnitExp)
-	bestY, bestZ, bestErr := uint64(0), uint64(0), -1.0
-	for y := uint64(0); y < 32; y++ {
-		for z := uint64(0); z < 4; z++ {
-			v := (1 + float64(z)/4) * float64(uint64(1)<<y)
-			err := v - target
-			if err < 0 {
-				err = -err
-			}
-			if bestErr < 0 || err < bestErr {
-				bestY, bestZ, bestErr = y, z, err
-			}
+	if target >= maxWindow {
+		return windowCode(127)
+	}
+	// Below one unit every candidate is above the target and row 0's first
+	// is nearest.
+	_, exp := math.Frexp(target)
+	y := max(exp-1, 0) // ⌊log₂ target⌋, now ≤ 31
+	return nearestWindow(target, 4*y, min(4*y+4, 127))
+}
+
+// maxWindow is the largest window candidate, 1.75 · 2^31 time units.
+const maxWindow = 1.75 * (1 << 31)
+
+// nearestWindow returns the code of the candidate in [lo, hi] nearest
+// target, the first on ties.
+func nearestWindow(target float64, lo, hi int) uint64 {
+	best, bestErr := lo, windowErr(lo, target)
+	for i := lo + 1; i <= hi; i++ {
+		if err := windowErr(i, target); err < bestErr {
+			best, bestErr = i, err
 		}
 	}
-	return bestY | bestZ<<5
+	return windowCode(best)
 }
+
+// windowErr is |candidate i − target| in time units.
+func windowErr(i int, target float64) float64 {
+	v := (1 + float64(i%4)/4) * float64(uint64(1)<<(i/4))
+	return math.Abs(v - target)
+}
+
+// windowCode packs candidate i = 4Y + Z into the 7-bit field.
+func windowCode(i int) uint64 { return uint64(i/4) | uint64(i%4)<<5 }
 
 func decodeTimeWindow(field uint64) float64 {
 	y := field & 0x1F

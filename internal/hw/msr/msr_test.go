@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"varpower/internal/xrand"
 )
 
 func TestWhitelistEnforcement(t *testing.T) {
@@ -191,4 +193,78 @@ func TestConcurrentAccess(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// scanTimeWindow is the reference encoder: the nearest of all 128 (Y, Z)
+// candidates, the first on ties.
+func scanTimeWindow(seconds float64) uint64 {
+	if seconds <= 0 {
+		return 0
+	}
+	target := seconds * (1 << timeUnitExp)
+	bestY, bestZ, bestErr := uint64(0), uint64(0), -1.0
+	for y := uint64(0); y < 32; y++ {
+		for z := uint64(0); z < 4; z++ {
+			v := (1 + float64(z)/4) * float64(uint64(1)<<y)
+			err := v - target
+			if err < 0 {
+				err = -err
+			}
+			if bestErr < 0 || err < bestErr {
+				bestY, bestZ, bestErr = y, z, err
+			}
+		}
+	}
+	return bestY | bestZ<<5
+}
+
+// checkTimeWindow checks the encoder against the scan for a window up to
+// the largest candidate, and that a larger one encodes as that candidate.
+func checkTimeWindow(t *testing.T, seconds float64) {
+	t.Helper()
+	want := scanTimeWindow(seconds)
+	if seconds*(1<<timeUnitExp) >= maxWindow {
+		want = 31 | 3<<5
+	}
+	if got := encodeTimeWindow(seconds); got != want {
+		t.Fatalf("encodeTimeWindow(%v) = %#x, want %#x", seconds, got, want)
+	}
+}
+
+// TestTimeWindowMatchesScan checks the five-candidate encoder against the
+// full scan at every candidate, every midpoint between neighbouring
+// candidates (the ties), the float neighbours of both, special values in
+// the representable range, and 1M log-uniform windows over 1e-12..1e12 s
+// (above ~42 days the scan's nearest candidate is the largest, too);
+// windows so large that the scan's errors tie, and +Inf, encode as the
+// largest candidate.
+func TestTimeWindowMatchesScan(t *testing.T) {
+	var prev float64
+	for y := 0; y < 32; y++ {
+		for z := 0; z < 4; z++ {
+			v := (1 + float64(z)/4) * float64(uint64(1)<<y) / (1 << timeUnitExp)
+			for _, s := range []float64{v, (prev + v) / 2} {
+				checkTimeWindow(t, s)
+				checkTimeWindow(t, math.Nextafter(s, math.Inf(1)))
+				checkTimeWindow(t, math.Nextafter(s, math.Inf(-1)))
+			}
+			prev = v
+		}
+	}
+	for _, s := range []float64{0, math.Copysign(0, -1), -1, math.NaN(), math.Inf(-1),
+		math.SmallestNonzeroFloat64, 1e-300, 0.001, 1, 1 << 22, 1 << 23} {
+		checkTimeWindow(t, s)
+	}
+	for _, s := range []float64{1e20, 1e60, 1e300, math.MaxFloat64, math.Inf(1)} {
+		if got := encodeTimeWindow(s); got != 31|3<<5 {
+			t.Errorf("encodeTimeWindow(%v) = %#x, want the largest window 0x7f", s, got)
+		}
+	}
+	rng := xrand.New(0x7173)
+	for i := 0; i < 1_000_000; i++ {
+		s := math.Pow(10, rng.Uniform(-12, 12))
+		if got, want := encodeTimeWindow(s), scanTimeWindow(s); got != want {
+			t.Fatalf("encodeTimeWindow(%v) = %#x, scan gives %#x", s, got, want)
+		}
+	}
 }

@@ -85,11 +85,12 @@ func SimulateControl(m *module.Module, p module.PowerProfile, limit units.Watts,
 	minRatio := 4.0 // below ~400 MHz the part duty-cycles instead
 	maxRatio := arch.FNom.MHz() / 100
 
+	cv := m.Curve(p)
 	var trace controlTrace
 	var sumF, sumP float64
 	for i := 0; i < steps; i++ {
 		f := units.MHz(ratio * 100)
-		power := m.CPUPower(p, f)
+		power := cv.CPUPower(f)
 		// The firmware's estimate of that power is noisy.
 		est := float64(power) * (1 + rng.Normal(0, sim.NoiseSigma))
 		errW := est - float64(limit)
@@ -143,8 +144,9 @@ func FitControlModel(mods []*module.Module, p module.PowerProfile, caps []units.
 
 	var losses []float64
 	for _, m := range mods {
+		cv := m.Curve(p)
 		for _, cap := range caps {
-			ideal, ok := m.Capped(p, cap)
+			ideal, ok := cv.Capped(cap)
 			if !ok || ideal.Throttled {
 				continue
 			}

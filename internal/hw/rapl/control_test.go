@@ -18,7 +18,7 @@ func TestSimulateControlConvergesUnderLimit(t *testing.T) {
 		if avgP > limit {
 			t.Fatalf("limit %v: delivered average power %v exceeds it", limit, avgP)
 		}
-		ideal, ok := m.Capped(p, limit)
+		ideal, ok := m.Curve(p).Capped(limit)
 		if !ok {
 			t.Fatalf("limit %v infeasible", limit)
 		}

@@ -218,8 +218,11 @@ func (c *Controller) OperatingPoint(p module.PowerProfile) (module.OperatingPoin
 	if err != nil {
 		return module.OperatingPoint{}, false
 	}
+	// One curve for the whole resolution: the module's residual for p is
+	// drawn once, not once per power evaluation.
+	cv := c.mod.Curve(p)
 	if !lim.Enabled {
-		op := c.applySpurious(p, c.mod.Uncapped(p))
+		op := c.applySpurious(cv, cv.Uncapped())
 		c.publishPerfStatus(op.Freq)
 		return op, true
 	}
@@ -231,12 +234,12 @@ func (c *Controller) OperatingPoint(p module.PowerProfile) (module.OperatingPoin
 	if c.faults != nil {
 		capW = c.faults.EffectiveCap(c.mod.ID, capW)
 	}
-	op, ok := c.mod.Capped(p, capW)
+	op, ok := cv.Capped(capW)
 	if !ok {
 		mInfeasible.Inc()
 		return module.OperatingPoint{}, false
 	}
-	if unc := c.mod.Uncapped(p); unc.CPUPower > capW {
+	if unc := cv.Uncapped(); unc.CPUPower > capW {
 		mClampEvents.Inc()
 		mPowerAboveCap.Observe(float64(unc.CPUPower - capW))
 	}
@@ -252,13 +255,13 @@ func (c *Controller) OperatingPoint(p module.PowerProfile) (module.OperatingPoin
 		// frequency the module would naturally draw less, but RAPL's
 		// controller hovers at the setpoint, so keep CPU power at min(cap,
 		// natural draw at the reduced frequency) — whichever is lower.
-		natural := c.mod.CPUPower(p, op.Freq)
+		natural := cv.CPUPower(op.Freq)
 		if natural < op.CPUPower {
 			op.CPUPower = natural
 		}
-		op.DramPower = c.mod.DramPower(p, op.Freq)
+		op.DramPower = cv.DramPower(op.Freq)
 	}
-	op = c.applySpurious(p, op)
+	op = c.applySpurious(cv, op)
 	c.publishPerfStatus(op.Freq)
 	return op, true
 }
@@ -267,7 +270,7 @@ func (c *Controller) OperatingPoint(p module.PowerProfile) (module.OperatingPoin
 // operating point: delivered frequency drops by the episode's fraction and
 // power follows the module's natural draw at the reduced clock. No-op
 // without a fault model.
-func (c *Controller) applySpurious(p module.PowerProfile, op module.OperatingPoint) module.OperatingPoint {
+func (c *Controller) applySpurious(cv module.Curve, op module.OperatingPoint) module.OperatingPoint {
 	if c.faults == nil {
 		return op
 	}
@@ -276,10 +279,10 @@ func (c *Controller) applySpurious(p module.PowerProfile, op module.OperatingPoi
 		return op
 	}
 	op.Freq = units.Hertz(float64(op.Freq) * (1 - frac))
-	if natural := c.mod.CPUPower(p, op.Freq); natural < op.CPUPower {
+	if natural := cv.CPUPower(op.Freq); natural < op.CPUPower {
 		op.CPUPower = natural
 	}
-	op.DramPower = c.mod.DramPower(p, op.Freq)
+	op.DramPower = cv.DramPower(op.Freq)
 	op.Throttled = true
 	mThrottleEvents.Inc()
 	if c.listener != nil {

@@ -87,7 +87,7 @@ func TestOperatingPointUncapped(t *testing.T) {
 	if !ok {
 		t.Fatal("uncapped resolution failed")
 	}
-	want := c.Module().Uncapped(p)
+	want := c.Module().Curve(p).Uncapped()
 	if op != want {
 		t.Fatalf("uncapped point %+v, want %+v", op, want)
 	}

@@ -503,7 +503,7 @@ func account(sys *cluster.System, cfg Config, prof module.PowerProfile, ops []mo
 					if lag > float64(sim.Elapsed) {
 						lag = float64(sim.Elapsed)
 					}
-					unc := sys.Module(id).Uncapped(prof)
+					unc := sys.Module(id).Curve(prof).Uncapped()
 					overPkg := (float64(unc.CPUPower) - float64(ops[rank].CPUPower)) * lag
 					overDram := (float64(unc.DramPower) - float64(ops[rank].DramPower)) * lag
 					if overPkg < 0 {

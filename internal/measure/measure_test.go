@@ -239,7 +239,7 @@ func TestTestRun(t *testing.T) {
 	// The measured powers track the module's true curve closely (single
 	// rank → negligible wait dilution).
 	prof := bench.ProfileFor(arch)
-	want := sys.Module(2).CPUPower(prof, arch.FNom)
+	want := sys.Module(2).Curve(prof).CPUPower(arch.FNom)
 	if math.Abs(float64(hi.CPUPower-want))/float64(want) > 0.02 {
 		t.Fatalf("test run measured %v, module model says %v", hi.CPUPower, want)
 	}

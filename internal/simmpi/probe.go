@@ -18,13 +18,14 @@ type Probe interface {
 	// index for the async engine). Zero-length intervals are not reported.
 	Interval(rank, round int, phase ProbePhase, start, end units.Seconds)
 
-	// Collective reports a communication round's arrival spread: the
-	// straggler rank arrived last (lowest rank wins ties) at time latest,
-	// the fastest participant at earliest. Emitted by the lockstep engine
-	// for every Sendrecv, Barrier and Allreduce round; kind is "sendrecv",
-	// "barrier" or "allreduce". For Sendrecv rounds the straggler is the
-	// round's globally latest arrival — the rank every transitively
-	// coupled neighbourhood ultimately waits on.
+	// Collective reports a communication round's arrival spread over the
+	// ranks alive in it: the straggler rank arrived last (lowest rank wins
+	// ties) at time latest, the fastest live participant at earliest; a
+	// dead rank's stopped clock is not an arrival. Emitted by the lockstep
+	// engine for every Sendrecv, Barrier and Allreduce round that has a
+	// live rank; kind is "sendrecv", "barrier" or "allreduce". For Sendrecv
+	// rounds the straggler is the round's globally latest arrival — the
+	// rank every transitively coupled neighbourhood ultimately waits on.
 	Collective(round int, kind string, straggler int, earliest, latest units.Seconds)
 }
 
@@ -45,13 +46,20 @@ const (
 	ProbeXfer
 )
 
-// spread returns a communication round's arrival spread over the given
-// per-rank arrival times: the straggler (argmax, lowest rank on ties) and
-// the earliest and latest arrivals — the arguments Probe.Collective wants.
-func spread(arrive []units.Seconds) (straggler int, earliest, latest units.Seconds) {
-	earliest = arrive[0]
-	latest = arrive[0]
+// spread returns a communication round's arrival spread over the live
+// ranks (all of them when dead is nil): the straggler (argmax, lowest rank
+// on ties) and the earliest and latest arrivals — the arguments
+// Probe.Collective wants. A dead rank's stopped clock is no arrival. ok is
+// false when no rank is live.
+func spread(arrive []units.Seconds, dead []bool) (straggler int, earliest, latest units.Seconds, ok bool) {
 	for rank, at := range arrive {
+		if dead != nil && dead[rank] {
+			continue
+		}
+		if !ok {
+			straggler, earliest, latest, ok = rank, at, at, true
+			continue
+		}
 		if at < earliest {
 			earliest = at
 		}
@@ -60,7 +68,7 @@ func spread(arrive []units.Seconds) (straggler int, earliest, latest units.Secon
 			straggler = rank
 		}
 	}
-	return straggler, earliest, latest
+	return straggler, earliest, latest, ok
 }
 
 // String returns the stable name of the phase.

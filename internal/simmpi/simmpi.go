@@ -4,8 +4,13 @@
 //
 // Programs are bulk-synchronous SPMD: every rank executes the same sequence
 // of operation *kinds* (compute, neighbour exchange, barrier, allreduce),
-// though per-rank parameters (work amounts, peer lists) differ. The engine
-// exploits that structure: it advances all ranks round by round and
+// though per-rank parameters (work amounts, peer lists) differ. A Program
+// is therefore a few distinct per-rank op tables plus a schedule that plays
+// one table per round. The engine exploits that structure twice. It
+// resolves each table once per run — compute times from the Model (which
+// must be pure), wire times and range-checked peer lists, a collective's
+// tree cost, the SPMD kind check — and then plays the schedule as plain
+// arithmetic over per-rank clocks, all ranks round by round. And it
 // resolves each communication round exactly — a rank's Sendrecv completes
 // when the slowest participating peer has arrived, a collective completes
 // when the slowest rank in the communicator has arrived. This is the
@@ -35,11 +40,10 @@ import (
 // *virtual* (simulated) seconds; counters are incremented once per round,
 // not per rank, so the hot loop stays untouched.
 var (
-	mRounds = func() map[string]*telemetry.Counter {
-		m := make(map[string]*telemetry.Counter, 4)
-		for _, kind := range []string{"compute", "sendrecv", "barrier", "allreduce"} {
+	mRounds = func() (m [kindAllreduce + 1]*telemetry.Counter) {
+		for kind := kindCompute; kind <= kindAllreduce; kind++ {
 			m[kind] = telemetry.Default().Counter("varpower_mpi_rounds_total",
-				"SPMD operation rounds executed, by operation kind.", telemetry.Labels{"kind": kind})
+				"SPMD operation rounds executed, by operation kind.", telemetry.Labels{"kind": kindNames[kind]})
 		}
 		return m
 	}()
@@ -80,19 +84,34 @@ func (Sendrecv) isOp()  {}
 func (Barrier) isOp()   {}
 func (Allreduce) isOp() {}
 
-// Program generates the SPMD operation sequence. Round r of every rank must
-// carry the same operation kind; parameters may differ per rank.
+// Program is a bulk-synchronous SPMD program given as a few distinct
+// per-rank op tables plus a schedule that plays one table per round: an
+// iterative code has a compute table and a communication table and
+// alternates them, whatever its round count. The engine resolves each table
+// once per run and plays the schedule over the resolved tables.
 type Program interface {
+	// Tables returns the program's distinct op tables: Tables()[i][rank] is
+	// rank's operation in every round that plays table i. Each table holds
+	// one op per rank, all of rank 0's kind; per-rank parameters (work
+	// amounts, peer lists) may differ. A table that breaks this, or names a
+	// peer outside [0, size), fails the run before its first round, whether
+	// or not a round plays it. The engine reads but never modifies the
+	// tables.
+	Tables() [][]Op
 	// Rounds is the number of operation rounds.
 	Rounds() int
-	// Round returns rank's operation for round r.
-	Round(rank, r int) Op
+	// Round returns the index in Tables of round r's table.
+	Round(r int) int
 }
 
 // Model converts a rank's abstract work into time on whatever hardware the
 // rank is running on.
 type Model interface {
-	// ComputeTime returns the wall time rank needs for the given work.
+	// ComputeTime returns the wall time rank needs for the given work; a
+	// negative time fails the run. It must be a pure function of (rank,
+	// cycles, bytes): the engine calls it once per (table, rank) when it
+	// resolves a run, not once per round, including for ranks that die
+	// before the table is played.
 	ComputeTime(rank int, cycles, bytes float64) units.Seconds
 }
 
@@ -245,9 +264,19 @@ func RunFaulty(p Program, size int, m Model, net Network, probe Probe, fs *Fault
 	if err != nil {
 		return Result{}, err
 	}
+	var dead []bool // nil when no rank can die
+	if fault != nil {
+		dead = fault.dead
+	}
+	// Programs have a handful of tables (workload's have one or two), so
+	// their descriptors live on the stack: a run allocates its result, its
+	// clocks with the resolved times, and its peer lists.
+	var small [4]table
+	tabs, t, arrive, err := resolve(p.Tables(), size, m, net, small[:0])
+	if err != nil {
+		return Result{}, err
+	}
 	res := Result{Ranks: make([]RankStats, size)}
-	t := make([]units.Seconds, size)
-	arrive := make([]units.Seconds, size)
 	rounds := p.Rounds()
 
 	for r := 0; r < rounds; r++ {
@@ -260,22 +289,19 @@ func RunFaulty(p Program, size int, m Model, net Network, probe Probe, fs *Fault
 				}
 			}
 		}
-		proto := p.Round(0, r)
-		switch proto.(type) {
-		case Compute:
-			mRounds["compute"].Inc()
+		i := p.Round(r)
+		if i < 0 || i >= len(tabs) {
+			return Result{}, fmt.Errorf("simmpi: round %d plays table %d of %d", r, i, len(tabs))
+		}
+		tb := &tabs[i]
+		mRounds[tb.kind].Inc()
+		switch tb.kind {
+		case kindCompute:
 			for rank := 0; rank < size; rank++ {
 				if fault != nil && fault.dead[rank] {
 					continue
 				}
-				op, ok := p.Round(rank, r).(Compute)
-				if !ok {
-					return Result{}, kindMismatch(r, rank, proto, p.Round(rank, r))
-				}
-				dt := m.ComputeTime(rank, op.Cycles, op.Bytes)
-				if dt < 0 {
-					return Result{}, fmt.Errorf("simmpi: negative compute time %v at rank %d round %d", dt, rank, r)
-				}
+				dt := tb.secs[rank]
 				if fault != nil && fault.dies(rank, t[rank]+dt) {
 					// The rank dies mid-compute: truncate the op at the
 					// death time and mark the rank down.
@@ -293,23 +319,15 @@ func RunFaulty(p Program, size int, m Model, net Network, probe Probe, fs *Fault
 				res.Ranks[rank].Busy += dt
 			}
 
-		case Sendrecv:
-			mRounds["sendrecv"].Inc()
+		case kindSendrecv:
 			copy(arrive, t)
 			for rank := 0; rank < size; rank++ {
 				if fault != nil && fault.dead[rank] {
 					continue
 				}
-				op, ok := p.Round(rank, r).(Sendrecv)
-				if !ok {
-					return Result{}, kindMismatch(r, rank, proto, p.Round(rank, r))
-				}
 				start := arrive[rank]
 				deadPeer := false
-				for _, peer := range op.Peers {
-					if peer < 0 || peer >= size {
-						return Result{}, fmt.Errorf("simmpi: rank %d round %d has peer %d outside [0,%d)", rank, r, peer, size)
-					}
+				for _, peer := range tb.peers[tb.off[rank]:tb.off[rank+1]] {
 					if fault != nil && fault.dead[peer] {
 						deadPeer = true
 						continue
@@ -325,7 +343,7 @@ func RunFaulty(p Program, size int, m Model, net Network, probe Probe, fs *Fault
 						start = to
 					}
 				}
-				xfer := net.transfer(op.Bytes)
+				xfer := tb.secs[rank]
 				end := start + xfer
 				st := &res.Ranks[rank]
 				st.Wait += start - arrive[rank]
@@ -341,17 +359,8 @@ func RunFaulty(p Program, size int, m Model, net Network, probe Probe, fs *Fault
 					}
 				}
 			}
-			if probe != nil {
-				straggler, earliest, latest := spread(arrive)
-				probe.Collective(r, "sendrecv", straggler, earliest, latest)
-			}
 
-		case Barrier, Allreduce:
-			kind := "barrier"
-			if _, isAR := proto.(Allreduce); isAR {
-				kind = "allreduce"
-			}
-			mRounds[kind].Inc()
+		case kindBarrier, kindAllreduce:
 			copy(arrive, t)
 			var max units.Seconds
 			anyDead := false
@@ -369,18 +378,10 @@ func RunFaulty(p Program, size int, m Model, net Network, probe Probe, fs *Fault
 				// detector gives up on the dead members.
 				max += fault.timeout
 			}
-			var cost units.Seconds
-			if ar, ok := proto.(Allreduce); ok {
-				cost = net.collectiveCost(ar.Bytes, size)
-			} else {
-				cost = net.collectiveCost(0, size)
-			}
+			cost := tb.cost
 			for rank := 0; rank < size; rank++ {
 				if fault != nil && fault.dead[rank] {
 					continue
-				}
-				if !sameKind(proto, p.Round(rank, r)) {
-					return Result{}, kindMismatch(r, rank, proto, p.Round(rank, r))
 				}
 				st := &res.Ranks[rank]
 				st.Wait += max - arrive[rank]
@@ -395,13 +396,11 @@ func RunFaulty(p Program, size int, m Model, net Network, probe Probe, fs *Fault
 					}
 				}
 			}
-			if probe != nil {
-				straggler, earliest, latest := spread(arrive)
-				probe.Collective(r, kind, straggler, earliest, latest)
+		}
+		if probe != nil && tb.kind != kindCompute {
+			if straggler, earliest, latest, ok := spread(arrive, dead); ok {
+				probe.Collective(r, kindNames[tb.kind], straggler, earliest, latest)
 			}
-
-		default:
-			return Result{}, fmt.Errorf("simmpi: unknown op %T at round %d", proto, r)
 		}
 	}
 
@@ -437,29 +436,129 @@ func RunFaulty(p Program, size int, m Model, net Network, probe Probe, fs *Fault
 	return res, nil
 }
 
-// sameKind reports whether two ops share a concrete kind. It is called once
-// per rank in collective rounds, so it must not allocate (the previous
-// fmt.Sprintf("%T") implementation was ~5% of all simulation allocations).
-func sameKind(a, b Op) bool {
-	switch a.(type) {
-	case Compute:
-		_, ok := b.(Compute)
-		return ok
-	case Sendrecv:
-		_, ok := b.(Sendrecv)
-		return ok
-	case Barrier:
-		_, ok := b.(Barrier)
-		return ok
-	case Allreduce:
-		_, ok := b.(Allreduce)
-		return ok
-	default:
-		return false
-	}
+// opKind is an op's concrete kind. A table's kind is its rank-0 op's, and
+// every rank that plays the table must issue that kind.
+type opKind uint8
+
+const (
+	kindUnknown opKind = iota
+	kindCompute
+	kindSendrecv
+	kindBarrier
+	kindAllreduce
+)
+
+// kindNames are the kinds' metric labels and Probe.Collective names.
+var kindNames = [...]string{
+	kindCompute:   "compute",
+	kindSendrecv:  "sendrecv",
+	kindBarrier:   "barrier",
+	kindAllreduce: "allreduce",
 }
 
-func kindMismatch(round, rank int, want, got Op) error {
-	return fmt.Errorf("simmpi: SPMD violation at round %d: rank %d issues %T while rank 0 issues %T",
-		round, rank, got, want)
+func kindOf(op Op) opKind {
+	switch op.(type) {
+	case Compute:
+		return kindCompute
+	case Sendrecv:
+		return kindSendrecv
+	case Barrier:
+		return kindBarrier
+	case Allreduce:
+		return kindAllreduce
+	}
+	return kindUnknown
+}
+
+// table is one of a Program's tables resolved for a run: what a round that
+// plays it needs, as flat per-rank arrays, so the round loop never calls
+// back into the Program or the Model.
+type table struct {
+	kind opKind
+	// secs is each rank's compute time (compute tables) or wire time
+	// (sendrecv tables); cost is a barrier's or allreduce's tree cost.
+	secs []units.Seconds
+	cost units.Seconds
+	// rank's peers in a sendrecv table are peers[off[rank]:off[rank+1]],
+	// all inside [0, size).
+	off, peers []int
+}
+
+// resolve checks a program's tables for a size-rank run and appends them,
+// resolved, to tabs. A table fails the run before any round is played if
+// it is not one op per rank, if any rank's op is not rank 0's kind, or if
+// it holds a negative compute time or a peer outside the communicator. t
+// and arrive are the run's clocks and arrival scratch; they share one
+// allocation with every table's per-rank times, and all peer lists share
+// another.
+func resolve(tables [][]Op, size int, m Model, net Network, tabs []table) (_ []table, t, arrive []units.Seconds, err error) {
+	nsecs, nints := 2*size, 0
+	for i, ops := range tables {
+		if len(ops) != size {
+			return nil, nil, nil, fmt.Errorf("simmpi: table %d has %d ops for %d ranks", i, len(ops), size)
+		}
+		kind := kindOf(ops[0])
+		if kind == kindUnknown {
+			return nil, nil, nil, fmt.Errorf("simmpi: table %d: unknown op %T", i, ops[0])
+		}
+		for rank, op := range ops {
+			if kindOf(op) != kind {
+				return nil, nil, nil, fmt.Errorf("simmpi: SPMD violation in table %d: rank %d issues %T while rank 0 issues %T",
+					i, rank, op, ops[0])
+			}
+		}
+		switch kind {
+		case kindCompute:
+			nsecs += size
+		case kindSendrecv:
+			nsecs += size
+			nints += size + 1
+			for _, op := range ops {
+				nints += len(op.(Sendrecv).Peers)
+			}
+		}
+	}
+	secs := make([]units.Seconds, nsecs)
+	var ints []int
+	if nints > 0 {
+		ints = make([]int, nints)
+	}
+	t, arrive, secs = secs[:size], secs[size:2*size], secs[2*size:]
+	for i, ops := range tables {
+		tb := table{kind: kindOf(ops[0])}
+		switch tb.kind {
+		case kindCompute:
+			tb.secs, secs = secs[:size], secs[size:]
+			for rank, op := range ops {
+				c := op.(Compute)
+				tb.secs[rank] = m.ComputeTime(rank, c.Cycles, c.Bytes)
+				if tb.secs[rank] < 0 {
+					return nil, nil, nil, fmt.Errorf("simmpi: negative compute time %v at rank %d in table %d", tb.secs[rank], rank, i)
+				}
+			}
+		case kindSendrecv:
+			tb.secs, secs = secs[:size], secs[size:]
+			tb.off, ints = ints[:size+1], ints[size+1:]
+			n := 0
+			for rank, op := range ops {
+				sr := op.(Sendrecv)
+				for _, peer := range sr.Peers {
+					if peer < 0 || peer >= size {
+						return nil, nil, nil, fmt.Errorf("simmpi: rank %d in table %d has peer %d outside [0,%d)", rank, i, peer, size)
+					}
+				}
+				tb.off[rank] = n
+				n += copy(ints[n:], sr.Peers)
+				tb.secs[rank] = net.transfer(sr.Bytes)
+			}
+			tb.off[size] = n
+			tb.peers, ints = ints[:n], ints[n:]
+		case kindBarrier:
+			tb.cost = net.collectiveCost(0, size)
+		case kindAllreduce:
+			tb.cost = net.collectiveCost(ops[0].(Allreduce).Bytes, size)
+		}
+		tabs = append(tabs, tb)
+	}
+	return tabs, t, arrive, nil
 }

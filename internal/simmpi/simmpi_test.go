@@ -10,11 +10,23 @@ import (
 	"varpower/internal/xrand"
 )
 
-// sliceProgram is a Program backed by explicit per-rank op slices.
+// sliceProgram is a Program backed by explicit per-rank op slices: round r
+// plays its own table, ops[rank][r] over the ranks.
 type sliceProgram struct{ ops [][]Op }
 
-func (p sliceProgram) Rounds() int          { return len(p.ops[0]) }
-func (p sliceProgram) Round(rank, r int) Op { return p.ops[rank][r] }
+func (p sliceProgram) Tables() [][]Op {
+	tables := make([][]Op, p.Rounds())
+	for r := range tables {
+		tables[r] = make([]Op, len(p.ops))
+		for rank := range p.ops {
+			tables[r][rank] = p.ops[rank][r]
+		}
+	}
+	return tables
+}
+func (p sliceProgram) Rounds() int     { return len(p.ops[0]) }
+func (p sliceProgram) Round(r int) int { return r }
+
 func unitModel() Model {
 	return ModelFunc(func(rank int, cycles, bytes float64) units.Seconds {
 		return units.Seconds(cycles) // 1 cycle == 1 second for test clarity

@@ -168,57 +168,60 @@ func (b *Benchmark) FrequencySensitivity(arch *module.Arch) float64 {
 // Program builds the benchmark's SPMD program for the given communicator
 // size. Halo patterns are laid out on a near-cubic 3-D torus.
 //
-// All per-rank operations are materialised once here: the simulator calls
-// Round once per rank per round in its hot loop, so returning prebuilt
-// (already boxed) ops keeps that loop allocation-free. Imbalance draws and
-// torus neighbour lists are likewise computed once per rank instead of once
-// per round.
+// The program is at most two op tables — each rank's compute op and its
+// halo exchange or collective — and a schedule that alternates them (or
+// ends on one final reduce). Every op is built and boxed once here, and
+// the imbalance draws and torus neighbour lists once per rank; the
+// simulator resolves each table once per run.
 func (b *Benchmark) Program(size int, seed uint64) (simmpi.Program, error) {
 	if size < 1 {
 		return nil, fmt.Errorf("workload: program size %d", size)
 	}
-	p := &program{bench: b, size: size, seed: seed}
-	p.computeOps = make([]simmpi.Op, size)
+	nt := 1
+	if b.Comm != CommNone {
+		nt = 2
+	}
+	// One backing array for both tables.
+	ops := make([]simmpi.Op, nt*size)
+	compute, comm := ops[:size], ops[size:]
 	for rank := 0; rank < size; rank++ {
 		w := b.Imbalance(seed, rank)
-		p.computeOps[rank] = simmpi.Compute{
+		compute[rank] = simmpi.Compute{
 			Cycles: b.CyclesPerIter * w,
 			Bytes:  b.BytesPerIter * w,
 		}
 	}
 	switch b.Comm {
 	case CommHalo3D:
-		p.topo = NewTorus3D(size)
-		p.commOps = make([]simmpi.Op, size)
+		topo := NewTorus3D(size)
 		// One flat backing array for every rank's neighbour list; capacity 6
 		// covers the worst case (±1 in three dimensions), so the sub-slices
 		// handed to Sendrecv ops stay valid — no reallocation can occur.
 		flat := make([]int, 0, 6*size)
 		for rank := 0; rank < size; rank++ {
 			start := len(flat)
-			flat = p.topo.AppendNeighbors(flat, rank)
-			p.commOps[rank] = simmpi.Sendrecv{Peers: flat[start:len(flat):len(flat)], Bytes: b.MsgBytes}
+			flat = topo.AppendNeighbors(flat, rank)
+			comm[rank] = simmpi.Sendrecv{Peers: flat[start:len(flat):len(flat)], Bytes: b.MsgBytes}
 		}
 	case CommAllreduce, CommFinalReduce:
-		p.commOp = simmpi.Allreduce{Bytes: b.MsgBytes}
+		var op simmpi.Op = simmpi.Allreduce{Bytes: b.MsgBytes}
+		for rank := range comm {
+			comm[rank] = op
+		}
 	}
-	return p, nil
+	return &program{bench: b, tables: [2][]simmpi.Op{compute, comm}, ntables: nt}, nil
 }
 
-// program implements simmpi.Program for a Benchmark.
+// program implements simmpi.Program for a Benchmark: tables[0] holds each
+// rank's compute op, tables[1] its halo exchange or collective.
 type program struct {
-	bench *Benchmark
-	size  int
-	seed  uint64
-	topo  *Torus3D
-
-	// Prebuilt, pre-boxed operations (see Program). computeOps[rank] is the
-	// rank's compute op; commOps[rank] is its halo exchange; commOp is the
-	// shared collective for reduction patterns.
-	computeOps []simmpi.Op
-	commOps    []simmpi.Op
-	commOp     simmpi.Op
+	bench   *Benchmark
+	tables  [2][]simmpi.Op
+	ntables int
 }
+
+// Tables implements simmpi.Program.
+func (p *program) Tables() [][]simmpi.Op { return p.tables[:p.ntables] }
 
 // Rounds implements simmpi.Program: one compute round per iteration, plus a
 // communication round per iteration for iterative patterns, plus one final
@@ -234,24 +237,20 @@ func (p *program) Rounds() int {
 	}
 }
 
-// Round implements simmpi.Program by indexing the prebuilt op tables.
-func (p *program) Round(rank, r int) simmpi.Op {
+// Round implements simmpi.Program: iterative patterns alternate compute
+// and communication, CommFinalReduce communicates once after its last
+// iteration, and CommNone only computes.
+func (p *program) Round(r int) int {
 	switch p.bench.Comm {
 	case CommHalo3D, CommAllreduce:
-		if r%2 == 0 {
-			return p.computeOps[rank]
-		}
-		if p.bench.Comm == CommHalo3D {
-			return p.commOps[rank]
-		}
-		return p.commOp
+		return r % 2
 	case CommFinalReduce:
 		if r < p.bench.Iterations {
-			return p.computeOps[rank]
+			return 0
 		}
-		return p.commOp
+		return 1
 	default:
-		return p.computeOps[rank]
+		return 0
 	}
 }
 

@@ -156,12 +156,21 @@ func TestProgramShapes(t *testing.T) {
 				t.Errorf("%s rounds=%d, want %d", b.Name, rounds, b.Iterations+1)
 			}
 		}
-		// Every round must be SPMD-consistent across ranks.
+		// Every round must play a table, and every table must be
+		// SPMD-consistent across ranks.
+		tables := p.Tables()
 		for r := 0; r < rounds; r++ {
-			proto := p.Round(0, r)
+			if i := p.Round(r); i < 0 || i >= len(tables) {
+				t.Fatalf("%s: round %d plays table %d of %d", b.Name, r, i, len(tables))
+			}
+		}
+		for i, tab := range tables {
+			if len(tab) != 8 {
+				t.Fatalf("%s: table %d has %d ops for 8 ranks", b.Name, i, len(tab))
+			}
 			for rank := 1; rank < 8; rank++ {
-				if kindOf(p.Round(rank, r)) != kindOf(proto) {
-					t.Fatalf("%s: op kind mismatch at round %d rank %d", b.Name, r, rank)
+				if kindOf(tab[rank]) != kindOf(tab[0]) {
+					t.Fatalf("%s: op kind mismatch in table %d rank %d", b.Name, i, rank)
 				}
 			}
 		}
