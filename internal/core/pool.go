@@ -14,8 +14,9 @@ import (
 // pinned frequencies. Cloning a system allocates its full per-module state;
 // at fleet scale that made Framework.Clone the dominant allocation source.
 // The pool caps that cost at one live replica per concurrent worker: Put
-// resets the replica's system to power-on state (cluster.System.Reset) and
-// shelves it for the next Get.
+// resets the replica's system to power-on state (cluster.System.Reset),
+// undoes what the borrower set on the framework (observers, trace, a
+// Workers width) and shelves it for the next Get.
 //
 // The reuse invariant is bit-identity: a recycled replica must measure
 // exactly like a fresh clone. System.Reset guarantees it by rewriting every
@@ -45,11 +46,14 @@ func (p *ReplicaPool) Get() *Framework {
 // Put resets fw's system to its power-on state and shelves the replica for
 // reuse. fw must have come from Get on this pool and must not be used after
 // Put. Any recorder, collector or trace span attached for the borrow is
-// detached (Clone never copies them either).
+// detached (Clone never copies them either), and a Workers width set for
+// the borrow is restored to the base framework's, so the next borrower
+// starts from exactly what Clone would give it.
 func (p *ReplicaPool) Put(fw *Framework) {
 	if fw == nil {
 		return
 	}
+	fw.Workers = p.base.Workers
 	fw.Recorder = nil
 	fw.Attrib = nil
 	fw.Tenant, fw.JobID = "", ""

@@ -23,7 +23,9 @@ type Framework struct {
 	// Workers bounds the fan-out of the framework's per-module loops
 	// (oracle measurement, final-run resolution and accounting): < 1
 	// selects GOMAXPROCS, 1 recovers the fully serial pipeline. Results
-	// are byte-identical for every worker count.
+	// are byte-identical for every worker count, so a caller that already
+	// runs replicas concurrently (EvaluationGrid's cells) may set 1 on
+	// each borrowed replica; ReplicaPool.Put restores the base width.
 	Workers int
 
 	// Recorder, when non-nil, attaches the framework's *final* application

@@ -3,8 +3,10 @@ package experiments
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 )
 
@@ -68,6 +70,24 @@ func TestGoldenFigure5(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "figure5", buf.Bytes())
+}
+
+// TestTable4Golden snapshots Table 4 at the golden scale: every row's marks
+// and the two per-module powers that place its boundaries, printed at full
+// precision, so a change in how a row is measured that moves either power
+// by one ulp shows here even when no mark flips.
+func TestTable4Golden(t *testing.T) {
+	t4, err := Table4(goldenOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	fmt.Fprintf(&buf, "cm_w %v\n", t4.CmW)
+	full := func(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
+	for _, row := range t4.Rows {
+		fmt.Fprintf(&buf, "%s %v uncapped_w=%s fmin_w=%s\n", row.Bench, row.Marks, full(row.UncappedModuleW), full(row.FminModuleW))
+	}
+	checkGolden(t, "table4", buf.Bytes())
 }
 
 // TestGoldenFigure7 snapshots the headline speedup table — the full

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"varpower/internal/cluster"
+	"varpower/internal/hw/module"
 	"varpower/internal/measure"
 	"varpower/internal/obs"
 	"varpower/internal/parallel"
@@ -51,10 +52,12 @@ type Table4Result struct {
 
 // Table4 reproduces the paper's Table 4: for each benchmark and system
 // constraint Cs, whether the scenario is evaluated (X), not sufficiently
-// constrained (•), or infeasible (–). The boundaries follow from measured
-// power: a scenario is unconstrained when the average uncapped module power
-// fits within Cm = Cs/n, and infeasible when even fmin operation exceeds
-// the budget.
+// constrained (•), or infeasible (–). The boundaries follow from each
+// module's steady-state power: a scenario is unconstrained when the average
+// uncapped module power fits within Cm = Cs/n, and infeasible when even
+// fmin operation exceeds the budget. Those powers are the operating points
+// a run resolves before it executes, so each row resolves its uncapped and
+// fmin points (measure.Resolve) and runs no application.
 func Table4(o Options) (Table4Result, error) {
 	o = o.withDefaults()
 	sys, ids, err := o.haSystem()
@@ -70,8 +73,8 @@ func Table4(o Options) (Table4Result, error) {
 	for i := range fmins {
 		fmins[i] = sys.Spec.Arch.FMin
 	}
-	// Each benchmark's uncapped and fmin sweeps run on a private system
-	// replica so the rows can be measured concurrently; the per-row marks
+	// Each benchmark's uncapped and fmin points resolve on a private system
+	// replica so the rows can be resolved concurrently; the per-row marks
 	// derive only from deterministic operating points, so the table is
 	// byte-identical for every worker count. Replicas are pooled: a row
 	// returns its system reset to power-on state for the next row to
@@ -91,11 +94,11 @@ func Table4(o Options) (Table4Result, error) {
 			rsys.Reset()
 			sysPool.Put(rsys)
 		}()
-		unc, err := measure.Run(rsys, measure.Config{Bench: b, Modules: ids, Mode: measure.ModeUncapped, Workers: o.Workers, Trace: span})
+		unc, err := measure.Resolve(rsys, measure.Config{Bench: b, Modules: ids, Mode: measure.ModeUncapped, Workers: o.Workers, Trace: span})
 		if err != nil {
 			return Table4Row{}, fmt.Errorf("experiments: table 4 %s: %w", b.Name, err)
 		}
-		min, err := measure.Run(rsys, measure.Config{Bench: b, Modules: ids, Mode: measure.ModePinned, Freqs: fmins, Workers: o.Workers, Trace: span})
+		min, err := measure.Resolve(rsys, measure.Config{Bench: b, Modules: ids, Mode: measure.ModePinned, Freqs: fmins, Workers: o.Workers, Trace: span})
 		if err != nil {
 			return Table4Row{}, fmt.Errorf("experiments: table 4 %s at fmin: %w", b.Name, err)
 		}
@@ -140,10 +143,10 @@ func (t Table4Result) EvaluatedConstraints(bench string) []units.Watts {
 	return nil
 }
 
-func meanModulePower(res measure.Result) float64 {
-	xs := make([]float64, len(res.Ranks))
-	for i, r := range res.Ranks {
-		xs[i] = float64(r.Op.ModulePower())
+func meanModulePower(ops []module.OperatingPoint) float64 {
+	xs := make([]float64, len(ops))
+	for i, op := range ops {
+		xs[i] = float64(op.ModulePower())
 	}
 	return stats.Mean(xs)
 }

@@ -45,9 +45,10 @@ func TestGridEmitsRequiredMetricFamilies(t *testing.T) {
 
 // TestTracedGridSpanTree runs a small grid under a trace and checks that
 // the phases nest as DESIGN §8 draws them: each framework.run under a
-// grid.cell, budget.solve and framework.execute under a framework.run, and
-// each cell's measured run under its framework.execute. Test runs stay out
-// of the tree, so it holds one measure.run per application run.
+// grid.cell, budget.solve and framework.execute under a framework.run, each
+// cell's measured run under its framework.execute, and each Table 4 row's
+// two resolutions directly under the row. Test runs stay out of the tree,
+// so it holds one measure.run per final run.
 func TestTracedGridSpanTree(t *testing.T) {
 	_, rt := obs.New(obs.Config{}).StartRequest(context.Background(), obs.Request{Route: "grid"})
 	g, err := EvaluationGrid(Options{HA8KModules: 48, Trace: *rt.Root()})
@@ -71,8 +72,8 @@ func TestTracedGridSpanTree(t *testing.T) {
 		"budget.solve":      {"framework.run"},
 		"framework.execute": {"framework.run"},
 		"pmt.oracle":        {"grid.model"},
-		"measure.run":       {"framework.execute", "table4.row"},
-		"measure.resolve":   {"measure.run"},
+		"measure.run":       {"framework.execute"},
+		"measure.resolve":   {"measure.run", "table4.row"},
 		"measure.simulate":  {"measure.run"},
 		"measure.account":   {"measure.run"},
 	}
@@ -91,8 +92,11 @@ func TestTracedGridSpanTree(t *testing.T) {
 			t.Errorf("%d %s spans, want one per cell (%d)", count[name], name, cells)
 		}
 	}
-	if want := count["framework.execute"] + 2*count["table4.row"]; count["measure.run"] != want {
-		t.Errorf("%d measure.run spans, want %d: one per final run and two per Table 4 row", count["measure.run"], want)
+	if want := count["framework.execute"]; count["measure.run"] != want {
+		t.Errorf("%d measure.run spans, want %d: one per final run", count["measure.run"], want)
+	}
+	if want := count["measure.run"] + 2*count["table4.row"]; count["measure.resolve"] != want {
+		t.Errorf("%d measure.resolve spans, want %d: one per final run and two per Table 4 row", count["measure.resolve"], want)
 	}
 }
 

@@ -255,7 +255,6 @@ func Run(sys *cluster.System, cfg Config) (Result, error) {
 	span.SetAttr("bench", cfg.Bench.Name)
 	span.SetInt("ranks", len(cfg.Modules))
 	defer span.End()
-	n := len(cfg.Modules)
 	prof := cfg.Bench.ProfileFor(sys.Spec.Arch)
 
 	var rec *recording
@@ -269,14 +268,7 @@ func Run(sys *cluster.System, cfg Config) (Result, error) {
 		defer rec.detach(sys)
 	}
 
-	// Resolve each rank's steady-state operating point. Each rank programs
-	// and reads only its own module's RAPL controller and governor, so the
-	// fan-out is safe whenever the module IDs are distinct.
-	sp := span.Start("measure.resolve")
-	ops, err := parallel.Map(rankWorkers(cfg), n, func(rank int) (module.OperatingPoint, error) {
-		return resolve(sys, cfg, prof, rank, cfg.Modules[rank])
-	})
-	sp.End()
+	ops, err := resolveAll(sys, cfg, prof, span)
 	if err != nil {
 		return Result{}, err
 	}
@@ -285,7 +277,7 @@ func Run(sys *cluster.System, cfg Config) (Result, error) {
 	if rec != nil {
 		probe = rec
 	}
-	sp = span.Start("measure.simulate")
+	sp := span.Start("measure.simulate")
 	res, err := simulate(sys, cfg, ops, probe)
 	sp.End()
 	if err != nil {
@@ -305,6 +297,32 @@ func Run(sys *cluster.System, cfg Config) (Result, error) {
 		observeAttrib(sys, cfg, prof, ops, res, out)
 	}
 	return out, nil
+}
+
+// Resolve programs cfg's control mode on every rank's module and returns
+// the steady-state operating points a Run of cfg would execute at, in rank
+// order, under a measure.resolve span parented by cfg.Trace. It is Run's
+// first step on its own: nothing is simulated or accounted, the energy
+// counters are untouched, and no run is counted. Callers that need only
+// the operating points (Table 4's feasibility boundaries) skip the DES and
+// the energy polls.
+func Resolve(sys *cluster.System, cfg Config) ([]module.OperatingPoint, error) {
+	if err := validate(sys, &cfg); err != nil {
+		return nil, err
+	}
+	return resolveAll(sys, cfg, cfg.Bench.ProfileFor(sys.Spec.Arch), cfg.Trace)
+}
+
+// resolveAll resolves each rank's steady-state operating point under a
+// measure.resolve span. Each rank programs and reads only its own module's
+// RAPL controller and governor, so the fan-out is safe whenever the module
+// IDs are distinct.
+func resolveAll(sys *cluster.System, cfg Config, prof module.PowerProfile, parent obs.Span) ([]module.OperatingPoint, error) {
+	sp := parent.Start("measure.resolve")
+	defer sp.End()
+	return parallel.Map(rankWorkers(cfg), len(cfg.Modules), func(rank int) (module.OperatingPoint, error) {
+		return resolve(sys, cfg, prof, rank, cfg.Modules[rank])
+	})
 }
 
 // validate checks the configuration shape.

@@ -22,6 +22,13 @@
 // on the caller's goroutine (lowest index wins), so a crashing task behaves
 // like a crashing serial loop instead of killing the process from an
 // anonymous goroutine.
+//
+// The engine's per-task overhead is an index claim and a local tally: it
+// reads no clock and takes no lock per task. Its only metric is
+// varpower_parallel_tasks_total, which each worker adds to once, when it
+// exits. The sweep stages time their own tasks with spans (grid.cell,
+// grid.model, table4.row, hetero.cell); per-module and per-rank tasks are
+// not timed one by one.
 package parallel
 
 import (
@@ -31,21 +38,13 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"varpower/internal/telemetry"
 )
 
-// Fan-out telemetry: every task's wall-clock duration feeds one histogram
-// and a counter, so sweeps expose their per-task cost distribution without
-// any per-call-site wiring. Handles are resolved once; the per-task cost
-// is two atomic adds plus a mutexed histogram insert.
-var (
-	mTasks = telemetry.Default().Counter("varpower_parallel_tasks_total",
-		"Tasks executed by the parallel fan-out engine.", nil)
-	mTaskDur = telemetry.Default().Histogram("varpower_parallel_task_seconds",
-		"Wall-clock duration of individual parallel tasks.", nil, nil)
-)
+// mTasks counts the tasks that ran, errored and panicked ones included.
+var mTasks = telemetry.Default().Counter("varpower_parallel_tasks_total",
+	"Tasks executed by the parallel fan-out engine.", nil)
 
 // progressKey carries a ProgressFunc through a context.
 type progressKey struct{}
@@ -135,9 +134,7 @@ func MapCtx[T any](ctx context.Context, workers, n int, fn func(ctx context.Cont
 	}
 	progress := progressFrom(ctx)
 	var done atomic.Int64
-	finish := func(start time.Time) {
-		mTasks.Inc()
-		mTaskDur.Observe(time.Since(start).Seconds())
+	finish := func() {
 		if progress != nil {
 			progress(int(done.Add(1)), n)
 		}
@@ -146,13 +143,15 @@ func MapCtx[T any](ctx context.Context, workers, n int, fn func(ctx context.Cont
 	if workers == 1 {
 		// Serial fast path: no goroutines, no synchronisation — exactly
 		// today's loop, used by -workers=1 and single-task jobs.
+		ran := 0
+		defer func() { mTasks.Add(float64(ran)) }()
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			start := time.Now()
+			ran++
 			v, err := fn(ctx, i)
-			finish(start)
+			finish()
 			if err != nil {
 				return nil, fmt.Errorf("parallel: task %d: %w", i, err)
 			}
@@ -176,6 +175,8 @@ func MapCtx[T any](ctx context.Context, workers, n int, fn func(ctx context.Cont
 	}
 	worker := func() {
 		defer wg.Done()
+		ran := 0
+		defer func() { mTasks.Add(float64(ran)) }()
 		for {
 			if stopped.Load() || ctx.Err() != nil {
 				return
@@ -184,9 +185,9 @@ func MapCtx[T any](ctx context.Context, workers, n int, fn func(ctx context.Cont
 			if i >= n {
 				return
 			}
+			ran++
 			func() {
-				start := time.Now()
-				defer finish(start)
+				defer finish()
 				defer func() {
 					if r := recover(); r != nil {
 						// debug.Stack grows its buffer to fit, so deep

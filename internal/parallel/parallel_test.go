@@ -294,3 +294,77 @@ func TestMapDeterministicReduction(t *testing.T) {
 		}
 	}
 }
+
+// TestTasksCounted: varpower_parallel_tasks_total grows by exactly the
+// number of tasks that ran — n for a clean fan-out of any width (n = 0
+// included), the tasks that started when one errors or panics, and both
+// levels' tasks for a nested fan-out. The tally is added when a worker
+// exits, so it is complete by the time Map returns.
+func TestTasksCounted(t *testing.T) {
+	widths := []int{1, 2, runtime.GOMAXPROCS(0)}
+	counted := func(f func()) int {
+		t.Helper()
+		before := mTasks.Value()
+		f()
+		return int(mTasks.Value() - before)
+	}
+	for _, w := range widths {
+		for _, n := range []int{0, 1, 7, 100} {
+			for name, run := range map[string]func(){
+				"Map": func() { Map(w, n, func(i int) (int, error) { return i, nil }) },
+				"MapCtx": func() {
+					MapCtx(context.Background(), w, n, func(_ context.Context, i int) (int, error) { return i, nil })
+				},
+				"ForEach": func() { ForEach(w, n, func(int) error { return nil }) },
+			} {
+				if got := counted(run); got != n {
+					t.Errorf("%s workers=%d n=%d: counter grew by %d, want %d", name, w, n, got, n)
+				}
+			}
+		}
+
+		var started atomic.Int64
+		got := counted(func() {
+			_, err := Map(w, 100, func(i int) (int, error) {
+				started.Add(1)
+				if i == 40 {
+					return 0, errors.New("boom")
+				}
+				return i, nil
+			})
+			if err == nil {
+				t.Errorf("workers=%d: no error", w)
+			}
+		})
+		if want := int(started.Load()); got != want || (w == 1 && want != 41) {
+			t.Errorf("erroring fan-out workers=%d: counter grew by %d, %d tasks ran", w, got, want)
+		}
+
+		started.Store(0)
+		got = counted(func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("workers=%d: panic not propagated", w)
+				}
+			}()
+			ForEach(w, 100, func(i int) error {
+				started.Add(1)
+				if i == 40 {
+					panic("kaboom")
+				}
+				return nil
+			})
+		})
+		if want := int(started.Load()); got != want || (w == 1 && want != 41) {
+			t.Errorf("panicking fan-out workers=%d: counter grew by %d, %d tasks ran", w, got, want)
+		}
+
+		if got := counted(func() {
+			ForEach(w, 5, func(int) error {
+				return ForEach(w, 7, func(int) error { return nil })
+			})
+		}); got != 5+5*7 {
+			t.Errorf("nested fan-out workers=%d: counter grew by %d, want %d", w, got, 5+5*7)
+		}
+	}
+}

@@ -3,6 +3,8 @@ package service_test
 import (
 	"context"
 	"errors"
+	"slices"
+	"strings"
 	"testing"
 
 	"varpower/internal/faults"
@@ -70,6 +72,46 @@ func TestRecalibrateHealthyRefuses(t *testing.T) {
 	var apiErr *service.APIError
 	if !errors.As(err, &apiErr) || apiErr.Err.Status != 400 {
 		t.Fatalf("recalibrate on healthy system: err %v, want 400", err)
+	}
+}
+
+// TestRecalibrateRejectsBadModules asserts a listed module id the system
+// does not have is the client's error: a 400 naming the id and the valid
+// range, answered before any probe runs (the PVT generation stays put).
+// Duplicate ids are still accepted and refreshed once.
+func TestRecalibrateRejectsBadModules(t *testing.T) {
+	_, _, c := newTestServer(t, testConfig())
+	ctx := context.Background()
+	for _, tc := range []struct {
+		modules []int
+		want    string
+	}{
+		{[]int{99999}, "module 99999 outside [0,32)"},
+		{[]int{-1}, "module -1 outside [0,32)"},
+		{[]int{3, 32}, "module 32 outside [0,32)"},
+	} {
+		_, err := c.Recalibrate(ctx, service.RecalibrateRequest{System: "HA8K", Modules: tc.modules})
+		var apiErr *service.APIError
+		if !errors.As(err, &apiErr) || apiErr.Err.Status != 400 || apiErr.Err.Code != service.CodeBadRequest {
+			t.Fatalf("recalibrate %v: err %v, want 400 %s", tc.modules, err, service.CodeBadRequest)
+		}
+		if !strings.Contains(apiErr.Err.Message, tc.want) {
+			t.Fatalf("recalibrate %v: message %q, want it to name %q", tc.modules, apiErr.Err.Message, tc.want)
+		}
+	}
+	a, err := c.Attrib(ctx, "HA8K")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Generation != 0 {
+		t.Fatalf("rejected recalibrations moved the PVT generation to %d", a.Generation)
+	}
+	resp, err := c.Recalibrate(ctx, service.RecalibrateRequest{System: "HA8K", Modules: []int{3, 3}})
+	if err != nil {
+		t.Fatalf("recalibrate [3,3]: %v", err)
+	}
+	if !slices.Equal(resp.Modules, []int{3}) || resp.Generation != 1 {
+		t.Fatalf("recalibrate [3,3]: modules %v at generation %d, want [3] at 1", resp.Modules, resp.Generation)
 	}
 }
 

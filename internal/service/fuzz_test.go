@@ -48,3 +48,43 @@ func FuzzSolveRequest(f *testing.F) {
 		}
 	})
 }
+
+// FuzzRecalibrateRequest feeds arbitrary bodies through /v1/recalibrate's
+// decode, system lookup and module-id check. None may panic, and a request
+// they accept may name only modules the system has.
+func FuzzRecalibrateRequest(f *testing.F) {
+	for _, seed := range []string{
+		`{"system":"HA8K","modules":[99999]}`,
+		`{"system":"HA8K","modules":[-1]}`,
+		`{"system":"HA8K","modules":[3,3]}`,
+		`{"system":"HA8K","modules":[]}`,
+		`{"system":"HA8K","modules":[1],"budget_watts":2400}`,
+		`{"system":"HA8K","modules":[1]} {}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	s, err := New(Config{Systems: []string{"HA8K"}, Modules: 32, Seed: 0x5c15})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { _ = s.Drain(context.Background()) })
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req RecalibrateRequest
+		if err := decodeBody(httptest.NewRequest(http.MethodPost, "/v1/recalibrate", bytes.NewReader(body)), &req); err != nil {
+			return
+		}
+		b, ok := s.baseFor(req.System)
+		if !ok {
+			return
+		}
+		n := b.framework().Sys.NumModules()
+		if err := checkModuleIDs(req.Modules, n); err != nil {
+			return
+		}
+		for _, id := range req.Modules {
+			if id < 0 || id >= n {
+				t.Fatalf("accepted module %d outside [0,%d) in %+v", id, n, req)
+			}
+		}
+	})
+}

@@ -1104,7 +1104,8 @@ func (s *Server) handleAttrib(w http.ResponseWriter, r *http.Request) {
 // module list defaults to whatever the drift detector currently flags; an
 // explicit list lets an operator recalibrate on external evidence. Refusing
 // an empty refresh (400) keeps the endpoint honest — a healthy system has
-// nothing to splice.
+// nothing to splice — and so does refusing a listed id the system does not
+// have (400), before any probe runs.
 func (s *Server) handleRecalibrate(w http.ResponseWriter, r *http.Request) {
 	var req RecalibrateRequest
 	if err := decodeBody(r, &req); err != nil {
@@ -1115,6 +1116,10 @@ func (s *Server) handleRecalibrate(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		writeError(w, http.StatusNotFound, CodeNotFound,
 			"system %q not loaded (have %v)", req.System, s.servableNames())
+		return
+	}
+	if err := checkModuleIDs(req.Modules, b.framework().Sys.NumModules()); err != nil {
+		writeError(w, http.StatusBadRequest, CodeBadRequest, "recalibrate: %v", err)
 		return
 	}
 	modules := req.Modules
@@ -1143,6 +1148,17 @@ func (s *Server) handleRecalibrate(w http.ResponseWriter, r *http.Request) {
 		resp.Modules = append(resp.Modules, m.Module)
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// checkModuleIDs reports the first id outside [0, n), the module ids of a
+// system with n modules. Duplicates pass: RefreshPVT removes them.
+func checkModuleIDs(ids []int, n int) error {
+	for _, id := range ids {
+		if id < 0 || id >= n {
+			return fmt.Errorf("module %d outside [0,%d)", id, n)
+		}
+	}
+	return nil
 }
 
 // recalibrate re-measures the given modules against the live PVT and swaps
