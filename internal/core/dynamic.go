@@ -47,9 +47,10 @@ type DynamicResult struct {
 }
 
 // RunDynamic executes bench under budget with epoch-wise model feedback.
-// The scheme's enforcement is PC (RAPL caps) when fs is false, FS when
-// true; calibration starts from the standard single-module PVT path (the
-// same starting point as VaPc/VaFs) and improves itself from measurement.
+// Each epoch runs through RunModel as VaPc (RAPL caps) when fs is false,
+// VaFs (a pinned frequency) when true; calibration starts from the standard
+// single-module PVT path (the same starting point as VaPc/VaFs) and
+// improves itself from measurement.
 func (fw *Framework) RunDynamic(bench *workload.Benchmark, moduleIDs []int, budget units.Watts, epochs int, fs bool) (*DynamicResult, error) {
 	if epochs < 1 {
 		return nil, fmt.Errorf("core: dynamic run needs ≥ 1 epoch, got %d", epochs)
@@ -68,30 +69,19 @@ func (fw *Framework) RunDynamic(bench *workload.Benchmark, moduleIDs []int, budg
 	remainder := bench.Iterations - perEpoch*epochs
 
 	for e := 0; e < epochs; e++ {
-		alloc, err := Solve(pmt, fw.Sys.Spec.Arch, budget)
-		if err != nil {
-			return nil, err
-		}
-		if !alloc.Feasible {
-			return nil, ErrBudgetInfeasible{Scheme: VaPc, Budget: budget}
-		}
-
 		epochBench := *bench
 		epochBench.Iterations = perEpoch
 		if e == epochs-1 {
 			epochBench.Iterations += remainder
 		}
-		scheme := VaPc
-		if fs {
-			scheme = VaFs
-		}
-		res, err := fw.Execute(&epochBench, moduleIDs, alloc, scheme)
+		run, err := fw.RunModel(&Model{Scheme: schemeFor(fs), Bench: &epochBench, Modules: moduleIDs, PMT: pmt}, budget)
 		if err != nil {
 			return nil, err
 		}
+		res := run.Result
 
 		stats := EpochStats{
-			Epoch: e, Alpha: alloc.Alpha, Freq: alloc.Freq,
+			Epoch: e, Alpha: run.Alloc.Alpha, Freq: run.Alloc.Freq,
 			Elapsed:       res.Elapsed,
 			MeasuredPower: res.AvgTotalPower,
 		}

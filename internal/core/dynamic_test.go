@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"varpower/internal/units"
@@ -103,7 +105,52 @@ func TestRunDynamicValidation(t *testing.T) {
 	if _, err := fw.RunDynamic(&short, ids, 8*70, 5, false); err == nil {
 		t.Error("more epochs than iterations accepted")
 	}
-	if _, err := fw.RunDynamic(workload.DGEMM(), ids, 8*20, 2, false); err == nil {
-		t.Error("infeasible budget accepted")
+
+	// Every extension runner reports an infeasible budget as
+	// ErrBudgetInfeasible under the scheme it enforces through.
+	lib, err := GeneratePVTLibrary(fw.Sys, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget = 8 * 20
+	for _, r := range []struct {
+		name   string
+		prefix string
+		run    func(fs bool) error
+	}{
+		{"dynamic", "", func(fs bool) error {
+			_, err := fw.RunDynamic(workload.DGEMM(), ids, budget, 2, fs)
+			return err
+		}},
+		{"phased-static", "core: phase 0 (*DGEMM): ", func(fs bool) error {
+			_, err := fw.RunPhasedStatic(twoPhases(), ids, budget, fs)
+			return err
+		}},
+		{"phased-adaptive", "core: phase 0 (*DGEMM): ", func(fs bool) error {
+			_, err := fw.RunPhasedAdaptive(twoPhases(), ids, budget, fs)
+			return err
+		}},
+		{"multipvt", "", func(fs bool) error {
+			_, _, err := fw.RunMultiPVT(lib, workload.DGEMM(), ids, budget, fs)
+			return err
+		}},
+	} {
+		for _, mode := range []struct {
+			fs   bool
+			want Scheme
+		}{{false, VaPc}, {true, VaFs}} {
+			err := r.run(mode.fs)
+			var inf ErrBudgetInfeasible
+			if !errors.As(err, &inf) {
+				t.Errorf("%s fs=%v: want ErrBudgetInfeasible, got %v", r.name, mode.fs, err)
+				continue
+			}
+			if inf.Scheme != mode.want || inf.Budget != budget {
+				t.Errorf("%s fs=%v: infeasible under %v at %v, want %v at %v", r.name, mode.fs, inf.Scheme, inf.Budget, mode.want, units.Watts(budget))
+			}
+			if !strings.HasPrefix(err.Error(), r.prefix+"core: budget ") {
+				t.Errorf("%s fs=%v: error %q, want prefix %q", r.name, mode.fs, err, r.prefix)
+			}
+		}
 	}
 }

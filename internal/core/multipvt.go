@@ -141,23 +141,9 @@ func (fw *Framework) RunMultiPVT(lib *PVTLibrary, bench *workload.Benchmark, mod
 	if err != nil {
 		return nil, nil, err
 	}
-	alloc, err := Solve(pmt, fw.Sys.Spec.Arch, budget)
+	run, err := fw.RunModel(&Model{Scheme: schemeFor(fs), Bench: bench, Modules: moduleIDs, PMT: pmt}, budget)
 	if err != nil {
 		return nil, nil, err
 	}
-	scheme := VaPc
-	if fs {
-		scheme = VaFs
-	}
-	if !alloc.Feasible {
-		return nil, nil, ErrBudgetInfeasible{Scheme: scheme, Budget: budget}
-	}
-	res, err := fw.Execute(bench, moduleIDs, alloc, scheme)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &SchemeRun{
-		Scheme: scheme, Bench: bench.Name, Budget: budget,
-		PMT: pmt, Alloc: alloc, Result: res,
-	}, sel, nil
+	return run, sel, nil
 }

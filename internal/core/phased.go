@@ -69,15 +69,8 @@ func (fw *Framework) RunPhasedStatic(phases []*workload.Benchmark, moduleIDs []i
 	if err != nil {
 		return nil, err
 	}
-	alloc, err := Solve(pmt, fw.Sys.Spec.Arch, budget)
-	if err != nil {
-		return nil, err
-	}
-	if !alloc.Feasible {
-		return nil, ErrBudgetInfeasible{Scheme: schemeFor(fs), Budget: budget}
-	}
-	return fw.runPhases(phases, moduleIDs, budget, fs, func(int, *workload.Benchmark) (*Allocation, error) {
-		return alloc, nil
+	return fw.runPhases(phases, moduleIDs, budget, fs, func(*workload.Benchmark) (*PMT, error) {
+		return pmt, nil
 	})
 }
 
@@ -88,22 +81,13 @@ func (fw *Framework) RunPhasedAdaptive(phases []*workload.Benchmark, moduleIDs [
 	if err := validatePhases(phases); err != nil {
 		return nil, err
 	}
-	return fw.runPhases(phases, moduleIDs, budget, fs, func(i int, phase *workload.Benchmark) (*Allocation, error) {
-		pmt, err := fw.calibrated(phase, moduleIDs)
-		if err != nil {
-			return nil, err
-		}
-		alloc, err := Solve(pmt, fw.Sys.Spec.Arch, budget)
-		if err != nil {
-			return nil, err
-		}
-		if !alloc.Feasible {
-			return nil, ErrBudgetInfeasible{Scheme: schemeFor(fs), Budget: budget}
-		}
-		return alloc, nil
+	return fw.runPhases(phases, moduleIDs, budget, fs, func(phase *workload.Benchmark) (*PMT, error) {
+		return fw.calibrated(phase, moduleIDs)
 	})
 }
 
+// schemeFor names the variation-aware scheme an extension runner enforces
+// through: VaFs when fs, VaPc otherwise.
 func schemeFor(fs bool) Scheme {
 	if fs {
 		return VaFs
@@ -111,24 +95,25 @@ func schemeFor(fs bool) Scheme {
 	return VaPc
 }
 
-// runPhases executes the phases sequentially, obtaining each phase's
-// allocation from the planner callback.
+// runPhases executes the phases sequentially, each through RunModel on the
+// power model the planner callback supplies for it.
 func (fw *Framework) runPhases(phases []*workload.Benchmark, moduleIDs []int, budget units.Watts, fs bool,
-	plan func(int, *workload.Benchmark) (*Allocation, error)) (*PhasedResult, error) {
+	plan func(*workload.Benchmark) (*PMT, error)) (*PhasedResult, error) {
 
 	out := &PhasedResult{Budget: budget}
 	for i, phase := range phases {
-		alloc, err := plan(i, phase)
+		pmt, err := plan(phase)
 		if err != nil {
 			return nil, fmt.Errorf("core: phase %d (%s): %w", i, phase.Name, err)
 		}
-		res, err := fw.Execute(phase, moduleIDs, alloc, schemeFor(fs))
+		run, err := fw.RunModel(&Model{Scheme: schemeFor(fs), Bench: phase, Modules: moduleIDs, PMT: pmt}, budget)
 		if err != nil {
 			return nil, fmt.Errorf("core: phase %d (%s): %w", i, phase.Name, err)
 		}
+		res := run.Result
 		pr := PhasedRun{
 			Phase: i, Bench: phase.Name,
-			Alpha: alloc.Alpha, Freq: alloc.Freq,
+			Alpha: run.Alloc.Alpha, Freq: run.Alloc.Freq,
 			Elapsed: res.Elapsed, Power: res.AvgTotalPower,
 		}
 		out.Phases = append(out.Phases, pr)

@@ -62,7 +62,7 @@ const (
 	// PhaseCompute: the rank is executing local work.
 	PhaseCompute Phase = iota
 	// PhaseP2PWait: blocked on a slower peer in a point-to-point exchange
-	// (MPI_Sendrecv / Recv).
+	// (MPI_Sendrecv).
 	PhaseP2PWait
 	// PhaseCollectiveWait: blocked at a barrier or allreduce for the
 	// slowest rank of the communicator.
@@ -122,8 +122,8 @@ type Interval struct {
 	Rank       int
 	Module     int
 	Phase      Phase
-	// Round is the SPMD round (or async op index) the slice belongs to;
-	// -1 for run-level slices (finalize wait, throttle overlay).
+	// Round is the SPMD round the slice belongs to; -1 for run-level
+	// slices (finalize wait, throttle overlay).
 	Round int
 }
 

@@ -82,6 +82,10 @@ var ErrInfeasible = errors.New("measure: power cap below module's feasible range
 // matches that comfortably while keeping distinct runs distinguishable.
 const DefaultRunNoiseSigma = 0.001
 
+// raplWindow is the RAPL averaging window capped runs program; the paper
+// uses 1 ms.
+const raplWindow units.Seconds = 0.001
+
 // Config describes one run.
 type Config struct {
 	Bench *workload.Benchmark
@@ -93,18 +97,10 @@ type Config struct {
 	CPUCaps []units.Watts
 	// Freqs are the per-rank pinned frequencies (ModePinned).
 	Freqs []units.Hertz
-	// Window is the RAPL averaging window; the paper uses 1 ms.
-	Window units.Seconds
 
-	// Net overrides the interconnect model; zero value uses
-	// simmpi.DefaultNetwork.
-	Net simmpi.Network
 	// Nonce distinguishes repeated runs of the same configuration for the
 	// (small) run-to-run timing noise.
 	Nonce uint64
-	// RunNoiseSigma overrides DefaultRunNoiseSigma when >= 0 is set via
-	// ExplicitNoise; leave nil for the default.
-	RunNoiseSigma *float64
 
 	// Workers bounds the fan-out of the per-rank resolution and energy
 	// accounting loops: < 1 selects GOMAXPROCS, 1 recovers the serial loop.
@@ -138,10 +134,6 @@ type Config struct {
 	// leaves it unset, so calibration test runs never grow a trace.
 	Trace obs.Span
 }
-
-// ExplicitNoise returns a pointer for Config.RunNoiseSigma (0 disables
-// run-to-run noise entirely, useful in exactness tests).
-func ExplicitNoise(sigma float64) *float64 { return &sigma }
 
 // RankResult is the measured outcome for one rank/module.
 type RankResult struct {
@@ -357,12 +349,6 @@ func validate(sys *cluster.System, cfg *Config) error {
 	default:
 		return fmt.Errorf("measure: unknown mode %d", cfg.Mode)
 	}
-	if cfg.Window == 0 {
-		cfg.Window = 0.001 // the paper's 1 ms RAPL window
-	}
-	if cfg.Net == (simmpi.Network{}) {
-		cfg.Net = simmpi.DefaultNetwork
-	}
 	return nil
 }
 
@@ -383,7 +369,7 @@ func resolve(sys *cluster.System, cfg Config, prof module.PowerProfile, rank, id
 
 	case ModeCapped:
 		ctl := sys.RAPL(id)
-		if err := ctl.SetPkgLimit(cfg.CPUCaps[rank], cfg.Window); err != nil {
+		if err := ctl.SetPkgLimit(cfg.CPUCaps[rank], raplWindow); err != nil {
 			return module.OperatingPoint{}, err
 		}
 		op, ok := ctl.OperatingPoint(prof)
@@ -410,19 +396,12 @@ func simulate(sys *cluster.System, cfg Config, ops []module.OperatingPoint, prob
 	if err != nil {
 		return simmpi.Result{}, err
 	}
-	noiseSigma := DefaultRunNoiseSigma
-	if cfg.RunNoiseSigma != nil {
-		noiseSigma = *cfg.RunNoiseSigma
-	}
 	in := sys.Faults()
 	noise := make([]float64, n)
 	for rank := range noise {
-		noise[rank] = 1
-		if noiseSigma > 0 {
-			rng := xrand.NewKeyed(sys.Seed, xrand.HashString("runnoise"),
-				xrand.HashString(cfg.Bench.Name), uint64(cfg.Modules[rank]), cfg.Nonce)
-			noise[rank] = 1 + rng.TruncNormal(0, noiseSigma, -3, 3)
-		}
+		rng := xrand.NewKeyed(sys.Seed, xrand.HashString("runnoise"),
+			xrand.HashString(cfg.Bench.Name), uint64(cfg.Modules[rank]), cfg.Nonce)
+		noise[rank] = 1 + rng.TruncNormal(0, DefaultRunNoiseSigma, -3, 3)
 		if in != nil {
 			// A degrading node computes slower than its operating point
 			// implies — invisible to resolution, felt only in timing.
@@ -456,7 +435,7 @@ func simulate(sys *cluster.System, cfg Config, ops []module.OperatingPoint, prob
 			fs = &simmpi.FaultSpec{DeadAt: deadAt}
 		}
 	}
-	return simmpi.RunFaulty(prog, n, model, cfg.Net, probe, fs)
+	return simmpi.RunFaulty(prog, n, model, simmpi.DefaultNetwork, probe, fs)
 }
 
 // account converts the DES timing into MSR energy-counter activity and

@@ -177,28 +177,6 @@ func TestLongRunCounterWraps(t *testing.T) {
 	}
 }
 
-func TestNoiseOverride(t *testing.T) {
-	sys, ids := testSystem(t, 4)
-	cfg := Config{
-		Bench: workload.DGEMM(), Modules: ids, Mode: ModeUncapped,
-		RunNoiseSigma: ExplicitNoise(0),
-	}
-	a, err := Run(sys, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Nonce = 99
-	b, err := Run(sys, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Ranks {
-		if a.Ranks[i].Busy != b.Ranks[i].Busy {
-			t.Fatal("zero-noise runs differ across nonces")
-		}
-	}
-}
-
 func TestNonceChangesTiming(t *testing.T) {
 	sys, ids := testSystem(t, 4)
 	a, _ := Run(sys, Config{Bench: workload.DGEMM(), Modules: ids, Mode: ModeUncapped, Nonce: 1})

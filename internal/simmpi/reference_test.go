@@ -520,6 +520,11 @@ func (c *collectiveProbe) Collective(round int, kind string, straggler int, earl
 	*c.rounds = append(*c.rounds, collectiveCall{round: round, straggler: straggler, kind: kind, earliest: earliest, latest: latest})
 }
 
+// unknownOp is an Op of no kind the engine knows.
+type unknownOp struct{}
+
+func (unknownOp) isOp() {}
+
 // TestMalformedTablesRejectedBeforeAnyRound: a table that is not one op
 // per rank of rank 0's kind, or that holds a negative compute time or a
 // peer outside the communicator, fails the run before its first round —
@@ -539,7 +544,7 @@ func TestMalformedTablesRejectedBeforeAnyRound(t *testing.T) {
 		{"foreign kind in sendrecv", []Op{Sendrecv{}, Compute{}}, []int{0, 1}, nil, "SPMD violation in table 1: rank 1 issues simmpi.Compute"},
 		{"foreign kind in barrier", []Op{Barrier{}, Allreduce{}}, []int{0, 1}, nil, "SPMD violation in table 1: rank 1 issues simmpi.Allreduce"},
 		{"foreign kind in allreduce", []Op{Allreduce{}, Barrier{}}, []int{0, 1}, nil, "SPMD violation in table 1: rank 1 issues simmpi.Barrier"},
-		{"unknown op", []Op{Send{Dst: 1}, Send{Dst: 0}}, []int{0, 1}, nil, "table 1: unknown op simmpi.Send"},
+		{"unknown op", []Op{unknownOp{}, unknownOp{}}, []int{0, 1}, nil, "table 1: unknown op simmpi.unknownOp"},
 		{"nil op", []Op{nil, Compute{}}, []int{0, 1}, nil, "table 1: unknown op <nil>"},
 		{"peer below range", []Op{Sendrecv{}, Sendrecv{Peers: []int{0, -1}}}, []int{0, 1}, nil, "rank 1 in table 1 has peer -1 outside [0,2)"},
 		{"peer above range", []Op{Sendrecv{Peers: []int{size}}, Sendrecv{}}, []int{0, 1}, nil, "rank 0 in table 1 has peer 2 outside [0,2)"},
