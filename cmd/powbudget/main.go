@@ -299,7 +299,7 @@ func runHetero(sys *cluster.System, bench *workload.Benchmark, ids []int,
 		fmt.Println("a class budget is below its floor; the job cannot run")
 		return nil
 	}
-	if hf.GPVT != nil && len(hf.GPVT.Quarantined) > 0 {
+	if len(hf.GPVT.Quarantined) > 0 {
 		fmt.Printf("quarantined GPUs: %v\n\n", hf.GPVT.Quarantined)
 	}
 	if show > len(alloc.GPU.Entries) {

@@ -1,8 +1,8 @@
-// Package config serialises system and workload descriptions as JSON, so
-// the tooling is not limited to the four built-in Table-2 machines and
-// seven built-in benchmarks: a site can describe its own cluster (TDPs,
-// frequency range, variation profile measured from its own PVT) and its
-// own application models, and run the same budgeting pipeline over them.
+// Package config serialises system descriptions as JSON, so the tooling is
+// not limited to the built-in Table-2 machines: a site can describe its own
+// cluster (TDPs, frequency range, variation profile measured from its own
+// PVT, an optional GPU device class) and run the same budgeting pipeline
+// over it (pvtgen -system-file).
 package config
 
 import (
@@ -15,7 +15,6 @@ import (
 	"varpower/internal/hw/module"
 	"varpower/internal/units"
 	"varpower/internal/variability"
-	"varpower/internal/workload"
 )
 
 // SystemJSON is the on-disk form of a cluster.Spec.
@@ -201,107 +200,4 @@ func LoadSystem(r io.Reader) (cluster.Spec, error) {
 		return cluster.Spec{}, fmt.Errorf("config: load system: %w", err)
 	}
 	return j.Spec()
-}
-
-// BenchmarkJSON is the on-disk form of a workload.Benchmark.
-type BenchmarkJSON struct {
-	Name        string `json:"name"`
-	Description string `json:"description,omitempty"`
-
-	DynPowerW     float64 `json:"dyn_power_w"`
-	StaticPowerW  float64 `json:"static_power_w"`
-	DramBaseW     float64 `json:"dram_base_w"`
-	DramDynW      float64 `json:"dram_dyn_w"`
-	ResidualSigma float64 `json:"residual_sigma"`
-
-	Iterations     int     `json:"iterations"`
-	CyclesPerIter  float64 `json:"cycles_per_iter"`
-	BytesPerIter   float64 `json:"bytes_per_iter"`
-	Comm           string  `json:"comm"` // none, halo-3d, allreduce, final-reduce
-	MsgBytes       float64 `json:"msg_bytes,omitempty"`
-	ImbalanceSigma float64 `json:"imbalance_sigma,omitempty"`
-}
-
-// FromBenchmark converts a workload.Benchmark for serialisation.
-func FromBenchmark(b *workload.Benchmark) BenchmarkJSON {
-	return BenchmarkJSON{
-		Name: b.Name, Description: b.Description,
-		DynPowerW:     float64(b.Profile.DynPower),
-		StaticPowerW:  float64(b.Profile.StaticPower),
-		DramBaseW:     float64(b.Profile.DramBase),
-		DramDynW:      float64(b.Profile.DramDyn),
-		ResidualSigma: b.Profile.ResidualSigma,
-		Iterations:    b.Iterations,
-		CyclesPerIter: b.CyclesPerIter, BytesPerIter: b.BytesPerIter,
-		Comm: b.Comm.String(), MsgBytes: b.MsgBytes, ImbalanceSigma: b.ImbalanceSigma,
-	}
-}
-
-// Benchmark converts back to a validated workload.Benchmark.
-func (j BenchmarkJSON) Benchmark() (*workload.Benchmark, error) {
-	var comm workload.CommPattern
-	switch j.Comm {
-	case "none", "":
-		comm = workload.CommNone
-	case "halo-3d":
-		comm = workload.CommHalo3D
-	case "allreduce":
-		comm = workload.CommAllreduce
-	case "final-reduce":
-		comm = workload.CommFinalReduce
-	default:
-		return nil, fmt.Errorf("config: unknown comm pattern %q", j.Comm)
-	}
-	b := &workload.Benchmark{
-		Name: j.Name, Description: j.Description,
-		Profile: module.PowerProfile{
-			Workload:      j.Name,
-			DynPower:      units.Watts(j.DynPowerW),
-			StaticPower:   units.Watts(j.StaticPowerW),
-			DramBase:      units.Watts(j.DramBaseW),
-			DramDyn:       units.Watts(j.DramDynW),
-			ResidualSigma: j.ResidualSigma,
-		},
-		Iterations:     j.Iterations,
-		CyclesPerIter:  j.CyclesPerIter,
-		BytesPerIter:   j.BytesPerIter,
-		Comm:           comm,
-		MsgBytes:       j.MsgBytes,
-		ImbalanceSigma: j.ImbalanceSigma,
-	}
-	if err := b.Validate(); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
-// SaveBenchmarks writes a suite as indented JSON.
-func SaveBenchmarks(w io.Writer, benches []*workload.Benchmark) error {
-	out := make([]BenchmarkJSON, len(benches))
-	for i, b := range benches {
-		out[i] = FromBenchmark(b)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
-// LoadBenchmarks reads and validates a suite.
-func LoadBenchmarks(r io.Reader) ([]*workload.Benchmark, error) {
-	var js []BenchmarkJSON
-	if err := json.NewDecoder(r).Decode(&js); err != nil {
-		return nil, fmt.Errorf("config: load benchmarks: %w", err)
-	}
-	if len(js) == 0 {
-		return nil, fmt.Errorf("config: empty benchmark suite")
-	}
-	out := make([]*workload.Benchmark, len(js))
-	for i, j := range js {
-		b, err := j.Benchmark()
-		if err != nil {
-			return nil, fmt.Errorf("config: benchmark %d: %w", i, err)
-		}
-		out[i] = b
-	}
-	return out, nil
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"varpower/internal/cluster"
-	"varpower/internal/workload"
 )
 
 func TestSystemRoundTrip(t *testing.T) {
@@ -58,44 +57,5 @@ func TestLoadSystemRejectsBad(t *testing.T) {
 	}
 	if _, err := LoadSystem(strings.NewReader("not json")); err == nil {
 		t.Error("garbage accepted")
-	}
-}
-
-func TestBenchmarkRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	if err := SaveBenchmarks(&buf, workload.All()); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadBenchmarks(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(workload.All()) {
-		t.Fatalf("suite size %d", len(back))
-	}
-	for i, orig := range workload.All() {
-		b := back[i]
-		if b.Name != orig.Name || b.Comm != orig.Comm ||
-			b.Iterations != orig.Iterations ||
-			b.Profile != orig.Profile ||
-			b.CyclesPerIter != orig.CyclesPerIter ||
-			b.MsgBytes != orig.MsgBytes ||
-			b.ImbalanceSigma != orig.ImbalanceSigma {
-			t.Fatalf("%s changed in round trip:\n%+v\nvs\n%+v", orig.Name, b, orig)
-		}
-	}
-}
-
-func TestLoadBenchmarksRejectsBad(t *testing.T) {
-	cases := []string{
-		"not json",
-		"[]",
-		`[{"name":"x","comm":"carrier-pigeon","iterations":1,"cycles_per_iter":1,"dyn_power_w":1}]`,
-		`[{"name":"x","comm":"none","iterations":0,"cycles_per_iter":1,"dyn_power_w":1}]`,
-	}
-	for i, c := range cases {
-		if _, err := LoadBenchmarks(strings.NewReader(c)); err == nil {
-			t.Errorf("bad suite %d accepted", i)
-		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"varpower/internal/cluster"
-	"varpower/internal/workload"
 )
 
 // FuzzLoadSystem feeds arbitrary bytes to the system loader: it must
@@ -47,46 +46,6 @@ func FuzzLoadSystem(f *testing.F) {
 		// with cluster.New. A validated spec always has at least one module.
 		if _, err := cluster.New(spec, 1, 1); err != nil {
 			t.Fatalf("accepted spec does not build: %v", err)
-		}
-	})
-}
-
-// FuzzLoadBenchmarks feeds arbitrary bytes to the benchmark loader: it
-// must never panic, and every accepted benchmark list must survive a
-// save/load round trip.
-func FuzzLoadBenchmarks(f *testing.F) {
-	var seed bytes.Buffer
-	if err := SaveBenchmarks(&seed, workload.Evaluated()); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed.String())
-	f.Add(`[]`)
-	f.Add(`[{}]`)
-	f.Add(`[{"name":"x","cycles_per_iter":-1}]`)
-	f.Add(`{"name":"not-a-list"}`)
-	f.Add(`null`)
-	f.Add(``)
-	f.Add(strings.Repeat("[", 64))
-	f.Fuzz(func(t *testing.T, input string) {
-		benches, err := LoadBenchmarks(strings.NewReader(input))
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := SaveBenchmarks(&buf, benches); err != nil {
-			t.Fatalf("accepted benchmarks do not save: %v", err)
-		}
-		again, err := LoadBenchmarks(&buf)
-		if err != nil {
-			t.Fatalf("saved benchmarks do not re-load: %v", err)
-		}
-		if len(again) != len(benches) {
-			t.Fatalf("round trip changed count: %d -> %d", len(benches), len(again))
-		}
-		for i := range benches {
-			if again[i].Name != benches[i].Name {
-				t.Fatalf("round trip changed benchmark %d: %q -> %q", i, benches[i].Name, again[i].Name)
-			}
 		}
 	})
 }

@@ -4,23 +4,22 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"varpower/internal/cluster"
-	"varpower/internal/faults"
 	"varpower/internal/hw/gpu"
 	"varpower/internal/hw/module"
 	"varpower/internal/obs"
-	"varpower/internal/parallel"
 	"varpower/internal/units"
 	"varpower/internal/workload"
 )
 
-// This file is the GPU device class's calibration pipeline — the
-// accelerator mirror of pvt.go/pmt.go. The structure is deliberately
-// identical: an install-time GPU Power Variation Table normalised against
-// the device population, per-application GPU Power Model Tables built
-// naively, by single-device calibration, or by oracle measurement, and the
-// same α-solve over summed per-device linear power models.
+// This file holds the GPU device class's tables. The class is calibrated
+// by the module pipeline, not a copy of it: its install-time GPU Power
+// Variation Table comes from the same sweep as the PVT (see sweep), its
+// per-application GPU Power Model Tables are built naively, by
+// single-device calibration, or by oracle measurement as BuildPMT builds
+// the module ones, and it is budgeted by the same α-kernel (SolveAlpha).
 
 // KernelFor derives the GPU kernel profile of a benchmark's offloaded
 // portion from its CPU power profile: compute-bound codes (high frequency
@@ -80,14 +79,7 @@ type GPUPVT struct {
 }
 
 // IsQuarantined reports whether a device's entry is a placeholder.
-func (p *GPUPVT) IsQuarantined(deviceID int) bool {
-	for _, id := range p.Quarantined {
-		if id == deviceID {
-			return true
-		}
-	}
-	return false
-}
+func (p *GPUPVT) IsQuarantined(deviceID int) bool { return slices.Contains(p.Quarantined, deviceID) }
 
 // deviation is a device's L1 distance from the population mean in GPU PVT
 // scales, +Inf for quarantined or unknown devices (see PVT.deviation).
@@ -126,9 +118,9 @@ func GPUTestRun(sys *cluster.System, k gpu.KernelProfile, id int, clock units.He
 
 // GenerateGPUPVT builds the device-class table by test-running the
 // microbenchmark's kernel on every device at the nominal and minimum SM
-// clocks, then normalising by the population average — the same install-
-// time step GeneratePVT performs for modules, with the same MAD outlier
-// quarantine under fault injection. Deterministic for every worker count.
+// clocks, then normalising by the population average: the sweep
+// GeneratePVT runs for modules, quarantine rules included. Deterministic
+// for every worker count.
 func GenerateGPUPVT(ctx context.Context, sys *cluster.System, workers int) (*GPUPVT, error) {
 	n := sys.NumGPUs()
 	if n == 0 {
@@ -138,79 +130,24 @@ func GenerateGPUPVT(ctx context.Context, sys *cluster.System, workers int) (*GPU
 	span.SetAttr("system", sys.Spec.Name)
 	span.SetInt("devices", n)
 	defer span.End()
-	micro := workload.PVTMicrobenchmark()
-	k := KernelFor(micro, sys.Spec.Arch, sys.Spec.GPU.Arch)
-	garch := sys.Spec.GPU.Arch
-	in := sys.Faults()
-	type raw struct {
-		max, min    float64
-		quarantined bool
-	}
-	raws, err := parallel.MapCtx(ctx, workers, n, func(_ context.Context, id int) (raw, error) {
-		hi, err := GPUTestRun(sys, k, id, garch.ClockNom)
+	k := KernelFor(workload.PVTMicrobenchmark(), sys.Spec.Arch, sys.Spec.GPU.Arch)
+	scales, quarantined, err := sweep(ctx, sys, n, 2, workers, func(id int, v []float64) error {
+		pair, err := RunGPUTestPair(sys, k, id)
 		if err != nil {
-			return raw{}, fmt.Errorf("core: GPU PVT nominal run on device %d: %w", id, err)
+			return fmt.Errorf("core: GPU PVT test pair on device %d: %w", id, err)
 		}
-		lo, err := GPUTestRun(sys, k, id, garch.ClockMin)
-		if err != nil {
-			return raw{}, fmt.Errorf("core: GPU PVT min-clock run on device %d: %w", id, err)
-		}
-		return raw{max: float64(hi), min: float64(lo)}, nil
+		v[0], v[1] = float64(pair.AtMax), float64(pair.AtMin)
+		return nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	quar := make([]bool, n)
-	if in != nil {
-		for _, get := range []func(raw) float64{
-			func(r raw) float64 { return r.max },
-			func(r raw) float64 { return r.min },
-		} {
-			vals := make([]float64, n)
-			for id := 0; id < n; id++ {
-				vals[id] = get(raws[id])
-			}
-			for _, i := range faults.Outliers(vals, 0) {
-				quar[i] = true
-			}
-		}
-	}
-	var sumMax, sumMin float64
-	kept := 0
-	var quarantined []int
-	for id := 0; id < n; id++ {
-		if quar[id] {
-			quarantined = append(quarantined, id)
-			continue
-		}
-		sumMax += raws[id].max
-		sumMin += raws[id].min
-		kept++
-	}
-	if kept == 0 {
-		return nil, fmt.Errorf("core: GPU PVT generation quarantined every device")
-	}
-	for range quarantined {
-		faults.MetricQuarantined.Inc()
-	}
-	avgMax, avgMin := sumMax/float64(kept), sumMin/float64(kept)
-	if avgMax == 0 || avgMin == 0 {
-		return nil, fmt.Errorf("core: GPU PVT generation measured zero average power")
 	}
 	pvt := &GPUPVT{
 		System: sys.Spec.Name, Kernel: k.Kernel,
 		Entries: make([]GPUPVTEntry, n), Quarantined: quarantined,
 	}
-	for id := 0; id < n; id++ {
-		if quar[id] {
-			pvt.Entries[id] = GPUPVTEntry{DeviceID: id, PowerMax: 1, PowerMin: 1}
-			continue
-		}
-		pvt.Entries[id] = GPUPVTEntry{
-			DeviceID: id,
-			PowerMax: raws[id].max / avgMax,
-			PowerMin: raws[id].min / avgMin,
-		}
+	for id := range pvt.Entries {
+		pvt.Entries[id] = GPUPVTEntry{DeviceID: id, PowerMax: scales[2*id], PowerMin: scales[2*id+1]}
 	}
 	return pvt, nil
 }
@@ -324,12 +261,7 @@ func (fw *Framework) oracleGPUPMT(k gpu.KernelProfile, deviceIDs []int) (*GPUPMT
 	span.SetAttr("kernel", k.Kernel)
 	span.SetInt("devices", len(deviceIDs))
 	defer span.End()
-	workers := fw.Workers
-	if hasDuplicates(deviceIDs) {
-		workers = 1
-	}
-	entries, err := parallel.Map(workers, len(deviceIDs), func(i int) (GPUPMTEntry, error) {
-		id := deviceIDs[i]
+	entries, err := measureEach(fw.Workers, deviceIDs, func(id int) (GPUPMTEntry, error) {
 		pair, err := RunGPUTestPair(fw.Sys, k, id)
 		if err != nil {
 			return GPUPMTEntry{}, fmt.Errorf("core: oracle GPU PMT device %d: %w", id, err)

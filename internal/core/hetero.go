@@ -12,20 +12,16 @@ import (
 	"varpower/internal/workload"
 )
 
-// HeteroFramework extends the CPU pipeline to heterogeneous systems: the
-// same install-time-table → test-run → α-solve → enforce loop, run once per
-// device class under a hierarchical split of the system budget. The CPU
-// half is the embedded Framework, untouched; the GPU half mirrors it
-// through the device-class tables in gpupvt.go.
-type HeteroFramework struct {
-	*Framework
-	GPVT *GPUPVT
-}
+// The heterogeneous pipeline runs the Framework's install-time-table →
+// test-run → α-solve → enforce loop once per device class under a
+// hierarchical split of the system budget. The CPU class is the module
+// pipeline itself; the GPU class adds only its own tables (gpupvt.go),
+// calibrated by the same sweep and budgeted by the same kernel.
 
 // NewHeteroFramework instantiates the framework on a hybrid system,
 // generating both install-time tables (nil micro selects the paper's
 // choice).
-func NewHeteroFramework(sys *cluster.System, micro *workload.Benchmark, workers int) (*HeteroFramework, error) {
+func NewHeteroFramework(sys *cluster.System, micro *workload.Benchmark, workers int) (*Framework, error) {
 	if !sys.Spec.Hybrid() {
 		return nil, fmt.Errorf("core: %s has no GPU device class; use NewFramework", sys.Spec.Name)
 	}
@@ -33,40 +29,17 @@ func NewHeteroFramework(sys *cluster.System, micro *workload.Benchmark, workers 
 	if err != nil {
 		return nil, err
 	}
-	gpvt, err := GenerateGPUPVT(context.Background(), sys, workers)
-	if err != nil {
+	if fw.GPVT, err = GenerateGPUPVT(context.Background(), sys, workers); err != nil {
 		return nil, err
 	}
-	return &HeteroFramework{Framework: fw, GPVT: gpvt}, nil
-}
-
-// NewHeteroWithTables binds previously generated (e.g. loaded or restored)
-// tables.
-func NewHeteroWithTables(sys *cluster.System, pvt *PVT, gpvt *GPUPVT) (*HeteroFramework, error) {
-	fw, err := NewFrameworkWithPVT(sys, pvt)
-	if err != nil {
-		return nil, err
-	}
-	if gpvt == nil || len(gpvt.Entries) == 0 {
-		return nil, fmt.Errorf("core: hetero framework needs a non-empty GPU PVT")
-	}
-	if gpvt.System != sys.Spec.Name {
-		return nil, fmt.Errorf("core: GPU PVT is for %q, system is %q", gpvt.System, sys.Spec.Name)
-	}
-	return &HeteroFramework{Framework: fw, GPVT: gpvt}, nil
-}
-
-// Clone returns a framework over an independent replica of the system,
-// sharing both (read-only) install-time tables; see Framework.Clone.
-func (hf *HeteroFramework) Clone() *HeteroFramework {
-	return &HeteroFramework{Framework: hf.Framework.Clone(), GPVT: hf.GPVT}
+	return fw, nil
 }
 
 // AllDevices returns the full GPU device allocation [0, NumGPUs) — jobs on
 // the hybrid presets are whole-class, matching the CPU side's whole-machine
 // sweeps.
-func (hf *HeteroFramework) AllDevices() []int {
-	ids := make([]int, hf.Sys.NumGPUs())
+func (fw *Framework) AllDevices() []int {
+	ids := make([]int, fw.Sys.NumGPUs())
 	for i := range ids {
 		ids[i] = i
 	}
@@ -78,27 +51,27 @@ func (hf *HeteroFramework) AllDevices() []int {
 // Scheme.measurement): Naive uses the spec sheet (TDP / minimum limit), Pc
 // measures all devices but averages the table, VaPc/VaFs calibrate one test
 // device through the GPU PVT, and the oracle schemes measure every device.
-func (hf *HeteroFramework) BuildGPUPMT(bench *workload.Benchmark, deviceIDs []int, scheme Scheme) (*GPUPMT, error) {
+func (fw *Framework) BuildGPUPMT(bench *workload.Benchmark, deviceIDs []int, scheme Scheme) (*GPUPMT, error) {
 	if len(deviceIDs) == 0 {
 		return nil, fmt.Errorf("core: empty GPU device allocation")
 	}
-	garch := hf.Sys.Spec.GPU.Arch
-	k := KernelFor(bench, hf.Sys.Spec.Arch, garch)
+	garch := fw.Sys.Spec.GPU.Arch
+	k := KernelFor(bench, fw.Sys.Spec.Arch, garch)
 	switch scheme.measurement() {
 	case measureNone:
 		return NaiveGPUPMT(garch, deviceIDs), nil
 	case measureOracle:
-		pmt, err := hf.oracleGPUPMT(k, deviceIDs)
+		pmt, err := fw.oracleGPUPMT(k, deviceIDs)
 		if err == nil && scheme == Pc {
 			pmt = pmt.Uniform()
 		}
 		return pmt, err
 	case measureCalibration:
-		pair, err := RunGPUTestPair(hf.Sys, k, closestToMean(deviceIDs, -1, hf.GPVT.deviation))
+		pair, err := RunGPUTestPair(fw.Sys, k, closestToMean(deviceIDs, -1, fw.GPVT.deviation))
 		if err != nil {
 			return nil, err
 		}
-		return CalibrateGPU(hf.GPVT, pair, k.Kernel, deviceIDs)
+		return CalibrateGPU(fw.GPVT, pair, k.Kernel, deviceIDs)
 	default:
 		return nil, fmt.Errorf("core: unknown scheme %v", scheme)
 	}
@@ -108,10 +81,10 @@ func (hf *HeteroFramework) BuildGPUPMT(bench *workload.Benchmark, deviceIDs []in
 // held-out device and returns it clamped to the same [0.005, 0.08] reserve
 // band the CPU FS margin uses — locked clocks enforce no power bound, so
 // the GPU class needs the identical guard.
-func (hf *HeteroFramework) gpuFsMargin(pmt *GPUPMT, k gpu.KernelProfile, deviceIDs []int) (float64, error) {
-	test := closestToMean(deviceIDs, -1, hf.GPVT.deviation)
-	holdout := closestToMean(deviceIDs, test, hf.GPVT.deviation)
-	pair, err := RunGPUTestPair(hf.Sys, k, holdout)
+func (fw *Framework) gpuFsMargin(pmt *GPUPMT, k gpu.KernelProfile, deviceIDs []int) (float64, error) {
+	test := closestToMean(deviceIDs, -1, fw.GPVT.deviation)
+	holdout := closestToMean(deviceIDs, test, fw.GPVT.deviation)
+	pair, err := RunGPUTestPair(fw.Sys, k, holdout)
 	if err != nil {
 		return 0, fmt.Errorf("core: GPU FS margin holdout run: %w", err)
 	}
@@ -148,9 +121,9 @@ type HeteroAllocation struct {
 // final estimate share. The hybrid port overlaps the phases: the CPU keeps
 // (1−g) of the nominal work, the device class takes g, and each side
 // stretches by its own frequency-sensitivity law as its clock drops.
-func (hf *HeteroFramework) classTimes(bench *workload.Benchmark) (cpuTime, gpuTime func(alpha float64) units.Seconds) {
-	arch := hf.Sys.Spec.Arch
-	garch := hf.Sys.Spec.GPU.Arch
+func (fw *Framework) classTimes(bench *workload.Benchmark) (cpuTime, gpuTime func(alpha float64) units.Seconds) {
+	arch := fw.Sys.Spec.Arch
+	garch := fw.Sys.Spec.GPU.Arch
 	k := KernelFor(bench, arch, garch)
 	s := bench.FrequencySensitivity(arch)
 	sg := k.ClockSensitivity
@@ -168,15 +141,19 @@ func (hf *HeteroFramework) classTimes(bench *workload.Benchmark) (cpuTime, gpuTi
 }
 
 // SolveHetero runs the hierarchical budgeting pipeline: build both class
-// models per the scheme, split the system budget across the classes under
-// the chosen policy, then run each class's α-solve on its share.
-func (hf *HeteroFramework) SolveHetero(bench *workload.Benchmark, moduleIDs, deviceIDs []int,
+// models per the scheme (the CPU one, VaFs margin included, by BuildModel),
+// split the system budget across the classes under the chosen policy, then
+// run each class's α-solve on its share. The framework needs a GPU PVT.
+func (fw *Framework) SolveHetero(bench *workload.Benchmark, moduleIDs, deviceIDs []int,
 	budget units.Watts, scheme Scheme, splitter Splitter) (*HeteroAllocation, *PMT, *GPUPMT, error) {
-	span := hf.startSpan("hetero.solve", bench, budget, scheme)
+	if fw.GPVT == nil {
+		return nil, nil, nil, fmt.Errorf("core: %s framework has no GPU PVT", fw.Sys.Spec.Name)
+	}
+	span := fw.startSpan("hetero.solve", bench, budget, scheme)
 	span.SetAttr("splitter", splitter.String())
 	defer span.End()
-	in := &HeteroFramework{Framework: hf.under(span), GPVT: hf.GPVT}
-	pmt, err := in.BuildPMT(bench, moduleIDs, scheme)
+	in := fw.under(span)
+	m, err := in.BuildModel(bench, moduleIDs, scheme)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -185,7 +162,7 @@ func (hf *HeteroFramework) SolveHetero(bench *workload.Benchmark, moduleIDs, dev
 		return nil, nil, nil, err
 	}
 	var cpuMin, cpuMax units.Watts
-	for _, e := range pmt.Entries {
+	for _, e := range m.PMT.Entries {
 		cpuMin += e.ModuleMin()
 		cpuMax += e.ModuleMax()
 	}
@@ -194,7 +171,7 @@ func (hf *HeteroFramework) SolveHetero(bench *workload.Benchmark, moduleIDs, dev
 		gpuMin += e.PowerMin
 		gpuMax += e.PowerMax
 	}
-	cpuTime, gpuTime := hf.classTimes(bench)
+	cpuTime, gpuTime := fw.classTimes(bench)
 	shares, err := SplitBudget(splitter, budget, []ClassDemand{
 		{Class: "cpu", Min: cpuMin, Max: cpuMax, TimeAt: cpuTime},
 		{Class: "gpu", Min: gpuMin, Max: gpuMax, TimeAt: gpuTime},
@@ -203,27 +180,21 @@ func (hf *HeteroFramework) SolveHetero(bench *workload.Benchmark, moduleIDs, dev
 		return nil, nil, nil, err
 	}
 	cpuBudget, gpuBudget := shares[0], shares[1]
-	cpuSolve, gpuSolve := cpuBudget, gpuBudget
+	gpuSolve := gpuBudget
 	if scheme == VaFs {
-		garch := hf.Sys.Spec.GPU.Arch
-		k := KernelFor(bench, hf.Sys.Spec.Arch, garch)
-		m, err := hf.fsMargin(pmt, bench, moduleIDs)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		cpuSolve = units.Watts(float64(cpuBudget) * (1 - m))
-		gm, err := hf.gpuFsMargin(gpmt, k, deviceIDs)
+		k := KernelFor(bench, fw.Sys.Spec.Arch, fw.Sys.Spec.GPU.Arch)
+		gm, err := fw.gpuFsMargin(gpmt, k, deviceIDs)
 		if err != nil {
 			return nil, nil, nil, err
 		}
 		gpuSolve = units.Watts(float64(gpuBudget) * (1 - gm))
 	}
-	cpuAlloc, err := Solve(pmt, hf.Sys.Spec.Arch, cpuSolve)
+	cpuAlloc, err := Solve(m.PMT, fw.Sys.Spec.Arch, units.Watts(float64(cpuBudget)*(1-m.Margin)))
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	cpuAlloc.Budget = cpuBudget
-	gpuAlloc, err := SolveGPU(gpmt, hf.Sys.Spec.GPU.Arch, gpuSolve)
+	gpuAlloc, err := SolveGPU(gpmt, fw.Sys.Spec.GPU.Arch, gpuSolve)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -238,7 +209,7 @@ func (hf *HeteroFramework) SolveHetero(bench *workload.Benchmark, moduleIDs, dev
 	if gt > ct {
 		h.PredictedTime = gt
 	}
-	return h, pmt, gpmt, nil
+	return h, m.PMT, gpmt, nil
 }
 
 // HeteroRun is one complete heterogeneous scheme evaluation.
@@ -283,12 +254,12 @@ func (e ErrClassBudgetInfeasible) Error() string {
 
 // RunHetero executes the full heterogeneous pipeline for one (application,
 // budget, scheme, splitter) combination.
-func (hf *HeteroFramework) RunHetero(bench *workload.Benchmark, moduleIDs, deviceIDs []int,
+func (fw *Framework) RunHetero(bench *workload.Benchmark, moduleIDs, deviceIDs []int,
 	budget units.Watts, scheme Scheme, splitter Splitter) (*HeteroRun, error) {
-	span := hf.startSpan("hetero.run", bench, budget, scheme)
+	span := fw.startSpan("hetero.run", bench, budget, scheme)
 	span.SetAttr("splitter", splitter.String())
 	defer span.End()
-	in := &HeteroFramework{Framework: hf.under(span), GPVT: hf.GPVT}
+	in := fw.under(span)
 	alloc, _, _, err := in.SolveHetero(bench, moduleIDs, deviceIDs, budget, scheme, splitter)
 	if err != nil {
 		return nil, err
@@ -303,21 +274,21 @@ func (hf *HeteroFramework) RunHetero(bench *workload.Benchmark, moduleIDs, devic
 }
 
 // ExecuteHetero enforces a hierarchical allocation and runs the
-// application. The CPU class goes through the embedded Framework (RAPL caps
-// or pinned P-states); the GPU class programs each device's controller — PC
-// schemes write per-device board power limits, FS schemes lock the common
+// application. The CPU class goes through Execute (RAPL caps or pinned
+// P-states); the GPU class programs each device's controller — PC schemes
+// write per-device board power limits, FS schemes lock the common
 // α-derived application clock — then resolves the steady-state operating
 // points, whose slowest delivered clock sets the class's completion time.
-func (hf *HeteroFramework) ExecuteHetero(bench *workload.Benchmark, moduleIDs, deviceIDs []int,
+func (fw *Framework) ExecuteHetero(bench *workload.Benchmark, moduleIDs, deviceIDs []int,
 	alloc *HeteroAllocation, scheme Scheme) (*HeteroRun, error) {
 	if len(alloc.GPU.Entries) != len(deviceIDs) {
 		return nil, fmt.Errorf("core: GPU allocation covers %d devices, job has %d", len(alloc.GPU.Entries), len(deviceIDs))
 	}
-	garch := hf.Sys.Spec.GPU.Arch
-	k := KernelFor(bench, hf.Sys.Spec.Arch, garch)
+	garch := fw.Sys.Spec.GPU.Arch
+	k := KernelFor(bench, fw.Sys.Spec.Arch, garch)
 	ops := make([]gpuResolved, len(deviceIDs))
 	for i, id := range deviceIDs {
-		ctl := hf.Sys.GPUCtl(id)
+		ctl := fw.Sys.GPUCtl(id)
 		if scheme.UsesFS() {
 			if _, err := ctl.LockClocks(alloc.GPU.Clock); err != nil {
 				return nil, err
@@ -336,11 +307,11 @@ func (hf *HeteroFramework) ExecuteHetero(bench *workload.Benchmark, moduleIDs, d
 		}
 		ops[i].op = op
 	}
-	res, err := hf.Execute(bench, moduleIDs, alloc.CPU, scheme)
+	res, err := fw.Execute(bench, moduleIDs, alloc.CPU, scheme)
 	if err != nil {
 		return nil, err
 	}
-	g := GPUFraction(bench, hf.Sys.Spec.Arch)
+	g := GPUFraction(bench, fw.Sys.Spec.Arch)
 	minClock := ops[0].op.Clock
 	var gpuPower units.Watts
 	for _, r := range ops {
@@ -351,7 +322,7 @@ func (hf *HeteroFramework) ExecuteHetero(bench *workload.Benchmark, moduleIDs, d
 	}
 	sg := k.ClockSensitivity
 	rmin := float64(minClock) / float64(garch.ClockNom)
-	tnom := units.Seconds(float64(bench.SequentialTime(hf.Sys.Spec.Arch, hf.Sys.Spec.Arch.FNom, 1)) * float64(bench.Iterations))
+	tnom := units.Seconds(float64(bench.SequentialTime(fw.Sys.Spec.Arch, fw.Sys.Spec.Arch.FNom, 1)) * float64(bench.Iterations))
 	gpuElapsed := units.Seconds(float64(tnom) * g / (1 - sg + sg*rmin))
 	cpuElapsed := units.Seconds(float64(res.Elapsed) * (1 - g))
 	elapsed := cpuElapsed
@@ -366,7 +337,7 @@ func (hf *HeteroFramework) ExecuteHetero(bench *workload.Benchmark, moduleIDs, d
 		AvgPower: res.AvgTotalPower + gpuPower,
 	}
 	run.Energy = units.Energy(run.AvgPower, run.Elapsed)
-	hf.recordGPU(bench, scheme, deviceIDs, alloc, ops, gpuElapsed)
+	fw.recordGPU(bench, scheme, deviceIDs, alloc, ops, gpuElapsed)
 	return run, nil
 }
 
@@ -380,14 +351,14 @@ type gpuResolved struct {
 	limit units.Watts
 }
 
-func (hf *HeteroFramework) recordGPU(bench *workload.Benchmark, scheme Scheme, deviceIDs []int,
+func (fw *Framework) recordGPU(bench *workload.Benchmark, scheme Scheme, deviceIDs []int,
 	alloc *HeteroAllocation, ops []gpuResolved, elapsed units.Seconds) {
-	if hf.Recorder == nil {
+	if fw.Recorder == nil {
 		return
 	}
-	garch := hf.Sys.Spec.GPU.Arch
-	cap := hf.Recorder.NewCapture(fmt.Sprintf("%s/%v/gpu", bench.Name, scheme))
-	offset := hf.Sys.GPUFaultOffset()
+	garch := fw.Sys.Spec.GPU.Arch
+	cap := fw.Recorder.NewCapture(fmt.Sprintf("%s/%v/gpu", bench.Name, scheme))
+	offset := fw.Sys.GPUFaultOffset()
 	for i, id := range deviceIDs {
 		lane := offset + id
 		if scheme.UsesFS() {
@@ -401,5 +372,5 @@ func (hf *HeteroFramework) recordGPU(bench *workload.Benchmark, scheme Scheme, d
 		cap.SynthesizeGPU(lane, ops[i].op.Power, ops[i].limit, ops[i].op.Clock, garch.TDP, elapsed)
 	}
 	cap.Seal(elapsed)
-	hf.Recorder.Commit(cap)
+	fw.Recorder.Commit(cap)
 }

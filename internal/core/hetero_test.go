@@ -15,7 +15,7 @@ import (
 
 // testHetero instantiates a scaled HA8K-hybrid (count CPU modules plus the
 // node-derived GPU population) and its hierarchical framework.
-func testHetero(t *testing.T, count, workers int) (*HeteroFramework, []int, []int) {
+func testHetero(t *testing.T, count, workers int) (*Framework, []int, []int) {
 	t.Helper()
 	spec := cluster.HA8KHybrid()
 	sys := cluster.MustNew(spec, count, 0x5c15)
@@ -33,7 +33,7 @@ func testHetero(t *testing.T, count, workers int) (*HeteroFramework, []int, []in
 // heteroBudget picks a system budget between the combined class minima and
 // maxima so the split is a real decision (uniform feasible but wasteful on
 // the GPU-heavy preset).
-func heteroBudget(hf *HeteroFramework, bench *workload.Benchmark, moduleIDs, deviceIDs []int, frac float64) units.Watts {
+func heteroBudget(hf *Framework, bench *workload.Benchmark, moduleIDs, deviceIDs []int, frac float64) units.Watts {
 	pmt := NaivePMT(hf.Sys, moduleIDs)
 	gpmt := NaiveGPUPMT(hf.Sys.Spec.GPU.Arch, deviceIDs)
 	var min, max units.Watts
@@ -345,19 +345,27 @@ func TestHierarchicalBeatsUniform(t *testing.T) {
 	}
 }
 
-// TestHeteroFrameworkGuards: non-hybrid systems are rejected, as are
-// mismatched restored tables.
+// TestHeteroFrameworkGuards: non-hybrid systems are rejected, and a
+// framework without a GPU table cannot solve the hybrid pipeline.
 func TestHeteroFrameworkGuards(t *testing.T) {
 	sys := cluster.MustNew(cluster.HA8K(), 8, 1)
 	if _, err := NewHeteroFramework(sys, nil, 1); err == nil {
 		t.Fatal("non-hybrid system accepted")
 	}
-	hf, _, _ := testHetero(t, 8, 1)
-	if _, err := NewHeteroWithTables(hf.Sys, hf.PVT, nil); err == nil {
-		t.Fatal("nil GPU PVT accepted")
+	hf, ids, devs := testHetero(t, 8, 1)
+	fw, err := NewFrameworkWithPVT(hf.Sys, hf.PVT)
+	if err != nil {
+		t.Fatal(err)
 	}
-	wrong := &GPUPVT{System: "elsewhere", Entries: make([]GPUPVTEntry, 1)}
-	if _, err := NewHeteroWithTables(hf.Sys, hf.PVT, wrong); err == nil {
-		t.Fatal("mismatched GPU PVT accepted")
+	bench := workload.MHD()
+	budget := heteroBudget(hf, bench, ids, devs, 0.7)
+	if _, _, _, err := fw.SolveHetero(bench, ids, devs, budget, VaPc, SplitGreedy); err == nil {
+		t.Fatal("framework without a GPU PVT solved the hybrid pipeline")
+	}
+	if _, err := fw.RunHetero(bench, ids, devs, budget, VaPc, SplitGreedy); err == nil {
+		t.Fatal("framework without a GPU PVT ran the hybrid pipeline")
+	}
+	if _, _, _, err := hf.SolveHetero(bench, ids, devs, budget, VaPc, SplitGreedy); err != nil {
+		t.Fatalf("hybrid framework: %v", err)
 	}
 }

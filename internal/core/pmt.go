@@ -90,15 +90,10 @@ func RunTestPair(sys *cluster.System, bench *workload.Benchmark, id int) (TestPa
 // estimate the system-wide averages, then multiply those averages by every
 // target module's scales to predict its four parameters.
 func Calibrate(pvt *PVT, test TestPair, bench *workload.Benchmark, moduleIDs []int) (*PMT, error) {
-	ref, err := pvt.Entry(test.ModuleID)
+	avg, err := pvt.averages(test)
 	if err != nil {
 		return nil, fmt.Errorf("core: calibrate: test %w", err)
 	}
-	avgCPUMax := float64(test.AtMax.CPUPower) / ref.CPUMax
-	avgDramMax := float64(test.AtMax.DramPower) / ref.DramMax
-	avgCPUMin := float64(test.AtMin.CPUPower) / ref.CPUMin
-	avgDramMin := float64(test.AtMin.DramPower) / ref.DramMin
-
 	pmt := &PMT{Workload: bench.Name, Entries: make([]PMTEntry, len(moduleIDs))}
 	for i, id := range moduleIDs {
 		e, err := pvt.Entry(id)
@@ -107,13 +102,29 @@ func Calibrate(pvt *PVT, test TestPair, bench *workload.Benchmark, moduleIDs []i
 		}
 		pmt.Entries[i] = PMTEntry{
 			ModuleID: id,
-			CPUMax:   units.Watts(avgCPUMax * e.CPUMax),
-			DramMax:  units.Watts(avgDramMax * e.DramMax),
-			CPUMin:   units.Watts(avgCPUMin * e.CPUMin),
-			DramMin:  units.Watts(avgDramMin * e.DramMin),
+			CPUMax:   units.Watts(float64(avg.CPUMax) * e.CPUMax),
+			DramMax:  units.Watts(float64(avg.DramMax) * e.DramMax),
+			CPUMin:   units.Watts(float64(avg.CPUMin) * e.CPUMin),
+			DramMin:  units.Watts(float64(avg.DramMin) * e.DramMin),
 		}
 	}
 	return pmt, nil
+}
+
+// averages inverts the PVT at one measured module: the test pair divided
+// by the module's scales is the population average the install-time sweep
+// normalised against, for the workload the pair ran.
+func (p *PVT) averages(test TestPair) (PMTEntry, error) {
+	ref, err := p.Entry(test.ModuleID)
+	if err != nil {
+		return PMTEntry{}, err
+	}
+	return PMTEntry{
+		CPUMax:  units.Watts(float64(test.AtMax.CPUPower) / ref.CPUMax),
+		DramMax: units.Watts(float64(test.AtMax.DramPower) / ref.DramMax),
+		CPUMin:  units.Watts(float64(test.AtMin.CPUPower) / ref.CPUMin),
+		DramMin: units.Watts(float64(test.AtMin.DramPower) / ref.DramMin),
+	}, nil
 }
 
 // OraclePMT measures every allocated module directly — a complete execution
@@ -141,12 +152,7 @@ func (fw *Framework) oraclePMT(bench *workload.Benchmark, moduleIDs []int) (*PMT
 	span.SetAttr("bench", bench.Name)
 	span.SetInt("modules", len(moduleIDs))
 	defer span.End()
-	workers := fw.Workers
-	if hasDuplicates(moduleIDs) {
-		workers = 1
-	}
-	entries, err := parallel.Map(workers, len(moduleIDs), func(i int) (PMTEntry, error) {
-		id := moduleIDs[i]
+	entries, err := measureEach(fw.Workers, moduleIDs, func(id int) (PMTEntry, error) {
 		pair, err := RunTestPair(fw.Sys, bench, id)
 		if err != nil {
 			return PMTEntry{}, fmt.Errorf("core: oracle PMT module %d: %w", id, err)
@@ -165,16 +171,20 @@ func (fw *Framework) oraclePMT(bench *workload.Benchmark, moduleIDs []int) (*PMT
 	return &PMT{Workload: bench.Name, Entries: entries}, nil
 }
 
-// hasDuplicates reports whether the allocation lists any module twice.
-func hasDuplicates(ids []int) bool {
+// measureEach runs the oracle measurement of every allocated member at the
+// given width, in allocation order. An allocation that lists a member twice
+// is measured serially: that member's test runs reprogram its one governor
+// or controller, in order.
+func measureEach[E any](workers int, ids []int, measure func(id int) (E, error)) ([]E, error) {
 	seen := make(map[int]struct{}, len(ids))
 	for _, id := range ids {
 		if _, dup := seen[id]; dup {
-			return true
+			workers = 1
+			break
 		}
 		seen[id] = struct{}{}
 	}
-	return false
+	return parallel.Map(workers, len(ids), func(i int) (E, error) { return measure(ids[i]) })
 }
 
 // Naive model constants (Section 6): the variation-unaware scheme takes

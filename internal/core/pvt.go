@@ -23,10 +23,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"varpower/internal/cluster"
 	"varpower/internal/faults"
-	"varpower/internal/measure"
 	"varpower/internal/obs"
 	"varpower/internal/parallel"
 	"varpower/internal/workload"
@@ -60,29 +60,17 @@ type PVT struct {
 
 // IsQuarantined reports whether a module's PVT entry is a quarantine
 // placeholder rather than a measurement.
-func (p *PVT) IsQuarantined(moduleID int) bool {
-	for _, id := range p.Quarantined {
-		if id == moduleID {
-			return true
-		}
-	}
-	return false
-}
+func (p *PVT) IsQuarantined(moduleID int) bool { return slices.Contains(p.Quarantined, moduleID) }
 
-// deviation is a module's distance from the population mean (see
-// PVTEntry.deviation), +Inf for quarantined or unknown modules: their
-// placeholder scales of exactly 1.0 are deceptively "closest to the mean".
+// deviation is a module's L1 distance from the population mean of 1 in PVT
+// scales, DRAM weighted a quarter; +Inf for quarantined or unknown modules,
+// whose placeholder scales of exactly 1.0 are deceptively "closest to the
+// mean".
 func (p *PVT) deviation(moduleID int) float64 {
 	e, err := p.Entry(moduleID)
 	if err != nil || p.IsQuarantined(moduleID) {
 		return math.Inf(1)
 	}
-	return e.deviation()
-}
-
-// deviation is the L1 distance of the entry's scales from the population
-// mean of 1, DRAM weighted a quarter.
-func (e PVTEntry) deviation() float64 {
 	return math.Abs(e.CPUMax-1) + math.Abs(e.CPUMin-1) +
 		0.25*(math.Abs(e.DramMax-1)+math.Abs(e.DramMin-1))
 }
@@ -135,81 +123,91 @@ func GeneratePVTCtx(ctx context.Context, sys *cluster.System, micro *workload.Be
 	span.SetAttr("system", sys.Spec.Name)
 	span.SetInt("modules", sys.NumModules())
 	defer span.End()
-	arch := sys.Spec.Arch
-	n := sys.NumModules()
-	in := sys.Faults()
-	type raw struct {
-		cpuMax, dramMax, cpuMin, dramMin float64
-		quarantined                      bool
-	}
-	raws, err := parallel.MapCtx(ctx, workers, n, func(_ context.Context, id int) (raw, error) {
-		attempts := 1
-		if in != nil {
-			// Faulty hardware: retry the test-run pair before giving up on
-			// the module, then quarantine instead of failing the install.
-			attempts = 1 + pvtRetries
+	scales, quarantined, err := sweep(ctx, sys, sys.NumModules(), 4, workers, func(id int, v []float64) error {
+		pair, err := RunTestPair(sys, micro, id)
+		if err != nil {
+			return fmt.Errorf("core: PVT test pair on module %d: %w", id, err)
 		}
-		var lastErr error
-		for a := 0; a < attempts; a++ {
-			if a > 0 {
-				faults.MetricRetried.Inc()
-			}
-			hi, err := measure.TestRun(sys, micro, id, arch.FNom)
-			if err != nil {
-				lastErr = fmt.Errorf("core: PVT fmax run on module %d: %w", id, err)
-				continue
-			}
-			lo, err := measure.TestRun(sys, micro, id, arch.FMin)
-			if err != nil {
-				lastErr = fmt.Errorf("core: PVT fmin run on module %d: %w", id, err)
-				continue
-			}
-			return raw{
-				cpuMax: float64(hi.CPUPower), dramMax: float64(hi.DramPower),
-				cpuMin: float64(lo.CPUPower), dramMin: float64(lo.DramPower),
-			}, nil
-		}
-		if in != nil {
-			return raw{quarantined: true}, nil
-		}
-		return raw{}, lastErr
+		v[0], v[1] = float64(pair.AtMax.CPUPower), float64(pair.AtMax.DramPower)
+		v[2], v[3] = float64(pair.AtMin.CPUPower), float64(pair.AtMin.DramPower)
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	pvt := &PVT{
+		System: sys.Spec.Name, Microbenchmark: micro.Name,
+		Entries: make([]PVTEntry, sys.NumModules()), Quarantined: quarantined,
+	}
+	for id := range pvt.Entries {
+		s := scales[4*id:]
+		pvt.Entries[id] = PVTEntry{ModuleID: id, CPUMax: s[0], DramMax: s[1], CPUMin: s[2], DramMin: s[3]}
+	}
+	return pvt, nil
+}
+
+// sweep is the install-time calibration every PVT is built by, for modules
+// and GPU devices alike: it fans out each of the n members' test pair
+// (test fills one value per channel), normalises every channel by its
+// population average, and returns the scales member-major with the
+// quarantine list. Every member's test runs touch only that member and
+// draw from (seed, id)-keyed streams, and the averages are reduced in
+// member order after the fan-out, so the scales are bit-identical for
+// every worker count.
+//
+// On faulty hardware a failing pair is retried, then its member is
+// quarantined instead of failing the install, and a MAD pass over each
+// channel in turn (skipping members already quarantined) quarantines the
+// members whose measurement is wildly off-population — a spiked or stuck
+// counter that still produced numbers — so one degrades its own entry
+// instead of corrupting everyone's normalisation. A healthy install keeps
+// its exact statistics. Quarantined members are left out of the averages
+// and carry neutral scales of 1: exactly average if a job lands on one,
+// and reported so schedulers can avoid it.
+func sweep(ctx context.Context, sys *cluster.System, n, channels, workers int, test func(id int, v []float64) error) ([]float64, []int, error) {
+	in := sys.Faults()
+	vals := make([]float64, n*channels)
 	quar := make([]bool, n)
-	for id := 0; id < n; id++ {
-		quar[id] = raws[id].quarantined
+	err := parallel.ForEachCtx(ctx, workers, n, func(_ context.Context, id int) error {
+		attempts := 1
+		if in != nil {
+			attempts = 1 + pvtRetries
+		}
+		var err error
+		for a := 0; a < attempts; a++ {
+			if a > 0 {
+				faults.MetricRetried.Inc()
+			}
+			if err = test(id, vals[id*channels:(id+1)*channels]); err == nil {
+				return nil
+			}
+		}
+		if in != nil {
+			quar[id] = true
+			return nil
+		}
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	if in != nil {
-		// MAD outlier rejection over each of the four metrics: a module
-		// whose measurement is wildly off-population (a spiked or stuck
-		// counter that still produced numbers) degrades its own entry
-		// instead of corrupting everyone's normalisation. Only runs under
-		// fault injection so a healthy install keeps its exact statistics.
-		for _, get := range []func(raw) float64{
-			func(r raw) float64 { return r.cpuMax },
-			func(r raw) float64 { return r.dramMax },
-			func(r raw) float64 { return r.cpuMin },
-			func(r raw) float64 { return r.dramMin },
-		} {
-			idx := make([]int, 0, n)
-			vals := make([]float64, 0, n)
+		idx := make([]int, 0, n)
+		col := make([]float64, 0, n)
+		for c := 0; c < channels; c++ {
+			idx, col = idx[:0], col[:0]
 			for id := 0; id < n; id++ {
-				if quar[id] {
-					continue
+				if !quar[id] {
+					idx = append(idx, id)
+					col = append(col, vals[id*channels+c])
 				}
-				idx = append(idx, id)
-				vals = append(vals, get(raws[id]))
 			}
-			for _, i := range faults.Outliers(vals, 0) {
+			for _, i := range faults.Outliers(col, 0) {
 				quar[idx[i]] = true
 			}
 		}
 	}
-	// Population averages are reduced in module order after the fan-out so
-	// the float sums are bit-identical for every worker count.
-	var sum raw
+	avg := make([]float64, channels)
 	kept := 0
 	var quarantined []int
 	for id := 0; id < n; id++ {
@@ -217,45 +215,30 @@ func GeneratePVTCtx(ctx context.Context, sys *cluster.System, micro *workload.Be
 			quarantined = append(quarantined, id)
 			continue
 		}
-		sum.cpuMax += raws[id].cpuMax
-		sum.dramMax += raws[id].dramMax
-		sum.cpuMin += raws[id].cpuMin
-		sum.dramMin += raws[id].dramMin
+		for c := range avg {
+			avg[c] += vals[id*channels+c]
+		}
 		kept++
 	}
 	if kept == 0 {
-		return nil, fmt.Errorf("core: PVT generation quarantined every module")
+		return nil, nil, fmt.Errorf("core: calibration sweep quarantined every member of %s", sys.Spec.Name)
 	}
-	for range quarantined {
-		faults.MetricQuarantined.Inc()
-	}
-	avg := raw{
-		cpuMax: sum.cpuMax / float64(kept), dramMax: sum.dramMax / float64(kept),
-		cpuMin: sum.cpuMin / float64(kept), dramMin: sum.dramMin / float64(kept),
-	}
-	if avg.cpuMax == 0 || avg.cpuMin == 0 || avg.dramMax == 0 || avg.dramMin == 0 {
-		return nil, fmt.Errorf("core: PVT generation measured zero average power")
-	}
-	pvt := &PVT{
-		System: sys.Spec.Name, Microbenchmark: micro.Name,
-		Entries: make([]PVTEntry, n), Quarantined: quarantined,
+	faults.MetricQuarantined.Add(float64(len(quarantined)))
+	for c := range avg {
+		if avg[c] /= float64(kept); avg[c] == 0 {
+			return nil, nil, fmt.Errorf("core: calibration sweep of %s measured zero average power", sys.Spec.Name)
+		}
 	}
 	for id := 0; id < n; id++ {
-		if quar[id] {
-			// Neutral placeholder: the module is treated as exactly average
-			// if a job lands on it, and reported so schedulers can avoid it.
-			pvt.Entries[id] = PVTEntry{ModuleID: id, CPUMax: 1, DramMax: 1, CPUMin: 1, DramMin: 1}
-			continue
-		}
-		pvt.Entries[id] = PVTEntry{
-			ModuleID: id,
-			CPUMax:   raws[id].cpuMax / avg.cpuMax,
-			DramMax:  raws[id].dramMax / avg.dramMax,
-			CPUMin:   raws[id].cpuMin / avg.cpuMin,
-			DramMin:  raws[id].dramMin / avg.dramMin,
+		for c, a := range avg {
+			if quar[id] {
+				vals[id*channels+c] = 1
+			} else {
+				vals[id*channels+c] /= a
+			}
 		}
 	}
-	return pvt, nil
+	return vals, quarantined, nil
 }
 
 // pvtRetries bounds the extra test-run attempts per module during a faulty

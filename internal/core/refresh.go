@@ -19,7 +19,8 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"varpower/internal/cluster"
 	"varpower/internal/measure"
@@ -81,56 +82,52 @@ func RefreshPVT(sys *cluster.System, pvt *PVT, modules []int, workers int) (*PVT
 	if len(modules) == 0 {
 		return nil, nil, fmt.Errorf("core: refresh needs at least one module")
 	}
-	ids := append([]int(nil), modules...)
-	sort.Ints(ids)
-	dedup := ids[:0]
-	for i, id := range ids {
+	ids := slices.Clone(modules)
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	for _, id := range ids {
 		if id < 0 || id >= sys.NumModules() {
 			return nil, nil, fmt.Errorf("core: refresh module %d outside [0,%d)", id, sys.NumModules())
 		}
-		if i > 0 && id == ids[i-1] {
-			continue
-		}
-		dedup = append(dedup, id)
 	}
-	ids = dedup
 
 	micro, err := workload.ByName(pvt.Microbenchmark)
 	if err != nil {
 		micro = workload.PVTMicrobenchmark()
 	}
-	arch := sys.Spec.Arch
 	mRecalibrations.Inc()
 	// A calibration sweep: timed, but in no trace.
 	_, span := obs.StartSpan(context.Background(), "pvt.refresh")
 	defer span.End()
 
 	// The population averages the original sweep normalised against are
-	// recovered from one unflagged, unquarantined reference module: its
-	// measurement divided by its scales. Test runs are deterministic in
-	// (seed, module), so the implied averages equal the install-time ones
-	// exactly and the spliced entries stay on the original scale.
-	refID, err := refreshReference(pvt, ids)
+	// recovered as Calibrate recovers an application's: one test pair
+	// divided by the measured module's scales, on the unflagged module
+	// closest to the mean. Test runs are deterministic in (seed, module),
+	// so the implied averages equal the install-time ones exactly and the
+	// spliced entries stay on the original scale.
+	others := make([]int, 0, len(pvt.Entries))
+	for id := range pvt.Entries {
+		if _, flagged := slices.BinarySearch(ids, id); !flagged {
+			others = append(others, id)
+		}
+	}
+	refID := -1
+	if len(others) > 0 {
+		refID = closestToMean(others, -1, pvt.deviation)
+	}
+	if refID < 0 || math.IsInf(pvt.deviation(refID), 1) {
+		return nil, nil, fmt.Errorf("core: refresh has no healthy reference module (all %d flagged or quarantined)", len(pvt.Entries))
+	}
+	refPair, err := RunTestPair(sys, micro, refID)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: refresh reference module %d: %w", refID, err)
+	}
+	avg, err := pvt.averages(refPair)
 	if err != nil {
 		return nil, nil, err
 	}
-	refEntry, err := pvt.Entry(refID)
-	if err != nil {
-		return nil, nil, err
-	}
-	refHi, err := measure.TestRun(sys, micro, refID, arch.FNom)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: refresh reference fmax run on module %d: %w", refID, err)
-	}
-	refLo, err := measure.TestRun(sys, micro, refID, arch.FMin)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: refresh reference fmin run on module %d: %w", refID, err)
-	}
-	avgCPUMax := float64(refHi.CPUPower) / refEntry.CPUMax
-	avgDramMax := float64(refHi.DramPower) / refEntry.DramMax
-	avgCPUMin := float64(refLo.CPUPower) / refEntry.CPUMin
-	avgDramMin := float64(refLo.DramPower) / refEntry.DramMin
-	if avgCPUMax <= 0 || avgCPUMin <= 0 || avgDramMax <= 0 || avgDramMin <= 0 {
+	if avg.CPUMax <= 0 || avg.CPUMin <= 0 || avg.DramMax <= 0 || avg.DramMin <= 0 {
 		return nil, nil, fmt.Errorf("core: refresh reference module %d measured zero power", refID)
 	}
 
@@ -141,14 +138,11 @@ func RefreshPVT(sys *cluster.System, pvt *PVT, modules []int, workers int) (*PVT
 		if err != nil {
 			return ModuleRefresh{}, err
 		}
-		hi, err := measure.TestRun(sys, micro, id, arch.FNom)
+		pair, err := RunTestPair(sys, micro, id)
 		if err != nil {
-			return ModuleRefresh{}, fmt.Errorf("core: refresh fmax run on module %d: %w", id, err)
+			return ModuleRefresh{}, fmt.Errorf("core: refresh module %d: %w", id, err)
 		}
-		lo, err := measure.TestRun(sys, micro, id, arch.FMin)
-		if err != nil {
-			return ModuleRefresh{}, fmt.Errorf("core: refresh fmin run on module %d: %w", id, err)
-		}
+		hi, lo := pair.AtMax, pair.AtMin
 		enf := 1.0
 		if canCap {
 			// Enforcement probe: a cap midway between the module's fmin and
@@ -168,10 +162,10 @@ func RefreshPVT(sys *cluster.System, pvt *PVT, modules []int, workers int) (*PVT
 			WasQuarantined: pvt.IsQuarantined(id),
 			New: PVTEntry{
 				ModuleID: id,
-				CPUMax:   float64(hi.CPUPower) / avgCPUMax / enf,
-				DramMax:  float64(hi.DramPower) / avgDramMax,
-				CPUMin:   float64(lo.CPUPower) / avgCPUMin / enf,
-				DramMin:  float64(lo.DramPower) / avgDramMin,
+				CPUMax:   float64(hi.CPUPower) / float64(avg.CPUMax) / enf,
+				DramMax:  float64(hi.DramPower) / float64(avg.DramMax),
+				CPUMin:   float64(lo.CPUPower) / float64(avg.CPUMin) / enf,
+				DramMin:  float64(lo.DramPower) / float64(avg.DramMin),
 			},
 		}, nil
 	})
@@ -201,31 +195,6 @@ func RefreshPVT(sys *cluster.System, pvt *PVT, modules []int, workers int) (*PVT
 		System: pvt.System, Microbenchmark: micro.Name,
 		Reference: refID, Modules: rows,
 	}, nil
-}
-
-// refreshReference picks the module anchoring the implied population
-// averages: not being refreshed, not quarantined, and — like closestToMean
-// — the one whose scales lie closest to the population mean, where any
-// measurement idiosyncrasy has the least leverage.
-func refreshReference(pvt *PVT, refreshing []int) (int, error) {
-	skip := make(map[int]bool, len(refreshing))
-	for _, id := range refreshing {
-		skip[id] = true
-	}
-	best, bestDev := -1, 0.0
-	for _, e := range pvt.Entries {
-		if skip[e.ModuleID] || pvt.IsQuarantined(e.ModuleID) {
-			continue
-		}
-		dev := e.deviation()
-		if best < 0 || dev < bestDev {
-			best, bestDev = e.ModuleID, dev
-		}
-	}
-	if best < 0 {
-		return 0, fmt.Errorf("core: refresh has no healthy reference module (all %d flagged or quarantined)", len(pvt.Entries))
-	}
-	return best, nil
 }
 
 // Refresh re-measures the listed modules and splices the result into the

@@ -19,6 +19,10 @@ import (
 type Framework struct {
 	Sys *cluster.System
 	PVT *PVT
+	// GPVT is the GPU device class's install-time table, which the hybrid
+	// pipeline (SolveHetero, RunHetero) needs; nil on CPU-only systems
+	// and until NewHeteroFramework or the caller sets it.
+	GPVT *GPUPVT
 
 	// Workers bounds the fan-out of the framework's per-module loops
 	// (oracle measurement, final-run resolution and accounting): < 1
@@ -82,12 +86,13 @@ func NewFrameworkWithPVT(sys *cluster.System, pvt *PVT) (*Framework, error) {
 }
 
 // Clone returns a framework over an independent replica of the system,
-// sharing the (read-only) PVT. Replicas measure byte-identically to the
-// original — see cluster.System.Clone — which lets sweep engines run many
-// (benchmark, budget, scheme) evaluations concurrently without the runs
-// clobbering each other's RAPL limits and pinned frequencies.
+// sharing the (read-only) install-time tables. Replicas measure
+// byte-identically to the original — see cluster.System.Clone — which lets
+// sweep engines run many (benchmark, budget, scheme) evaluations
+// concurrently without the runs clobbering each other's RAPL limits and
+// pinned frequencies.
 func (fw *Framework) Clone() *Framework {
-	return &Framework{Sys: fw.Sys.Clone(), PVT: fw.PVT, Workers: fw.Workers}
+	return &Framework{Sys: fw.Sys.Clone(), PVT: fw.PVT, GPVT: fw.GPVT, Workers: fw.Workers}
 }
 
 // BuildPMT constructs the scheme's power model for the allocated modules:

@@ -202,7 +202,7 @@ func Hetero(o Options) (*HeteroResult, error) {
 
 // heteroBudgetFor derives the machine budget from the naive (spec-sheet)
 // demand envelope of both classes — deterministic in the system alone.
-func heteroBudgetFor(hf *core.HeteroFramework, ids, devs []int) units.Watts {
+func heteroBudgetFor(hf *core.Framework, ids, devs []int) units.Watts {
 	pmt := core.NaivePMT(hf.Sys, ids)
 	gpmt := core.NaiveGPUPMT(hf.Sys.Spec.GPU.Arch, devs)
 	var min, max units.Watts

@@ -3,8 +3,8 @@
 // MSR energy reads, RAPL cap drift and enforcement lag, spurious
 // thermal-throttle episodes, slow-node degradation, and outright module
 // death — that the hardware substrate (internal/hw/msr, internal/hw/rapl,
-// internal/hw/sensors) and the MPI simulator (internal/simmpi) consult at
-// their interception points.
+// internal/hw/gpu) and the MPI simulator (internal/simmpi) consult at their
+// interception points.
 //
 // The paper's budgeting framework assumes trustworthy power telemetry and
 // perfectly enforced caps; real clusters deliver neither ("The Shift from

@@ -226,46 +226,9 @@ func (f *DeviceFaults) InterceptRead(addr uint64, t float64, raw, last uint64, h
 	return f.in.EnergyRead(f.module, t, raw, last, hasLast)
 }
 
-// SensorPerturb returns a per-sample perturbation hook for an external
-// power sensor (internal/hw/sensors) attached to the module: spikes
-// multiply the reading, drops fail it, stuck repeats the previous sample.
-// The returned closure carries the stuck-sample state and must be used from
-// one goroutine (a sensor trace is serial).
-func (in *Injector) SensorPerturb(module int) func(at units.Seconds, v units.Watts) (units.Watts, error) {
-	if in == nil {
-		return nil
-	}
-	var lastV units.Watts
-	var haveLast bool
-	return func(at units.Seconds, v units.Watts) (units.Watts, error) {
-		e, ok := in.sensorEvent(module, float64(at))
-		if !ok {
-			lastV, haveLast = v, true
-			return v, nil
-		}
-		switch e.Kind {
-		case KindStuckMSR:
-			CountInjected(KindStuckMSR)
-			if haveLast {
-				return lastV, nil
-			}
-			lastV, haveLast = v, true
-			return v, nil
-		case KindSpikeMSR:
-			CountInjected(KindSpikeMSR)
-			return units.Watts(float64(v) * e.magnitude()), nil
-		case KindDropMSR:
-			CountInjected(KindDropMSR)
-			return 0, ErrDropped
-		}
-		return v, nil
-	}
-}
-
 // MAD-based outlier quarantine: robust center/spread over a metric vector.
-// Used by PVT generation and the sensors' robust averaging so a spiking
-// module degrades its own entry instead of corrupting the population
-// statistics.
+// Used by the install-time PVT sweep so a spiking module degrades its own
+// entry instead of corrupting the population statistics.
 
 // MADThreshold is the default rejection threshold in MAD multiples. The
 // normal-consistency factor for MAD is 1.4826, so 8 MADs ≈ 12σ — far

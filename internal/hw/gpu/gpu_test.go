@@ -164,3 +164,69 @@ func TestArchValidate(t *testing.T) {
 		}
 	}
 }
+
+// TestEnforcementErrorBoundedByControlModel: under a programmed power
+// limit the controller's operating point differs from the ideal inversion
+// of the power curve (Device.Limited at the applied limit) only as the
+// control model allows. It exists exactly when the ideal one does, never
+// draws more than the applied limit (up to the rounding of the curve's
+// inversion, as in TestClockForPowerInvertsBoardPower), and delivers a
+// clock between half the ideal one (the controller's loss cap) and the
+// ideal one less the mean Overhead; under PerfectControl it is the ideal
+// point itself. Both presets, 64 devices, a compute- and a bandwidth-bound
+// kernel, 21 limits across [MinLimit, TDP], and the stock, a coarse and
+// the perfect control model.
+func TestEnforcementErrorBoundedByControlModel(t *testing.T) {
+	const devices, steps = 64, 20
+	for _, arch := range presets() {
+		tdp := float64(arch.TDP)
+		kernels := []gpu.KernelProfile{testKernel(arch), {
+			Kernel:           "stream",
+			DynPower:         units.Watts(0.2 * tdp),
+			StaticPower:      units.Watts(0.15 * tdp),
+			MemPower:         units.Watts(0.35 * tdp),
+			ClockSensitivity: 0.3,
+			ResidualSigma:    0.03,
+		}}
+		// A coarse controller's loss often reaches the loss cap, which the
+		// stock jitter almost never does.
+		coarse := gpu.ControlModel{Overhead: 0.1, Jitter: 0.3}
+		for _, control := range []gpu.ControlModel{gpu.DefaultControl, coarse, gpu.PerfectControl} {
+			for id := 0; id < devices; id++ {
+				d := gpu.New(id, arch, 0x5c15)
+				c := gpu.NewController(d, control, 0x5c15)
+				for _, k := range kernels {
+					for s := 0; s <= steps; s++ {
+						w := arch.MinLimit + units.Watts(float64(s)/steps)*(arch.TDP-arch.MinLimit)
+						applied, err := c.SetPowerLimit(w)
+						if err != nil {
+							t.Fatal(err)
+						}
+						ideal, idealOK := d.Limited(k, applied)
+						op, ok := c.OperatingPoint(k)
+						if ok != idealOK {
+							t.Fatalf("%s device %d %s at %v: ok %v, ideal ok %v", arch.Name, id, k.Kernel, applied, ok, idealOK)
+						}
+						if !ok {
+							continue
+						}
+						if float64(op.Power) > float64(applied)*(1+1e-12) {
+							t.Fatalf("%s device %d %s: draws %v above the applied limit %v", arch.Name, id, k.Kernel, op.Power, applied)
+						}
+						if control == gpu.PerfectControl {
+							if op != ideal {
+								t.Fatalf("%s device %d %s at %v: perfect control resolved %+v, ideal %+v", arch.Name, id, k.Kernel, applied, op, ideal)
+							}
+							continue
+						}
+						lo, hi := 0.5*float64(ideal.Clock), (1-control.Overhead)*float64(ideal.Clock)
+						if f := float64(op.Clock); f < lo || f > hi {
+							t.Fatalf("%s device %d %s at %v: clock %v outside [%v, %v] of ideal %v",
+								arch.Name, id, k.Kernel, applied, op.Clock, units.Hertz(lo), units.Hertz(hi), ideal.Clock)
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -12,7 +12,6 @@ package sensors
 import (
 	"fmt"
 
-	"varpower/internal/faults"
 	"varpower/internal/units"
 	"varpower/internal/xrand"
 )
@@ -44,25 +43,14 @@ var (
 	EMON = Spec{Name: "BGQ EMON", Interval: 0.300, NoiseSigma: 1.2, OffsetSigma: 0.8}
 )
 
-// Perturb is the fault-injection hook applied to each sample after sensor
-// noise: it returns the observed value, or an error for a dropped reading
-// (the sample is then omitted from the trace). internal/faults builds these
-// closures; nil keeps the exact pre-fault path.
-type Perturb func(at units.Seconds, v units.Watts) (units.Watts, error)
-
 // Sensor samples a power signal according to a Spec. A Sensor is attached
 // to a specific measurement point (a socket for PowerInsight, a node board
 // for EMON); its calibration offset is fixed at attach time.
 type Sensor struct {
-	spec    Spec
-	offset  float64
-	rng     *xrand.Stream
-	perturb Perturb
+	spec   Spec
+	offset float64
+	rng    *xrand.Stream
 }
-
-// SetPerturb attaches (or, with nil, detaches) the fault-injection hook.
-// Install before tracing; a sensor is driven from one goroutine.
-func (s *Sensor) SetPerturb(p Perturb) { s.perturb = p }
 
 // Attach creates a sensor at measurement point id with deterministic
 // calibration derived from seed.
@@ -107,19 +95,7 @@ func (s *Sensor) Trace(truth units.Watts, duration units.Seconds) []Sample {
 		if v < 0 {
 			v = 0
 		}
-		at := units.Seconds(float64(i) * float64(s.spec.Interval))
-		obs := units.Watts(v)
-		if s.perturb != nil {
-			pv, err := s.perturb(at, obs)
-			if err != nil {
-				// Dropped reading: the sample never reaches the consumer.
-				// The RNG was already advanced, so the surviving samples
-				// are identical to what a healthy sensor would have seen.
-				continue
-			}
-			obs = pv
-		}
-		out = append(out, Sample{At: at, Power: obs})
+		out = append(out, Sample{At: units.Seconds(float64(i) * float64(s.spec.Interval)), Power: units.Watts(v)})
 	}
 	return out
 }
@@ -141,38 +117,4 @@ func Average(trace []Sample) (units.Watts, error) {
 // duration and return the observed average.
 func (s *Sensor) Measure(truth units.Watts, duration units.Seconds) (units.Watts, error) {
 	return Average(s.Trace(truth, duration))
-}
-
-// RobustAverage reduces a trace to the mean of its inliers, rejecting
-// samples more than k MADs from the median (k <= 0 selects the default
-// threshold shared with the PVT quarantine, internal/faults.MADThreshold).
-// It returns the inlier mean and the number of rejected samples; a trace
-// whose samples are all rejected (or empty) errors rather than silently
-// reporting zero. On a healthy trace the rejection count is 0 and the
-// result equals Average.
-func RobustAverage(trace []Sample, k float64) (units.Watts, int, error) {
-	if len(trace) == 0 {
-		return 0, 0, fmt.Errorf("sensors: empty trace")
-	}
-	xs := make([]float64, len(trace))
-	for i, s := range trace {
-		xs[i] = float64(s.Power)
-	}
-	drop := make(map[int]bool)
-	for _, i := range faults.Outliers(xs, k) {
-		drop[i] = true
-	}
-	var sum float64
-	n := 0
-	for i, x := range xs {
-		if drop[i] {
-			continue
-		}
-		sum += x
-		n++
-	}
-	if n == 0 {
-		return 0, len(drop), fmt.Errorf("sensors: all %d samples rejected as outliers", len(trace))
-	}
-	return units.Watts(sum / float64(n)), len(drop), nil
 }

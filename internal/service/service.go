@@ -191,12 +191,6 @@ type baseSystem struct {
 	// recalMu serialises recalibrations (each is a real re-measurement).
 	recalMu sync.Mutex
 
-	// gpvt is the GPU device class's install-time table (nil for CPU-only
-	// presets). It is written once at build/restore time and read-only
-	// thereafter: the recalibration path covers CPU modules only, so no
-	// lock is needed.
-	gpvt *core.GPUPVT
-
 	// restored marks a system whose boot state came from a snapshot rather
 	// than a fresh calibration sweep.
 	restored bool
@@ -368,12 +362,11 @@ func (s *Server) coldBuild(spec cluster.Spec, n int) (*baseSystem, RestoreOutcom
 	if err != nil {
 		return nil, RestoreOutcome{}, fmt.Errorf("service: calibrate %s: %w", spec.Name, err)
 	}
-	gpvt, err := s.gpuTableFor(sys)
-	if err != nil {
+	if fw.GPVT, err = s.gpuTableFor(sys); err != nil {
 		return nil, RestoreOutcome{}, err
 	}
 	return &baseSystem{
-		spec: spec, fw: fw, pool: core.NewReplicaPool(fw), gpvt: gpvt,
+		spec: spec, fw: fw, pool: core.NewReplicaPool(fw),
 		collector: attrib.New(attrib.Config{}),
 	}, RestoreOutcome{System: spec.Name, Outcome: "cold", Note: "calibrated"}, nil
 }
@@ -623,8 +616,8 @@ func (s *Server) handleSystems(w http.ResponseWriter, _ *http.Request) {
 		if b.spec.Hybrid() {
 			info.GPUArch = b.spec.GPU.Arch.Name
 			info.GPUsLoaded = fw.Sys.NumGPUs()
-			if b.gpvt != nil {
-				info.GPUQuarantined = len(b.gpvt.Quarantined)
+			if fw.GPVT != nil {
+				info.GPUQuarantined = len(fw.GPVT.Quarantined)
 			}
 		}
 		out = append(out, info)
@@ -906,30 +899,25 @@ func (s *Server) solveHeteroBody(ctx context.Context, req SolveRequest, b *baseS
 		return nil, err
 	}
 	defer release()
-	gpvt := b.gpvt
-	if gpvt == nil || req.Seed != s.cfg.Seed || req.Faults != "" ||
-		req.Modules > b.framework().Sys.NumModules() {
-		// Custom seed, fault level or size: the owned table does not
-		// describe this replica's devices — run the install-time sweep on
-		// it (pooled replicas are clones of the base system and keep the
-		// owned table).
-		gpvt, err = core.GenerateGPUPVT(ctx, fw.Sys, s.cfg.Workers)
-		if err != nil {
+	if fw.GPVT == nil {
+		// A fresh replica (custom seed, fault level or size) has no table
+		// for its devices yet: run the install-time sweep on it. Pooled
+		// replicas share the base system's.
+		if fw.GPVT, err = core.GenerateGPUPVT(ctx, fw.Sys, s.cfg.Workers); err != nil {
 			return nil, err
 		}
 	}
-	hf := &core.HeteroFramework{Framework: fw, GPVT: gpvt}
 	ids, err := fw.Sys.AllocateFirst(req.Modules)
 	if err != nil {
 		return nil, err
 	}
-	devs := hf.AllDevices()
+	devs := fw.AllDevices()
 	_, msp := obs.StartSpan(ctx, "measure")
 	msp.SetAttr("kind", "hetero_solve")
 	msp.SetInt("modules", req.Modules)
 	msp.SetInt("devices", len(devs))
-	hf.Trace = msp
-	alloc, _, _, err := hf.SolveHetero(bench, ids, devs, budget, scheme, splitter)
+	fw.Trace = msp
+	alloc, _, _, err := fw.SolveHetero(bench, ids, devs, budget, scheme, splitter)
 	msp.Fail(err)
 	msp.End()
 	if err != nil {
@@ -965,7 +953,7 @@ func (s *Server) solveHeteroBody(ctx context.Context, req SolveRequest, b *baseS
 		GPUBudgetW:     float64(alloc.GPUBudget),
 		GPUAlpha:       alloc.GPU.Alpha,
 		GPUClockHz:     float64(alloc.GPU.Clock),
-		GPUQuarantined: gpvt.Quarantined,
+		GPUQuarantined: fw.GPVT.Quarantined,
 		GPUAllocations: make([]GPUAllocation, len(alloc.GPU.Entries)),
 	}
 	for i, e := range alloc.CPU.Entries {
@@ -1176,7 +1164,7 @@ func (s *Server) recalibrate(b *baseSystem, modules []int) (*core.RefreshReport,
 	if err != nil {
 		return nil, 0, err
 	}
-	next := &core.Framework{Sys: fw.Sys, PVT: newPVT, Workers: fw.Workers}
+	next := &core.Framework{Sys: fw.Sys, PVT: newPVT, GPVT: fw.GPVT, Workers: fw.Workers}
 	b.mu.Lock()
 	b.fw = next
 	b.pool = core.NewReplicaPool(next)

@@ -221,8 +221,7 @@ func (s *Server) restoreSystem(spec cluster.Spec, n int) (*baseSystem, RestoreOu
 	fw.Workers = s.cfg.Workers
 	// The GPU device-class table is deterministic in (spec, seed) and is
 	// not persisted; hybrid systems regenerate it on restore.
-	gpvt, err := s.gpuTableFor(sys)
-	if err != nil {
+	if fw.GPVT, err = s.gpuTableFor(sys); err != nil {
 		return nil, RestoreOutcome{System: name, Outcome: "stale", Note: err.Error()}
 	}
 	b := &baseSystem{
@@ -230,7 +229,6 @@ func (s *Server) restoreSystem(spec cluster.Spec, n int) (*baseSystem, RestoreOu
 		fw:        fw,
 		pool:      core.NewReplicaPool(fw),
 		gen:       st.Generation,
-		gpvt:      gpvt,
 		restored:  true,
 		collector: attrib.New(attrib.Config{}),
 	}
