@@ -835,3 +835,18 @@ func BenchmarkCalibratePMT(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPVTSweep measures the install-time calibration layer: the PVT
+// sweep's two microbenchmark test runs on every module of a prebuilt
+// 480-module HA8K system, fanned out over GOMAXPROCS workers, and the
+// population normalisation. It is eval-grid's setup_s without cluster.New.
+func BenchmarkPVTSweep(b *testing.B) {
+	sys := cluster.MustNew(cluster.HA8K(), 480, 0x5c15)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.GeneratePVTWorkers(sys, nil, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

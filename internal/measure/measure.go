@@ -29,15 +29,16 @@ import (
 	"varpower/internal/xrand"
 )
 
-// Run telemetry: per-mode run counts and the rank wait-time distribution
-// including the MPI_Finalize barrier tail (simmpi's histogram covers only
-// in-program waits). Spans time the three pipeline phases of each run.
+// Run telemetry: per-mode run counts (test runs count as pinned runs) and
+// the rank wait-time distribution including the MPI_Finalize barrier tail
+// (simmpi's histogram covers only in-program waits), observed once per run
+// in rank order. Spans time the three pipeline phases of each Run; a test
+// run is one measure.test_run span.
 var (
-	mRuns = func() map[Mode]*telemetry.Counter {
-		m := make(map[Mode]*telemetry.Counter, 3)
-		for mode, name := range map[Mode]string{ModeUncapped: "uncapped", ModeCapped: "capped", ModePinned: "pinned"} {
+	mRuns = func() (m [ModePinned + 1]*telemetry.Counter) {
+		for mode := range m {
 			m[mode] = telemetry.Default().Counter("varpower_measure_runs_total",
-				"Measured application runs, by control mode.", telemetry.Labels{"mode": name})
+				"Measured application runs, by control mode.", telemetry.Labels{"mode": Mode(mode).String()})
 		}
 		return m
 	}()
@@ -439,126 +440,17 @@ func simulate(sys *cluster.System, cfg Config, ops []module.OperatingPoint, prob
 }
 
 // account converts the DES timing into MSR energy-counter activity and
-// reads the counters back into the result. With a fault injector installed
-// the poll loop hardens: reads are retried with poll-time backoff, polls
-// that keep failing or report implausible power are dropped (the rank's
-// energies turn partial rather than wrong), cap-enforcement lag adds its
-// overshoot energy to the counters, and a per-rank health verdict is built.
+// reads the counters back into the result, one accountRank per rank, then
+// observes every rank's wait in rank order and builds the per-rank health
+// verdicts on a faulty system.
 func account(sys *cluster.System, cfg Config, prof module.PowerProfile, ops []module.OperatingPoint, sim simmpi.Result) (Result, error) {
-	n := len(cfg.Modules)
-	in := sys.Faults()
-	arch := sys.Spec.Arch
-	ranks, err := parallel.Map(rankWorkers(cfg), n, func(rank int) (RankResult, error) {
-		id := cfg.Modules[rank]
-		ctl := sys.RAPL(id)
-		st := sim.Ranks[rank]
-		// Ranks that finish early sit in the MPI_Finalize barrier (the
-		// PMMD region ends there), busy-polling until the slowest rank
-		// arrives. A dead rank instead stops drawing power at its death
-		// time.
-		wait := sim.Elapsed - st.Busy
-		if st.Dead {
-			wait = st.End - st.Busy
-		}
-		if wait < 0 {
-			wait = 0
-		}
-		mRankWait.Observe(float64(wait))
-		// The RAPL energy counters are 32-bit and wrap every ~64 kJ, so —
-		// exactly like libmsr-based tools — poll them periodically rather
-		// than once per run. Thirty virtual seconds per poll keeps each
-		// delta far below one wrap at any plausible module power.
-		chunks := int(float64(sim.Elapsed)/30) + 1
-		chunkBusy := st.Busy / units.Seconds(chunks)
-		chunkWait := wait / units.Seconds(chunks)
-		chunkDur := float64(chunkBusy + chunkWait)
-		var pkgJ, dramJ units.Joules
-		var dropped, retries int
-		for c := 0; c < chunks; c++ {
-			if in != nil {
-				ctl.Device().SetPollTime(chunkDur * float64(c))
-			}
-			snap, err := ctl.Snapshot()
-			if err != nil && in != nil && errors.Is(err, faults.ErrDropped) {
-				// Bounded retry with poll-time backoff: a transient drop
-				// window may have closed by the next (slightly later) poll.
-				for a := 1; a <= snapshotRetries && err != nil; a++ {
-					faults.MetricRetried.Inc()
-					retries++
-					ctl.Device().SetPollTime(chunkDur*float64(c) + float64(a)*retryBackoff)
-					snap, err = ctl.Snapshot()
-				}
-			}
-			readable := err == nil
-			if err != nil && !errors.Is(err, faults.ErrDropped) {
-				return RankResult{}, err
-			}
-			if c == 0 && in != nil && cfg.Mode == ModeCapped {
-				// Cap-enforcement lag: the module ran uncapped until the
-				// limit took hold; the counters observe the overshoot.
-				if lag, ok := in.CapLag(id); ok && lag > 0 {
-					if lag > float64(sim.Elapsed) {
-						lag = float64(sim.Elapsed)
-					}
-					unc := sys.Module(id).Curve(prof).Uncapped()
-					overPkg := (float64(unc.CPUPower) - float64(ops[rank].CPUPower)) * lag
-					overDram := (float64(unc.DramPower) - float64(ops[rank].DramPower)) * lag
-					if overPkg < 0 {
-						overPkg = 0
-					}
-					if overDram < 0 {
-						overDram = 0
-					}
-					if overPkg > 0 || overDram > 0 {
-						ctl.Device().AccumulateEnergy(overPkg, overDram)
-						faults.CountInjected(faults.KindCapLag)
-					}
-				}
-			}
-			ctl.AccountEnergy(prof, ops[rank], chunkBusy, chunkWait)
-			if !readable {
-				// The poll never succeeded: the chunk's energy stays on the
-				// counters (the next successful poll sees it) but this
-				// rank's observed total goes partial.
-				dropped++
-				continue
-			}
-			if in != nil {
-				ctl.Device().SetPollTime(chunkDur * float64(c+1))
-			}
-			dp, dd, err := ctl.Since(snap)
-			if err != nil {
-				if in != nil && errors.Is(err, faults.ErrDropped) {
-					dropped++
-					continue
-				}
-				return RankResult{}, err
-			}
-			if in != nil && chunkDur > 0 {
-				// Plausibility gate: a spiking counter can report orders of
-				// magnitude more energy than the module can draw. Reject
-				// the delta rather than averaging it in.
-				if (float64(dp)+float64(dd))/chunkDur > implausiblePowerFactor*(float64(arch.TDP)+float64(arch.DramTDP)) {
-					dropped++
-					faults.MetricQuarantined.Inc()
-					continue
-				}
-			}
-			pkgJ += dp
-			dramJ += dd
-		}
-		return RankResult{
-			Rank: rank, ModuleID: id, Op: ops[rank],
-			Busy: st.Busy, Wait: st.Wait, Sendrecv: st.Sendrecv, End: st.End,
-			PkgEnergy: pkgJ, DramEnergy: dramJ,
-			AvgCPUPower:  units.AvgPower(pkgJ, sim.Elapsed),
-			AvgDramPower: units.AvgPower(dramJ, sim.Elapsed),
-			DroppedPolls: dropped, Retries: retries,
-		}, nil
+	ranks, err := parallel.Map(rankWorkers(cfg), len(cfg.Modules), func(rank int) (RankResult, error) {
+		return accountRank(sys, cfg, prof, ops, sim, rank)
 	})
 	if err != nil {
 		return Result{}, err
 	}
+	mRankWait.ObserveEach(len(ranks), func(rank int) float64 { return float64(rankWait(sim, rank)) })
 	out := Result{Ranks: ranks, Elapsed: sim.Elapsed}
 	// Reduce in rank order so float accumulation is bit-identical for every
 	// worker count.
@@ -568,10 +460,134 @@ func account(sys *cluster.System, cfg Config, prof module.PowerProfile, ops []mo
 	}
 	out.TotalEnergy = units.Joules(totalJ)
 	out.AvgTotalPower = units.AvgPower(out.TotalEnergy, out.Elapsed)
-	if in != nil {
+	if in := sys.Faults(); in != nil {
 		out.Health = health(in, cfg, sim, ranks)
 	}
 	return out, nil
+}
+
+// rankWait is the time rank draws wait power. Ranks that finish early sit
+// in the MPI_Finalize barrier (the PMMD region ends there), busy-polling
+// until the slowest rank arrives, so it is everything but the rank's busy
+// time up to the run's end — or up to its death time, when a dead rank
+// stops drawing power.
+func rankWait(sim simmpi.Result, rank int) units.Seconds {
+	st := sim.Ranks[rank]
+	wait := sim.Elapsed - st.Busy
+	if st.Dead {
+		wait = st.End - st.Busy
+	}
+	if wait < 0 {
+		wait = 0
+	}
+	return wait
+}
+
+// accountRank converts one rank's DES timing into energy-counter activity
+// on its module and reads the counters back. With a fault injector
+// installed the poll loop hardens: reads are retried with poll-time
+// backoff, polls that keep failing or report implausible power are dropped
+// (the rank's energies turn partial rather than wrong), and cap-enforcement
+// lag adds its overshoot energy to the counters. It touches only the
+// rank's own module.
+func accountRank(sys *cluster.System, cfg Config, prof module.PowerProfile, ops []module.OperatingPoint, sim simmpi.Result, rank int) (RankResult, error) {
+	in := sys.Faults()
+	arch := sys.Spec.Arch
+	id := cfg.Modules[rank]
+	ctl := sys.RAPL(id)
+	st := sim.Ranks[rank]
+	wait := rankWait(sim, rank)
+	// The RAPL energy counters are 32-bit and wrap every ~64 kJ, so —
+	// exactly like libmsr-based tools — poll them periodically rather
+	// than once per run. Thirty virtual seconds per poll keeps each
+	// delta far below one wrap at any plausible module power.
+	chunks := int(float64(sim.Elapsed)/30) + 1
+	chunkBusy := st.Busy / units.Seconds(chunks)
+	chunkWait := wait / units.Seconds(chunks)
+	chunkDur := float64(chunkBusy + chunkWait)
+	var pkgJ, dramJ units.Joules
+	var dropped, retries int
+	for c := 0; c < chunks; c++ {
+		if in != nil {
+			ctl.Device().SetPollTime(chunkDur * float64(c))
+		}
+		snap, err := ctl.Snapshot()
+		if err != nil && in != nil && errors.Is(err, faults.ErrDropped) {
+			// Bounded retry with poll-time backoff: a transient drop
+			// window may have closed by the next (slightly later) poll.
+			for a := 1; a <= snapshotRetries && err != nil; a++ {
+				faults.MetricRetried.Inc()
+				retries++
+				ctl.Device().SetPollTime(chunkDur*float64(c) + float64(a)*retryBackoff)
+				snap, err = ctl.Snapshot()
+			}
+		}
+		readable := err == nil
+		if err != nil && !errors.Is(err, faults.ErrDropped) {
+			return RankResult{}, err
+		}
+		if c == 0 && in != nil && cfg.Mode == ModeCapped {
+			// Cap-enforcement lag: the module ran uncapped until the
+			// limit took hold; the counters observe the overshoot.
+			if lag, ok := in.CapLag(id); ok && lag > 0 {
+				if lag > float64(sim.Elapsed) {
+					lag = float64(sim.Elapsed)
+				}
+				unc := sys.Module(id).Curve(prof).Uncapped()
+				overPkg := (float64(unc.CPUPower) - float64(ops[rank].CPUPower)) * lag
+				overDram := (float64(unc.DramPower) - float64(ops[rank].DramPower)) * lag
+				if overPkg < 0 {
+					overPkg = 0
+				}
+				if overDram < 0 {
+					overDram = 0
+				}
+				if overPkg > 0 || overDram > 0 {
+					ctl.Device().AccumulateEnergy(overPkg, overDram)
+					faults.CountInjected(faults.KindCapLag)
+				}
+			}
+		}
+		ctl.AccountEnergy(prof, ops[rank], chunkBusy, chunkWait)
+		if !readable {
+			// The poll never succeeded: the chunk's energy stays on the
+			// counters (the next successful poll sees it) but this
+			// rank's observed total goes partial.
+			dropped++
+			continue
+		}
+		if in != nil {
+			ctl.Device().SetPollTime(chunkDur * float64(c+1))
+		}
+		dp, dd, err := ctl.Since(snap)
+		if err != nil {
+			if in != nil && errors.Is(err, faults.ErrDropped) {
+				dropped++
+				continue
+			}
+			return RankResult{}, err
+		}
+		if in != nil && chunkDur > 0 {
+			// Plausibility gate: a spiking counter can report orders of
+			// magnitude more energy than the module can draw. Reject
+			// the delta rather than averaging it in.
+			if (float64(dp)+float64(dd))/chunkDur > implausiblePowerFactor*(float64(arch.TDP)+float64(arch.DramTDP)) {
+				dropped++
+				faults.MetricQuarantined.Inc()
+				continue
+			}
+		}
+		pkgJ += dp
+		dramJ += dd
+	}
+	return RankResult{
+		Rank: rank, ModuleID: id, Op: ops[rank],
+		Busy: st.Busy, Wait: st.Wait, Sendrecv: st.Sendrecv, End: st.End,
+		PkgEnergy: pkgJ, DramEnergy: dramJ,
+		AvgCPUPower:  units.AvgPower(pkgJ, sim.Elapsed),
+		AvgDramPower: units.AvgPower(dramJ, sim.Elapsed),
+		DroppedPolls: dropped, Retries: retries,
+	}, nil
 }
 
 // Hardened poll-loop tuning.
@@ -618,7 +634,7 @@ func health(in *faults.Injector, cfg Config, sim simmpi.Result, ranks []RankResu
 // would see order-dependent limit programming and interleaved energy
 // accounting, so duplicates force the serial path.
 func rankWorkers(cfg Config) int {
-	if cfg.Workers == 1 {
+	if cfg.Workers == 1 || len(cfg.Modules) == 1 {
 		return 1
 	}
 	seen := make(map[int]struct{}, len(cfg.Modules))
@@ -644,22 +660,46 @@ func (t TestRunResult) ModulePower() units.Watts { return t.CPUPower + t.DramPow
 
 // TestRun performs the paper's low-cost single-module test run: pin module
 // id to frequency f, run the benchmark with a single rank, and report the
-// measured average powers. The run is shortened (minIters) because only
-// steady-state power is needed.
+// measured average powers. The run is shortened (testIterations) because
+// only steady-state power is needed.
+//
+// A test run is a pinned Run of that one-module configuration, measured by
+// the same resolve, simulate and accountRank steps and counted as a pinned
+// run, but it pays only for its simulation: one untraced measure.test_run
+// span instead of Run's four, and no fan-out, recorder or attribution.
 func TestRun(sys *cluster.System, bench *workload.Benchmark, id int, f units.Hertz) (TestRunResult, error) {
 	short := *bench
-	if short.Iterations > 5 {
-		short.Iterations = 5
+	if short.Iterations > testIterations {
+		short.Iterations = testIterations
 	}
-	res, err := Run(sys, Config{
-		Bench:   &short,
-		Modules: []int{id},
-		Mode:    ModePinned,
-		Freqs:   []units.Hertz{f},
-	})
+	cfg := Config{Bench: &short, Modules: []int{id}, Mode: ModePinned, Freqs: []units.Hertz{f}}
+	if err := validate(sys, &cfg); err != nil {
+		return TestRunResult{}, err
+	}
+	mRuns[ModePinned].Inc()
+	var root obs.Span
+	span := root.Start("measure.test_run")
+	defer span.End()
+	prof := short.ProfileFor(sys.Spec.Arch)
+	op, err := resolve(sys, cfg, prof, 0, id)
 	if err != nil {
 		return TestRunResult{}, err
 	}
-	r := res.Ranks[0]
+	ops := []module.OperatingPoint{op}
+	sim, err := simulate(sys, cfg, ops, nil)
+	if err != nil {
+		return TestRunResult{}, err
+	}
+	r, err := accountRank(sys, cfg, prof, ops, sim, 0)
+	if err != nil {
+		return TestRunResult{}, err
+	}
+	mRankWait.Observe(float64(rankWait(sim, 0)))
+	if in := sys.Faults(); in != nil {
+		health(in, cfg, sim, []RankResult{r}) // counts a dead test module as Run does
+	}
 	return TestRunResult{Freq: r.Op.Freq, CPUPower: r.AvgCPUPower, DramPower: r.AvgDramPower}, nil
 }
+
+// testIterations caps a test run's iteration count.
+const testIterations = 5

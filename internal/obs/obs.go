@@ -250,7 +250,11 @@ func (o *Observer) StartRequest(ctx context.Context, req Request) (context.Conte
 		requestID: req.RequestID,
 		start:     o.now(),
 	}
-	if tid, parent, _, err := ParseTraceparent(req.Traceparent); err == nil {
+	// A missing header is the common case (loadgen sends none): skip the
+	// parse, whose rejection would format an error just to discard it.
+	if req.Traceparent == "" {
+		rt.trace = o.ids.traceID()
+	} else if tid, parent, _, err := ParseTraceparent(req.Traceparent); err == nil {
 		rt.trace, rt.remoteParent = tid, parent
 	} else {
 		rt.trace = o.ids.traceID()

@@ -250,6 +250,28 @@ func TestDisabledObserverIsNoOp(t *testing.T) {
 	}
 }
 
+// TestStartRequestWithoutHeaderAllocatesNoMore: a request without a
+// traceparent (what loadgen sends) mints a fresh trace without paying for a
+// parse error, so it allocates no more than one adopting a valid header.
+func TestStartRequestWithoutHeaderAllocatesNoMore(t *testing.T) {
+	o := New(Config{IDSeed: 11})
+	valid := Traceparent(o.ids.traceID(), o.ids.spanID())
+	start := func(h string) float64 {
+		return testing.AllocsPerRun(100, func() {
+			o.StartRequest(context.Background(), Request{Method: "POST", Route: "/v1/solve", Traceparent: h, RequestID: "r"})
+		})
+	}
+	none, adopted := start(""), start(valid)
+	if none > adopted {
+		t.Fatalf("StartRequest allocates %.1f/op without a traceparent, %.1f/op with a valid one", none, adopted)
+	}
+	_, rt := o.StartRequest(context.Background(), Request{Route: "/v1/solve"})
+	if rt.TraceID().IsZero() || !rt.remoteParent.IsZero() {
+		t.Fatalf("headerless request: trace %s under %s, want a fresh trace without a remote parent",
+			rt.TraceID(), rt.remoteParent)
+	}
+}
+
 func TestSLOBurnMath(t *testing.T) {
 	clock := time.Unix(10_000, 0)
 	o := New(Config{

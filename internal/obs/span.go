@@ -6,6 +6,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"varpower/internal/telemetry"
@@ -152,10 +153,19 @@ func (s *Span) End() {
 	}
 }
 
+// phaseHists holds each phase's histogram in the default registry, keyed by
+// span name. A name is resolved through the registry once; after that a
+// span's End reads the handle without a lock and builds no label key.
+var phaseHists sync.Map // string → *telemetry.Histogram
+
 // observePhase records one phase duration in the default registry.
 func observePhase(name string, d time.Duration) {
-	telemetry.Default().Histogram(telemetry.PhaseDurationMetric, "Wall-clock duration of pipeline phases.",
-		telemetry.DefTimeBuckets, telemetry.Labels{"phase": name}).Observe(d.Seconds())
+	h, ok := phaseHists.Load(name)
+	if !ok {
+		h, _ = phaseHists.LoadOrStore(name, telemetry.Default().Histogram(telemetry.PhaseDurationMetric,
+			"Wall-clock duration of pipeline phases.", telemetry.DefTimeBuckets, telemetry.Labels{"phase": name}))
+	}
+	h.(*telemetry.Histogram).Observe(d.Seconds())
 }
 
 // WriteTree renders the entry's spans as an indented tree, children under

@@ -156,3 +156,28 @@ func TestConcurrentEndKeepsStartOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestConcurrentUntracedEndsShareOneSeries ends untraced spans of one
+// phase from racing goroutines (on a first run, of a phase no span has
+// ended yet): whichever End resolves the phase's histogram first, every
+// duration lands in the one registry series.
+func TestConcurrentUntracedEndsShareOneSeries(t *testing.T) {
+	const goroutines, spans = 8, 50
+	before := phaseCount("obs.test.concurrent_first")
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < spans; i++ {
+				var root Span
+				sp := root.Start("obs.test.concurrent_first")
+				sp.End()
+			}
+		}()
+	}
+	wg.Wait()
+	if n := phaseCount("obs.test.concurrent_first") - before; n != goroutines*spans {
+		t.Fatalf("phase recorded %d durations, want %d", n, goroutines*spans)
+	}
+}

@@ -55,6 +55,7 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -520,10 +521,16 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 	hist := telemetry.Default().Histogram("varpower_http_request_seconds",
 		"HTTP request handling latency by route.", httpLatencyBuckets,
 		telemetry.Labels{"route": route})
+	// The route's request counters, resolved once per status code.
+	var counters sync.Map // int → *telemetry.Counter
 	counter := func(code int) *telemetry.Counter {
-		return telemetry.Default().Counter("varpower_http_requests_total",
-			"HTTP requests served, by route and status code.",
-			telemetry.Labels{"route": route, "code": fmt.Sprint(code)})
+		c, ok := counters.Load(code)
+		if !ok {
+			c, _ = counters.LoadOrStore(code, telemetry.Default().Counter("varpower_http_requests_total",
+				"HTTP requests served, by route and status code.",
+				telemetry.Labels{"route": route, "code": strconv.Itoa(code)}))
+		}
+		return c.(*telemetry.Counter)
 	}
 	o := s.cfg.Obs
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

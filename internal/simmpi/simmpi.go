@@ -37,8 +37,9 @@ import (
 // simulated application's time splits into per-rank busy and wait
 // (Figures 3 and 5 are distributions over exactly these quantities), and
 // how much communication structure each run carried. Busy/wait are in
-// *virtual* (simulated) seconds; counters are incremented once per round,
-// not per rank, so the hot loop stays untouched.
+// *virtual* (simulated) seconds. A run tallies its rounds per kind locally
+// and flushes the tallies and its per-rank samples once, when it finishes,
+// so the round loop touches no shared metric.
 var (
 	mRounds = func() (m [kindAllreduce + 1]*telemetry.Counter) {
 		for kind := kindCompute; kind <= kindAllreduce; kind++ {
@@ -278,6 +279,14 @@ func RunFaulty(p Program, size int, m Model, net Network, probe Probe, fs *Fault
 	}
 	res := Result{Ranks: make([]RankStats, size)}
 	rounds := p.Rounds()
+	var played [kindAllreduce + 1]int // rounds per kind, flushed on return
+	defer func() {
+		for kind := kindCompute; kind <= kindAllreduce; kind++ {
+			if played[kind] > 0 {
+				mRounds[kind].Add(float64(played[kind]))
+			}
+		}
+	}()
 
 	for r := 0; r < rounds; r++ {
 		// Tear down ranks whose death time passed while they were blocked in
@@ -294,7 +303,7 @@ func RunFaulty(p Program, size int, m Model, net Network, probe Probe, fs *Fault
 			return Result{}, fmt.Errorf("simmpi: round %d plays table %d of %d", r, i, len(tabs))
 		}
 		tb := &tabs[i]
-		mRounds[tb.kind].Inc()
+		played[tb.kind]++
 		switch tb.kind {
 		case kindCompute:
 			for rank := 0; rank < size; rank++ {
@@ -426,9 +435,9 @@ func RunFaulty(p Program, size int, m Model, net Network, probe Probe, fs *Fault
 		if !res.Ranks[rank].Dead && t[rank] > res.Elapsed {
 			res.Elapsed = t[rank]
 		}
-		mRankBusy.Observe(float64(res.Ranks[rank].Busy))
-		mRankWait.Observe(float64(res.Ranks[rank].Wait))
 	}
+	mRankBusy.ObserveEach(size, func(rank int) float64 { return float64(res.Ranks[rank].Busy) })
+	mRankWait.ObserveEach(size, func(rank int) float64 { return float64(res.Ranks[rank].Wait) })
 	if res.Elapsed == 0 && fault != nil {
 		// Every rank died: report the last death as completion.
 		res.Elapsed = maxAny

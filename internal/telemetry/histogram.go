@@ -91,15 +91,40 @@ func (h *Histogram) Observe(v float64) { h.ObserveWithExemplar(v, "") }
 // pins it as the bucket's exemplar (last observation wins — recency is what
 // makes an exemplar actionable). The same validity guard as Observe applies.
 func (h *Histogram) ObserveWithExemplar(v float64, traceID string) {
+	h.mu.Lock()
+	if i, ok := h.add(v); ok && traceID != "" {
+		if h.exemplars == nil {
+			h.exemplars = make([]Exemplar, len(h.counts))
+		}
+		h.exemplars[i] = Exemplar{TraceID: traceID, Value: v}
+	}
+	h.mu.Unlock()
+}
+
+// ObserveEach records v(0), …, v(n-1) in index order under one lock
+// acquisition, leaving the histogram in exactly the state n Observe calls
+// made one after another would: the same counts, the same sum bits, the
+// same rejections. A run's per-rank samples go through it, so a run takes
+// the histogram's lock once, not once per rank, and needs no slice of its
+// samples. v runs under the lock: it must be a plain read that does not
+// touch h.
+func (h *Histogram) ObserveEach(n int, v func(i int) float64) {
+	h.mu.Lock()
+	for i := 0; i < n; i++ {
+		h.add(v(i))
+	}
+	h.mu.Unlock()
+}
+
+// add records one sample under h.mu and returns its bucket, or tallies the
+// rejection and reports false.
+func (h *Histogram) add(v float64) (int, bool) {
 	if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-		h.mu.Lock()
 		h.dropped++
-		h.mu.Unlock()
-		return
+		return 0, false
 	}
 	// Bucket index: first bound >= v, or the +Inf bucket.
 	i := sort.SearchFloat64s(h.bounds, v)
-	h.mu.Lock()
 	h.counts[i]++
 	h.count++
 	h.sum += v
@@ -109,13 +134,7 @@ func (h *Histogram) ObserveWithExemplar(v float64, traceID string) {
 	if v > h.max {
 		h.max = v
 	}
-	if traceID != "" {
-		if h.exemplars == nil {
-			h.exemplars = make([]Exemplar, len(h.counts))
-		}
-		h.exemplars[i] = Exemplar{TraceID: traceID, Value: v}
-	}
-	h.mu.Unlock()
+	return i, true
 }
 
 // HistSnapshot is a consistent copy of a histogram's state.

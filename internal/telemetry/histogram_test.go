@@ -111,3 +111,37 @@ func TestExpBuckets(t *testing.T) {
 		t.Fatalf("degenerate ExpBuckets = %v", db)
 	}
 }
+
+// TestObserveEachMatchesSequentialObserve: a batch leaves the histogram in
+// exactly the state the same Observe calls made one by one leave it — the
+// bucket counts, the sum's bits, min, max and the rejections of NaN, ±Inf
+// and negative samples — on top of earlier samples, and an empty batch
+// changes nothing.
+func TestObserveEachMatchesSequentialObserve(t *testing.T) {
+	// 2^53 absorbs the 1s that follow it, so the sum's bits depend on the
+	// order the samples go in.
+	vals := []float64{1 << 53, 1, 1, 0.1, 3e-7, math.NaN(), 0.3, 1e9, math.Inf(1), 0, -2, 0.2, math.Inf(-1), 41.5, 1e-12, 0.7}
+	batched, sequential := newHistogram(DefTimeBuckets), newHistogram(DefTimeBuckets)
+	for _, h := range []*Histogram{batched, sequential} {
+		h.Observe(5e-4) // earlier state the batch accumulates onto
+	}
+	batched.ObserveEach(len(vals), func(i int) float64 { return vals[i] })
+	batched.ObserveEach(0, func(int) float64 { panic("empty batch read a value") })
+	for _, v := range vals {
+		sequential.Observe(v)
+	}
+	got, want := batched.Snapshot(), sequential.Snapshot()
+	if got.Count != want.Count || math.Float64bits(got.Sum) != math.Float64bits(want.Sum) ||
+		got.Min != want.Min || got.Max != want.Max || got.Dropped != want.Dropped {
+		t.Fatalf("batched count=%d sum=%v min=%v max=%v dropped=%d, sequential count=%d sum=%v min=%v max=%v dropped=%d",
+			got.Count, got.Sum, got.Min, got.Max, got.Dropped, want.Count, want.Sum, want.Min, want.Max, want.Dropped)
+	}
+	if want.Dropped != 4 {
+		t.Fatalf("sequential Observe dropped %d samples, want 4 (NaN, ±Inf, -2)", want.Dropped)
+	}
+	for i := range want.Counts {
+		if got.Counts[i] != want.Counts[i] {
+			t.Fatalf("bucket %d: batched %d, sequential %d", i, got.Counts[i], want.Counts[i])
+		}
+	}
+}

@@ -14,12 +14,14 @@
 // busy/wait histograms, core publishes the α and budget-residual gauges,
 // and every pipeline phase records its wall-clock duration.
 //
-// Collection is always on and cheap (atomic adds; metric handles are
-// resolved once at package init, never per event). Collection is also
-// strictly write-only with respect to simulation state: enabling or
-// draining telemetry cannot change any simulated result, which is what
-// keeps the repo's bit-reproducibility contract intact (the determinism
-// property tests run with telemetry active).
+// Collection is always on and cheap: the hot paths resolve their metric
+// handles once — at package init, or on a series' first use — not per
+// event, and a run's per-rank samples go in under one lock with
+// Histogram.ObserveEach. Collection is also strictly write-only with
+// respect to simulation state: enabling or draining telemetry cannot
+// change any simulated result, which is what keeps the repo's
+// bit-reproducibility contract intact (the determinism property tests run
+// with telemetry active).
 //
 // This package is distinct from internal/flight, which records
 // *simulated power time series* (per-module watts over virtual seconds,
@@ -191,7 +193,7 @@ func Default() *Registry { return defaultRegistry }
 // it is always a programming error in the instrumentation layer.
 func (r *Registry) family(name, help string, typ MetricType, buckets []float64) *family {
 	// Fast path: a family that exists with its type and help settled needs
-	// only the read lock — the common case, e.g. every Span.End.
+	// only the read lock — the common case.
 	r.mu.RLock()
 	f, ok := r.families[name]
 	warm := ok && f.typ == typ && (f.help != "" || help == "")
@@ -268,7 +270,8 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels Labels
 	return r.family(name, help, TypeHistogram, buckets).get(labels).hist
 }
 
-// Reset drops every family and series. Intended for tests.
+// Reset drops every family and series. Intended for tests: a handle
+// resolved before the Reset keeps its dropped series.
 func (r *Registry) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -44,9 +44,10 @@ func TestLabelIdentity(t *testing.T) {
 	}
 }
 
-// TestWarmLookupAllocFree pins the lookup of an existing series — what every
-// Span.End does for its phase histogram — at zero allocations, and checks
-// that Reset still drops what the fast path returns.
+// TestWarmLookupAllocFree pins the lookup of an existing series — what a
+// series looked up per event does (a tenant's energy counter, a router's
+// request counter) — at zero allocations, and checks that Reset still
+// drops what the fast path returns.
 func TestWarmLookupAllocFree(t *testing.T) {
 	r := NewRegistry()
 	lookups := map[string]func(){
@@ -99,7 +100,9 @@ func TestConcurrentRegistryMutation(t *testing.T) {
 				r.Counter("shared_total", "h", nil).Inc()
 				r.Counter("labeled_total", "h", Labels{"g": fmt.Sprint(gi % 4)}).Add(2)
 				r.Gauge("gauge", "h", nil).Set(float64(i))
-				r.Histogram("hist_seconds", "h", nil, Labels{"g": fmt.Sprint(gi % 2)}).Observe(float64(i) * 1e-3)
+				h := r.Histogram("hist_seconds", "h", nil, Labels{"g": fmt.Sprint(gi % 2)})
+				h.Observe(float64(i) * 1e-3)
+				h.ObserveEach(2, func(j int) float64 { return float64(i+j) * 1e-3 })
 				if i%50 == 0 {
 					_ = r.Gather() // concurrent export while mutating
 				}
@@ -121,8 +124,8 @@ func TestConcurrentRegistryMutation(t *testing.T) {
 	for _, g := range []string{"0", "1"} {
 		count += r.Histogram("hist_seconds", "", nil, Labels{"g": g}).Snapshot().Count
 	}
-	if count != goroutines*iters {
-		t.Fatalf("histogram count = %d, want %d", count, goroutines*iters)
+	if count != goroutines*iters*3 {
+		t.Fatalf("histogram count = %d, want %d", count, goroutines*iters*3)
 	}
 }
 
