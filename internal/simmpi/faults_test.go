@@ -26,34 +26,44 @@ func ringProgram(size, iters int, cycles float64) sliceProgram {
 	return sliceProgram{ops: ops}
 }
 
+// nopProbe observes nothing. A run given it still takes the general loop.
+type nopProbe struct{}
+
+func (nopProbe) Interval(int, int, ProbePhase, units.Seconds, units.Seconds) {}
+func (nopProbe) Collective(int, string, int, units.Seconds, units.Seconds)   {}
+
+// TestRunFaultyNilSpecMatchesRun: a run with no spec and no probe takes the
+// healthy loop; a deathless spec, or a probe that observes nothing, sends
+// the same run through the general loop, and the results are identical.
+// The timeout only matters once somebody dies.
 func TestRunFaultyNilSpecMatchesRun(t *testing.T) {
 	p := ringProgram(6, 8, 3)
-	want, err := Run(p, 6, unitModel(), zeroNet())
+	want, err := RunFaulty(p, 6, skewedModel(), DefaultNetwork, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunFaulty(p, 6, unitModel(), zeroNet(), nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("nil FaultSpec diverged from Run:\n%+v\n%+v", want, got)
-	}
-	// A spec with no deaths must also be value-identical: the timeout only
-	// matters once somebody dies.
-	got, err = RunFaulty(p, 6, unitModel(), zeroNet(), nil, &FaultSpec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("deathless FaultSpec diverged from Run:\n%+v\n%+v", want, got)
+	for _, tc := range []struct {
+		name  string
+		probe Probe
+		fs    *FaultSpec
+	}{
+		{"deathless FaultSpec", nil, &FaultSpec{}},
+		{"no-op probe", nopProbe{}, nil},
+	} {
+		got, err := RunFaulty(p, 6, skewedModel(), DefaultNetwork, tc.probe, tc.fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("%s diverged from the healthy loop:\n%+v\n%+v", tc.name, want, got)
+		}
 	}
 }
 
 func TestRunFaultyDeadRankFinishesDegraded(t *testing.T) {
 	const size = 6
 	p := ringProgram(size, 10, 3)
-	healthy, err := Run(p, size, unitModel(), zeroNet())
+	healthy, err := RunFaulty(p, size, unitModel(), zeroNet(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func TestEvaluatedProgramsMatchReference(t *testing.T) {
 				}
 				return units.Seconds(t * noise[rank])
 			})
-			healthy, err := simmpi.Run(prog, size, model, simmpi.DefaultNetwork)
+			healthy, err := simmpi.RunFaulty(prog, size, model, simmpi.DefaultNetwork, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

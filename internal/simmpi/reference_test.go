@@ -309,7 +309,9 @@ func sameBits(a, b Result) bool {
 }
 
 // matchReference runs p on both engines, with a probe and without, and
-// returns the first way RunFaulty departs from referenceRun, or "".
+// returns the first way RunFaulty departs from referenceRun, or "". A nil
+// fs sends the unprobed run through RunFaulty's healthy loop; the probed
+// run always takes the general loop.
 func matchReference(p Program, size int, m Model, net Network, fs *FaultSpec, keep int) string {
 	want, wantErr := referenceRun(p, size, m, net, nil, fs)
 	got, gotErr := RunFaulty(p, size, m, net, nil, fs)
@@ -564,7 +566,7 @@ func TestMalformedTablesRejectedBeforeAnyRound(t *testing.T) {
 		}
 	}
 	p := tableProgram{tables: [][]Op{ok}, schedule: []int{0, 1}}
-	if _, err := Run(p, size, unitModel(), zeroNet()); err == nil || !strings.Contains(err.Error(), "round 1 plays table 1 of 1") {
+	if _, err := RunFaulty(p, size, unitModel(), zeroNet(), nil, nil); err == nil || !strings.Contains(err.Error(), "round 1 plays table 1 of 1") {
 		t.Errorf("schedule past the tables: error %v", err)
 	}
 }

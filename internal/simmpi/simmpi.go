@@ -19,6 +19,15 @@
 // (*DGEMM, Figure 2(iii)) and synchronised codes through wait time at
 // exchanges (MHD, Figure 3).
 //
+// RunFaulty plays the schedule in one of two round loops, chosen by its
+// inputs. A run with no FaultSpec and no Probe — a healthy, unrecorded
+// run, such as every grid cell and calibration test run — takes a loop
+// that tests no rank or peer for death and calls no probe, and
+// accumulates each rank's times in flat arrays. Any other run takes the
+// general loop, which handles rank deaths and reports to the probe. Both
+// do the same arithmetic in the same per-rank order, so the choice never
+// changes a result or a metric.
+//
 // Per-rank accounting separates busy time (compute), transfer time (wire
 // cost of messages) and wait time (blocked on slower peers), so experiments
 // can reproduce both the execution-time plots and the cumulative
@@ -192,7 +201,8 @@ const DefaultDeadTimeout = units.Seconds(1.0)
 // dead peer by timeout rather than deadlocking: a Sendrecv against a dead
 // peer completes at the waiter's arrival plus Timeout, and a collective with
 // any dead member completes at the slowest survivor's arrival plus Timeout.
-// A nil *FaultSpec is the healthy run, byte-identical to RunProbed.
+// A nil *FaultSpec is the healthy run, bit-identical to a run under a
+// spec in which no rank dies.
 type FaultSpec struct {
 	// DeadAt gives each rank's death time on the run's virtual clock; a
 	// negative entry means the rank never dies. A rank dies when its local
@@ -240,23 +250,18 @@ func (f *faultState) dies(rank int, t units.Seconds) bool {
 	return !f.dead[rank] && f.deadAt[rank] >= 0 && t >= f.deadAt[rank]
 }
 
-// Run executes the program on size ranks against the model and network.
-func Run(p Program, size int, m Model, net Network) (Result, error) {
-	return RunProbed(p, size, m, net, nil)
-}
-
-// RunProbed is Run with an observation probe: every per-rank phase
-// interval and every communication round's arrival spread is reported to
-// probe (nil probes nothing and costs one predictable branch per event).
-// Probe calls are made from this serial loop in deterministic order; the
-// probe cannot change the result.
-func RunProbed(p Program, size int, m Model, net Network, probe Probe) (Result, error) {
-	return RunFaulty(p, size, m, net, probe, nil)
-}
-
-// RunFaulty is RunProbed under a fault specification: listed ranks die at
-// their appointed times and the run finishes degraded instead of
-// deadlocking. With a nil spec the engine takes the exact healthy path.
+// RunFaulty executes the program on size ranks against the model and
+// network. A non-nil fs injects rank deaths: listed ranks die at their
+// appointed times and the run finishes degraded instead of deadlocking. A
+// non-nil probe is told every per-rank phase interval and every
+// communication round's arrival spread, in a deterministic order from the
+// serial round loop; it cannot change the result.
+//
+// A run with neither a fault spec nor a probe plays its rounds in
+// playHealthy, which tests no rank or peer for death and calls no probe;
+// every other run plays them in play. Both loops do the same arithmetic in
+// the same per-rank order, so a nil spec and a deathless one, probed or
+// not, give bit-identical results and metrics.
 func RunFaulty(p Program, size int, m Model, net Network, probe Probe, fs *FaultSpec) (Result, error) {
 	if size < 1 {
 		return Result{}, fmt.Errorf("simmpi: size %d < 1", size)
@@ -265,29 +270,76 @@ func RunFaulty(p Program, size int, m Model, net Network, probe Probe, fs *Fault
 	if err != nil {
 		return Result{}, err
 	}
-	var dead []bool // nil when no rank can die
-	if fault != nil {
-		dead = fault.dead
-	}
+	healthy := fault == nil && probe == nil
 	// Programs have a handful of tables (workload's have one or two), so
 	// their descriptors live on the stack: a run allocates its result, its
-	// clocks with the resolved times, and its peer lists.
+	// per-rank arrays with the resolved times, and its peer lists. The
+	// healthy loop's four per-rank accumulators are four more of those
+	// arrays.
+	nclocks := 2
+	if healthy {
+		nclocks = 6
+	}
 	var small [4]table
-	tabs, t, arrive, err := resolve(p.Tables(), size, m, net, small[:0])
+	tabs, clocks, err := resolve(p.Tables(), size, nclocks, m, net, small[:0])
 	if err != nil {
 		return Result{}, err
 	}
 	res := Result{Ranks: make([]RankStats, size)}
-	rounds := p.Rounds()
-	var played [kindAllreduce + 1]int // rounds per kind, flushed on return
-	defer func() {
-		for kind := kindCompute; kind <= kindAllreduce; kind++ {
-			if played[kind] > 0 {
-				mRounds[kind].Add(float64(played[kind]))
-			}
+	var played [kindAllreduce + 1]int // rounds per kind
+	if healthy {
+		played, err = playHealthy(p, tabs, clocks, res.Ranks)
+	} else {
+		played, err = play(p, tabs, clocks, res.Ranks, probe, fault)
+	}
+	for kind, n := range played {
+		if n > 0 {
+			mRounds[kind].Add(float64(n))
 		}
-	}()
+	}
+	if err != nil {
+		return Result{}, err
+	}
+	var maxAny units.Seconds
+	for _, st := range res.Ranks {
+		if st.End > maxAny {
+			maxAny = st.End
+		}
+		if !st.Dead && st.End > res.Elapsed {
+			res.Elapsed = st.End
+		}
+	}
+	mRankBusy.ObserveEach(size, func(rank int) float64 { return float64(res.Ranks[rank].Busy) })
+	mRankWait.ObserveEach(size, func(rank int) float64 { return float64(res.Ranks[rank].Wait) })
+	if res.Elapsed == 0 && fault != nil {
+		// Every rank died: report the last death as completion.
+		res.Elapsed = maxAny
+	}
+	return res, nil
+}
 
+// roundTable returns the resolved table that round r plays.
+func roundTable(p Program, tabs []table, r int) (*table, error) {
+	i := p.Round(r)
+	if i < 0 || i >= len(tabs) {
+		return nil, fmt.Errorf("simmpi: round %d plays table %d of %d", r, i, len(tabs))
+	}
+	return &tabs[i], nil
+}
+
+// play is the general round loop: it plays any run, testing every rank
+// and peer for death when fault is not nil and reporting to probe when it
+// is not nil. clocks holds the per-rank clocks and the arrival scratch.
+// play fills in every rank's stats, End and Dead included, and returns
+// the rounds it played per kind, those before a failing round included.
+func play(p Program, tabs []table, clocks []units.Seconds, ranks []RankStats, probe Probe, fault *faultState) (played [kindAllreduce + 1]int, err error) {
+	size := len(ranks)
+	t, arrive := clocks[:size], clocks[size:2*size]
+	var dead []bool // nil when no rank can die
+	if fault != nil {
+		dead = fault.dead
+	}
+	rounds := p.Rounds()
 	for r := 0; r < rounds; r++ {
 		// Tear down ranks whose death time passed while they were blocked in
 		// communication: they stop participating from this round on.
@@ -298,11 +350,10 @@ func RunFaulty(p Program, size int, m Model, net Network, probe Probe, fs *Fault
 				}
 			}
 		}
-		i := p.Round(r)
-		if i < 0 || i >= len(tabs) {
-			return Result{}, fmt.Errorf("simmpi: round %d plays table %d of %d", r, i, len(tabs))
+		tb, err := roundTable(p, tabs, r)
+		if err != nil {
+			return played, err
 		}
-		tb := &tabs[i]
 		played[tb.kind]++
 		switch tb.kind {
 		case kindCompute:
@@ -325,7 +376,7 @@ func RunFaulty(p Program, size int, m Model, net Network, probe Probe, fs *Fault
 					probe.Interval(rank, r, ProbeCompute, t[rank], t[rank]+dt)
 				}
 				t[rank] += dt
-				res.Ranks[rank].Busy += dt
+				ranks[rank].Busy += dt
 			}
 
 		case kindSendrecv:
@@ -354,7 +405,7 @@ func RunFaulty(p Program, size int, m Model, net Network, probe Probe, fs *Fault
 				}
 				xfer := tb.secs[rank]
 				end := start + xfer
-				st := &res.Ranks[rank]
+				st := &ranks[rank]
 				st.Wait += start - arrive[rank]
 				st.Xfer += xfer
 				st.Sendrecv += end - arrive[rank]
@@ -392,7 +443,7 @@ func RunFaulty(p Program, size int, m Model, net Network, probe Probe, fs *Fault
 				if fault != nil && fault.dead[rank] {
 					continue
 				}
-				st := &res.Ranks[rank]
+				st := &ranks[rank]
 				st.Wait += max - arrive[rank]
 				st.Xfer += cost
 				t[rank] = max + cost
@@ -423,26 +474,77 @@ func RunFaulty(p Program, size int, m Model, net Network, probe Probe, fs *Fault
 			}
 		}
 	}
-	var maxAny units.Seconds
-	for rank := 0; rank < size; rank++ {
-		res.Ranks[rank].End = t[rank]
-		if fault != nil && fault.dead[rank] {
-			res.Ranks[rank].Dead = true
+	for rank := range ranks {
+		ranks[rank].End = t[rank]
+		ranks[rank].Dead = fault != nil && fault.dead[rank]
+	}
+	return played, nil
+}
+
+// playHealthy is the round loop of a run that no rank can die in and no
+// probe watches: play's arithmetic in play's per-rank order, with no
+// dead-rank, dead-peer or probe test. clocks holds six per-rank arrays:
+// the clocks, a second clock buffer, and each rank's busy, wait, xfer and
+// sendrecv totals, which go into ranks once, at the end. It returns the
+// rounds it played per kind, as play does.
+func playHealthy(p Program, tabs []table, clocks []units.Seconds, ranks []RankStats) (played [kindAllreduce + 1]int, err error) {
+	size := len(ranks)
+	t, next := clocks[:size], clocks[size:2*size]
+	busy, wait := clocks[2*size:3*size], clocks[3*size:4*size]
+	xfer, sendrecv := clocks[4*size:5*size], clocks[5*size:6*size]
+	rounds := p.Rounds()
+	for r := 0; r < rounds; r++ {
+		tb, err := roundTable(p, tabs, r)
+		if err != nil {
+			return played, err
 		}
-		if t[rank] > maxAny {
-			maxAny = t[rank]
-		}
-		if !res.Ranks[rank].Dead && t[rank] > res.Elapsed {
-			res.Elapsed = t[rank]
+		played[tb.kind]++
+		switch tb.kind {
+		case kindCompute:
+			for rank, dt := range tb.secs {
+				t[rank] += dt
+				busy[rank] += dt
+			}
+
+		case kindSendrecv:
+			// Every rank leaves the round at its own end time, so the round
+			// reads arrivals from t and writes ends to next, then swaps the
+			// two instead of copying the clocks.
+			for rank, at := range t {
+				start := at
+				for _, peer := range tb.peers[tb.off[rank]:tb.off[rank+1]] {
+					if t[peer] > start {
+						start = t[peer]
+					}
+				}
+				dx := tb.secs[rank]
+				end := start + dx
+				wait[rank] += start - at
+				xfer[rank] += dx
+				sendrecv[rank] += end - at
+				next[rank] = end
+			}
+			t, next = next, t
+
+		case kindBarrier, kindAllreduce:
+			var max units.Seconds
+			for _, at := range t {
+				if at > max {
+					max = at
+				}
+			}
+			cost := tb.cost
+			for rank, at := range t {
+				wait[rank] += max - at
+				xfer[rank] += cost
+				t[rank] = max + cost
+			}
 		}
 	}
-	mRankBusy.ObserveEach(size, func(rank int) float64 { return float64(res.Ranks[rank].Busy) })
-	mRankWait.ObserveEach(size, func(rank int) float64 { return float64(res.Ranks[rank].Wait) })
-	if res.Elapsed == 0 && fault != nil {
-		// Every rank died: report the last death as completion.
-		res.Elapsed = maxAny
+	for rank, end := range t {
+		ranks[rank] = RankStats{End: end, Busy: busy[rank], Wait: wait[rank], Xfer: xfer[rank], Sendrecv: sendrecv[rank]}
 	}
-	return res, nil
+	return played, nil
 }
 
 // opKind is an op's concrete kind. A table's kind is its rank-0 op's, and
@@ -496,23 +598,23 @@ type table struct {
 // resolve checks a program's tables for a size-rank run and appends them,
 // resolved, to tabs. A table fails the run before any round is played if
 // it is not one op per rank, if any rank's op is not rank 0's kind, or if
-// it holds a negative compute time or a peer outside the communicator. t
-// and arrive are the run's clocks and arrival scratch; they share one
-// allocation with every table's per-rank times, and all peer lists share
-// another.
-func resolve(tables [][]Op, size int, m Model, net Network, tabs []table) (_ []table, t, arrive []units.Seconds, err error) {
-	nsecs, nints := 2*size, 0
+// it holds a negative compute time or a peer outside the communicator.
+// clocks is nclocks zeroed per-rank arrays back to back, for the round
+// loop's clocks, scratch and accumulators; they share one allocation with
+// every table's per-rank times, and all peer lists share another.
+func resolve(tables [][]Op, size, nclocks int, m Model, net Network, tabs []table) (_ []table, clocks []units.Seconds, err error) {
+	nsecs, nints := nclocks*size, 0
 	for i, ops := range tables {
 		if len(ops) != size {
-			return nil, nil, nil, fmt.Errorf("simmpi: table %d has %d ops for %d ranks", i, len(ops), size)
+			return nil, nil, fmt.Errorf("simmpi: table %d has %d ops for %d ranks", i, len(ops), size)
 		}
 		kind := kindOf(ops[0])
 		if kind == kindUnknown {
-			return nil, nil, nil, fmt.Errorf("simmpi: table %d: unknown op %T", i, ops[0])
+			return nil, nil, fmt.Errorf("simmpi: table %d: unknown op %T", i, ops[0])
 		}
 		for rank, op := range ops {
 			if kindOf(op) != kind {
-				return nil, nil, nil, fmt.Errorf("simmpi: SPMD violation in table %d: rank %d issues %T while rank 0 issues %T",
+				return nil, nil, fmt.Errorf("simmpi: SPMD violation in table %d: rank %d issues %T while rank 0 issues %T",
 					i, rank, op, ops[0])
 			}
 		}
@@ -532,7 +634,7 @@ func resolve(tables [][]Op, size int, m Model, net Network, tabs []table) (_ []t
 	if nints > 0 {
 		ints = make([]int, nints)
 	}
-	t, arrive, secs = secs[:size], secs[size:2*size], secs[2*size:]
+	clocks, secs = secs[:nclocks*size], secs[nclocks*size:]
 	for i, ops := range tables {
 		tb := table{kind: kindOf(ops[0])}
 		switch tb.kind {
@@ -542,7 +644,7 @@ func resolve(tables [][]Op, size int, m Model, net Network, tabs []table) (_ []t
 				c := op.(Compute)
 				tb.secs[rank] = m.ComputeTime(rank, c.Cycles, c.Bytes)
 				if tb.secs[rank] < 0 {
-					return nil, nil, nil, fmt.Errorf("simmpi: negative compute time %v at rank %d in table %d", tb.secs[rank], rank, i)
+					return nil, nil, fmt.Errorf("simmpi: negative compute time %v at rank %d in table %d", tb.secs[rank], rank, i)
 				}
 			}
 		case kindSendrecv:
@@ -553,7 +655,7 @@ func resolve(tables [][]Op, size int, m Model, net Network, tabs []table) (_ []t
 				sr := op.(Sendrecv)
 				for _, peer := range sr.Peers {
 					if peer < 0 || peer >= size {
-						return nil, nil, nil, fmt.Errorf("simmpi: rank %d in table %d has peer %d outside [0,%d)", rank, i, peer, size)
+						return nil, nil, fmt.Errorf("simmpi: rank %d in table %d has peer %d outside [0,%d)", rank, i, peer, size)
 					}
 				}
 				tb.off[rank] = n
@@ -569,5 +671,5 @@ func resolve(tables [][]Op, size int, m Model, net Network, tabs []table) (_ []t
 		}
 		tabs = append(tabs, tb)
 	}
-	return tabs, t, arrive, nil
+	return tabs, clocks, nil
 }

@@ -33,6 +33,14 @@ func unitModel() Model {
 	})
 }
 
+// skewedModel runs each rank at its own speed, so ranks wait on each
+// other and per-rank sums depend on the order they are added in.
+func skewedModel() Model {
+	return ModelFunc(func(rank int, cycles, _ float64) units.Seconds {
+		return units.Seconds(cycles * (1 + 0.37*float64(rank)))
+	})
+}
+
 func zeroNet() Network { return Network{} }
 
 func TestComputeOnly(t *testing.T) {
@@ -40,7 +48,7 @@ func TestComputeOnly(t *testing.T) {
 		{Compute{Cycles: 2}, Compute{Cycles: 3}},
 		{Compute{Cycles: 1}, Compute{Cycles: 1}},
 	}}
-	res, err := Run(p, 2, unitModel(), zeroNet())
+	res, err := RunFaulty(p, 2, unitModel(), zeroNet(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +68,7 @@ func TestBarrierEqualizes(t *testing.T) {
 		{Compute{Cycles: 10}, Barrier{}},
 		{Compute{Cycles: 2}, Barrier{}},
 	}}
-	res, err := Run(p, 2, unitModel(), zeroNet())
+	res, err := RunFaulty(p, 2, unitModel(), zeroNet(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +90,7 @@ func TestSendrecvPairwise(t *testing.T) {
 		{Compute{Cycles: 7}, Sendrecv{Peers: []int{1}, Bytes: 2}},
 		{Compute{Cycles: 3}, Sendrecv{Peers: []int{0}, Bytes: 2}},
 	}}
-	res, err := Run(p, 2, unitModel(), net)
+	res, err := RunFaulty(p, 2, unitModel(), net, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +130,7 @@ func TestHaloChainPropagation(t *testing.T) {
 		}
 		return ops
 	}
-	res, err := Run(sliceProgram{ops: mkRound(5)}, 4, unitModel(), zeroNet())
+	res, err := RunFaulty(sliceProgram{ops: mkRound(5)}, 4, unitModel(), zeroNet(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +154,7 @@ func TestAllreduceCost(t *testing.T) {
 		{Allreduce{Bytes: 8}},
 		{Allreduce{Bytes: 8}},
 	}}
-	res, err := Run(p, 4, unitModel(), net)
+	res, err := RunFaulty(p, 4, unitModel(), net, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +169,7 @@ func TestSPMDViolation(t *testing.T) {
 		{Compute{Cycles: 1}},
 		{Barrier{}},
 	}}
-	_, err := Run(p, 2, unitModel(), zeroNet())
+	_, err := RunFaulty(p, 2, unitModel(), zeroNet(), nil, nil)
 	if err == nil || !strings.Contains(err.Error(), "SPMD violation") {
 		t.Fatalf("want SPMD violation, got %v", err)
 	}
@@ -172,7 +180,7 @@ func TestBadPeer(t *testing.T) {
 		{Sendrecv{Peers: []int{5}}},
 		{Sendrecv{Peers: []int{0}}},
 	}}
-	if _, err := Run(p, 2, unitModel(), zeroNet()); err == nil {
+	if _, err := RunFaulty(p, 2, unitModel(), zeroNet(), nil, nil); err == nil {
 		t.Fatal("out-of-range peer accepted")
 	}
 }
@@ -180,14 +188,14 @@ func TestBadPeer(t *testing.T) {
 func TestNegativeComputeTime(t *testing.T) {
 	bad := ModelFunc(func(rank int, cycles, bytes float64) units.Seconds { return -1 })
 	p := sliceProgram{ops: [][]Op{{Compute{Cycles: 1}}}}
-	if _, err := Run(p, 1, bad, zeroNet()); err == nil {
+	if _, err := RunFaulty(p, 1, bad, zeroNet(), nil, nil); err == nil {
 		t.Fatal("negative compute time accepted")
 	}
 }
 
 func TestZeroSize(t *testing.T) {
 	p := sliceProgram{ops: [][]Op{{Compute{Cycles: 1}}}}
-	if _, err := Run(p, 0, unitModel(), zeroNet()); err == nil {
+	if _, err := RunFaulty(p, 0, unitModel(), zeroNet(), nil, nil); err == nil {
 		t.Fatal("zero-rank run accepted")
 	}
 }
@@ -223,7 +231,7 @@ func TestInvariantsOnRandomPrograms(t *testing.T) {
 		size := 2 + rng.Intn(8)
 		rounds := 1 + rng.Intn(12)
 		p := randomProgram(rng, size, rounds)
-		res, err := Run(p, size, unitModel(), Network{Latency: 0.01, Bandwidth: 1e6})
+		res, err := RunFaulty(p, size, unitModel(), Network{Latency: 0.01, Bandwidth: 1e6}, nil, nil)
 		if err != nil {
 			return false
 		}
@@ -249,11 +257,11 @@ func TestInvariantsOnRandomPrograms(t *testing.T) {
 func TestDeterministic(t *testing.T) {
 	rng := xrand.New(77)
 	p := randomProgram(rng, 6, 10)
-	a, err := Run(p, 6, unitModel(), DefaultNetwork)
+	a, err := RunFaulty(p, 6, unitModel(), DefaultNetwork, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(p, 6, unitModel(), DefaultNetwork)
+	b, err := RunFaulty(p, 6, unitModel(), DefaultNetwork, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

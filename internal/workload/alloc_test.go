@@ -51,7 +51,7 @@ func TestCollectiveRunAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		avg := testing.AllocsPerRun(20, func() {
-			if _, err := simmpi.Run(prog, 64, model, simmpi.DefaultNetwork); err != nil {
+			if _, err := simmpi.RunFaulty(prog, 64, model, simmpi.DefaultNetwork, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
