@@ -110,28 +110,57 @@ func TestPVTEndpoint(t *testing.T) {
 
 // TestSolveGolden pins the full rendered /v1/solve body for a fixed seed —
 // the serving layer's contract that identical requests yield byte-identical
-// JSON, in reviewable form.
+// JSON, in reviewable form. testdata/solve-hybrid.golden holds the hybrid
+// bodies, one a line: Naive, VaPc and VaFs under the uniform and greedy
+// splitters, then VaFs at fault level medium.
 func TestSolveGolden(t *testing.T) {
 	_, hs, _ := newTestServer(t, testConfig())
 	body, status, _ := postSolve(t, hs.URL, solveReq())
 	if status != http.StatusOK {
 		t.Fatalf("solve status = %d, body %s", status, body)
 	}
-	golden := filepath.Join("testdata", "solve.golden")
+	checkGolden(t, filepath.Join("testdata", "solve.golden"), body)
+
+	_, hs, _ = newTestServer(t, hybridConfig())
+	var hybrid []byte
+	var reqs []service.SolveRequest
+	for _, scheme := range []string{"naive", "vapc", "vafs"} {
+		for _, splitter := range []string{"uniform", "greedy"} {
+			req := hybridReq()
+			req.Scheme, req.Splitter = scheme, splitter
+			reqs = append(reqs, req)
+		}
+	}
+	faulty := hybridReq()
+	faulty.Scheme, faulty.Faults = "vafs", "medium"
+	for _, req := range append(reqs, faulty) {
+		body, status, _ := postSolve(t, hs.URL, req)
+		if status != http.StatusOK {
+			t.Fatalf("hybrid solve %+v: status = %d, body %s", req, status, body)
+		}
+		hybrid = append(hybrid, body...)
+	}
+	checkGolden(t, filepath.Join("testdata", "solve-hybrid.golden"), hybrid)
+}
+
+// checkGolden compares got with the golden file at path, rewriting the file
+// first under -update.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
 	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(golden, body, 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want, err := os.ReadFile(golden)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("read golden (run with -update to create): %v", err)
 	}
-	if !bytes.Equal(body, want) {
-		t.Fatalf("solve body diverges from %s\n got: %s\nwant: %s", golden, body, want)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("solve body diverges from %s\n got: %s\nwant: %s", path, got, want)
 	}
 }
 
