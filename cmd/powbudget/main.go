@@ -291,7 +291,7 @@ func runHetero(sys *cluster.System, bench *workload.Benchmark, ids []int,
 	fmt.Printf("scheme       : %v   splitter: %v\n", scheme, split)
 	fmt.Printf("budget       : %v  ->  cpu %v + gpu %v\n", budget, alloc.CPUBudget, alloc.GPUBudget)
 	fmt.Printf("cpu alpha    : %.4f   target freq %v\n", alloc.CPU.Alpha, alloc.CPU.Freq)
-	fmt.Printf("gpu alpha    : %.4f   locked SM clock %v\n", alloc.GPU.Alpha, alloc.GPU.Clock)
+	fmt.Printf("gpu alpha    : %.4f   locked SM clock %v\n", alloc.GPU.Alpha, alloc.GPU.Freq)
 	fmt.Printf("feasible     : cpu %v, gpu %v   predicted time %.1f s\n",
 		alloc.CPU.Feasible, alloc.GPU.Feasible, float64(alloc.PredictedTime))
 	fmt.Printf("predicted sum: %v\n\n", alloc.CPU.TotalPredicted()+alloc.GPU.TotalPredicted())
@@ -308,7 +308,7 @@ func runHetero(sys *cluster.System, bench *workload.Benchmark, ids []int,
 	t := report.NewTable(fmt.Sprintf("First %d GPU power limits", show),
 		"Device", "Plimit [W]")
 	for _, e := range alloc.GPU.Entries[:show] {
-		t.AddRow(fmt.Sprint(e.DeviceID), report.Cellf(float64(e.Power), 2))
+		t.AddRow(fmt.Sprint(e.ModuleID), report.Cellf(float64(e.Pmodule), 2))
 	}
 	if err := t.Render(os.Stdout); err != nil {
 		return err

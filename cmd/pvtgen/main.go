@@ -124,9 +124,35 @@ func run(system, sysFile string, modules int, seed uint64, out string, workers i
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(struct {
-			CPU *core.PVT    `json:"cpu"`
-			GPU *core.GPUPVT `json:"gpu"`
-		}{pvt, gpvt})
+			CPU *core.PVT `json:"cpu"`
+			GPU gpuTable  `json:"gpu"`
+		}{pvt, gpuWire(gpvt)})
 	}
 	return pvt.Save(w)
+}
+
+// gpuTable is the GPU section's wire format: each device's board-power
+// scales at the nominal and minimum SM clocks. core keeps them in a PVT's
+// CPU fields, with DRAM scales of 1 that the section leaves out.
+type gpuTable struct {
+	System      string     `json:"system"`
+	Kernel      string     `json:"kernel"`
+	Entries     []gpuEntry `json:"entries"`
+	Quarantined []int      `json:"quarantined,omitempty"`
+}
+
+type gpuEntry struct {
+	Device   int     `json:"device"`
+	PowerMax float64 `json:"power_max"`
+	PowerMin float64 `json:"power_min"`
+}
+
+// gpuWire renders a device-class PVT in the GPU section's format.
+func gpuWire(p *core.PVT) gpuTable {
+	t := gpuTable{System: p.System, Kernel: p.Microbenchmark, Quarantined: p.Quarantined}
+	t.Entries = make([]gpuEntry, len(p.Entries))
+	for i, e := range p.Entries {
+		t.Entries[i] = gpuEntry{Device: e.ModuleID, PowerMax: e.CPUMax, PowerMin: e.CPUMin}
+	}
+	return t
 }

@@ -30,7 +30,8 @@ var (
 
 // ModuleAlloc is the power allocation derived for one module (Equations
 // 7–9): its module budget, the DRAM power predicted at the chosen operating
-// point, and the CPU cap that realises the budget.
+// point, and the CPU cap that realises the budget. A GPU device's is its
+// board power limit in Pmodule and Pcpu, with Pdram 0.
 type ModuleAlloc struct {
 	ModuleID int
 	Pmodule  units.Watts
@@ -116,7 +117,7 @@ func recordSolve(sol Solution) {
 type Allocation struct {
 	Solution
 	// Freq is the common target CPU frequency f = α(fmax−fmin)+fmin
-	// (Equation 1).
+	// (Equation 1); for a GPU device class, the SM clock to lock.
 	Freq units.Hertz
 	// Entries are the per-module allocations.
 	Entries []ModuleAlloc
@@ -149,8 +150,22 @@ func (a *Allocation) CPUCaps() []units.Watts {
 //
 // (SolveAlpha over the modules' summed ranges), then derive each module's
 // allocation at that α. The arch parameter supplies the frequency range for
-// Equation 1.
+// Equation 1. Solve is solve on the P-state ladder plus the α and residual
+// gauges, which only module-level solves set.
 func Solve(pmt *PMT, arch *module.Arch, budget units.Watts) (*Allocation, error) {
+	alloc, err := solve(pmt, arch.FMin, arch.FNom, budget)
+	if err != nil {
+		return nil, err
+	}
+	mAlphaGauge.Set(alloc.Alpha)
+	mResidualGauge.Set(float64(budget - alloc.TotalPredicted()))
+	return alloc, nil
+}
+
+// solve is the α-solve of any class's table over the clock ladder [lo, hi]:
+// a GPU device's entry has DRAM power 0, so its allocation carries the
+// board power limit in Pmodule and Pcpu and 0 in Pdram.
+func solve(pmt *PMT, lo, hi units.Hertz, budget units.Watts) (*Allocation, error) {
 	if len(pmt.Entries) == 0 {
 		return nil, fmt.Errorf("core: solve on empty PMT")
 	}
@@ -171,7 +186,7 @@ func Solve(pmt *PMT, arch *module.Arch, budget units.Watts) (*Allocation, error)
 	sol, shrink := SolveAlpha(sumMin, sumRange, budget)
 	alloc := &Allocation{
 		Solution: sol,
-		Freq:     units.Hertz(units.Lerp(float64(arch.FMin), float64(arch.FNom), sol.Alpha)),
+		Freq:     units.Hertz(units.Lerp(float64(lo), float64(hi), sol.Alpha)),
 		Entries:  make([]ModuleAlloc, len(pmt.Entries)),
 	}
 	for i := range pmt.Entries {
@@ -186,7 +201,5 @@ func Solve(pmt *PMT, arch *module.Arch, budget units.Watts) (*Allocation, error)
 		}
 	}
 	recordSolve(alloc.Solution)
-	mAlphaGauge.Set(alloc.Alpha)
-	mResidualGauge.Set(float64(budget - alloc.TotalPredicted()))
 	return alloc, nil
 }

@@ -59,7 +59,7 @@ func (fw *Framework) RunDynamic(bench *workload.Benchmark, moduleIDs []int, budg
 		return nil, fmt.Errorf("core: %s has %d iterations, cannot split into %d epochs",
 			bench.Name, bench.Iterations, epochs)
 	}
-	pmt, err := fw.calibrated(bench, moduleIDs)
+	pmt, err := fw.calibrated(moduleClass, bench, moduleIDs)
 	if err != nil {
 		return nil, err
 	}

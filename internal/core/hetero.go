@@ -14,9 +14,8 @@ import (
 
 // The heterogeneous pipeline runs the Framework's install-time-table →
 // test-run → α-solve → enforce loop once per device class under a
-// hierarchical split of the system budget. The CPU class is the module
-// pipeline itself; the GPU class adds only its own tables (gpupvt.go),
-// calibrated by the same sweep and budgeted by the same kernel.
+// hierarchical split of the system budget. Both classes run the module
+// pipeline; the GPU class is described to it by gpuClass (gpupvt.go).
 
 // NewHeteroFramework instantiates the framework on a hybrid system,
 // generating both install-time tables (nil micro selects the paper's
@@ -51,56 +50,12 @@ func (fw *Framework) AllDevices() []int {
 // Scheme.measurement): Naive uses the spec sheet (TDP / minimum limit), Pc
 // measures all devices but averages the table, VaPc/VaFs calibrate one test
 // device through the GPU PVT, and the oracle schemes measure every device.
-func (fw *Framework) BuildGPUPMT(bench *workload.Benchmark, deviceIDs []int, scheme Scheme) (*GPUPMT, error) {
-	if len(deviceIDs) == 0 {
-		return nil, fmt.Errorf("core: empty GPU device allocation")
-	}
-	garch := fw.Sys.Spec.GPU.Arch
-	k := KernelFor(bench, fw.Sys.Spec.Arch, garch)
-	switch scheme.measurement() {
-	case measureNone:
-		return NaiveGPUPMT(garch, deviceIDs), nil
-	case measureOracle:
-		pmt, err := fw.oracleGPUPMT(k, deviceIDs)
-		if err == nil && scheme == Pc {
-			pmt = pmt.Uniform()
-		}
-		return pmt, err
-	case measureCalibration:
-		pair, err := RunGPUTestPair(fw.Sys, k, closestToMean(deviceIDs, -1, fw.GPVT.deviation))
-		if err != nil {
-			return nil, err
-		}
-		return CalibrateGPU(fw.GPVT, pair, k.Kernel, deviceIDs)
-	default:
-		return nil, fmt.Errorf("core: unknown scheme %v", scheme)
-	}
-}
-
-// gpuFsMargin measures the GPU model's relative prediction error on a
-// held-out device and returns it clamped to the same [0.005, 0.08] reserve
-// band the CPU FS margin uses — locked clocks enforce no power bound, so
-// the GPU class needs the identical guard.
-func (fw *Framework) gpuFsMargin(pmt *GPUPMT, k gpu.KernelProfile, deviceIDs []int) (float64, error) {
-	test := closestToMean(deviceIDs, -1, fw.GPVT.deviation)
-	holdout := closestToMean(deviceIDs, test, fw.GPVT.deviation)
-	pair, err := RunGPUTestPair(fw.Sys, k, holdout)
+func (fw *Framework) BuildGPUPMT(bench *workload.Benchmark, deviceIDs []int, scheme Scheme) (*PMT, error) {
+	pmt, err := fw.measurePMT(gpuClass, bench, deviceIDs, scheme)
 	if err != nil {
-		return 0, fmt.Errorf("core: GPU FS margin holdout run: %w", err)
+		return nil, err
 	}
-	var pred *GPUPMTEntry
-	for i := range pmt.Entries {
-		if pmt.Entries[i].DeviceID == holdout {
-			pred = &pmt.Entries[i]
-			break
-		}
-	}
-	if pred == nil {
-		return 0, fmt.Errorf("core: holdout device %d missing from GPU PMT", holdout)
-	}
-	margin := (relErr(float64(pred.PowerMax), float64(pair.AtMax)) +
-		relErr(float64(pred.PowerMin), float64(pair.AtMin))) / 2
-	return units.Clamp(margin, 0.005, 0.08), nil
+	return pmt.forScheme(scheme), nil
 }
 
 // HeteroAllocation is the hierarchical solve's output: the class split and
@@ -111,7 +66,9 @@ type HeteroAllocation struct {
 	CPUBudget units.Watts
 	GPUBudget units.Watts
 	CPU       *Allocation
-	GPU       *GPUAllocation
+	// GPU is the device class's solve: Freq is the SM clock to lock and
+	// each entry's Pmodule the device's board power limit.
+	GPU *Allocation
 	// PredictedTime is the model's completion-time estimate: the slower of
 	// the two overlapped class phases at their solved throttle levels.
 	PredictedTime units.Seconds
@@ -141,11 +98,11 @@ func (fw *Framework) classTimes(bench *workload.Benchmark) (cpuTime, gpuTime fun
 }
 
 // SolveHetero runs the hierarchical budgeting pipeline: build both class
-// models per the scheme (the CPU one, VaFs margin included, by BuildModel),
-// split the system budget across the classes under the chosen policy, then
-// run each class's α-solve on its share. The framework needs a GPU PVT.
+// models per the scheme (VaFs margins included), split the system budget
+// across the classes under the chosen policy, then run each class's α-solve
+// on its share less its margin. The framework needs a GPU PVT.
 func (fw *Framework) SolveHetero(bench *workload.Benchmark, moduleIDs, deviceIDs []int,
-	budget units.Watts, scheme Scheme, splitter Splitter) (*HeteroAllocation, *PMT, *GPUPMT, error) {
+	budget units.Watts, scheme Scheme, splitter Splitter) (*HeteroAllocation, *PMT, *PMT, error) {
 	if fw.GPVT == nil {
 		return nil, nil, nil, fmt.Errorf("core: %s framework has no GPU PVT", fw.Sys.Spec.Name)
 	}
@@ -157,59 +114,42 @@ func (fw *Framework) SolveHetero(bench *workload.Benchmark, moduleIDs, deviceIDs
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	gpmt, err := in.BuildGPUPMT(bench, deviceIDs, scheme)
+	gms, err := in.buildModels(gpuClass, bench, deviceIDs, []Scheme{scheme})
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	var cpuMin, cpuMax units.Watts
-	for _, e := range m.PMT.Entries {
-		cpuMin += e.ModuleMin()
-		cpuMax += e.ModuleMax()
-	}
-	var gpuMin, gpuMax units.Watts
-	for _, e := range gpmt.Entries {
-		gpuMin += e.PowerMin
-		gpuMax += e.PowerMax
-	}
+	gm := gms[0]
 	cpuTime, gpuTime := fw.classTimes(bench)
 	shares, err := SplitBudget(splitter, budget, []ClassDemand{
-		{Class: "cpu", Min: cpuMin, Max: cpuMax, TimeAt: cpuTime},
-		{Class: "gpu", Min: gpuMin, Max: gpuMax, TimeAt: gpuTime},
+		m.PMT.demand("cpu", cpuTime),
+		gm.PMT.demand("gpu", gpuTime),
 	})
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	cpuBudget, gpuBudget := shares[0], shares[1]
-	gpuSolve := gpuBudget
-	if scheme == VaFs {
-		k := KernelFor(bench, fw.Sys.Spec.Arch, fw.Sys.Spec.GPU.Arch)
-		gm, err := fw.gpuFsMargin(gpmt, k, deviceIDs)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		gpuSolve = units.Watts(float64(gpuBudget) * (1 - gm))
-	}
-	cpuAlloc, err := Solve(m.PMT, fw.Sys.Spec.Arch, units.Watts(float64(cpuBudget)*(1-m.Margin)))
-	if err != nil {
+	h := &HeteroAllocation{Splitter: splitter, Budget: budget, CPUBudget: shares[0], GPUBudget: shares[1]}
+	if h.CPU, err = Solve(m.PMT, fw.Sys.Spec.Arch, units.Watts(float64(h.CPUBudget)*(1-m.Margin))); err != nil {
 		return nil, nil, nil, err
 	}
-	cpuAlloc.Budget = cpuBudget
-	gpuAlloc, err := SolveGPU(gpmt, fw.Sys.Spec.GPU.Arch, gpuSolve)
-	if err != nil {
+	h.CPU.Budget = h.CPUBudget
+	lo, hi := gpuClass.ladder(fw.Sys)
+	if h.GPU, err = solve(gm.PMT, lo, hi, units.Watts(float64(h.GPUBudget)*(1-gm.Margin))); err != nil {
 		return nil, nil, nil, err
 	}
-	gpuAlloc.Budget = gpuBudget
-	h := &HeteroAllocation{
-		Splitter: splitter, Budget: budget,
-		CPUBudget: cpuBudget, GPUBudget: gpuBudget,
-		CPU: cpuAlloc, GPU: gpuAlloc,
+	h.GPU.Budget = h.GPUBudget
+	h.PredictedTime = max(cpuTime(h.CPU.Alpha), gpuTime(h.GPU.Alpha))
+	return h, m.PMT, gm.PMT, nil
+}
+
+// demand is the table's class demand for the splitter: its summed floor
+// and nominal powers.
+func (p *PMT) demand(name string, timeAt func(alpha float64) units.Seconds) ClassDemand {
+	d := ClassDemand{Class: name, TimeAt: timeAt}
+	for _, e := range p.Entries {
+		d.Min += e.ModuleMin()
+		d.Max += e.ModuleMax()
 	}
-	ct, gt := cpuTime(cpuAlloc.Alpha), gpuTime(gpuAlloc.Alpha)
-	h.PredictedTime = ct
-	if gt > ct {
-		h.PredictedTime = gt
-	}
-	return h, m.PMT, gpmt, nil
+	return d
 }
 
 // HeteroRun is one complete heterogeneous scheme evaluation.
@@ -290,11 +230,11 @@ func (fw *Framework) ExecuteHetero(bench *workload.Benchmark, moduleIDs, deviceI
 	for i, id := range deviceIDs {
 		ctl := fw.Sys.GPUCtl(id)
 		if scheme.UsesFS() {
-			if _, err := ctl.LockClocks(alloc.GPU.Clock); err != nil {
+			if _, err := ctl.LockClocks(alloc.GPU.Freq); err != nil {
 				return nil, err
 			}
 		} else {
-			w := alloc.GPU.Entries[i].Power
+			w := alloc.GPU.Entries[i].Pmodule
 			applied, err := ctl.SetPowerLimit(w)
 			if err != nil {
 				return nil, fmt.Errorf("core: device %d limit %v: %w", id, w, err)
@@ -325,15 +265,11 @@ func (fw *Framework) ExecuteHetero(bench *workload.Benchmark, moduleIDs, deviceI
 	tnom := units.Seconds(float64(bench.SequentialTime(fw.Sys.Spec.Arch, fw.Sys.Spec.Arch.FNom, 1)) * float64(bench.Iterations))
 	gpuElapsed := units.Seconds(float64(tnom) * g / (1 - sg + sg*rmin))
 	cpuElapsed := units.Seconds(float64(res.Elapsed) * (1 - g))
-	elapsed := cpuElapsed
-	if gpuElapsed > elapsed {
-		elapsed = gpuElapsed
-	}
 	run := &HeteroRun{
 		Scheme: scheme, Splitter: alloc.Splitter, Bench: bench.Name, Budget: alloc.Budget,
 		Alloc: alloc, CPU: res,
 		GPUPower: gpuPower, MinClock: minClock,
-		Elapsed:  elapsed,
+		Elapsed:  max(cpuElapsed, gpuElapsed),
 		AvgPower: res.AvgTotalPower + gpuPower,
 	}
 	run.Energy = units.Energy(run.AvgPower, run.Elapsed)
@@ -341,9 +277,6 @@ func (fw *Framework) ExecuteHetero(bench *workload.Benchmark, moduleIDs, deviceI
 	return run, nil
 }
 
-// recordGPU commits the GPU class's side of the run to the flight recorder:
-// one capture whose lanes sit above the CPU modules (at GPUFaultOffset),
-// with the control-plane events and a synthesized counter track per device.
 // gpuResolved pairs a device's resolved operating point with the limit the
 // run programmed on it (0 under FS enforcement).
 type gpuResolved struct {
@@ -351,6 +284,9 @@ type gpuResolved struct {
 	limit units.Watts
 }
 
+// recordGPU commits the GPU class's side of the run to the flight recorder:
+// one capture whose lanes sit above the CPU modules (at GPUFaultOffset),
+// with the control-plane events and a synthesized counter track per device.
 func (fw *Framework) recordGPU(bench *workload.Benchmark, scheme Scheme, deviceIDs []int,
 	alloc *HeteroAllocation, ops []gpuResolved, elapsed units.Seconds) {
 	if fw.Recorder == nil {
@@ -362,7 +298,7 @@ func (fw *Framework) recordGPU(bench *workload.Benchmark, scheme Scheme, deviceI
 	for i, id := range deviceIDs {
 		lane := offset + id
 		if scheme.UsesFS() {
-			cap.Event(lane, flight.EventGPUClockLock, float64(alloc.GPU.Clock))
+			cap.Event(lane, flight.EventGPUClockLock, float64(alloc.GPU.Freq))
 		} else {
 			cap.Event(lane, flight.EventGPULimitSet, float64(ops[i].limit))
 		}

@@ -34,16 +34,12 @@ func testHetero(t *testing.T, count, workers int) (*Framework, []int, []int) {
 // maxima so the split is a real decision (uniform feasible but wasteful on
 // the GPU-heavy preset).
 func heteroBudget(hf *Framework, bench *workload.Benchmark, moduleIDs, deviceIDs []int, frac float64) units.Watts {
-	pmt := NaivePMT(hf.Sys, moduleIDs)
-	gpmt := NaiveGPUPMT(hf.Sys.Spec.GPU.Arch, deviceIDs)
 	var min, max units.Watts
-	for _, e := range pmt.Entries {
-		min += e.ModuleMin()
-		max += e.ModuleMax()
-	}
-	for _, e := range gpmt.Entries {
-		min += e.PowerMin
-		max += e.PowerMax
+	for _, p := range []*PMT{NaivePMT(hf.Sys, moduleIDs), gpuClass.naivePMT(hf.Sys, deviceIDs)} {
+		for _, e := range p.Entries {
+			min += e.ModuleMin()
+			max += e.ModuleMax()
+		}
 	}
 	return units.Watts(units.Lerp(float64(min), float64(max), frac))
 }
@@ -165,11 +161,12 @@ func TestSolveGPUProperties(t *testing.T) {
 	}
 	var min, max units.Watts
 	for _, e := range gpmt.Entries {
-		min += e.PowerMin
-		max += e.PowerMax
+		min += e.ModuleMin()
+		max += e.ModuleMax()
 	}
 	budget := (min + max) / 2
-	alloc, err := SolveGPU(gpmt, hf.Sys.Spec.GPU.Arch, budget)
+	garch := hf.Sys.Spec.GPU.Arch
+	alloc, err := solve(gpmt, garch.ClockMin, garch.ClockNom, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,12 +176,11 @@ func TestSolveGPUProperties(t *testing.T) {
 	if got := alloc.TotalPredicted(); got > budget+1e-9 {
 		t.Fatalf("allocation %v exceeds class budget %v", got, budget)
 	}
-	garch := hf.Sys.Spec.GPU.Arch
-	if alloc.Clock <= garch.ClockMin || alloc.Clock >= garch.ClockNom {
-		t.Fatalf("interior α must land between ClockMin and ClockNom, got %v", alloc.Clock)
+	if alloc.Freq <= garch.ClockMin || alloc.Freq >= garch.ClockNom {
+		t.Fatalf("interior α must land between ClockMin and ClockNom, got %v", alloc.Freq)
 	}
 	// Clamped regime: below ΣPmin the solve shrinks proportionally.
-	clamped, err := SolveGPU(gpmt, garch, min*0.9)
+	clamped, err := solve(gpmt, garch.ClockMin, garch.ClockNom, min*0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +195,7 @@ func TestSolveGPUProperties(t *testing.T) {
 // TestGenerateGPUPVTWorkerDeterminism: the device-class table must be
 // deep-equal at every worker width (satellite: workers 1, 2, GOMAXPROCS).
 func TestGenerateGPUPVTWorkerDeterminism(t *testing.T) {
-	var want *GPUPVT
+	var want *PVT
 	for _, w := range workerWidths() {
 		sys := cluster.MustNew(cluster.HA8KHybrid(), 32, 0x5c15)
 		pvt, err := GenerateGPUPVT(context.Background(), sys, w)
@@ -226,14 +222,14 @@ func TestGPUPVTPopulation(t *testing.T) {
 	var sum float64
 	spread := false
 	for _, e := range pvt.Entries {
-		sum += e.PowerMax
-		if math.Abs(e.PowerMax-1) > 0.02 {
+		sum += e.CPUMax
+		if math.Abs(e.CPUMax-1) > 0.02 {
 			spread = true
 		}
 	}
 	mean := sum / float64(len(pvt.Entries))
 	if math.Abs(mean-1) > 1e-9 {
-		t.Fatalf("PowerMax scales mean %v, want 1 (normalised)", mean)
+		t.Fatalf("board power scales at ClockNom mean %v, want 1 (normalised)", mean)
 	}
 	if !spread {
 		t.Fatal("GPU population shows no manufacturing variability")
@@ -307,7 +303,7 @@ func TestHeteroEndToEndFS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := hf.Sys.Spec.GPU.Arch.QuantizeDown(run.Alloc.GPU.Clock)
+	want := hf.Sys.Spec.GPU.Arch.QuantizeDown(run.Alloc.GPU.Freq)
 	for _, id := range devs {
 		locked, ok := hf.Sys.GPUCtl(id).LockedClock()
 		if !ok || locked != want {

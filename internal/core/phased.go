@@ -65,7 +65,7 @@ func (fw *Framework) RunPhasedStatic(phases []*workload.Benchmark, moduleIDs []i
 	if err := validatePhases(phases); err != nil {
 		return nil, err
 	}
-	pmt, err := fw.calibrated(phases[0], moduleIDs)
+	pmt, err := fw.calibrated(moduleClass, phases[0], moduleIDs)
 	if err != nil {
 		return nil, err
 	}
@@ -82,7 +82,7 @@ func (fw *Framework) RunPhasedAdaptive(phases []*workload.Benchmark, moduleIDs [
 		return nil, err
 	}
 	return fw.runPhases(phases, moduleIDs, budget, fs, func(phase *workload.Benchmark) (*PMT, error) {
-		return fw.calibrated(phase, moduleIDs)
+		return fw.calibrated(moduleClass, phase, moduleIDs)
 	})
 }
 

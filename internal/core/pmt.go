@@ -73,16 +73,22 @@ type TestPair struct {
 
 // RunTestPair executes the two single-module test runs on module id.
 func RunTestPair(sys *cluster.System, bench *workload.Benchmark, id int) (TestPair, error) {
-	arch := sys.Spec.Arch
-	hi, err := measure.TestRun(sys, bench, id, arch.FNom)
+	return moduleClass.testPair(sys, bench, id)
+}
+
+// testPair runs bench on member id at the top and then the bottom of the
+// class's clock ladder.
+func (c *class) testPair(sys *cluster.System, bench *workload.Benchmark, id int) (TestPair, error) {
+	lo, hi := c.ladder(sys)
+	atMax, err := c.testRun(sys, bench, id, hi)
 	if err != nil {
 		return TestPair{}, fmt.Errorf("core: test run at fmax: %w", err)
 	}
-	lo, err := measure.TestRun(sys, bench, id, arch.FMin)
+	atMin, err := c.testRun(sys, bench, id, lo)
 	if err != nil {
 		return TestPair{}, fmt.Errorf("core: test run at fmin: %w", err)
 	}
-	return TestPair{ModuleID: id, AtMax: hi, AtMin: lo}, nil
+	return TestPair{ModuleID: id, AtMax: atMax, AtMin: atMin}, nil
 }
 
 // Calibrate performs the paper's power model calibration (Section 5.2,
@@ -96,8 +102,9 @@ func Calibrate(pvt *PVT, test TestPair, bench *workload.Benchmark, moduleIDs []i
 	}
 	pmt := &PMT{Workload: bench.Name, Entries: make([]PMTEntry, len(moduleIDs))}
 	for i, id := range moduleIDs {
-		e, err := pvt.Entry(id)
-		if err != nil {
+		e := pvt.entry(id)
+		if e == nil {
+			_, err := pvt.Entry(id)
 			return nil, fmt.Errorf("core: calibrate: %w", err)
 		}
 		pmt.Entries[i] = PMTEntry{
@@ -142,23 +149,34 @@ func OraclePMT(sys *cluster.System, bench *workload.Benchmark, moduleIDs []int) 
 // worker count. Duplicate module IDs fall back to the serial loop — their
 // test runs reprogram the shared governor in order.
 func OraclePMTWorkers(sys *cluster.System, bench *workload.Benchmark, moduleIDs []int, workers int) (*PMT, error) {
-	return (&Framework{Sys: sys, Workers: workers}).oraclePMT(bench, moduleIDs)
+	return (&Framework{Sys: sys, Workers: workers}).oraclePMT(moduleClass, bench, moduleIDs)
 }
 
-// oraclePMT is OraclePMTWorkers on the framework's system and width, with
-// its span under fw.Trace.
-func (fw *Framework) oraclePMT(bench *workload.Benchmark, moduleIDs []int) (*PMT, error) {
-	span := fw.Trace.Start("pmt.oracle")
+// oraclePMT measures every allocated member of class c on the framework's
+// system and width, in allocation order, with its span under fw.Trace. An
+// allocation that lists a member twice is measured serially: that member's
+// test runs reprogram its one governor or controller, in order.
+func (fw *Framework) oraclePMT(c *class, bench *workload.Benchmark, ids []int) (*PMT, error) {
+	span := fw.Trace.Start(c.oracleSpan)
 	span.SetAttr("bench", bench.Name)
-	span.SetInt("modules", len(moduleIDs))
+	span.SetInt(c.count, len(ids))
 	defer span.End()
-	entries, err := measureEach(fw.Workers, moduleIDs, func(id int) (PMTEntry, error) {
-		pair, err := RunTestPair(fw.Sys, bench, id)
+	workers := fw.Workers
+	seen := make(map[int]struct{}, len(ids))
+	for _, id := range ids {
+		if _, dup := seen[id]; dup {
+			workers = 1
+			break
+		}
+		seen[id] = struct{}{}
+	}
+	entries, err := parallel.Map(workers, len(ids), func(i int) (PMTEntry, error) {
+		pair, err := c.testPair(fw.Sys, bench, ids[i])
 		if err != nil {
-			return PMTEntry{}, fmt.Errorf("core: oracle PMT module %d: %w", id, err)
+			return PMTEntry{}, fmt.Errorf("core: oracle PMT %s %d: %w", c.noun, ids[i], err)
 		}
 		return PMTEntry{
-			ModuleID: id,
+			ModuleID: ids[i],
 			CPUMax:   pair.AtMax.CPUPower,
 			DramMax:  pair.AtMax.DramPower,
 			CPUMin:   pair.AtMin.CPUPower,
@@ -169,22 +187,6 @@ func (fw *Framework) oraclePMT(bench *workload.Benchmark, moduleIDs []int) (*PMT
 		return nil, err
 	}
 	return &PMT{Workload: bench.Name, Entries: entries}, nil
-}
-
-// measureEach runs the oracle measurement of every allocated member at the
-// given width, in allocation order. An allocation that lists a member twice
-// is measured serially: that member's test runs reprogram its one governor
-// or controller, in order.
-func measureEach[E any](workers int, ids []int, measure func(id int) (E, error)) ([]E, error) {
-	seen := make(map[int]struct{}, len(ids))
-	for _, id := range ids {
-		if _, dup := seen[id]; dup {
-			workers = 1
-			break
-		}
-		seen[id] = struct{}{}
-	}
-	return parallel.Map(workers, len(ids), func(i int) (E, error) { return measure(ids[i]) })
 }
 
 // Naive model constants (Section 6): the variation-unaware scheme takes
@@ -203,15 +205,14 @@ const (
 // at fmax and the fixed empirical thresholds at fmin, identical for every
 // module.
 func NaivePMT(sys *cluster.System, moduleIDs []int) *PMT {
-	arch := sys.Spec.Arch
-	e := PMTEntry{
-		CPUMax:  arch.TDP,
-		DramMax: arch.DramTDP,
-		CPUMin:  units.Watts(naiveCPUMinRef * float64(arch.TDP) / naiveRefTDP),
-		DramMin: units.Watts(naiveDramMinRef * float64(arch.DramTDP) / naiveRefDram),
-	}
-	pmt := &PMT{Workload: "(naive)", Entries: make([]PMTEntry, len(moduleIDs))}
-	for i, id := range moduleIDs {
+	return moduleClass.naivePMT(sys, moduleIDs)
+}
+
+// naivePMT gives every allocated member the class's naive entry.
+func (c *class) naivePMT(sys *cluster.System, ids []int) *PMT {
+	e := c.naive(sys)
+	pmt := &PMT{Workload: "(naive)", Entries: make([]PMTEntry, len(ids))}
+	for i, id := range ids {
 		e.ModuleID = id
 		pmt.Entries[i] = e
 	}

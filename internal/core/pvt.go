@@ -27,8 +27,10 @@ import (
 
 	"varpower/internal/cluster"
 	"varpower/internal/faults"
+	"varpower/internal/measure"
 	"varpower/internal/obs"
 	"varpower/internal/parallel"
+	"varpower/internal/units"
 	"varpower/internal/workload"
 )
 
@@ -65,10 +67,10 @@ func (p *PVT) IsQuarantined(moduleID int) bool { return slices.Contains(p.Quaran
 // deviation is a module's L1 distance from the population mean of 1 in PVT
 // scales, DRAM weighted a quarter; +Inf for quarantined or unknown modules,
 // whose placeholder scales of exactly 1.0 are deceptively "closest to the
-// mean".
+// mean". A GPU device's DRAM scales are 1, so its term is exactly 0.
 func (p *PVT) deviation(moduleID int) float64 {
-	e, err := p.Entry(moduleID)
-	if err != nil || p.IsQuarantined(moduleID) {
+	e := p.entry(moduleID)
+	if e == nil || p.IsQuarantined(moduleID) {
 		return math.Inf(1)
 	}
 	return math.Abs(e.CPUMax-1) + math.Abs(e.CPUMin-1) +
@@ -77,20 +79,79 @@ func (p *PVT) deviation(moduleID int) float64 {
 
 // Entry returns the scales for a module ID.
 func (p *PVT) Entry(moduleID int) (PVTEntry, error) {
+	if e := p.entry(moduleID); e != nil {
+		return *e, nil
+	}
 	if moduleID < 0 || moduleID >= len(p.Entries) {
 		return PVTEntry{}, fmt.Errorf("core: module %d not in PVT (%d entries)", moduleID, len(p.Entries))
 	}
-	e := p.Entries[moduleID]
-	if e.ModuleID != moduleID {
-		// Defensive: entries are indexed by ID at generation time.
-		for _, cand := range p.Entries {
-			if cand.ModuleID == moduleID {
-				return cand, nil
-			}
-		}
-		return PVTEntry{}, fmt.Errorf("core: module %d missing from PVT", moduleID)
+	return PVTEntry{}, fmt.Errorf("core: module %d missing from PVT", moduleID)
+}
+
+// entry is Entry by pointer, nil for an unknown module. Entries are
+// indexed by ID at generation time, so the lookup is one bounds check; a
+// table whose entries are not (a hand-edited file) is searched.
+func (p *PVT) entry(moduleID int) *PVTEntry {
+	if moduleID >= 0 && moduleID < len(p.Entries) && p.Entries[moduleID].ModuleID == moduleID {
+		return &p.Entries[moduleID]
 	}
-	return e, nil
+	return p.search(moduleID)
+}
+
+// search is entry's slow path: a scan of a table not indexed by ID.
+func (p *PVT) search(moduleID int) *PVTEntry {
+	if moduleID < 0 || moduleID >= len(p.Entries) {
+		return nil
+	}
+	for i := range p.Entries {
+		if p.Entries[i].ModuleID == moduleID {
+			return &p.Entries[i]
+		}
+	}
+	return nil
+}
+
+// class describes one device class to the table pipeline: the install-time
+// sweep, the PMT measurement and the VaFs hold-out margin take one, and the
+// α-solve reads its clock ladder. A module has two measured channels, CPU
+// and DRAM. A GPU device has one, board power, which the tables carry in
+// their capped (CPU) fields with DRAM power 0 and DRAM scale 1; every sum,
+// ratio, Lerp and hold-out error over a device entry is then exactly its
+// one-channel value (x+0 = x, 0/1 = 0, Lerp(0, 0, α) = 0).
+type class struct {
+	noun       string // member noun in errors
+	count      string // span attribute counting the members
+	pvtSpan    string // span of the install-time sweep
+	oracleSpan string // span of the oracle measurement
+	dram       bool   // members have a DRAM channel
+	// ladder returns the clock ladder's ends: the P-state range for
+	// modules, the SM-clock range for devices.
+	ladder func(sys *cluster.System) (lo, hi units.Hertz)
+	// naive is the variation-unaware, application-independent entry.
+	naive func(sys *cluster.System) PMTEntry
+	// testRun measures one member running bench at clock f.
+	testRun func(sys *cluster.System, bench *workload.Benchmark, id int, f units.Hertz) (measure.TestRunResult, error)
+	// table is the class's install-time PVT on fw.
+	table func(fw *Framework) *PVT
+}
+
+// moduleClass is the paper's: CPU+DRAM modules on the P-state ladder.
+var moduleClass = &class{
+	noun: "module", count: "modules", pvtSpan: "pvt.generate", oracleSpan: "pmt.oracle", dram: true,
+	ladder: func(sys *cluster.System) (units.Hertz, units.Hertz) {
+		return sys.Spec.Arch.FMin, sys.Spec.Arch.FNom
+	},
+	naive: func(sys *cluster.System) PMTEntry {
+		arch := sys.Spec.Arch
+		return PMTEntry{
+			CPUMax:  arch.TDP,
+			DramMax: arch.DramTDP,
+			CPUMin:  units.Watts(naiveCPUMinRef * float64(arch.TDP) / naiveRefTDP),
+			DramMin: units.Watts(naiveDramMinRef * float64(arch.DramTDP) / naiveRefDram),
+		}
+	},
+	testRun: measure.TestRun,
+	table:   func(fw *Framework) *PVT { return fw.PVT },
 }
 
 // GeneratePVT builds the table by test-running the microbenchmark on every
@@ -116,20 +177,35 @@ func GeneratePVTWorkers(sys *cluster.System, micro *workload.Benchmark, workers 
 // completion updates (the install-time sweep over a full machine is the
 // longest single phase in the repository).
 func GeneratePVTCtx(ctx context.Context, sys *cluster.System, micro *workload.Benchmark, workers int) (*PVT, error) {
+	return moduleClass.generate(ctx, sys, sys.NumModules(), micro, workers)
+}
+
+// generate builds the class's install-time table over its n members: the
+// microbenchmark's test pair on each through sweep, one channel per
+// measured power.
+func (c *class) generate(ctx context.Context, sys *cluster.System, n int, micro *workload.Benchmark, workers int) (*PVT, error) {
 	if micro == nil {
 		micro = workload.PVTMicrobenchmark()
 	}
-	_, span := obs.StartSpan(ctx, "pvt.generate")
+	_, span := obs.StartSpan(ctx, c.pvtSpan)
 	span.SetAttr("system", sys.Spec.Name)
-	span.SetInt("modules", sys.NumModules())
+	span.SetInt(c.count, n)
 	defer span.End()
-	scales, quarantined, err := sweep(ctx, sys, sys.NumModules(), 4, workers, func(id int, v []float64) error {
-		pair, err := RunTestPair(sys, micro, id)
+	channels := 2
+	if c.dram {
+		channels = 4
+	}
+	scales, quarantined, err := sweep(ctx, sys, n, channels, workers, func(id int, v []float64) error {
+		pair, err := c.testPair(sys, micro, id)
 		if err != nil {
-			return fmt.Errorf("core: PVT test pair on module %d: %w", id, err)
+			return fmt.Errorf("core: PVT test pair on %s %d: %w", c.noun, id, err)
 		}
-		v[0], v[1] = float64(pair.AtMax.CPUPower), float64(pair.AtMax.DramPower)
-		v[2], v[3] = float64(pair.AtMin.CPUPower), float64(pair.AtMin.DramPower)
+		if c.dram {
+			v[0], v[1] = float64(pair.AtMax.CPUPower), float64(pair.AtMax.DramPower)
+			v[2], v[3] = float64(pair.AtMin.CPUPower), float64(pair.AtMin.DramPower)
+		} else {
+			v[0], v[1] = float64(pair.AtMax.CPUPower), float64(pair.AtMin.CPUPower)
+		}
 		return nil
 	})
 	if err != nil {
@@ -137,23 +213,26 @@ func GeneratePVTCtx(ctx context.Context, sys *cluster.System, micro *workload.Be
 	}
 	pvt := &PVT{
 		System: sys.Spec.Name, Microbenchmark: micro.Name,
-		Entries: make([]PVTEntry, sys.NumModules()), Quarantined: quarantined,
+		Entries: make([]PVTEntry, n), Quarantined: quarantined,
 	}
 	for id := range pvt.Entries {
-		s := scales[4*id:]
-		pvt.Entries[id] = PVTEntry{ModuleID: id, CPUMax: s[0], DramMax: s[1], CPUMin: s[2], DramMin: s[3]}
+		s := scales[channels*id:]
+		if c.dram {
+			pvt.Entries[id] = PVTEntry{ModuleID: id, CPUMax: s[0], DramMax: s[1], CPUMin: s[2], DramMin: s[3]}
+		} else {
+			pvt.Entries[id] = PVTEntry{ModuleID: id, CPUMax: s[0], DramMax: 1, CPUMin: s[1], DramMin: 1}
+		}
 	}
 	return pvt, nil
 }
 
-// sweep is the install-time calibration every PVT is built by, for modules
-// and GPU devices alike: it fans out each of the n members' test pair
-// (test fills one value per channel), normalises every channel by its
-// population average, and returns the scales member-major with the
-// quarantine list. Every member's test runs touch only that member and
-// draw from (seed, id)-keyed streams, and the averages are reduced in
-// member order after the fan-out, so the scales are bit-identical for
-// every worker count.
+// sweep is the install-time calibration every PVT is built by, for every
+// class: it fans out each of the n members' test pair (test fills one
+// value per channel), normalises every channel by its population average,
+// and returns the scales member-major with the quarantine list. Every
+// member's test runs touch only that member and draw from (seed, id)-keyed
+// streams, and the averages are reduced in member order after the
+// fan-out, so the scales are bit-identical for every worker count.
 //
 // On faulty hardware a failing pair is retried, then its member is
 // quarantined instead of failing the install, and a MAD pass over each

@@ -50,7 +50,7 @@ func TestPVTGolden(t *testing.T) {
 	}
 	writeGPUPVTGolden(&buf, "healthy gpus", gpvt)
 
-	var throttled *GPUPVT
+	var throttled *PVT
 	for _, w := range workerWidths() {
 		sys := goldenHybrid(t, nil)
 		sys.InstallFaults(faults.MustInjector(&faults.Plan{Events: []faults.Event{
@@ -104,10 +104,15 @@ func writePVTGolden(buf *bytes.Buffer, label string, p *PVT) {
 	}
 }
 
-func writeGPUPVTGolden(buf *bytes.Buffer, label string, p *GPUPVT) {
+// writeGPUPVTGolden writes a device table: board power lives in the CPU
+// fields, and every DRAM scale must be exactly 1.
+func writeGPUPVTGolden(buf *bytes.Buffer, label string, p *PVT) {
 	fmt.Fprintf(buf, "%s quarantined=%v\n", label, p.Quarantined)
 	for _, e := range p.Entries {
+		if e.DramMax != 1 || e.DramMin != 1 {
+			fmt.Fprintf(buf, "%s %d has DRAM scales %v/%v, want 1\n", label, e.ModuleID, e.DramMax, e.DramMin)
+		}
 		fmt.Fprintf(buf, "%s %d power_max=%s power_min=%s\n", label,
-			e.DeviceID, full(e.PowerMax), full(e.PowerMin))
+			e.ModuleID, full(e.CPUMax), full(e.CPUMin))
 	}
 }

@@ -19,10 +19,11 @@ import (
 type Framework struct {
 	Sys *cluster.System
 	PVT *PVT
-	// GPVT is the GPU device class's install-time table, which the hybrid
-	// pipeline (SolveHetero, RunHetero) needs; nil on CPU-only systems
-	// and until NewHeteroFramework or the caller sets it.
-	GPVT *GPUPVT
+	// GPVT is the GPU device class's install-time table (one capped
+	// channel per device, see class), which the hybrid pipeline
+	// (SolveHetero, RunHetero) needs; nil on CPU-only systems and until
+	// NewHeteroFramework or the caller sets it.
+	GPVT *PVT
 
 	// Workers bounds the fan-out of the framework's per-module loops
 	// (oracle measurement, final-run resolution and accounting): < 1
@@ -107,30 +108,42 @@ func (fw *Framework) Clone() *Framework {
 // The test module for calibrated schemes is drawn from the job's own
 // allocation, as in the paper; see closestToMean for how it is chosen.
 func (fw *Framework) BuildPMT(bench *workload.Benchmark, moduleIDs []int, scheme Scheme) (*PMT, error) {
-	pmt, err := fw.measurePMT(bench, moduleIDs, scheme)
+	pmt, err := fw.measurePMT(moduleClass, bench, moduleIDs, scheme)
 	if err != nil {
 		return nil, err
 	}
 	return pmt.forScheme(scheme), nil
 }
 
-// measurePMT makes the measurement the scheme's model rests on (see
-// Scheme.measurement) and returns the table it yields, before Pc averages
-// it.
-func (fw *Framework) measurePMT(bench *workload.Benchmark, moduleIDs []int, scheme Scheme) (*PMT, error) {
-	if len(moduleIDs) == 0 {
-		return nil, fmt.Errorf("core: empty module allocation")
+// measurePMT makes the measurement the scheme's model of class c rests on
+// (see Scheme.measurement) and returns the table it yields, before Pc
+// averages it.
+func (fw *Framework) measurePMT(c *class, bench *workload.Benchmark, ids []int, scheme Scheme) (*PMT, error) {
+	if len(ids) == 0 {
+		return nil, fmt.Errorf("core: empty %s allocation", c.noun)
 	}
 	switch scheme.measurement() {
 	case measureNone:
-		return NaivePMT(fw.Sys, moduleIDs), nil
+		return c.naivePMT(fw.Sys, ids), nil
 	case measureOracle:
-		return fw.oraclePMT(bench, moduleIDs)
+		return fw.oraclePMT(c, bench, ids)
 	case measureCalibration:
-		return fw.calibrated(bench, moduleIDs)
+		return fw.calibrated(c, bench, ids)
 	default:
 		return nil, fmt.Errorf("core: unknown scheme %v", scheme)
 	}
+}
+
+// calibrated is the paper's two-run calibration of class c's members ids:
+// one test pair on the member closest to the PVT mean, scaled through the
+// PVT to all of them.
+func (fw *Framework) calibrated(c *class, bench *workload.Benchmark, ids []int) (*PMT, error) {
+	pvt := c.table(fw)
+	pair, err := c.testPair(fw.Sys, bench, closestToMean(ids, -1, pvt.deviation))
+	if err != nil {
+		return nil, err
+	}
+	return Calibrate(pvt, pair, bench, ids)
 }
 
 // forScheme returns the scheme's view of a measured table. The paper's Pc
@@ -144,37 +157,24 @@ func (p *PMT) forScheme(scheme Scheme) *PMT {
 	return p
 }
 
-func (fw *Framework) calibrated(bench *workload.Benchmark, moduleIDs []int) (*PMT, error) {
-	pair, err := RunTestPair(fw.Sys, bench, closestToMean(moduleIDs, -1, fw.PVT.deviation))
-	if err != nil {
-		return nil, err
-	}
-	return Calibrate(fw.PVT, pair, bench, moduleIDs)
-}
-
 // fsMargin measures the calibrated model's relative prediction error on a
-// held-out module (the allocated module ranked second-closest to the PVT
-// mean) and returns it, clamped to [0.005, 0.08], as the fractional budget
-// reserve for frequency selection.
-func (fw *Framework) fsMargin(pmt *PMT, bench *workload.Benchmark, moduleIDs []int) (float64, error) {
-	test := closestToMean(moduleIDs, -1, fw.PVT.deviation)
-	holdout := closestToMean(moduleIDs, test, fw.PVT.deviation)
-	pair, err := RunTestPair(fw.Sys, bench, holdout)
+// held-out member of class c (the allocated member ranked second-closest
+// to the PVT mean) and returns it, clamped to [0.005, 0.08], as the
+// fractional budget reserve for frequency selection.
+func (fw *Framework) fsMargin(c *class, pmt *PMT, bench *workload.Benchmark, ids []int) (float64, error) {
+	pvt := c.table(fw)
+	test := closestToMean(ids, -1, pvt.deviation)
+	holdout := closestToMean(ids, test, pvt.deviation)
+	pair, err := c.testPair(fw.Sys, bench, holdout)
 	if err != nil {
 		return 0, fmt.Errorf("core: FS margin holdout run: %w", err)
 	}
-	var pred *PMTEntry
 	for i := range pmt.Entries {
 		if pmt.Entries[i].ModuleID == holdout {
-			pred = &pmt.Entries[i]
-			break
+			return units.Clamp(holdoutError(pmt.Entries[i], pair), 0.005, 0.08), nil
 		}
 	}
-	if pred == nil {
-		return 0, fmt.Errorf("core: holdout module %d missing from PMT", holdout)
-	}
-	margin := holdoutError(*pred, TestPair{ModuleID: holdout, AtMax: pair.AtMax, AtMin: pair.AtMin})
-	return units.Clamp(margin, 0.005, 0.08), nil
+	return 0, fmt.Errorf("core: holdout %s %d missing from PMT", c.noun, holdout)
 }
 
 // closestToMean picks, among the allocated ids other than skip, the one
@@ -270,22 +270,28 @@ func (fw *Framework) BuildModels(bench *workload.Benchmark, moduleIDs []int, sch
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
-	if len(schemes) == 0 || len(ModelGroups(schemes)) != 1 {
+	return fw.buildModels(moduleClass, bench, moduleIDs, schemes)
+}
+
+// buildModels is BuildModels for the members ids of class c, without the
+// instrumentation check.
+func (fw *Framework) buildModels(c *class, bench *workload.Benchmark, ids []int, schemes []Scheme) ([]*Model, error) {
+	if len(schemes) == 0 || len(schemes) > 1 && len(ModelGroups(schemes)) != 1 {
 		return nil, fmt.Errorf("core: schemes %v do not share one measurement", schemes)
 	}
-	pmt, err := fw.measurePMT(bench, moduleIDs, schemes[0])
+	pmt, err := fw.measurePMT(c, bench, ids, schemes[0])
 	if err != nil {
 		return nil, err
 	}
 	var margin float64
 	if slices.Contains(schemes, VaFs) {
-		if margin, err = fw.fsMargin(pmt, bench, moduleIDs); err != nil {
+		if margin, err = fw.fsMargin(c, pmt, bench, ids); err != nil {
 			return nil, err
 		}
 	}
 	models := make([]*Model, len(schemes))
 	for i, s := range schemes {
-		models[i] = &Model{Scheme: s, Bench: bench, Modules: moduleIDs, PMT: pmt.forScheme(s)}
+		models[i] = &Model{Scheme: s, Bench: bench, Modules: ids, PMT: pmt.forScheme(s)}
 		if s == VaFs {
 			models[i].Margin = margin
 		}

@@ -145,11 +145,15 @@ func Hetero(o Options) (*HeteroResult, error) {
 	}
 	devs := hf.AllDevices()
 	bench := workload.MHD()
+	budget, err := heteroBudgetFor(hf, bench, ids, devs)
+	if err != nil {
+		return nil, err
+	}
 	out := &HeteroResult{
 		System: spec.Name, Bench: bench.Name,
 		Modules: len(ids), Devices: len(devs),
 		GPUQuarantined: len(hf.GPVT.Quarantined),
-		Budget:         heteroBudgetFor(hf, ids, devs),
+		Budget:         budget,
 	}
 	type cellSpec struct {
 		scheme   core.Scheme
@@ -202,19 +206,17 @@ func Hetero(o Options) (*HeteroResult, error) {
 
 // heteroBudgetFor derives the machine budget from the naive (spec-sheet)
 // demand envelope of both classes — deterministic in the system alone.
-func heteroBudgetFor(hf *core.Framework, ids, devs []int) units.Watts {
-	pmt := core.NaivePMT(hf.Sys, ids)
-	gpmt := core.NaiveGPUPMT(hf.Sys.Spec.GPU.Arch, devs)
+func heteroBudgetFor(hf *core.Framework, bench *workload.Benchmark, ids, devs []int) (units.Watts, error) {
+	gpmt, err := hf.BuildGPUPMT(bench, devs, core.Naive)
+	if err != nil {
+		return 0, err
+	}
 	var min, max units.Watts
-	for _, e := range pmt.Entries {
+	for _, e := range append(core.NaivePMT(hf.Sys, ids).Entries, gpmt.Entries...) {
 		min += e.ModuleMin()
 		max += e.ModuleMax()
 	}
-	for _, e := range gpmt.Entries {
-		min += e.PowerMin
-		max += e.PowerMax
-	}
-	return units.Watts(units.Lerp(float64(min), float64(max), HeteroBudgetFrac))
+	return units.Watts(units.Lerp(float64(min), float64(max), HeteroBudgetFrac)), nil
 }
 
 // RenderHetero writes the sweep as one table, cells normalised against the

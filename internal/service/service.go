@@ -375,7 +375,7 @@ func (s *Server) coldBuild(spec cluster.Spec, n int) (*baseSystem, RestoreOutcom
 // gpuTableFor runs the GPU device class's install-time calibration sweep
 // (nil for CPU-only systems). The sweep is deterministic in (spec, seed),
 // so restored systems regenerate it instead of persisting it.
-func (s *Server) gpuTableFor(sys *cluster.System) (*core.GPUPVT, error) {
+func (s *Server) gpuTableFor(sys *cluster.System) (*core.PVT, error) {
 	if !sys.Spec.Hybrid() {
 		return nil, nil
 	}
@@ -829,13 +829,7 @@ func (s *Server) calibrate(ctx context.Context, gen uint64, req SolveRequest, b 
 		if err != nil {
 			return calibration{}, err
 		}
-		var quarantined []int
-		for _, id := range fw.PVT.Quarantined {
-			if id < req.Modules {
-				quarantined = append(quarantined, id)
-			}
-		}
-		return calibration{pmt: pmt, quarantined: quarantined}, nil
+		return calibration{pmt: pmt, quarantined: quarantinedBelow(fw.PVT, req.Modules)}, nil
 	})
 	sp.SetAttr("cache", string(disp))
 	sp.Fail(err)
@@ -860,6 +854,27 @@ func (s *Server) solveBody(ctx context.Context, gen uint64, req SolveRequest, b 
 	if err != nil {
 		return nil, err
 	}
+	resp := solveResponse(req, alloc, cal.quarantined)
+	resp.PredictedTimeS = float64(core.PredictTime(bench, b.spec.Arch, alloc, scheme))
+	return marshalBody(resp)
+}
+
+// quarantinedBelow lists the PVT's quarantined modules among the first n,
+// the ones a job of n modules is allocated.
+func quarantinedBelow(pvt *core.PVT, n int) []int {
+	var q []int
+	for _, id := range pvt.Quarantined {
+		if id < n {
+			q = append(q, id)
+		}
+	}
+	return q
+}
+
+// solveResponse renders a solve's request echo and module-level answer;
+// the CPU body adds its predicted time, the hybrid body its class split
+// and device allocations.
+func solveResponse(req SolveRequest, alloc *core.Allocation, quarantined []int) SolveResponse {
 	resp := SolveResponse{
 		System:      req.System,
 		Workload:    req.Workload,
@@ -875,8 +890,7 @@ func (s *Server) solveBody(ctx context.Context, gen uint64, req SolveRequest, b 
 		Constrained: alloc.Constrained,
 
 		PredictedPowerW: float64(alloc.TotalPredicted()),
-		PredictedTimeS:  float64(core.PredictTime(bench, b.spec.Arch, alloc, scheme)),
-		Quarantined:     cal.quarantined,
+		Quarantined:     quarantined,
 		Allocations:     make([]ModuleAllocation, len(alloc.Entries)),
 	}
 	for i, e := range alloc.Entries {
@@ -887,7 +901,7 @@ func (s *Server) solveBody(ctx context.Context, gen uint64, req SolveRequest, b 
 			PDram:   float64(e.Pdram),
 		}
 	}
-	return marshalBody(resp)
+	return resp
 }
 
 // solveHeteroBody is the hybrid system's cache-miss path: the machine
@@ -930,49 +944,21 @@ func (s *Server) solveHeteroBody(ctx context.Context, req SolveRequest, b *baseS
 	if err != nil {
 		return nil, err
 	}
-	var quarantined []int
-	for _, id := range fw.PVT.Quarantined {
-		if id < req.Modules {
-			quarantined = append(quarantined, id)
-		}
-	}
-	resp := SolveResponse{
-		System:      req.System,
-		Workload:    req.Workload,
-		Scheme:      req.Scheme,
-		BudgetWatts: req.BudgetWatts,
-		Modules:     req.Modules,
-		Seed:        req.Seed,
-		Faults:      req.Faults,
-		Alpha:       alloc.CPU.Alpha,
-		FreqHz:      float64(alloc.CPU.Freq),
-		Feasible:    alloc.CPU.Feasible && alloc.GPU.Feasible,
-		Clamped:     alloc.CPU.Clamped || alloc.GPU.Clamped,
-		Constrained: alloc.CPU.Constrained || alloc.GPU.Constrained,
-
-		PredictedPowerW: float64(alloc.CPU.TotalPredicted() + alloc.GPU.TotalPredicted()),
-		PredictedTimeS:  float64(alloc.PredictedTime),
-		Quarantined:     quarantined,
-		Allocations:     make([]ModuleAllocation, len(alloc.CPU.Entries)),
-
-		Splitter:       req.Splitter,
-		CPUBudgetW:     float64(alloc.CPUBudget),
-		GPUBudgetW:     float64(alloc.GPUBudget),
-		GPUAlpha:       alloc.GPU.Alpha,
-		GPUClockHz:     float64(alloc.GPU.Clock),
-		GPUQuarantined: fw.GPVT.Quarantined,
-		GPUAllocations: make([]GPUAllocation, len(alloc.GPU.Entries)),
-	}
-	for i, e := range alloc.CPU.Entries {
-		resp.Allocations[i] = ModuleAllocation{
-			Module:  e.ModuleID,
-			PModule: float64(e.Pmodule),
-			PCPU:    float64(e.Pcpu),
-			PDram:   float64(e.Pdram),
-		}
-	}
+	resp := solveResponse(req, alloc.CPU, quarantinedBelow(fw.PVT, req.Modules))
+	resp.Feasible = alloc.CPU.Feasible && alloc.GPU.Feasible
+	resp.Clamped = alloc.CPU.Clamped || alloc.GPU.Clamped
+	resp.Constrained = alloc.CPU.Constrained || alloc.GPU.Constrained
+	resp.PredictedPowerW = float64(alloc.CPU.TotalPredicted() + alloc.GPU.TotalPredicted())
+	resp.PredictedTimeS = float64(alloc.PredictedTime)
+	resp.Splitter = req.Splitter
+	resp.CPUBudgetW = float64(alloc.CPUBudget)
+	resp.GPUBudgetW = float64(alloc.GPUBudget)
+	resp.GPUAlpha = alloc.GPU.Alpha
+	resp.GPUClockHz = float64(alloc.GPU.Freq)
+	resp.GPUQuarantined = fw.GPVT.Quarantined
+	resp.GPUAllocations = make([]GPUAllocation, len(alloc.GPU.Entries))
 	for i, e := range alloc.GPU.Entries {
-		resp.GPUAllocations[i] = GPUAllocation{Device: e.DeviceID, PowerW: float64(e.Power)}
+		resp.GPUAllocations[i] = GPUAllocation{Device: e.ModuleID, PowerW: float64(e.Pmodule)}
 	}
 	return marshalBody(resp)
 }
