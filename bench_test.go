@@ -14,9 +14,12 @@
 package varpower_test
 
 import (
+	"bytes"
 	"context"
 	"io"
+	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -602,6 +605,73 @@ func BenchmarkServeSolve(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkHandlerSolve measures the service layer alone: POST /v1/solve
+// through Server.Handler().ServeHTTP into an httptest.ResponseRecorder, no
+// transport, on HA8K at the daemon's 192 modules. "hot" answers one primed
+// key from the rendered-bytes cache; "miss" sends a budget no iteration has
+// sent, so each iteration runs the α-solve against the warm PMT cache and
+// renders the body. Request bodies are built before the timer and the
+// request, its body reader and the recorder are reused, so allocs/op is the
+// handler's own.
+func BenchmarkHandlerSolve(b *testing.B) {
+	srv, err := service.New(service.Config{Systems: []string{"HA8K"}, Modules: 192, Seed: 0x5c15})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() { _ = srv.Drain(context.Background()) }()
+	h := srv.Handler()
+	body := new(rewindBody)
+	req := httptest.NewRequest(http.MethodPost, "/v1/solve", body)
+	rec := httptest.NewRecorder()
+	serve := func(payload []byte, want service.Disposition) {
+		body.Reset(payload)
+		rec.Body.Reset()
+		delete(rec.HeaderMap, "X-Varpower-Cache")
+		h.ServeHTTP(rec, req)
+		if got := rec.Header().Get("X-Varpower-Cache"); got != string(want) {
+			b.Fatalf("disposition %q, want %q: %s", got, want, rec.Body.Bytes())
+		}
+	}
+	// Every request's budget is one no earlier request sent, across all
+	// runs of both sub-benchmarks.
+	var sent int
+	payload := func() []byte {
+		sent++
+		p := []byte(`{"system":"HA8K","workload":"dgemm","scheme":"vapc","budget_watts":`)
+		p = strconv.AppendFloat(p, 20000+float64(sent)/8, 'f', -1, 64)
+		return append(p, '}')
+	}
+
+	b.Run("hot", func(b *testing.B) {
+		key := payload()
+		serve(key, service.DispMiss)
+		serve(key, service.DispHit) // warm-up: one-time allocations stay out of allocs/op
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			serve(key, service.DispHit)
+		}
+	})
+	b.Run("miss", func(b *testing.B) {
+		keys := make([][]byte, b.N+1)
+		for i := range keys {
+			keys[i] = payload()
+		}
+		serve(keys[b.N], service.DispMiss) // warm-up, and the PMT cache
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			serve(keys[i], service.DispMiss)
+		}
+	})
+}
+
+// rewindBody is a request body the benchmark loop re-arms in place, so the
+// loop allocates nothing of its own.
+type rewindBody struct{ bytes.Reader }
+
+func (*rewindBody) Close() error { return nil }
 
 // BenchmarkSnapshotRestore measures the crash-safety hot paths: writing a
 // primed system's durable snapshot ("snapshot") and booting a server warm

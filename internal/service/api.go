@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -236,17 +235,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	_ = enc.Encode(v)
-}
-
-// marshalBody renders a response exactly as writeJSON would (trailing
-// newline included) into retained bytes — the representation the solve
-// cache stores, so hits and misses are byte-identical on the wire.
-func marshalBody(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }
 
 // maxBodyBytes bounds request bodies; solve requests are tiny.

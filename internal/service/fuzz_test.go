@@ -3,6 +3,8 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -86,5 +88,67 @@ func FuzzRecalibrateRequest(f *testing.F) {
 				t.Fatalf("accepted module %d outside [0,%d) in %+v", id, n, req)
 			}
 		}
+	})
+}
+
+// FuzzSolveBody builds a SolveResponse from fuzzed strings, float bits and
+// slice shapes, and requires renderSolve's bytes and error to equal
+// encoding/json's. floats is read eight bytes at a time, little-endian, as
+// float64 bits, cycling; shape picks which slices are nil, empty or filled.
+func FuzzSolveBody(f *testing.F) {
+	bits := func(xs ...float64) []byte {
+		var b []byte
+		for _, x := range xs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+		}
+		return b
+	}
+	f.Add("HA8K", "dgemm", "", bits(2400, 0.2354, 1.6e9, 2399.9999999999995, 11.25, 70.1, 40.5, 29.6), uint8(0x00), 3)
+	f.Add("HA8K-hybrid", "high", "greedy", bits(9000, 0.5, 1.2e9, 8999, 7, 5000, 4000, 0.75, 1.3e9, 200, 150), uint8(0xfe), 2)
+	f.Add(`<a href="x">&\`, "\x01\xff\xfe", "a\u2028b", bits(math.NaN(), math.Inf(1), math.Inf(-1)), uint8(0x0e), 1)
+	f.Add("s", "", "", bits(math.Copysign(0, -1), 5e-7, 1e21, 1e-6, 5e-324, 1<<53, math.MaxFloat64), uint8(0x01), 4)
+	f.Fuzz(func(t *testing.T, system, faults, splitter string, floats []byte, shape uint8, n int) {
+		next := 0
+		float := func() float64 {
+			if len(floats) < 8 {
+				return 0
+			}
+			i := next % (len(floats) / 8)
+			next++
+			return math.Float64frombits(binary.LittleEndian.Uint64(floats[8*i:]))
+		}
+		n = int(uint(n) % 9)
+		r := SolveResponse{
+			System: system, Workload: splitter + system, Scheme: faults, BudgetWatts: float(),
+			Modules: n, Seed: uint64(n) << 60, Faults: faults,
+			Alpha: float(), FreqHz: float(),
+			Feasible: shape&0x10 != 0, Clamped: shape&0x20 != 0, Constrained: shape&0x40 != 0,
+			PredictedPowerW: float(), PredictedTimeS: float(),
+			Splitter: splitter, CPUBudgetW: float(), GPUBudgetW: float(), GPUAlpha: float(), GPUClockHz: float(),
+		}
+		// Bit 0 leaves Allocations nil; bit 7 makes the omitempty slices
+		// empty rather than nil, and bits 1-3 fill them.
+		if shape&0x01 == 0 {
+			r.Allocations = make([]ModuleAllocation, n)
+			for i := range r.Allocations {
+				r.Allocations[i] = ModuleAllocation{Module: i - 1, PModule: float(), PCPU: float(), PDram: float()}
+			}
+		}
+		if shape&0x80 != 0 {
+			r.Quarantined, r.GPUQuarantined, r.GPUAllocations = []int{}, []int{}, []GPUAllocation{}
+		}
+		if shape&0x02 != 0 {
+			r.Quarantined = []int{n, -n, math.MaxInt}
+		}
+		if shape&0x04 != 0 {
+			r.GPUQuarantined = []int{n}
+		}
+		if shape&0x08 != 0 {
+			r.GPUAllocations = make([]GPUAllocation, n+1)
+			for i := range r.GPUAllocations {
+				r.GPUAllocations[i] = GPUAllocation{Device: i, PowerW: float()}
+			}
+		}
+		checkRender(t, &r)
 	})
 }

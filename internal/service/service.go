@@ -856,7 +856,7 @@ func (s *Server) solveBody(ctx context.Context, gen uint64, req SolveRequest, b 
 	}
 	resp := solveResponse(req, alloc, cal.quarantined)
 	resp.PredictedTimeS = float64(core.PredictTime(bench, b.spec.Arch, alloc, scheme))
-	return marshalBody(resp)
+	return renderSolve(&resp)
 }
 
 // quarantinedBelow lists the PVT's quarantined modules among the first n,
@@ -960,7 +960,7 @@ func (s *Server) solveHeteroBody(ctx context.Context, req SolveRequest, b *baseS
 	for i, e := range alloc.GPU.Entries {
 		resp.GPUAllocations[i] = GPUAllocation{Device: e.ModuleID, PowerW: float64(e.Pmodule)}
 	}
-	return marshalBody(resp)
+	return renderSolve(&resp)
 }
 
 // handleSolve is POST /v1/solve: decode, canonicalise, and answer from the
@@ -1002,11 +1002,27 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, CodeInternal, "solve: %v", err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.Header().Set("X-Varpower-Cache", string(disp))
+	// A body of tens of KB goes out with its length, not chunked. The
+	// constant header values are shared slices (keys already canonical),
+	// so the length is the only header this path allocates.
+	h := w.Header()
+	h["Content-Type"] = jsonContentType
+	h["Content-Length"] = []string{strconv.Itoa(len(body))}
+	h["X-Varpower-Cache"] = dispHeaders[disp]
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(body)
 }
+
+// Header values handleSolve shares across responses; net/http only reads a
+// handler's header values, so no response can change them.
+var (
+	jsonContentType = []string{"application/json; charset=utf-8"}
+	dispHeaders     = map[Disposition][]string{
+		DispHit:       {string(DispHit)},
+		DispMiss:      {string(DispMiss)},
+		DispCoalesced: {string(DispCoalesced)},
+	}
+)
 
 // --- Jobs -------------------------------------------------------------------
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -58,6 +59,24 @@ type shardState struct {
 	healthy atomic.Bool
 
 	mHealthy, mBreaker *telemetry.Gauge
+	mRequests          sync.Map // status code (0: transport error) → *telemetry.Counter
+}
+
+// requests returns the shard's varpower_shard_requests_total series for a
+// proxied request's status (0 for a transport error), resolved from the
+// registry once per status.
+func (ss *shardState) requests(status int) *telemetry.Counter {
+	c, ok := ss.mRequests.Load(status)
+	if !ok {
+		code := "error"
+		if status != 0 {
+			code = strconv.Itoa(status)
+		}
+		c, _ = ss.mRequests.LoadOrStore(status, telemetry.Default().Counter("varpower_shard_requests_total",
+			"Requests proxied to shards, by shard and status code.",
+			telemetry.Labels{"shard": ss.member.Name, "code": code}))
+	}
+	return c.(*telemetry.Counter)
 }
 
 // setBreakerGauge publishes the breaker position.
@@ -465,11 +484,6 @@ func (r *Router) forwardRanked(ctx context.Context, w http.ResponseWriter, req *
 	if len(ranked) > 2 {
 		ranked = ranked[:2] // primary + designated secondary only
 	}
-	reqs := func(name, code string) *telemetry.Counter {
-		return telemetry.Default().Counter("varpower_shard_requests_total",
-			"Requests proxied to shards, by shard and status code.",
-			telemetry.Labels{"shard": name, "code": code})
-	}
 	for i, m := range ranked {
 		ss := r.byName[m.Name]
 		if !ss.breaker.Allow() {
@@ -486,7 +500,7 @@ func (r *Router) forwardRanked(ctx context.Context, w http.ResponseWriter, req *
 			ss.publish()
 			sp.Fail(err)
 			sp.End()
-			reqs(m.Name, "error").Inc()
+			ss.requests(0).Inc()
 			r.cfg.Obs.RecordSLO("shard:"+m.Name, dur, http.StatusBadGateway)
 			continue
 		}
@@ -498,19 +512,12 @@ func (r *Router) forwardRanked(ctx context.Context, w http.ResponseWriter, req *
 			r.mFailovers.Inc()
 		}
 		sp.End()
-		reqs(m.Name, fmt.Sprint(fwd.Status)).Inc()
+		ss.requests(fwd.Status).Inc()
 		r.cfg.Obs.RecordSLO("shard:"+m.Name, dur, fwd.Status)
 		if path == "/v1/jobs" && fwd.Status == http.StatusAccepted {
 			r.recordJobOwner(fwd.Body, m.Name)
 		}
-		for _, k := range relayHeaders {
-			if v := fwd.Header.Get(k); v != "" {
-				w.Header().Set(k, v)
-			}
-		}
-		w.Header().Set("X-Varpower-Shard", m.Name)
-		w.WriteHeader(fwd.Status)
-		_, _ = w.Write(fwd.Body)
+		relay(w, fwd, m.Name)
 		return fwd.Status
 	}
 	r.mExhausted.Inc()
@@ -579,14 +586,17 @@ func (r *Router) handleGetJob(w http.ResponseWriter, req *http.Request) {
 	writeErr(w, http.StatusNotFound, service.CodeNotFound, "no shard knows job %q", id)
 }
 
-// relay copies a forwarded response to the caller.
+// relay copies a forwarded response to the caller. The body is buffered
+// whole, so it goes out with its length rather than chunked.
 func relay(w http.ResponseWriter, fwd *client.Forwarded, shard string) {
+	h := w.Header()
 	for _, k := range relayHeaders {
 		if v := fwd.Header.Get(k); v != "" {
-			w.Header().Set(k, v)
+			h.Set(k, v)
 		}
 	}
-	w.Header().Set("X-Varpower-Shard", shard)
+	h.Set("X-Varpower-Shard", shard)
+	h.Set("Content-Length", strconv.Itoa(len(fwd.Body)))
 	w.WriteHeader(fwd.Status)
 	_, _ = w.Write(fwd.Body)
 }

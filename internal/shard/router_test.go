@@ -17,6 +17,7 @@ import (
 
 	"varpower/internal/service"
 	"varpower/internal/shard"
+	"varpower/internal/telemetry"
 )
 
 // fleet is a two-shard test fleet behind a router.
@@ -26,6 +27,11 @@ type fleet struct {
 	front   *httptest.Server
 	servers map[string]*httptest.Server // by shard name
 }
+
+// fleetModules is each fleet system's size: a solve body at 32 modules
+// outgrows net/http's 2 KB pre-chunking buffer, so framing is the
+// handler's and the router's choice, not the server's.
+const fleetModules = 32
 
 // newFleet boots two shards that can each serve every system (Workers: 1,
 // shared seed, so solve bodies are byte-identical across shards) plus a
@@ -37,7 +43,7 @@ func newFleet(t *testing.T, cfg shard.RouterConfig) *fleet {
 	for _, name := range []string{"a", "b"} {
 		svc, err := service.New(service.Config{
 			Systems: []string{"HA8K", "Cab"},
-			Modules: 16,
+			Modules: fleetModules,
 			Seed:    0x5c15,
 			Workers: 1,
 		})
@@ -100,6 +106,50 @@ func TestRouterRoutesToPrimary(t *testing.T) {
 	}
 	if _, ok := out["alpha"]; !ok {
 		t.Fatalf("solve body missing alpha: %s", body)
+	}
+}
+
+// TestRouterRelaysFixedLengthBodies: a routed solve is the shard's body
+// byte for byte, sent with its length rather than chunked, and each proxied
+// request lands once in the answering shard's request counter.
+func TestRouterRelaysFixedLengthBodies(t *testing.T) {
+	f := newFleet(t, shard.RouterConfig{})
+	primary := f.set.Primary("HA8K").Name
+	requests := telemetry.Default().Counter("varpower_shard_requests_total",
+		"Requests proxied to shards, by shard and status code.",
+		telemetry.Labels{"shard": primary, "code": "200"})
+	before := requests.Value()
+	payload := `{"system":"HA8K","workload":"dgemm","scheme":"vapc","budget_watts":2400}`
+	post := func(url string) (*http.Response, []byte) {
+		resp, err := http.Post(url+"/v1/solve", "application/json", strings.NewReader(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("solve via %s: %d, %v: %s", url, resp.StatusCode, err, b)
+		}
+		return resp, b
+	}
+	direct, want := post(f.servers[primary].URL)
+	if len(want) <= 2048 {
+		t.Fatalf("a %d-byte body fits net/http's pre-chunking buffer; the framing check needs a larger one", len(want))
+	}
+	for i := 0; i < 2; i++ {
+		resp, got := post(f.front.URL)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("routed body differs from the shard's:\n got: %s\nwant: %s", got, want)
+		}
+		for _, r := range []*http.Response{direct, resp} {
+			if r.ContentLength != int64(len(want)) || len(r.TransferEncoding) != 0 {
+				t.Fatalf("Content-Length %d, Transfer-Encoding %v for a %d-byte body",
+					r.ContentLength, r.TransferEncoding, len(want))
+			}
+		}
+	}
+	if got := requests.Value() - before; got != 2 {
+		t.Fatalf("shard %s request counter grew by %v over two routed solves, want 2", primary, got)
 	}
 }
 
@@ -202,7 +252,7 @@ func TestRouterBreakerRecoversViaProbes(t *testing.T) {
 	}
 
 	// Restart a healthy shard on the same address.
-	svc, err := service.New(service.Config{Systems: []string{"HA8K", "Cab"}, Modules: 16, Seed: 0x5c15, Workers: 1})
+	svc, err := service.New(service.Config{Systems: []string{"HA8K", "Cab"}, Modules: fleetModules, Seed: 0x5c15, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
