@@ -848,10 +848,10 @@ func itoa(v int) string {
 }
 
 // BenchmarkDESRun measures the simmpi DES layer inside one application run:
-// a capped 480-module MHD Framework.Execute from a fixed VaPc allocation at
-// the interior budget halfway between ΣMin and ΣMax, at workers 1. Each
-// iteration resolves the caps, runs the 400-round halo-exchange DES and
-// accounts the energy counters, as every grid cell's final run does.
+// a capped 480-module MHD Framework.RunModel of a VaPc model built once,
+// at the interior budget halfway between ΣMin and ΣMax, at workers 1. Each
+// iteration solves, resolves the caps, runs the 400-round halo-exchange DES
+// and accounts the energy counters, as every grid cell's final run does.
 func BenchmarkDESRun(b *testing.B) {
 	const modules = 480
 	sys := cluster.MustNew(cluster.HA8K(), modules, 0x5c15)
@@ -863,23 +863,19 @@ func BenchmarkDESRun(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	bench := workload.MHD()
-	pmt, err := fw.BuildPMT(bench, ids, core.VaPc)
+	m, err := fw.BuildModel(workload.MHD(), ids, core.VaPc)
 	if err != nil {
 		b.Fatal(err)
 	}
 	var sumMin, sumMax units.Watts
-	for _, e := range pmt.Entries {
+	for _, e := range m.PMT.Entries {
 		sumMin += e.ModuleMin()
 		sumMax += e.ModuleMax()
 	}
-	alloc, err := core.Solve(pmt, sys.Spec.Arch, (sumMin+sumMax)/2)
-	if err != nil || !alloc.Feasible {
-		b.Fatalf("interior budget infeasible: %v", err)
-	}
+	budget := (sumMin + sumMax) / 2
 	run := func() {
-		if _, err := fw.Execute(bench, ids, alloc, core.VaPc); err != nil {
-			b.Fatal(err)
+		if _, err := fw.RunModel(m, budget); err != nil {
+			b.Fatalf("interior budget: %v", err)
 		}
 	}
 	run() // warm-up: one-time allocations stay out of allocs/op

@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"varpower/internal/attrib"
 	"varpower/internal/cluster"
 	"varpower/internal/flight"
 	"varpower/internal/measure"
 	"varpower/internal/obs"
+	"varpower/internal/simmpi"
 	"varpower/internal/units"
 	"varpower/internal/workload"
 )
@@ -245,6 +247,40 @@ type Model struct {
 	// VaFs guards with the model's *measured* error on a held-out module —
 	// one extra cheap test pair. Every other scheme's margin is 0.
 	Margin float64
+
+	// prog holds the DES program of the model's runs; nil for a model
+	// BuildModels did not make, whose runs build their own.
+	prog *modelProgram
+}
+
+// modelProgram is the DES program shared by the models of one BuildModels
+// call, which run the same benchmark on the same modules at every budget.
+// It is built on the first RunModel of any of them, not with the models:
+// a model may never run (SolveHetero builds models only to solve them),
+// and the program costs more to build than a solve. Later runs, at any
+// budget and on any replica of the framework that built the models, reuse
+// it; runs only read it, so concurrent cells may share it. The program's
+// per-rank work depends on the system seed, so it serves only runs on
+// systems with the seed of the framework that built the models.
+type modelProgram struct {
+	seed uint64
+	once sync.Once
+	prog simmpi.Program
+}
+
+// program returns the DES program for a run of m on a system with the
+// given seed, or nil when the run must build its own.
+func (m *Model) program(seed uint64) simmpi.Program {
+	h := m.prog
+	if h == nil || h.seed != seed {
+		return nil
+	}
+	h.once.Do(func() {
+		// A failed build leaves prog nil: measure.Run then builds the
+		// program itself and reports the error where it always has.
+		h.prog, _ = m.Bench.Program(len(m.Modules), seed)
+	})
+	return h.prog
 }
 
 // BuildModel is Run's model step: instrument the application and make the
@@ -290,8 +326,9 @@ func (fw *Framework) buildModels(c *class, bench *workload.Benchmark, ids []int,
 		}
 	}
 	models := make([]*Model, len(schemes))
+	prog := &modelProgram{seed: fw.Sys.Seed}
 	for i, s := range schemes {
-		models[i] = &Model{Scheme: s, Bench: bench, Modules: ids, PMT: pmt.forScheme(s)}
+		models[i] = &Model{Scheme: s, Bench: bench, Modules: ids, PMT: pmt.forScheme(s), prog: prog}
 		if s == VaFs {
 			models[i].Margin = margin
 		}
@@ -380,7 +417,7 @@ func (fw *Framework) runModel(span obs.Span, m *Model, budget units.Watts) (*Sch
 		return nil, ErrBudgetInfeasible{Scheme: m.Scheme, Budget: budget}
 	}
 	sp = span.Start("framework.execute")
-	res, err := fw.under(sp).Execute(m.Bench, m.Modules, alloc, m.Scheme)
+	res, err := fw.under(sp).execute(m.Bench, m.Modules, alloc, m.Scheme, m.program(fw.Sys.Seed))
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -396,17 +433,26 @@ func (fw *Framework) runModel(span obs.Span, m *Model, budget units.Watts) (*Sch
 // module to the common α-derived frequency, quantised down to a real
 // P-state.
 func (fw *Framework) Execute(bench *workload.Benchmark, moduleIDs []int, alloc *Allocation, scheme Scheme) (measure.Result, error) {
+	return fw.execute(bench, moduleIDs, alloc, scheme, nil)
+}
+
+// execute is Execute playing prog, which must be bench's program for
+// moduleIDs on fw's system; nil builds it.
+func (fw *Framework) execute(bench *workload.Benchmark, moduleIDs []int, alloc *Allocation, scheme Scheme, prog simmpi.Program) (measure.Result, error) {
 	if len(alloc.Entries) != len(moduleIDs) {
 		return measure.Result{}, fmt.Errorf("core: allocation covers %d modules, job has %d", len(alloc.Entries), len(moduleIDs))
 	}
 	cfg := measure.Config{
 		Bench: bench, Modules: moduleIDs, Workers: fw.Workers,
-		Recorder:    fw.Recorder,
-		RecordLabel: fmt.Sprintf("%s/%v", bench.Name, scheme),
-		Attrib:      fw.Attrib,
-		Tenant:      fw.Tenant,
-		JobID:       fw.JobID,
-		Trace:       fw.Trace,
+		Recorder: fw.Recorder,
+		Attrib:   fw.Attrib,
+		Tenant:   fw.Tenant,
+		JobID:    fw.JobID,
+		Trace:    fw.Trace,
+		Program:  prog,
+	}
+	if fw.Recorder != nil {
+		cfg.RecordLabel = fmt.Sprintf("%s/%v", bench.Name, scheme)
 	}
 	if scheme.UsesFS() {
 		f := fw.Sys.Spec.Arch.QuantizeDown(alloc.Freq)

@@ -3,10 +3,14 @@ package core
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"varpower/internal/cluster"
+	"varpower/internal/faults"
 	"varpower/internal/flight"
 	"varpower/internal/stats"
 	"varpower/internal/units"
@@ -204,6 +208,133 @@ func TestBuildModelsSharesMeasurement(t *testing.T) {
 	}
 	if _, err := fw.BuildModel(bench, ids, Scheme(42)); err == nil {
 		t.Error("unknown scheme accepted")
+	}
+}
+
+// TestRunModelReusesProgram: the models of one BuildModels call share one
+// DES program, built on their first run, and every run still measures
+// exactly what Execute measures for its allocation on a fresh replica. On
+// HA8K at 32 modules, healthy and under testdata/chaos-plan.json, every
+// scheme runs at three budgets; a model's first runs are on a framework
+// with another seed, which must build its own program and leave the shared
+// one to the model's own framework. A fresh model run from four goroutines
+// at once must equal its serial runs.
+func TestRunModelReusesProgram(t *testing.T) {
+	f, err := os.Open(filepath.Join("..", "..", "testdata", "chaos-plan.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	chaos, err := faults.Load(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 32
+	bench := workload.BT() // imbalanced: its program depends on the seed
+	budgets := []units.Watts{n * 70, n * 85, n * 110}
+	var ran, failed int
+	for _, sysCase := range []struct {
+		label string
+		plan  *faults.Plan
+	}{{"healthy", nil}, {"chaos", chaos}} {
+		framework := func(seed uint64) *Framework {
+			sys := cluster.MustNew(cluster.HA8K(), n, seed)
+			if sysCase.plan != nil {
+				sys.InstallFaults(faults.MustInjector(sysCase.plan))
+			}
+			fw, err := NewFrameworkWorkers(sys, nil, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fw
+		}
+		fw, other := framework(0x5c15), framework(0x5c16)
+		ids, err := fw.Sys.AllocateFirst(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// run runs m at budget on a fresh replica of on and checks the
+		// result against Execute of its allocation on another. A run that
+		// fails (under the chaos plan, a spiking counter leaves the oracle
+		// models a zero cap) must fail as a run of the model without its
+		// program does, and returns nil.
+		run := func(on *Framework, m *Model, budget units.Watts) *SchemeRun {
+			t.Helper()
+			r, err := on.Clone().RunModel(m, budget)
+			if err != nil {
+				bare := *m
+				bare.prog = nil
+				if _, want := on.Clone().RunModel(&bare, budget); want == nil || err.Error() != want.Error() {
+					t.Errorf("%s %v at %v: error %v, want %v", sysCase.label, m.Scheme, budget, err, want)
+				}
+				failed++
+				return nil
+			}
+			ran++
+			want, err := on.Clone().Execute(m.Bench, m.Modules, r.Alloc, m.Scheme)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(r.Result, want) {
+				t.Errorf("%s %v at %v (seed %#x): RunModel measured a different run than Execute",
+					sysCase.label, m.Scheme, budget, on.Sys.Seed)
+			}
+			return r
+		}
+		for _, group := range ModelGroups(AllSchemes()) {
+			models, err := fw.Clone().BuildModels(bench, ids, group)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range models {
+				for _, b := range budgets {
+					run(other, m, b)
+				}
+				for _, b := range budgets {
+					run(fw, m, b)
+				}
+			}
+			shared := models[0].program(fw.Sys.Seed)
+			for _, m := range models {
+				if p := m.program(fw.Sys.Seed); p == nil || p != shared {
+					t.Errorf("%s %v: model holds program %p, its group %p", sysCase.label, m.Scheme, p, shared)
+				}
+				if m.program(other.Sys.Seed) != nil {
+					t.Errorf("%s %v: model offers its program to another seed", sysCase.label, m.Scheme)
+				}
+			}
+
+			fresh, err := fw.Clone().BuildModels(bench, ids, group)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range fresh {
+				replicas := make([]*Framework, 4)
+				for i := range replicas {
+					replicas[i] = fw.Clone()
+				}
+				concurrent := make([]*SchemeRun, len(replicas))
+				errs := make([]error, len(replicas))
+				var wg sync.WaitGroup
+				for i, r := range replicas {
+					wg.Add(1)
+					go func(i int, r *Framework) {
+						defer wg.Done()
+						concurrent[i], errs[i] = r.RunModel(m, budgets[1])
+					}(i, r)
+				}
+				wg.Wait()
+				serial := run(fw, m, budgets[1])
+				for i, r := range concurrent {
+					if (errs[i] != nil) != (serial == nil) || !reflect.DeepEqual(r, serial) {
+						t.Errorf("%s %v: goroutine %d's run (error %v) differs from the serial run", sysCase.label, m.Scheme, i, errs[i])
+					}
+				}
+			}
+		}
+	}
+	if failed > ran/4 {
+		t.Fatalf("%d runs failed, %d ran", failed, ran)
 	}
 }
 

@@ -335,7 +335,7 @@ const quarterWrapJoules = 16384
 //
 // A quantum larger than a quarter counter period is committed in steps with
 // an internal counter poll after each, so even one huge accumulation cannot
-// slip a full 32-bit wrap (or more) past the Snapshot/Since extension —
+// slip a full 32-bit wrap (or more) past the Snapshot extension —
 // the multi-wrap gap that previously under-counted.
 func (c *Controller) AccountEnergy(p module.PowerProfile, op module.OperatingPoint, busy, wait units.Seconds) {
 	dramBase := c.mod.DramPower(p, c.mod.Arch.FMin)
@@ -390,14 +390,12 @@ func (c *Controller) Snapshot() (EnergySnapshot, error) {
 	return EnergySnapshot{pkg: c.extPkg, dram: c.extDram}, nil
 }
 
-// Since returns the package and DRAM energy accumulated since the earlier
-// snapshot. Extended counters make this wrap-safe across gaps of any
-// length, not just gaps under one counter period.
-func (c *Controller) Since(s EnergySnapshot) (pkg, dram units.Joules, err error) {
-	now, err := c.Snapshot()
-	if err != nil {
-		return 0, 0, err
-	}
-	return units.Joules(msr.ExtendedDeltaJoules(s.pkg, now.pkg)),
-		units.Joules(msr.ExtendedDeltaJoules(s.dram, now.dram)), nil
+// Since returns the package and DRAM energy accumulated between an earlier
+// snapshot of the same controller and s. Extended counters make this
+// wrap-safe across gaps of any length, not just gaps under one counter
+// period. It reads no counter: a poll loop takes one Snapshot per poll
+// and differences consecutive ones.
+func (s EnergySnapshot) Since(earlier EnergySnapshot) (pkg, dram units.Joules) {
+	return units.Joules(msr.ExtendedDeltaJoules(earlier.pkg, s.pkg)),
+		units.Joules(msr.ExtendedDeltaJoules(earlier.dram, s.dram))
 }

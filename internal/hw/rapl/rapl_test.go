@@ -158,10 +158,11 @@ func TestEnergyAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.AccountEnergy(p, op, 10, 0)
-	pkg, dram, err := c.Since(snap)
+	now, err := c.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
+	pkg, dram := now.Since(snap)
 	if math.Abs(float64(pkg)-float64(op.CPUPower)*10) > 0.01 {
 		t.Errorf("pkg energy %v, want %v", pkg, float64(op.CPUPower)*10)
 	}
@@ -172,7 +173,8 @@ func TestEnergyAccounting(t *testing.T) {
 	// Waiting burns less CPU power and only base DRAM power.
 	snap, _ = c.Snapshot()
 	c.AccountEnergy(p, op, 0, 10)
-	pkgW, dramW, _ := c.Since(snap)
+	now, _ = c.Snapshot()
+	pkgW, dramW := now.Since(snap)
 	if pkgW >= pkg {
 		t.Error("waiting should draw less package energy than computing")
 	}

@@ -11,7 +11,7 @@ import (
 // TestControllerConcurrentEnergyStress overlaps the three things a parallel
 // measurement engine does to RAPL at once: an accounting goroutine
 // advancing the energy counters, a monitoring goroutine reading them
-// through Snapshot/Since, and a control goroutine reprogramming the package
+// through Snapshot deltas, and a control goroutine reprogramming the package
 // limit and re-resolving the operating point. One controller per goroutine
 // group runs on its own module (the engine's distinct-module contract),
 // while the monitor shares the accountant's device — the counter path is
@@ -52,11 +52,12 @@ func TestControllerConcurrentEnergyStress(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				pkg, dram, err := c.Since(snap)
+				now, err := c.Snapshot()
 				if err != nil {
 					t.Error(err)
 					return
 				}
+				pkg, dram := now.Since(snap)
 				if float64(pkg) < 0 || float64(dram) < 0 {
 					t.Errorf("negative energy delta pkg=%v dram=%v", pkg, dram)
 					return

@@ -134,6 +134,11 @@ type Config struct {
 	// Trace, when traced, parents the run's measure.run span. TestRun
 	// leaves it unset, so calibration test runs never grow a trace.
 	Trace obs.Span
+
+	// Program, when non-nil, is the DES program the run plays: it must be
+	// Bench.Program(len(Modules), sys.Seed), which a caller running one
+	// configuration many times builds once. Nil builds it per run.
+	Program simmpi.Program
 }
 
 // RankResult is the measured outcome for one rank/module.
@@ -393,9 +398,12 @@ func resolve(sys *cluster.System, cfg Config, prof module.PowerProfile, rank, id
 // operating points plus the small run-to-run noise.
 func simulate(sys *cluster.System, cfg Config, ops []module.OperatingPoint, probe simmpi.Probe) (simmpi.Result, error) {
 	n := len(cfg.Modules)
-	prog, err := cfg.Bench.Program(n, sys.Seed)
-	if err != nil {
-		return simmpi.Result{}, err
+	prog := cfg.Program
+	if prog == nil {
+		var err error
+		if prog, err = cfg.Bench.Program(n, sys.Seed); err != nil {
+			return simmpi.Result{}, err
+		}
 	}
 	in := sys.Faults()
 	noise := make([]float64, n)
@@ -484,12 +492,14 @@ func rankWait(sim simmpi.Result, rank int) units.Seconds {
 }
 
 // accountRank converts one rank's DES timing into energy-counter activity
-// on its module and reads the counters back. With a fault injector
-// installed the poll loop hardens: reads are retried with poll-time
-// backoff, polls that keep failing or report implausible power are dropped
-// (the rank's energies turn partial rather than wrong), and cap-enforcement
-// lag adds its overshoot energy to the counters. It touches only the
-// rank's own module.
+// on its module and reads the counters back. On a healthy system each poll
+// reads the counters once: the read that ends one chunk also starts the
+// next, since nothing touches the counters in between. With a fault
+// injector installed the poll loop hardens: each chunk is read at both
+// ends, reads are retried with poll-time backoff, polls that keep failing
+// or report implausible power are dropped (the rank's energies turn
+// partial rather than wrong), and cap-enforcement lag adds its overshoot
+// energy to the counters. It touches only the rank's own module.
 func accountRank(sys *cluster.System, cfg Config, prof module.PowerProfile, ops []module.OperatingPoint, sim simmpi.Result, rank int) (RankResult, error) {
 	in := sys.Faults()
 	arch := sys.Spec.Arch
@@ -507,78 +517,93 @@ func accountRank(sys *cluster.System, cfg Config, prof module.PowerProfile, ops 
 	chunkDur := float64(chunkBusy + chunkWait)
 	var pkgJ, dramJ units.Joules
 	var dropped, retries int
-	for c := 0; c < chunks; c++ {
-		if in != nil {
-			ctl.Device().SetPollTime(chunkDur * float64(c))
-		}
-		snap, err := ctl.Snapshot()
-		if err != nil && in != nil && errors.Is(err, faults.ErrDropped) {
-			// Bounded retry with poll-time backoff: a transient drop
-			// window may have closed by the next (slightly later) poll.
-			for a := 1; a <= snapshotRetries && err != nil; a++ {
-				faults.MetricRetried.Inc()
-				retries++
-				ctl.Device().SetPollTime(chunkDur*float64(c) + float64(a)*retryBackoff)
-				snap, err = ctl.Snapshot()
-			}
-		}
-		readable := err == nil
-		if err != nil && !errors.Is(err, faults.ErrDropped) {
-			return RankResult{}, err
-		}
-		if c == 0 && in != nil && cfg.Mode == ModeCapped {
-			// Cap-enforcement lag: the module ran uncapped until the
-			// limit took hold; the counters observe the overshoot.
-			if lag, ok := in.CapLag(id); ok && lag > 0 {
-				if lag > float64(sim.Elapsed) {
-					lag = float64(sim.Elapsed)
-				}
-				unc := sys.Module(id).Curve(prof).Uncapped()
-				overPkg := (float64(unc.CPUPower) - float64(ops[rank].CPUPower)) * lag
-				overDram := (float64(unc.DramPower) - float64(ops[rank].DramPower)) * lag
-				if overPkg < 0 {
-					overPkg = 0
-				}
-				if overDram < 0 {
-					overDram = 0
-				}
-				if overPkg > 0 || overDram > 0 {
-					ctl.Device().AccumulateEnergy(overPkg, overDram)
-					faults.CountInjected(faults.KindCapLag)
-				}
-			}
-		}
-		ctl.AccountEnergy(prof, ops[rank], chunkBusy, chunkWait)
-		if !readable {
-			// The poll never succeeded: the chunk's energy stays on the
-			// counters (the next successful poll sees it) but this
-			// rank's observed total goes partial.
-			dropped++
-			continue
-		}
-		if in != nil {
-			ctl.Device().SetPollTime(chunkDur * float64(c+1))
-		}
-		dp, dd, err := ctl.Since(snap)
+	if in == nil {
+		prev, err := ctl.Snapshot()
 		if err != nil {
-			if in != nil && errors.Is(err, faults.ErrDropped) {
-				dropped++
-				continue
-			}
 			return RankResult{}, err
 		}
-		if in != nil && chunkDur > 0 {
-			// Plausibility gate: a spiking counter can report orders of
-			// magnitude more energy than the module can draw. Reject
-			// the delta rather than averaging it in.
-			if (float64(dp)+float64(dd))/chunkDur > implausiblePowerFactor*(float64(arch.TDP)+float64(arch.DramTDP)) {
+		for c := 0; c < chunks; c++ {
+			ctl.AccountEnergy(prof, ops[rank], chunkBusy, chunkWait)
+			now, err := ctl.Snapshot()
+			if err != nil {
+				return RankResult{}, err
+			}
+			dp, dd := now.Since(prev)
+			pkgJ += dp
+			dramJ += dd
+			prev = now
+		}
+	} else {
+		for c := 0; c < chunks; c++ {
+			ctl.Device().SetPollTime(chunkDur * float64(c))
+			snap, err := ctl.Snapshot()
+			if err != nil && errors.Is(err, faults.ErrDropped) {
+				// Bounded retry with poll-time backoff: a transient drop
+				// window may have closed by the next (slightly later) poll.
+				for a := 1; a <= snapshotRetries && err != nil; a++ {
+					faults.MetricRetried.Inc()
+					retries++
+					ctl.Device().SetPollTime(chunkDur*float64(c) + float64(a)*retryBackoff)
+					snap, err = ctl.Snapshot()
+				}
+			}
+			readable := err == nil
+			if err != nil && !errors.Is(err, faults.ErrDropped) {
+				return RankResult{}, err
+			}
+			if c == 0 && cfg.Mode == ModeCapped {
+				// Cap-enforcement lag: the module ran uncapped until the
+				// limit took hold; the counters observe the overshoot.
+				if lag, ok := in.CapLag(id); ok && lag > 0 {
+					if lag > float64(sim.Elapsed) {
+						lag = float64(sim.Elapsed)
+					}
+					unc := sys.Module(id).Curve(prof).Uncapped()
+					overPkg := (float64(unc.CPUPower) - float64(ops[rank].CPUPower)) * lag
+					overDram := (float64(unc.DramPower) - float64(ops[rank].DramPower)) * lag
+					if overPkg < 0 {
+						overPkg = 0
+					}
+					if overDram < 0 {
+						overDram = 0
+					}
+					if overPkg > 0 || overDram > 0 {
+						ctl.Device().AccumulateEnergy(overPkg, overDram)
+						faults.CountInjected(faults.KindCapLag)
+					}
+				}
+			}
+			ctl.AccountEnergy(prof, ops[rank], chunkBusy, chunkWait)
+			if !readable {
+				// The poll never succeeded: the chunk's energy stays on the
+				// counters (the next successful poll sees it) but this
+				// rank's observed total goes partial.
 				dropped++
-				faults.MetricQuarantined.Inc()
 				continue
 			}
+			ctl.Device().SetPollTime(chunkDur * float64(c+1))
+			now, err := ctl.Snapshot()
+			if err != nil {
+				if errors.Is(err, faults.ErrDropped) {
+					dropped++
+					continue
+				}
+				return RankResult{}, err
+			}
+			dp, dd := now.Since(snap)
+			if chunkDur > 0 {
+				// Plausibility gate: a spiking counter can report orders of
+				// magnitude more energy than the module can draw. Reject
+				// the delta rather than averaging it in.
+				if (float64(dp)+float64(dd))/chunkDur > implausiblePowerFactor*(float64(arch.TDP)+float64(arch.DramTDP)) {
+					dropped++
+					faults.MetricQuarantined.Inc()
+					continue
+				}
+			}
+			pkgJ += dp
+			dramJ += dd
 		}
-		pkgJ += dp
-		dramJ += dd
 	}
 	return RankResult{
 		Rank: rank, ModuleID: id, Op: ops[rank],

@@ -310,8 +310,8 @@ func sameBits(a, b Result) bool {
 
 // matchReference runs p on both engines, with a probe and without, and
 // returns the first way RunFaulty departs from referenceRun, or "". A nil
-// fs sends the unprobed run through RunFaulty's healthy loop; the probed
-// run always takes the general loop.
+// fs sends the unprobed run through RunFaulty's healthy loop when its
+// times are ordered; the probed run always takes the general loop.
 func matchReference(p Program, size int, m Model, net Network, fs *FaultSpec, keep int) string {
 	want, wantErr := referenceRun(p, size, m, net, nil, fs)
 	got, gotErr := RunFaulty(p, size, m, net, nil, fs)
@@ -461,6 +461,9 @@ func TestRunFaultyMatchesReference(t *testing.T) {
 	}
 }
 
+// FuzzRunFaulty compares the engines on fuzzer-built cases. An unprobed
+// case takes the healthy loop only when it has no faults and its times are
+// ordered; every other run, probed ones included, takes the general loop.
 func FuzzRunFaulty(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 40, 0, 2, 0, 1, 0, 3, 0, 0, 0, 9, 1, 0})
@@ -468,6 +471,111 @@ func FuzzRunFaulty(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		genCase(&byteSource{data: data}).check(t)
 	})
+}
+
+// TestHealthyLoopEntryRule: a healthy, unprobed run plays in the healthy
+// loop, whose peer scan compares clocks as integers, only when resolve
+// finds its times ordered; on inputs where that order breaks — NaN times,
+// negative wire times — it plays in the general loop. Either way the
+// result is the reference engine's, bit for bit. The ordered cases pin
+// the integer scan where it is easiest to get wrong: −0 and +Inf compute
+// times, and clocks that tie because messages cost nothing.
+func TestHealthyLoopEntryRule(t *testing.T) {
+	const size = 12
+	nan, inf, negZero := math.NaN(), math.Inf(1), math.Copysign(0, -1)
+	// compute gives every rank its own amount of work, with special
+	// values at the listed ranks.
+	compute := func(special map[int]float64) []Op {
+		ops := make([]Op, size)
+		for rank := range ops {
+			c, ok := special[rank]
+			if !ok {
+				c = 1 + 0.25*float64(rank%5)
+			}
+			ops[rank] = Compute{Cycles: c}
+		}
+		return ops
+	}
+	// ring exchanges bytes with both neighbours on a ring.
+	ring := func(bytes float64) []Op {
+		ops := make([]Op, size)
+		for rank := range ops {
+			ops[rank] = Sendrecv{Peers: []int{(rank + size - 1) % size, (rank + 1) % size}, Bytes: bytes}
+		}
+		return ops
+	}
+	allreduce := func(bytes float64) []Op {
+		ops := make([]Op, size)
+		for rank := range ops {
+			ops[rank] = Allreduce{Bytes: bytes}
+		}
+		return ops
+	}
+	m := ModelFunc(func(rank int, cycles, bytes float64) units.Seconds {
+		return units.Seconds(cycles * (1 + 0.37*float64(rank)))
+	})
+	free := Network{Latency: 0, Bandwidth: 5e9}
+	for _, tc := range []struct {
+		name    string
+		tables  [][]Op
+		net     Network
+		ordered bool
+	}{
+		{"NaN compute time", [][]Op{compute(map[int]float64{3: nan}), ring(4096), allreduce(8)}, DefaultNetwork, false},
+		{"-0 and +Inf compute times", [][]Op{compute(map[int]float64{0: negZero, 5: negZero, 9: inf}), ring(4096), allreduce(8)}, DefaultNetwork, true},
+		{"negative latency", [][]Op{compute(nil), ring(4096), allreduce(8)}, Network{Latency: -1e-3, Bandwidth: 5e9}, false},
+		{"NaN message size", [][]Op{compute(nil), ring(nan), allreduce(8)}, DefaultNetwork, false},
+		{"zero latency, zero-byte messages", [][]Op{compute(map[int]float64{2: negZero, 7: 0}), ring(0), allreduce(0)}, free, true},
+	} {
+		// Compute and exchange alternate, with a collective every third
+		// exchange, over enough rounds for the special values to reach
+		// every rank.
+		var schedule []int
+		for i := 0; i < 3*size; i++ {
+			schedule = append(schedule, 0, 1)
+			if i%3 == 2 {
+				schedule = append(schedule, 2)
+			}
+		}
+		p := tableProgram{tables: tc.tables, schedule: schedule}
+		if _, _, ordered, err := resolve(p.Tables(), size, 6, m, tc.net, nil); err != nil || ordered != tc.ordered {
+			t.Fatalf("%s: resolve reports ordered %v (err %v), want %v", tc.name, ordered, err, tc.ordered)
+		}
+		want, wantErr := referenceRun(p, size, m, tc.net, nil, nil)
+		got, gotErr := RunFaulty(p, size, m, tc.net, nil, nil)
+		if msg := compareRuns(got, gotErr, want, wantErr); msg != "" {
+			t.Errorf("%s: %s", tc.name, msg)
+		}
+	}
+}
+
+// TestResolveReportsOrderedTimes: resolve's ordered flag is true exactly
+// when no resolved compute time, wire time or collective cost is negative
+// or NaN, on generated programs that hold both kinds.
+func TestResolveReportsOrderedTimes(t *testing.T) {
+	seen := map[bool]int{}
+	for seed := 0; seed < 3000; seed++ {
+		c := genCase(xrand.New(uint64(seed)))
+		tabs, _, ordered, err := resolve(c.prog.Tables(), c.size, 2, c.m, c.net, nil)
+		if err != nil {
+			continue
+		}
+		bad := func(x units.Seconds) bool { return x < 0 || math.IsNaN(float64(x)) }
+		want := true
+		for _, tb := range tabs {
+			want = want && !bad(tb.cost)
+			for _, x := range tb.secs {
+				want = want && !bad(x)
+			}
+		}
+		if ordered != want {
+			t.Fatalf("seed %d: resolve reports ordered %v, tables say %v", seed, ordered, want)
+		}
+		seen[ordered]++
+	}
+	if seen[true] == 0 || seen[false] == 0 {
+		t.Fatalf("generated cases cover one side only: %v", seen)
+	}
 }
 
 // TestSpreadCoversLiveRanksOnly: once a rank dies, its stopped clock is no

@@ -20,13 +20,14 @@
 // exchanges (MHD, Figure 3).
 //
 // RunFaulty plays the schedule in one of two round loops, chosen by its
-// inputs. A run with no FaultSpec and no Probe — a healthy, unrecorded
-// run, such as every grid cell and calibration test run — takes a loop
-// that tests no rank or peer for death and calls no probe, and
-// accumulates each rank's times in flat arrays. Any other run takes the
-// general loop, which handles rank deaths and reports to the probe. Both
-// do the same arithmetic in the same per-rank order, so the choice never
-// changes a result or a metric.
+// inputs. A run with no FaultSpec, no Probe and ordered times — a healthy,
+// unrecorded run, such as every grid cell and calibration test run —
+// takes a loop that tests no rank or peer for death and calls no probe,
+// accumulates each rank's times in flat arrays, and finds a Sendrecv's
+// latest peer with integer compares. Any other run takes the general loop,
+// which handles rank deaths and reports to the probe. Both do the same
+// arithmetic in the same per-rank order, so the choice never changes a
+// result or a metric.
 //
 // Per-rank accounting separates busy time (compute), transfer time (wire
 // cost of messages) and wait time (blocked on slower peers), so experiments
@@ -257,11 +258,12 @@ func (f *faultState) dies(rank int, t units.Seconds) bool {
 // communication round's arrival spread, in a deterministic order from the
 // serial round loop; it cannot change the result.
 //
-// A run with neither a fault spec nor a probe plays its rounds in
-// playHealthy, which tests no rank or peer for death and calls no probe;
-// every other run plays them in play. Both loops do the same arithmetic in
-// the same per-rank order, so a nil spec and a deathless one, probed or
-// not, give bit-identical results and metrics.
+// A run with neither a fault spec nor a probe, whose resolved times are
+// ordered (see resolve), plays its rounds in playHealthy, which tests no
+// rank or peer for death and calls no probe; every other run plays them in
+// play. Both loops do the same arithmetic in the same per-rank order, so a
+// nil spec and a deathless one, probed or not, give bit-identical results
+// and metrics.
 func RunFaulty(p Program, size int, m Model, net Network, probe Probe, fs *FaultSpec) (Result, error) {
 	if size < 1 {
 		return Result{}, fmt.Errorf("simmpi: size %d < 1", size)
@@ -270,24 +272,25 @@ func RunFaulty(p Program, size int, m Model, net Network, probe Probe, fs *Fault
 	if err != nil {
 		return Result{}, err
 	}
-	healthy := fault == nil && probe == nil
 	// Programs have a handful of tables (workload's have one or two), so
 	// their descriptors live on the stack: a run allocates its result, its
 	// per-rank arrays with the resolved times, and its peer lists. The
 	// healthy loop's four per-rank accumulators are four more of those
-	// arrays.
+	// arrays; a run that may take that loop gets them before resolve tells
+	// whether its times are ordered, and play uses the first two.
+	healthy := fault == nil && probe == nil
 	nclocks := 2
 	if healthy {
 		nclocks = 6
 	}
 	var small [4]table
-	tabs, clocks, err := resolve(p.Tables(), size, nclocks, m, net, small[:0])
+	tabs, clocks, ordered, err := resolve(p.Tables(), size, nclocks, m, net, small[:0])
 	if err != nil {
 		return Result{}, err
 	}
 	res := Result{Ranks: make([]RankStats, size)}
 	var played [kindAllreduce + 1]int // rounds per kind
-	if healthy {
+	if healthy && ordered {
 		played, err = playHealthy(p, tabs, clocks, res.Ranks)
 	} else {
 		played, err = play(p, tabs, clocks, res.Ranks, probe, fault)
@@ -482,11 +485,20 @@ func play(p Program, tabs []table, clocks []units.Seconds, ranks []RankStats, pr
 }
 
 // playHealthy is the round loop of a run that no rank can die in and no
-// probe watches: play's arithmetic in play's per-rank order, with no
-// dead-rank, dead-peer or probe test. clocks holds six per-rank arrays:
-// the clocks, a second clock buffer, and each rank's busy, wait, xfer and
-// sendrecv totals, which go into ranks once, at the end. It returns the
-// rounds it played per kind, as play does.
+// probe watches, over ordered tables: play's arithmetic in play's per-rank
+// order, with no dead-rank, dead-peer or probe test. clocks holds six
+// per-rank arrays: the clocks, a second clock buffer, and each rank's busy,
+// wait, xfer and sendrecv totals, which go into ranks once, at the end. It
+// returns the rounds it played per kind, as play does.
+//
+// Ordered times keep every clock +0, positive or +Inf: clocks start at +0,
+// and adding a time that is ≥ 0 and not NaN to such a clock, or taking the
+// later of two, gives such a clock again (+0 + −0 is +0). Read as unsigned
+// integers, the bit patterns of these values order as the floats do, and
+// two of them are equal floats only if their bits are equal. So a Sendrecv
+// takes its latest arrival as the integer max of the clocks' bits, which
+// compiles to conditional moves instead of the float compare's
+// mispredicted branch, and starts at play's clock bit for bit.
 func playHealthy(p Program, tabs []table, clocks []units.Seconds, ranks []RankStats) (played [kindAllreduce + 1]int, err error) {
 	size := len(ranks)
 	t, next := clocks[:size], clocks[size:2*size]
@@ -511,12 +523,11 @@ func playHealthy(p Program, tabs []table, clocks []units.Seconds, ranks []RankSt
 			// reads arrivals from t and writes ends to next, then swaps the
 			// two instead of copying the clocks.
 			for rank, at := range t {
-				start := at
+				latest := math.Float64bits(float64(at))
 				for _, peer := range tb.peers[tb.off[rank]:tb.off[rank+1]] {
-					if t[peer] > start {
-						start = t[peer]
-					}
+					latest = max(latest, math.Float64bits(float64(t[peer])))
 				}
+				start := units.Seconds(math.Float64frombits(latest))
 				dx := tb.secs[rank]
 				end := start + dx
 				wait[rank] += start - at
@@ -601,20 +612,22 @@ type table struct {
 // it holds a negative compute time or a peer outside the communicator.
 // clocks is nclocks zeroed per-rank arrays back to back, for the round
 // loop's clocks, scratch and accumulators; they share one allocation with
-// every table's per-rank times, and all peer lists share another.
-func resolve(tables [][]Op, size, nclocks int, m Model, net Network, tabs []table) (_ []table, clocks []units.Seconds, err error) {
+// every table's per-rank times, and all peer lists share another. ordered
+// reports that every resolved compute time, wire time and collective cost
+// is ≥ 0 and not NaN, the condition playHealthy's peer scan rests on.
+func resolve(tables [][]Op, size, nclocks int, m Model, net Network, tabs []table) (_ []table, clocks []units.Seconds, ordered bool, err error) {
 	nsecs, nints := nclocks*size, 0
 	for i, ops := range tables {
 		if len(ops) != size {
-			return nil, nil, fmt.Errorf("simmpi: table %d has %d ops for %d ranks", i, len(ops), size)
+			return nil, nil, false, fmt.Errorf("simmpi: table %d has %d ops for %d ranks", i, len(ops), size)
 		}
 		kind := kindOf(ops[0])
 		if kind == kindUnknown {
-			return nil, nil, fmt.Errorf("simmpi: table %d: unknown op %T", i, ops[0])
+			return nil, nil, false, fmt.Errorf("simmpi: table %d: unknown op %T", i, ops[0])
 		}
 		for rank, op := range ops {
 			if kindOf(op) != kind {
-				return nil, nil, fmt.Errorf("simmpi: SPMD violation in table %d: rank %d issues %T while rank 0 issues %T",
+				return nil, nil, false, fmt.Errorf("simmpi: SPMD violation in table %d: rank %d issues %T while rank 0 issues %T",
 					i, rank, op, ops[0])
 			}
 		}
@@ -635,6 +648,7 @@ func resolve(tables [][]Op, size, nclocks int, m Model, net Network, tabs []tabl
 		ints = make([]int, nints)
 	}
 	clocks, secs = secs[:nclocks*size], secs[nclocks*size:]
+	ordered = true
 	for i, ops := range tables {
 		tb := table{kind: kindOf(ops[0])}
 		switch tb.kind {
@@ -644,8 +658,9 @@ func resolve(tables [][]Op, size, nclocks int, m Model, net Network, tabs []tabl
 				c := op.(Compute)
 				tb.secs[rank] = m.ComputeTime(rank, c.Cycles, c.Bytes)
 				if tb.secs[rank] < 0 {
-					return nil, nil, fmt.Errorf("simmpi: negative compute time %v at rank %d in table %d", tb.secs[rank], rank, i)
+					return nil, nil, false, fmt.Errorf("simmpi: negative compute time %v at rank %d in table %d", tb.secs[rank], rank, i)
 				}
+				ordered = ordered && tb.secs[rank] >= 0
 			}
 		case kindSendrecv:
 			tb.secs, secs = secs[:size], secs[size:]
@@ -655,12 +670,13 @@ func resolve(tables [][]Op, size, nclocks int, m Model, net Network, tabs []tabl
 				sr := op.(Sendrecv)
 				for _, peer := range sr.Peers {
 					if peer < 0 || peer >= size {
-						return nil, nil, fmt.Errorf("simmpi: rank %d in table %d has peer %d outside [0,%d)", rank, i, peer, size)
+						return nil, nil, false, fmt.Errorf("simmpi: rank %d in table %d has peer %d outside [0,%d)", rank, i, peer, size)
 					}
 				}
 				tb.off[rank] = n
 				n += copy(ints[n:], sr.Peers)
 				tb.secs[rank] = net.transfer(sr.Bytes)
+				ordered = ordered && tb.secs[rank] >= 0
 			}
 			tb.off[size] = n
 			tb.peers, ints = ints[:n], ints[n:]
@@ -669,7 +685,8 @@ func resolve(tables [][]Op, size, nclocks int, m Model, net Network, tabs []tabl
 		case kindAllreduce:
 			tb.cost = net.collectiveCost(ops[0].(Allreduce).Bytes, size)
 		}
+		ordered = ordered && tb.cost >= 0
 		tabs = append(tabs, tb)
 	}
-	return tabs, clocks, nil
+	return tabs, clocks, ordered, nil
 }
