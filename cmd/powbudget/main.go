@@ -41,6 +41,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -91,9 +92,9 @@ func main() {
 	}
 	var err error
 	if *sweep != "" {
-		err = runSweep(*benchName, *budgetStr, n, *sweep, *seed, *workers, obs)
+		err = runSweep(os.Stdout, *benchName, *budgetStr, n, *sweep, *seed, *workers, obs)
 	} else {
-		err = run(*benchName, *budgetStr, *system, n, *scheme, *splitter, *seed, *show, *workers, obs)
+		err = run(os.Stdout, *benchName, *budgetStr, *system, n, *scheme, *splitter, *seed, *show, *workers, obs)
 	}
 	if cerr := obs.Close(); cerr != nil && err == nil {
 		err = cerr
@@ -105,7 +106,7 @@ func main() {
 
 // runSweep answers the overprovisioning question: under this budget, how
 // many modules should the job use?
-func runSweep(benchName, budgetStr string, refModules int, sweep string, seed uint64, workers int, obs *cliutil.Obs) error {
+func runSweep(w io.Writer, benchName, budgetStr string, refModules int, sweep string, seed uint64, workers int, obs *cliutil.Obs) error {
 	bench, err := workload.ByName(benchName)
 	if err != nil {
 		return err
@@ -161,14 +162,14 @@ func runSweep(benchName, budgetStr string, refModules int, sweep string, seed ui
 			report.Cellf(p.Alpha, 3), p.Freq.String(),
 			fmt.Sprintf("%.1f s", float64(p.Elapsed)), note)
 	}
-	return t.Render(os.Stdout)
+	return t.Render(w)
 }
 
 func parseScheme(s string) (core.Scheme, error) {
 	return core.SchemeByName(s)
 }
 
-func run(benchName, budgetStr, systemName string, modules int, schemeName, splitterName string, seed uint64, show, workers int, obs *cliutil.Obs) error {
+func run(w io.Writer, benchName, budgetStr, systemName string, modules int, schemeName, splitterName string, seed uint64, show, workers int, obs *cliutil.Obs) error {
 	bench, err := workload.ByName(benchName)
 	if err != nil {
 		return err
@@ -202,36 +203,36 @@ func run(benchName, budgetStr, systemName string, modules int, schemeName, split
 		return err
 	}
 	if spec.Hybrid() {
-		return runHetero(sys, bench, ids, budget, scheme, splitterName, show, workers, obs)
+		return runHetero(w, sys, bench, ids, budget, scheme, splitterName, show, workers, obs)
 	}
 	fw, err := core.NewFrameworkWorkers(sys, nil, workers)
 	if err != nil {
 		return err
 	}
 	fw.Trace = obs.Trace()
-	pmt, err := fw.BuildPMT(bench, ids, scheme)
+	m, err := fw.BuildModel(bench, ids, scheme)
 	if err != nil {
 		return err
 	}
-	alloc, err := core.Solve(pmt, sys.Spec.Arch, budget)
+	alloc, err := m.Allocate(spec, budget)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("benchmark    : %s\n", bench.Name)
-	fmt.Printf("scheme       : %v\n", scheme)
-	fmt.Printf("budget       : %v for %d modules (avg %.1f W/module)\n",
+	fmt.Fprintf(w, "benchmark    : %s\n", bench.Name)
+	fmt.Fprintf(w, "scheme       : %v\n", scheme)
+	fmt.Fprintf(w, "budget       : %v for %d modules (avg %.1f W/module)\n",
 		budget, modules, float64(budget)/float64(modules))
-	fmt.Printf("alpha        : %.4f\n", alloc.Alpha)
-	fmt.Printf("target freq  : %v", alloc.Freq)
+	fmt.Fprintf(w, "alpha        : %.4f\n", alloc.Alpha)
+	fmt.Fprintf(w, "target freq  : %v", alloc.Freq)
 	if scheme.UsesFS() {
-		fmt.Printf("  (P-state %v)", sys.Spec.Arch.QuantizeDown(alloc.Freq))
+		fmt.Fprintf(w, "  (P-state %v)", sys.Spec.Arch.QuantizeDown(alloc.Freq))
 	}
-	fmt.Println()
-	fmt.Printf("feasible     : %v   constrained: %v\n", alloc.Feasible, alloc.Constrained)
-	fmt.Printf("predicted sum: %v\n\n", alloc.TotalPredicted())
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "feasible     : %v   constrained: %v\n", alloc.Feasible, alloc.Constrained)
+	fmt.Fprintf(w, "predicted sum: %v\n\n", alloc.TotalPredicted())
 
 	if !alloc.Feasible {
-		fmt.Println("budget is below the fmin power of the allocation; the job cannot run")
+		fmt.Fprintln(w, "budget is below the fmin power of the allocation; the job cannot run")
 		return nil
 	}
 	if show > len(alloc.Entries) {
@@ -245,7 +246,7 @@ func run(benchName, budgetStr, systemName string, modules int, schemeName, split
 			report.Cellf(float64(e.Pcpu), 2),
 			report.Cellf(float64(e.Pdram), 2))
 	}
-	if err := t.Render(os.Stdout); err != nil {
+	if err := t.Render(w); err != nil {
 		return err
 	}
 
@@ -258,7 +259,7 @@ func run(benchName, budgetStr, systemName string, modules int, schemeName, split
 		if err != nil {
 			return err
 		}
-		fmt.Printf("\nrecorded run : %.1f s elapsed, avg power %v\n",
+		fmt.Fprintf(w, "\nrecorded run : %.1f s elapsed, avg power %v\n",
 			float64(res.Elapsed), res.AvgTotalPower)
 	}
 	return nil
@@ -267,7 +268,7 @@ func run(benchName, budgetStr, systemName string, modules int, schemeName, split
 // runHetero is the hierarchical pipeline for hybrid CPU+GPU presets: split
 // the budget across the device classes, α-solve each class, and print both
 // classes' allocations.
-func runHetero(sys *cluster.System, bench *workload.Benchmark, ids []int,
+func runHetero(w io.Writer, sys *cluster.System, bench *workload.Benchmark, ids []int,
 	budget units.Watts, scheme core.Scheme, splitterName string, show, workers int, obs *cliutil.Obs) error {
 	if splitterName == "" {
 		splitterName = core.SplitGreedy.String()
@@ -286,21 +287,21 @@ func runHetero(sys *cluster.System, bench *workload.Benchmark, ids []int,
 	if err != nil {
 		return err
 	}
-	fmt.Printf("benchmark    : %s\n", bench.Name)
-	fmt.Printf("system       : %s (%d modules + %d GPUs)\n", sys.Spec.Name, len(ids), len(devs))
-	fmt.Printf("scheme       : %v   splitter: %v\n", scheme, split)
-	fmt.Printf("budget       : %v  ->  cpu %v + gpu %v\n", budget, alloc.CPUBudget, alloc.GPUBudget)
-	fmt.Printf("cpu alpha    : %.4f   target freq %v\n", alloc.CPU.Alpha, alloc.CPU.Freq)
-	fmt.Printf("gpu alpha    : %.4f   locked SM clock %v\n", alloc.GPU.Alpha, alloc.GPU.Freq)
-	fmt.Printf("feasible     : cpu %v, gpu %v   predicted time %.1f s\n",
+	fmt.Fprintf(w, "benchmark    : %s\n", bench.Name)
+	fmt.Fprintf(w, "system       : %s (%d modules + %d GPUs)\n", sys.Spec.Name, len(ids), len(devs))
+	fmt.Fprintf(w, "scheme       : %v   splitter: %v\n", scheme, split)
+	fmt.Fprintf(w, "budget       : %v  ->  cpu %v + gpu %v\n", budget, alloc.CPUBudget, alloc.GPUBudget)
+	fmt.Fprintf(w, "cpu alpha    : %.4f   target freq %v\n", alloc.CPU.Alpha, alloc.CPU.Freq)
+	fmt.Fprintf(w, "gpu alpha    : %.4f   locked SM clock %v\n", alloc.GPU.Alpha, alloc.GPU.Freq)
+	fmt.Fprintf(w, "feasible     : cpu %v, gpu %v   predicted time %.1f s\n",
 		alloc.CPU.Feasible, alloc.GPU.Feasible, float64(alloc.PredictedTime))
-	fmt.Printf("predicted sum: %v\n\n", alloc.CPU.TotalPredicted()+alloc.GPU.TotalPredicted())
+	fmt.Fprintf(w, "predicted sum: %v\n\n", alloc.CPU.TotalPredicted()+alloc.GPU.TotalPredicted())
 	if !alloc.CPU.Feasible || !alloc.GPU.Feasible {
-		fmt.Println("a class budget is below its floor; the job cannot run")
+		fmt.Fprintln(w, "a class budget is below its floor; the job cannot run")
 		return nil
 	}
 	if len(hf.GPVT.Quarantined) > 0 {
-		fmt.Printf("quarantined GPUs: %v\n\n", hf.GPVT.Quarantined)
+		fmt.Fprintf(w, "quarantined GPUs: %v\n\n", hf.GPVT.Quarantined)
 	}
 	if show > len(alloc.GPU.Entries) {
 		show = len(alloc.GPU.Entries)
@@ -310,7 +311,7 @@ func runHetero(sys *cluster.System, bench *workload.Benchmark, ids []int,
 	for _, e := range alloc.GPU.Entries[:show] {
 		t.AddRow(fmt.Sprint(e.ModuleID), report.Cellf(float64(e.Pmodule), 2))
 	}
-	if err := t.Render(os.Stdout); err != nil {
+	if err := t.Render(w); err != nil {
 		return err
 	}
 	// With -record, execute the hierarchical allocation so both classes'
@@ -321,7 +322,7 @@ func runHetero(sys *cluster.System, bench *workload.Benchmark, ids []int,
 		if err != nil {
 			return err
 		}
-		fmt.Printf("\nrecorded run : %.1f s elapsed, avg power %v\n",
+		fmt.Fprintf(w, "\nrecorded run : %.1f s elapsed, avg power %v\n",
 			float64(res.Elapsed), res.AvgPower)
 	}
 	return nil

@@ -213,9 +213,6 @@ func (s *System) Governor(id int) *cpufreq.Governor { return &s.governors[id] }
 // systems).
 func (s *System) NumGPUs() int { return len(s.gpus) }
 
-// GPUDevice returns GPU device id.
-func (s *System) GPUDevice(id int) *gpu.Device { return &s.gpus[id] }
-
 // GPUCtl returns GPU device id's management controller.
 func (s *System) GPUCtl(id int) *gpu.Controller { return &s.gctls[id] }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"varpower/internal/cluster"
 	"varpower/internal/hw/module"
 	"varpower/internal/telemetry"
 	"varpower/internal/units"
@@ -150,15 +151,34 @@ func (a *Allocation) CPUCaps() []units.Watts {
 //
 // (SolveAlpha over the modules' summed ranges), then derive each module's
 // allocation at that α. The arch parameter supplies the frequency range for
-// Equation 1. Solve is solve on the P-state ladder plus the α and residual
-// gauges, which only module-level solves set.
+// Equation 1. Solve is Allocate of a bare module table, with no margin;
+// budget consumers allocate through their model's Allocate.
 func Solve(pmt *PMT, arch *module.Arch, budget units.Watts) (*Allocation, error) {
-	alloc, err := solve(pmt, arch.FMin, arch.FNom, budget)
+	return (&Model{PMT: pmt}).Allocate(cluster.Spec{Arch: arch}, budget)
+}
+
+// Allocate turns a budget into the model's allocation: the α-solve of its
+// table at budget·(1 − Margin) on its class's clock ladder, read from spec
+// (P-states for modules, SM clocks for GPU devices), with the full budget
+// echoed. It is the one path from a model to an allocation. An infeasible
+// budget is reported in Feasible, not as an error; paths that go on to
+// execute return ErrBudgetInfeasible for it. A module model's solve sets
+// the α and residual gauges, the residual against the reduced budget.
+func (m *Model) Allocate(spec cluster.Spec, budget units.Watts) (*Allocation, error) {
+	c := m.class
+	if c == nil {
+		c = moduleClass
+	}
+	lo, hi := c.ladder(spec)
+	alloc, err := solve(m.PMT, lo, hi, units.Watts(float64(budget)*(1-m.Margin)))
 	if err != nil {
 		return nil, err
 	}
-	mAlphaGauge.Set(alloc.Alpha)
-	mResidualGauge.Set(float64(budget - alloc.TotalPredicted()))
+	if c == moduleClass {
+		mAlphaGauge.Set(alloc.Alpha)
+		mResidualGauge.Set(float64(alloc.Budget - alloc.TotalPredicted()))
+	}
+	alloc.Budget = budget
 	return alloc, nil
 }
 

@@ -58,8 +58,8 @@ func GPUFraction(bench *workload.Benchmark, arch *module.Arch) float64 {
 // with the spec sheet's TDP and minimum power limit as the naive model.
 var gpuClass = &class{
 	noun: "device", count: "devices", pvtSpan: "gpupvt.generate", oracleSpan: "gpupmt.oracle",
-	ladder: func(sys *cluster.System) (units.Hertz, units.Hertz) {
-		return sys.Spec.GPU.Arch.ClockMin, sys.Spec.GPU.Arch.ClockNom
+	ladder: func(spec cluster.Spec) (units.Hertz, units.Hertz) {
+		return spec.GPU.Arch.ClockMin, spec.GPU.Arch.ClockNom
 	},
 	naive: func(sys *cluster.System) PMTEntry {
 		garch := sys.Spec.GPU.Arch

@@ -45,17 +45,18 @@ func (fw *Framework) AllDevices() []int {
 	return ids
 }
 
-// BuildGPUPMT constructs the scheme's power model for the allocated
-// devices from the same measurement BuildPMT makes for modules (see
-// Scheme.measurement): Naive uses the spec sheet (TDP / minimum limit), Pc
-// measures all devices but averages the table, VaPc/VaFs calibrate one test
-// device through the GPU PVT, and the oracle schemes measure every device.
-func (fw *Framework) BuildGPUPMT(bench *workload.Benchmark, deviceIDs []int, scheme Scheme) (*PMT, error) {
-	pmt, err := fw.measurePMT(gpuClass, bench, deviceIDs, scheme)
+// BuildGPUModel is BuildModel for the allocated GPU devices, from the same
+// measurement BuildPMT makes for modules (see Scheme.measurement): Naive
+// uses the spec sheet (TDP / minimum limit), Pc measures all devices but
+// averages the table, VaPc/VaFs calibrate one test device through the GPU
+// PVT (VaFs adding a hold-out device's margin), and the oracle schemes
+// measure every device. Its Allocate solves on the SM-clock ladder.
+func (fw *Framework) BuildGPUModel(bench *workload.Benchmark, deviceIDs []int, scheme Scheme) (*Model, error) {
+	models, err := fw.buildModels(gpuClass, bench, deviceIDs, []Scheme{scheme})
 	if err != nil {
 		return nil, err
 	}
-	return pmt.forScheme(scheme), nil
+	return models[0], nil
 }
 
 // HeteroAllocation is the hierarchical solve's output: the class split and
@@ -99,8 +100,8 @@ func (fw *Framework) classTimes(bench *workload.Benchmark) (cpuTime, gpuTime fun
 
 // SolveHetero runs the hierarchical budgeting pipeline: build both class
 // models per the scheme (VaFs margins included), split the system budget
-// across the classes under the chosen policy, then run each class's α-solve
-// on its share less its margin. The framework needs a GPU PVT.
+// across the classes under the chosen policy, then Allocate each class's
+// share. The framework needs a GPU PVT.
 func (fw *Framework) SolveHetero(bench *workload.Benchmark, moduleIDs, deviceIDs []int,
 	budget units.Watts, scheme Scheme, splitter Splitter) (*HeteroAllocation, *PMT, *PMT, error) {
 	if fw.GPVT == nil {
@@ -114,11 +115,10 @@ func (fw *Framework) SolveHetero(bench *workload.Benchmark, moduleIDs, deviceIDs
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	gms, err := in.buildModels(gpuClass, bench, deviceIDs, []Scheme{scheme})
+	gm, err := in.BuildGPUModel(bench, deviceIDs, scheme)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	gm := gms[0]
 	cpuTime, gpuTime := fw.classTimes(bench)
 	shares, err := SplitBudget(splitter, budget, []ClassDemand{
 		m.PMT.demand("cpu", cpuTime),
@@ -128,15 +128,12 @@ func (fw *Framework) SolveHetero(bench *workload.Benchmark, moduleIDs, deviceIDs
 		return nil, nil, nil, err
 	}
 	h := &HeteroAllocation{Splitter: splitter, Budget: budget, CPUBudget: shares[0], GPUBudget: shares[1]}
-	if h.CPU, err = Solve(m.PMT, fw.Sys.Spec.Arch, units.Watts(float64(h.CPUBudget)*(1-m.Margin))); err != nil {
+	if h.CPU, err = m.Allocate(fw.Sys.Spec, h.CPUBudget); err != nil {
 		return nil, nil, nil, err
 	}
-	h.CPU.Budget = h.CPUBudget
-	lo, hi := gpuClass.ladder(fw.Sys)
-	if h.GPU, err = solve(gm.PMT, lo, hi, units.Watts(float64(h.GPUBudget)*(1-gm.Margin))); err != nil {
+	if h.GPU, err = gm.Allocate(fw.Sys.Spec, h.GPUBudget); err != nil {
 		return nil, nil, nil, err
 	}
-	h.GPU.Budget = h.GPUBudget
 	h.PredictedTime = max(cpuTime(h.CPU.Alpha), gpuTime(h.GPU.Alpha))
 	return h, m.PMT, gm.PMT, nil
 }

@@ -155,18 +155,18 @@ func TestSplitBudgetPolicies(t *testing.T) {
 func TestSolveGPUProperties(t *testing.T) {
 	hf, _, devs := testHetero(t, 16, 1)
 	bench := workload.MHD()
-	gpmt, err := hf.BuildGPUPMT(bench, devs, VaPcOr)
+	gm, err := hf.BuildGPUModel(bench, devs, VaPcOr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var min, max units.Watts
-	for _, e := range gpmt.Entries {
+	for _, e := range gm.PMT.Entries {
 		min += e.ModuleMin()
 		max += e.ModuleMax()
 	}
 	budget := (min + max) / 2
 	garch := hf.Sys.Spec.GPU.Arch
-	alloc, err := solve(gpmt, garch.ClockMin, garch.ClockNom, budget)
+	alloc, err := gm.Allocate(hf.Sys.Spec, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestSolveGPUProperties(t *testing.T) {
 		t.Fatalf("interior α must land between ClockMin and ClockNom, got %v", alloc.Freq)
 	}
 	// Clamped regime: below ΣPmin the solve shrinks proportionally.
-	clamped, err := solve(gpmt, garch.ClockMin, garch.ClockNom, min*0.9)
+	clamped, err := gm.Allocate(hf.Sys.Spec, min*0.9)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,7 +79,7 @@ func RunTestPair(sys *cluster.System, bench *workload.Benchmark, id int) (TestPa
 // testPair runs bench on member id at the top and then the bottom of the
 // class's clock ladder.
 func (c *class) testPair(sys *cluster.System, bench *workload.Benchmark, id int) (TestPair, error) {
-	lo, hi := c.ladder(sys)
+	lo, hi := c.ladder(sys.Spec)
 	atMax, err := c.testRun(sys, bench, id, hi)
 	if err != nil {
 		return TestPair{}, fmt.Errorf("core: test run at fmax: %w", err)

@@ -126,7 +126,7 @@ type class struct {
 	dram       bool   // members have a DRAM channel
 	// ladder returns the clock ladder's ends: the P-state range for
 	// modules, the SM-clock range for devices.
-	ladder func(sys *cluster.System) (lo, hi units.Hertz)
+	ladder func(spec cluster.Spec) (lo, hi units.Hertz)
 	// naive is the variation-unaware, application-independent entry.
 	naive func(sys *cluster.System) PMTEntry
 	// testRun measures one member running bench at clock f.
@@ -138,8 +138,8 @@ type class struct {
 // moduleClass is the paper's: CPU+DRAM modules on the P-state ladder.
 var moduleClass = &class{
 	noun: "module", count: "modules", pvtSpan: "pvt.generate", oracleSpan: "pmt.oracle", dram: true,
-	ladder: func(sys *cluster.System) (units.Hertz, units.Hertz) {
-		return sys.Spec.Arch.FMin, sys.Spec.Arch.FNom
+	ladder: func(spec cluster.Spec) (units.Hertz, units.Hertz) {
+		return spec.Arch.FMin, spec.Arch.FNom
 	},
 	naive: func(sys *cluster.System) PMTEntry {
 		arch := sys.Spec.Arch

@@ -235,7 +235,7 @@ func (e ErrBudgetInfeasible) Error() string {
 // Model is the budget-independent half of a scheme evaluation: the power
 // model the α-solve reads and, for VaFs, the budget reserve measured on a
 // held-out module. Nothing in it depends on the budget, so one model serves
-// every budget: build it once, then RunModel it per budget.
+// every budget: build it once, then Allocate or RunModel it per budget.
 type Model struct {
 	Scheme  Scheme
 	Bench   *workload.Benchmark
@@ -248,6 +248,9 @@ type Model struct {
 	// one extra cheap test pair. Every other scheme's margin is 0.
 	Margin float64
 
+	// class is the device class the model budgets; nil, as in a model
+	// literal, means modules.
+	class *class
 	// prog holds the DES program of the model's runs; nil for a model
 	// BuildModels did not make, whose runs build their own.
 	prog *modelProgram
@@ -328,7 +331,7 @@ func (fw *Framework) buildModels(c *class, bench *workload.Benchmark, ids []int,
 	models := make([]*Model, len(schemes))
 	prog := &modelProgram{seed: fw.Sys.Seed}
 	for i, s := range schemes {
-		models[i] = &Model{Scheme: s, Bench: bench, Modules: ids, PMT: pmt.forScheme(s), prog: prog}
+		models[i] = &Model{Scheme: s, Bench: bench, Modules: ids, PMT: pmt.forScheme(s), class: c, prog: prog}
 		if s == VaFs {
 			models[i].Margin = margin
 		}
@@ -374,10 +377,10 @@ func (fw *Framework) Run(bench *workload.Benchmark, moduleIDs []int, budget unit
 	return fw.runModel(span, m, budget)
 }
 
-// RunModel is Run's solve-and-execute step: solve for α under the budget
-// less the model's margin, enforce the allocation via PC or FS, and run the
-// application on the model's modules. A model may be run any number of
-// times, at any budget, on any replica of the framework that built it.
+// RunModel is Run's solve-and-execute step: Allocate the budget, enforce
+// the allocation via PC or FS, and run the application on the model's
+// modules. A model may be run any number of times, at any budget, on any
+// replica of the framework that built it.
 func (fw *Framework) RunModel(m *Model, budget units.Watts) (*SchemeRun, error) {
 	span := fw.startSpan("framework.run", m.Bench, budget, m.Scheme)
 	defer span.End()
@@ -407,12 +410,11 @@ func (fw *Framework) under(span obs.Span) *Framework {
 
 func (fw *Framework) runModel(span obs.Span, m *Model, budget units.Watts) (*SchemeRun, error) {
 	sp := span.Start("budget.solve")
-	alloc, err := Solve(m.PMT, fw.Sys.Spec.Arch, units.Watts(float64(budget)*(1-m.Margin)))
+	alloc, err := m.Allocate(fw.Sys.Spec, budget)
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	alloc.Budget = budget
 	if !alloc.Feasible {
 		return nil, ErrBudgetInfeasible{Scheme: m.Scheme, Budget: budget}
 	}

@@ -150,10 +150,6 @@ func (o Options) haSystem() (*cluster.System, []int, error) {
 	return sys, ids, nil
 }
 
-// CmLevels are the per-module power constraints of the analysis section's
-// Figure 2 sweeps, in watts ("Cm = Cs/n" for the uniform scenarios).
-var CmLevels = []units.Watts{110, 100, 90, 80, 70, 60}
-
 // CsLevels are the system-level power constraints of Table 4 for 1,920
 // modules. They are exact multiples of the average per-module constraints
 // Cm = 110 W … 50 W; the paper reports them rounded (211.2 kW → "211 KW").

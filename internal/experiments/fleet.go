@@ -132,10 +132,10 @@ func Fleet(o Options) (*FleetResult, error) {
 	out.Quarantined = len(fw.PVT.Quarantined)
 	fw.Trace = span
 
-	var pmt *core.PMT
+	var m *core.Model
 	if err := timed("pmt", func() error {
 		var err error
-		pmt, err = fw.BuildPMT(bench, ids, core.VaPc)
+		m, err = fw.BuildModel(bench, ids, core.VaPc)
 		return err
 	}); err != nil {
 		return nil, fmt.Errorf("experiments: fleet PMT: %w", err)
@@ -144,14 +144,12 @@ func Fleet(o Options) (*FleetResult, error) {
 	var alloc *core.Allocation
 	if err := timed("solve", func() error {
 		var err error
-		alloc, err = core.Solve(pmt, sys.Spec.Arch, out.Cs)
-		if err != nil {
+		if alloc, err = m.Allocate(sys.Spec, out.Cs); err != nil {
 			return err
 		}
 		if !alloc.Feasible {
 			return core.ErrBudgetInfeasible{Scheme: core.VaPc, Budget: out.Cs}
 		}
-		alloc.Budget = out.Cs
 		return nil
 	}); err != nil {
 		return nil, fmt.Errorf("experiments: fleet solve: %w", err)

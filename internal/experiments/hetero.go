@@ -207,12 +207,12 @@ func Hetero(o Options) (*HeteroResult, error) {
 // heteroBudgetFor derives the machine budget from the naive (spec-sheet)
 // demand envelope of both classes — deterministic in the system alone.
 func heteroBudgetFor(hf *core.Framework, bench *workload.Benchmark, ids, devs []int) (units.Watts, error) {
-	gpmt, err := hf.BuildGPUPMT(bench, devs, core.Naive)
+	gm, err := hf.BuildGPUModel(bench, devs, core.Naive)
 	if err != nil {
 		return 0, err
 	}
 	var min, max units.Watts
-	for _, e := range append(core.NaivePMT(hf.Sys, ids).Entries, gpmt.Entries...) {
+	for _, e := range append(core.NaivePMT(hf.Sys, ids).Entries, gm.PMT.Entries...) {
 		min += e.ModuleMin()
 		max += e.ModuleMax()
 	}

@@ -172,9 +172,6 @@ type RankResult struct {
 	Retries int
 }
 
-// AvgModulePower is the rank's average CPU+DRAM power.
-func (r RankResult) AvgModulePower() units.Watts { return r.AvgCPUPower + r.AvgDramPower }
-
 // Verdict classifies a module's health after a run.
 type Verdict string
 

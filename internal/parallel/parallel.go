@@ -5,7 +5,7 @@
 // because every module draws from its own SplitMix64 stream (internal/xrand).
 //
 // The engine therefore guarantees determinism: for a pure task function,
-// Map and ForEach produce results — including which error is reported —
+// Map and ForEachCtx produce results — including which error is reported —
 // that are byte-identical for every worker count. Three properties make
 // this hold:
 //
@@ -89,7 +89,7 @@ func Workers(requested, n int) int {
 }
 
 // PanicError wraps a panic captured from a task goroutine. It is re-raised
-// by Map/ForEach on the calling goroutine with the original value and the
+// by Map/ForEachCtx on the calling goroutine with the original value and the
 // worker's stack trace attached.
 type PanicError struct {
 	Index int
@@ -229,16 +229,9 @@ func MapCtx[T any](ctx context.Context, workers, n int, fn func(ctx context.Cont
 	return out, nil
 }
 
-// ForEach runs fn(i) for every i in [0, n) on at most workers goroutines
-// and returns the error of the lowest failing index, if any.
-func ForEach(workers, n int, fn func(i int) error) error {
-	_, err := Map(workers, n, func(i int) (struct{}, error) {
-		return struct{}{}, fn(i)
-	})
-	return err
-}
-
-// ForEachCtx is ForEach with context cancellation.
+// ForEachCtx runs fn(ctx, i) for every i in [0, n) on at most workers
+// goroutines and returns the error of the lowest failing index, if any, or
+// ctx's error once it is cancelled.
 func ForEachCtx(ctx context.Context, workers, n int, fn func(ctx context.Context, i int) error) error {
 	_, err := MapCtx(ctx, workers, n, func(ctx context.Context, i int) (struct{}, error) {
 		return struct{}{}, fn(ctx, i)

@@ -167,9 +167,12 @@ func TestMapCtxPreCancelled(t *testing.T) {
 	}
 }
 
+// TestForEach checks ForEachCtx's for-each contract under a background
+// context: every index runs once, and the lowest failing index is reported.
 func TestForEach(t *testing.T) {
+	ctx := context.Background()
 	out := make([]int, 64)
-	if err := ForEach(4, 64, func(i int) error {
+	if err := ForEachCtx(ctx, 4, 64, func(_ context.Context, i int) error {
 		out[i] = i + 1 // distinct slots: no race
 		return nil
 	}); err != nil {
@@ -180,14 +183,14 @@ func TestForEach(t *testing.T) {
 			t.Fatalf("out[%d] = %d", i, v)
 		}
 	}
-	err := ForEach(4, 64, func(i int) error {
+	err := ForEachCtx(ctx, 4, 64, func(_ context.Context, i int) error {
 		if i >= 32 {
 			return errors.New("upper half")
 		}
 		return nil
 	})
 	if err == nil || !strings.Contains(err.Error(), "task 32") {
-		t.Fatalf("ForEach error = %v", err)
+		t.Fatalf("ForEachCtx error = %v", err)
 	}
 }
 
@@ -315,7 +318,9 @@ func TestTasksCounted(t *testing.T) {
 				"MapCtx": func() {
 					MapCtx(context.Background(), w, n, func(_ context.Context, i int) (int, error) { return i, nil })
 				},
-				"ForEach": func() { ForEach(w, n, func(int) error { return nil }) },
+				"ForEachCtx": func() {
+					ForEachCtx(context.Background(), w, n, func(context.Context, int) error { return nil })
+				},
 			} {
 				if got := counted(run); got != n {
 					t.Errorf("%s workers=%d n=%d: counter grew by %d, want %d", name, w, n, got, n)
@@ -347,7 +352,7 @@ func TestTasksCounted(t *testing.T) {
 					t.Errorf("workers=%d: panic not propagated", w)
 				}
 			}()
-			ForEach(w, 100, func(i int) error {
+			ForEachCtx(context.Background(), w, 100, func(_ context.Context, i int) error {
 				started.Add(1)
 				if i == 40 {
 					panic("kaboom")
@@ -360,8 +365,8 @@ func TestTasksCounted(t *testing.T) {
 		}
 
 		if got := counted(func() {
-			ForEach(w, 5, func(int) error {
-				return ForEach(w, 7, func(int) error { return nil })
+			ForEachCtx(context.Background(), w, 5, func(ctx context.Context, _ int) error {
+				return ForEachCtx(ctx, w, 7, func(context.Context, int) error { return nil })
 			})
 		}); got != 5+5*7 {
 			t.Errorf("nested fan-out workers=%d: counter grew by %d, want %d", w, got, 5+5*7)

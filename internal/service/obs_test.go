@@ -13,6 +13,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -606,6 +607,53 @@ func TestJobSpanCountIndependentOfModules(t *testing.T) {
 	}
 	if counts[32] != counts[256] {
 		t.Fatalf("job span counts differ with module count: %v", counts)
+	}
+}
+
+// TestJobTraceCommittedBeforeDone: a job's job.run trace is committed
+// before the job turns done, so a client that has seen the job done finds
+// the entry. Each job's state is polled without pause (directly: polls over
+// HTTP would each add a trace entry and could evict the one under test),
+// and the trace is looked up the moment it reads done. Two goroutines keep
+// snapshotting the trace ring meanwhile: a commit that waits for the ring's
+// lock after the job turned done is then caught within a few hundred jobs.
+func TestJobTraceCommittedBeforeDone(t *testing.T) {
+	cfg, o := tracedConfig()
+	s, hs, _ := newTestServer(t, cfg)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer close(stop)
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					_ = o.Traces()
+				}
+			}
+		}()
+	}
+	for i := 0; i < 200; i++ {
+		traceID := fmt.Sprintf("%032x", 0xd0e0+i)
+		var st service.JobStatus
+		postTraced(t, hs.URL+"/v1/jobs", traceID, solveReq(), &st)
+		for state := st.State; state != service.JobDone; state = s.JobState(st.ID) {
+			if state == service.JobFailed || state == "" {
+				t.Fatalf("job %d (%s) is %q", i, st.ID, state)
+			}
+		}
+		id, err := obs.ParseTraceID(traceID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.ContainsFunc(o.Lookup(id), func(rt *obs.RequestTrace) bool { return rt.View().Route == "job.run" }) {
+			t.Fatalf("job %d is done but trace %s has no job.run entry", i, traceID)
+		}
 	}
 }
 

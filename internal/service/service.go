@@ -33,12 +33,12 @@
 // rendered bytes under a content key (system, workload, budget, scheme,
 // seed, modules, faults) with singleflight coalescing, so concurrent
 // identical solves compute once and identical requests return byte-identical
-// bodies; calibrated PMTs are cached one level down so budget sweeps over
-// one workload recalibrate nothing; the job queue is bounded and sheds load
-// with 429 + Retry-After instead of building unbounded backlog; and
-// everything the determinism contract requires still holds — a solve's body
-// depends only on its request, never on worker counts, cache state, or
-// arrival order.
+// bodies; calibrated models (PMT and VaFs margin) are cached one level
+// down so budget sweeps over one workload recalibrate nothing; the job
+// queue is bounded and sheds load with 429 + Retry-After instead of
+// building unbounded backlog; and everything the determinism contract
+// requires still holds — a solve's body depends only on its request, never
+// on worker counts, cache state, or arrival order.
 //
 // Request observability rides on internal/obs: when Config.Obs is set, every
 // request gets a W3C trace context (adopted from an incoming traceparent or
@@ -220,10 +220,10 @@ func (b *baseSystem) generation() uint64 {
 	return gen
 }
 
-// calibration is a PMT-cache value: the calibrated table plus the PVT
-// quarantine list it was built against.
+// calibration is a model-cache value: the calibrated model (its PMT and
+// margin) plus the PVT quarantine list it was built against.
 type calibration struct {
-	pmt         *core.PMT
+	model       *core.Model
 	quarantined []int
 }
 
@@ -461,7 +461,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // SolveCacheStats snapshots the rendered-response cache's counters.
 func (s *Server) SolveCacheStats() CacheStats { return s.solves.Stats() }
 
-// PMTCacheStats snapshots the calibration cache's counters.
+// PMTCacheStats snapshots the model cache's counters.
 func (s *Server) PMTCacheStats() CacheStats { return s.pmts.Stats() }
 
 // routes wires the endpoint table.
@@ -757,8 +757,8 @@ func solveKey(gen uint64, req SolveRequest) string {
 		gen, req.System, req.Workload, req.Scheme, req.BudgetWatts, req.Modules, req.Seed, req.Faults, req.Splitter)
 }
 
-// pmtKey is the calibration cache key: everything but the budget, which the
-// PMT does not depend on — that is what makes budget sweeps cheap. Like
+// pmtKey is the model cache key: everything but the budget, which the
+// model does not depend on — that is what makes budget sweeps cheap. Like
 // solveKey it is generation-prefixed, since calibration divides by the PVT.
 func pmtKey(gen uint64, req SolveRequest) string {
 	return fmt.Sprintf("g%d|%s|%s|%s|%d|%d|%s",
@@ -803,9 +803,10 @@ func (s *Server) frameworkFor(req SolveRequest, b *baseSystem) (fw *core.Framewo
 	return fw, func() {}, nil
 }
 
-// calibrate builds (or fetches) the calibrated PMT for a canonical request,
-// keyed under the given PVT generation. The calibration span carries the PMT
-// cache disposition; the measured sweep inside a miss gets its own span.
+// calibrate builds (or fetches) the calibrated model for a canonical
+// request, keyed under the given PVT generation. The calibration span
+// carries the model cache disposition; the measured sweep inside a miss
+// gets its own span.
 func (s *Server) calibrate(ctx context.Context, gen uint64, req SolveRequest, b *baseSystem, bench *workload.Benchmark, scheme core.Scheme) (calibration, error) {
 	ctx, sp := obs.StartSpan(ctx, "calibrate")
 	defer sp.End()
@@ -823,13 +824,13 @@ func (s *Server) calibrate(ctx context.Context, gen uint64, req SolveRequest, b 
 		msp.SetAttr("kind", "pmt_sweep")
 		msp.SetInt("modules", req.Modules)
 		fw.Trace = msp
-		pmt, err := fw.BuildPMT(bench, ids, scheme)
+		m, err := fw.BuildModel(bench, ids, scheme)
 		msp.Fail(err)
 		msp.End()
 		if err != nil {
 			return calibration{}, err
 		}
-		return calibration{pmt: pmt, quarantined: quarantinedBelow(fw.PVT, req.Modules)}, nil
+		return calibration{model: m, quarantined: quarantinedBelow(fw.PVT, req.Modules)}, nil
 	})
 	sp.SetAttr("cache", string(disp))
 	sp.Fail(err)
@@ -848,7 +849,7 @@ func (s *Server) solveBody(ctx context.Context, gen uint64, req SolveRequest, b 
 	}
 	_, sp := obs.StartSpan(ctx, "solve")
 	sp.SetAttr("scheme", req.Scheme)
-	alloc, err := core.Solve(cal.pmt, b.spec.Arch, budget)
+	alloc, err := cal.model.Allocate(b.spec, budget)
 	sp.Fail(err)
 	sp.End()
 	if err != nil {
@@ -908,7 +909,7 @@ func solveResponse(req SolveRequest, alloc *core.Allocation, quarantined []int) 
 // budget is split across the CPU and GPU device classes by the request's
 // splitter, then each class runs its own α-solve. Both class models are
 // built per request (the hetero pipeline needs them together, so the
-// CPU-only PMT cache does not apply); the solve cache above still absorbs
+// CPU-only model cache does not apply); the solve cache above still absorbs
 // repeats.
 func (s *Server) solveHeteroBody(ctx context.Context, req SolveRequest, b *baseSystem, bench *workload.Benchmark, scheme core.Scheme, budget units.Watts) ([]byte, error) {
 	splitter, err := core.SplitterByName(req.Splitter)
@@ -1255,13 +1256,15 @@ func (s *Server) runJob(j *job) {
 		sort.Ints(out.DeadRanks)
 		return out, nil
 	}()
-	j.finish(res, err)
 	status := http.StatusOK
 	if err != nil {
 		jrt.Root().Fail(err)
 		status = http.StatusInternalServerError
 	}
+	// Commit the trace before the job turns done, so a client that waited
+	// for the job finds its job.run entry.
 	s.cfg.Obs.EndRequest(jrt, status)
+	j.finish(res, err)
 }
 
 // Drain gracefully shuts the serving state down: stop the periodic

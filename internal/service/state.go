@@ -19,7 +19,10 @@ import (
 // SnapshotVersion is the service's snapshot payload format version. Bump it
 // whenever systemState changes shape; old files then fail ErrVersion and the
 // daemon rebuilds cold instead of half-parsing.
-const SnapshotVersion = 1
+//
+// Version 2 added the model margin to the model cache rows: a version-1
+// file holds VaFs solve bodies computed without it.
+const SnapshotVersion = 2
 
 // restoresTotal counts boot-time restore outcomes per system: "warm" (state
 // adopted from a snapshot), "cold" (no snapshot present), "corrupt" (a
@@ -35,7 +38,7 @@ func restoresTotal(outcome string) *telemetry.Counter {
 // Everything the daemon spent real time computing is here: the install-time
 // (or recalibrated) PVT, the generation counter that keys the caches, the
 // attribution collector's ledger and drift windows, and the rendered solve
-// bodies plus calibrated PMTs for the current generation. What is NOT here
+// bodies plus calibrated models for the current generation. What is NOT here
 // is anything derivable from configuration alone: the cluster itself is
 // rebuilt from (spec, seed, fault plan) at restore, and the PVT is validated
 // against it.
@@ -58,10 +61,11 @@ type solveEntry struct {
 	Body []byte `json:"body"`
 }
 
-// pmtState is one calibrated PMT-cache row.
+// pmtState is one model-cache row: the calibrated model's PMT and margin.
 type pmtState struct {
 	Key         string    `json:"key"`
 	PMT         *core.PMT `json:"pmt"`
+	Margin      float64   `json:"margin"`
 	Quarantined []int     `json:"quarantined,omitempty"`
 }
 
@@ -130,7 +134,8 @@ func (s *Server) SnapshotSystem(name string) (snapshot.Meta, error) {
 		st.Solves = append(st.Solves, solveEntry{Key: e.key, Body: e.val})
 	}
 	for _, e := range s.pmts.export(func(k string) bool { return strings.HasPrefix(k, prefix) }) {
-		st.PMTs = append(st.PMTs, pmtState{Key: e.key, PMT: e.val.pmt, Quarantined: e.val.quarantined})
+		m := e.val.model
+		st.PMTs = append(st.PMTs, pmtState{Key: e.key, PMT: m.PMT, Margin: m.Margin, Quarantined: e.val.quarantined})
 	}
 	return snapshot.WriteJSON(snapshotPath(s.cfg.StateDir, b.spec.Name), SnapshotVersion, st)
 }
@@ -238,9 +243,12 @@ func (s *Server) restoreSystem(spec cluster.Spec, n int) (*baseSystem, RestoreOu
 		solves = append(solves, cachedEntry[[]byte]{key: e.Key, val: e.Body})
 	}
 	s.solves.seed(solves)
+	// A restored row's model holds what Allocate reads: a CPU-only
+	// system's module table and its margin.
 	var pmts []cachedEntry[calibration]
 	for _, e := range st.PMTs {
-		pmts = append(pmts, cachedEntry[calibration]{key: e.Key, val: calibration{pmt: e.PMT, quarantined: e.Quarantined}})
+		m := &core.Model{PMT: e.PMT, Margin: e.Margin}
+		pmts = append(pmts, cachedEntry[calibration]{key: e.Key, val: calibration{model: m, quarantined: e.Quarantined}})
 	}
 	s.pmts.seed(pmts)
 	return b, RestoreOutcome{

@@ -9,10 +9,12 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"varpower/internal/service"
+	"varpower/internal/snapshot"
 )
 
 // stateConfig is testConfig plus a state directory.
@@ -290,5 +292,90 @@ func TestLazySystemRestoresPrimarySnapshot(t *testing.T) {
 	}
 	if row == nil || row["pvt_generation"].(float64) != 1 || row["restored"] != true {
 		t.Fatalf("adopted HA8K row = %v, want gen 1 restored", row)
+	}
+}
+
+// TestSnapshotV1BootsCold: a version-1 snapshot holds VaFs solve bodies
+// computed without the model margin, so the daemon refuses it by version,
+// rebuilds cold and adopts none of its rows.
+func TestSnapshotV1BootsCold(t *testing.T) {
+	dir := t.TempDir()
+	req := solveReq()
+	req.Scheme = "vafs"
+	sA, hsA, _ := newTestServer(t, stateConfig(dir, 0))
+	want, status, _ := postSolve(t, hsA.URL, req)
+	if status != http.StatusOK {
+		t.Fatalf("solve: status %d: %s", status, want)
+	}
+	if _, err := sA.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	hsA.Close()
+	path := filepath.Join(dir, "ha8k.snap")
+	payload, _, err := snapshot.Read(path, service.SnapshotVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := snapshot.Write(path, 1, payload); err != nil {
+		t.Fatal(err)
+	}
+
+	sB, hsB, _ := newTestServer(t, stateConfig(dir, 0))
+	if rep := sB.RestoreReport(); len(rep) != 1 || rep[0].Outcome != "corrupt" || !strings.Contains(rep[0].Note, "version 1") {
+		t.Fatalf("restore report = %+v, want the version-1 file refused", rep)
+	}
+	got, status, disp := postSolve(t, hsB.URL, req)
+	if status != http.StatusOK || disp != "miss" {
+		t.Fatalf("solve after refusal: status %d disp %q, want 200 computed", status, disp)
+	}
+	if st := sB.PMTCacheStats(); st.Hits != 0 || st.Misses != 1 {
+		t.Fatalf("model cache %+v, want one miss: no row adopted", st)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("cold rebuild diverged:\n a=%s\n b=%s", want, got)
+	}
+}
+
+// TestSnapshotRoundTripKeepsMargin: across a version-2 round trip the first
+// VaFs solve is a cache hit with the same bytes, and a budget first solved
+// after the snapshot, answered from the restored model row, equals the
+// original daemon's answer: the row carries the margin.
+func TestSnapshotRoundTripKeepsMargin(t *testing.T) {
+	dir := t.TempDir()
+	req := solveReq()
+	req.Scheme = "vafs"
+	later := req
+	later.BudgetWatts = 3000
+	sA, hsA, _ := newTestServer(t, stateConfig(dir, 0))
+	want, status, _ := postSolve(t, hsA.URL, req)
+	if status != http.StatusOK {
+		t.Fatalf("solve: status %d: %s", status, want)
+	}
+	if _, err := sA.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	wantLater, status, _ := postSolve(t, hsA.URL, later)
+	if status != http.StatusOK {
+		t.Fatalf("later solve: status %d: %s", status, wantLater)
+	}
+	hsA.Close()
+
+	sB, hsB, _ := newTestServer(t, stateConfig(dir, 0))
+	if rep := sB.RestoreReport(); len(rep) != 1 || rep[0].Outcome != "warm" {
+		t.Fatalf("restore report = %+v, want one warm outcome", rep)
+	}
+	got, status, disp := postSolve(t, hsB.URL, req)
+	if status != http.StatusOK || disp != "hit" || !bytes.Equal(got, want) {
+		t.Fatalf("restored VaFs solve: status %d disp %q, want a hit with\n %s\ngot\n %s", status, disp, want, got)
+	}
+	got, status, disp = postSolve(t, hsB.URL, later)
+	if status != http.StatusOK || disp != "miss" {
+		t.Fatalf("later solve after restore: status %d disp %q, want 200 computed", status, disp)
+	}
+	if st := sB.PMTCacheStats(); st.Hits != 1 || st.Misses != 0 {
+		t.Fatalf("model cache %+v, want the restored row hit once", st)
+	}
+	if !bytes.Equal(got, wantLater) {
+		t.Fatalf("restored model row answered differently:\n a=%s\n b=%s", wantLater, got)
 	}
 }

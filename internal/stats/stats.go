@@ -218,34 +218,6 @@ func Correlation(xs, ys []float64) float64 {
 	return sxy / math.Sqrt(sxx*syy)
 }
 
-// Histogram bins xs into n equal-width buckets over [min, max] and returns
-// the bucket counts plus the bucket edges (n+1 values). It panics on an
-// empty sample or n <= 0.
-func Histogram(xs []float64, n int) (counts []int, edges []float64) {
-	if n <= 0 {
-		panic("stats: Histogram with non-positive bucket count")
-	}
-	s := MustSummarize(xs)
-	counts = make([]int, n)
-	edges = make([]float64, n+1)
-	width := (s.Max - s.Min) / float64(n)
-	for i := range edges {
-		edges[i] = s.Min + float64(i)*width
-	}
-	if width == 0 {
-		counts[0] = len(xs)
-		return counts, edges
-	}
-	for _, x := range xs {
-		b := int((x - s.Min) / width)
-		if b >= n {
-			b = n - 1
-		}
-		counts[b]++
-	}
-	return counts, edges
-}
-
 // MeanAbsPctError returns mean(|pred-act|/act) over the paired samples,
 // expressed as a fraction (0.05 == 5%). Pairs with act == 0 are skipped.
 func MeanAbsPctError(pred, act []float64) float64 {

@@ -159,25 +159,6 @@ func TestCorrelation(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	counts, edges := Histogram([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 5)
-	if len(counts) != 5 || len(edges) != 6 {
-		t.Fatalf("shape: %v, %v", counts, edges)
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != 10 {
-		t.Fatalf("histogram lost samples: %v", counts)
-	}
-	// Constant sample: everything lands in the first bucket.
-	counts, _ = Histogram([]float64{4, 4, 4}, 3)
-	if counts[0] != 3 {
-		t.Fatalf("constant histogram %v", counts)
-	}
-}
-
 func TestPctErrors(t *testing.T) {
 	pred := []float64{110, 90, 100}
 	act := []float64{100, 100, 100}
