@@ -251,39 +251,43 @@ type Model struct {
 	// class is the device class the model budgets; nil, as in a model
 	// literal, means modules.
 	class *class
-	// prog holds the DES program of the model's runs; nil for a model
-	// BuildModels did not make, whose runs build their own.
+	// prog holds the DES program and hardware draws of the model's runs;
+	// nil for a model BuildModels did not make, whose runs make their own.
 	prog *modelProgram
 }
 
-// modelProgram is the DES program shared by the models of one BuildModels
-// call, which run the same benchmark on the same modules at every budget.
-// It is built on the first RunModel of any of them, not with the models:
-// a model may never run (SolveHetero builds models only to solve them),
-// and the program costs more to build than a solve. Later runs, at any
-// budget and on any replica of the framework that built the models, reuse
-// it; runs only read it, so concurrent cells may share it. The program's
-// per-rank work depends on the system seed, so it serves only runs on
-// systems with the seed of the framework that built the models.
+// modelProgram is what the runs of the models of one BuildModels call
+// share, since they run the same benchmark on the same modules at every
+// budget: the DES program and the hardware model's budget-independent
+// draws (measure.Hold: each rank's workload residual, uncapped operating
+// point and run-noise factor). Both are made on the first RunModel of any
+// of the models, not with the models: a model may never run (SolveHetero
+// builds models only to solve them), and they cost more to make than a
+// solve. Later runs, at any budget and on any replica of the framework
+// that built the models, reuse them; runs only read them, so concurrent
+// cells may share them. Both depend on the system seed, so they serve only
+// runs on systems with the seed of the framework that built the models.
 type modelProgram struct {
 	seed uint64
 	once sync.Once
 	prog simmpi.Program
+	hold *measure.Hold
 }
 
-// program returns the DES program for a run of m on a system with the
-// given seed, or nil when the run must build its own.
-func (m *Model) program(seed uint64) simmpi.Program {
+// program returns the DES program and the hold for a run of m on sys, or
+// nils when the run must make its own.
+func (m *Model) program(sys *cluster.System) (simmpi.Program, *measure.Hold) {
 	h := m.prog
-	if h == nil || h.seed != seed {
-		return nil
+	if h == nil || h.seed != sys.Seed {
+		return nil, nil
 	}
 	h.once.Do(func() {
-		// A failed build leaves prog nil: measure.Run then builds the
-		// program itself and reports the error where it always has.
-		h.prog, _ = m.Bench.Program(len(m.Modules), seed)
+		// A failed build leaves its part nil: measure.Run then makes it
+		// itself and reports the error where it always has.
+		h.prog, _ = m.Bench.Program(len(m.Modules), sys.Seed)
+		h.hold, _ = measure.NewHold(sys, m.Bench, m.Modules)
 	})
-	return h.prog
+	return h.prog, h.hold
 }
 
 // BuildModel is Run's model step: instrument the application and make the
@@ -419,7 +423,8 @@ func (fw *Framework) runModel(span obs.Span, m *Model, budget units.Watts) (*Sch
 		return nil, ErrBudgetInfeasible{Scheme: m.Scheme, Budget: budget}
 	}
 	sp = span.Start("framework.execute")
-	res, err := fw.under(sp).execute(m.Bench, m.Modules, alloc, m.Scheme, m.program(fw.Sys.Seed))
+	prog, hold := m.program(fw.Sys)
+	res, err := fw.under(sp).execute(m.Bench, m.Modules, alloc, m.Scheme, prog, hold)
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -435,12 +440,12 @@ func (fw *Framework) runModel(span obs.Span, m *Model, budget units.Watts) (*Sch
 // module to the common α-derived frequency, quantised down to a real
 // P-state.
 func (fw *Framework) Execute(bench *workload.Benchmark, moduleIDs []int, alloc *Allocation, scheme Scheme) (measure.Result, error) {
-	return fw.execute(bench, moduleIDs, alloc, scheme, nil)
+	return fw.execute(bench, moduleIDs, alloc, scheme, nil, nil)
 }
 
-// execute is Execute playing prog, which must be bench's program for
-// moduleIDs on fw's system; nil builds it.
-func (fw *Framework) execute(bench *workload.Benchmark, moduleIDs []int, alloc *Allocation, scheme Scheme, prog simmpi.Program) (measure.Result, error) {
+// execute is Execute playing prog from hold, which must be bench's program
+// and hold for moduleIDs on fw's system; nil makes them.
+func (fw *Framework) execute(bench *workload.Benchmark, moduleIDs []int, alloc *Allocation, scheme Scheme, prog simmpi.Program, hold *measure.Hold) (measure.Result, error) {
 	if len(alloc.Entries) != len(moduleIDs) {
 		return measure.Result{}, fmt.Errorf("core: allocation covers %d modules, job has %d", len(alloc.Entries), len(moduleIDs))
 	}
@@ -452,6 +457,7 @@ func (fw *Framework) execute(bench *workload.Benchmark, moduleIDs []int, alloc *
 		JobID:    fw.JobID,
 		Trace:    fw.Trace,
 		Program:  prog,
+		Hold:     hold,
 	}
 	if fw.Recorder != nil {
 		cfg.RecordLabel = fmt.Sprintf("%s/%v", bench.Name, scheme)

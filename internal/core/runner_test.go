@@ -12,6 +12,7 @@ import (
 	"varpower/internal/cluster"
 	"varpower/internal/faults"
 	"varpower/internal/flight"
+	"varpower/internal/measure"
 	"varpower/internal/stats"
 	"varpower/internal/units"
 	"varpower/internal/workload"
@@ -212,13 +213,15 @@ func TestBuildModelsSharesMeasurement(t *testing.T) {
 }
 
 // TestRunModelReusesProgram: the models of one BuildModels call share one
-// DES program, built on their first run, and every run still measures
-// exactly what Execute measures for its allocation on a fresh replica. On
-// HA8K at 32 modules, healthy and under testdata/chaos-plan.json, every
-// scheme runs at three budgets; a model's first runs are on a framework
-// with another seed, which must build its own program and leave the shared
-// one to the model's own framework. A fresh model run from four goroutines
-// at once must equal its serial runs.
+// DES program and one hold, made on their first run, and every run still
+// measures exactly what Execute measures for its allocation on a fresh
+// replica. On HA8K at 32 modules, healthy and under
+// testdata/chaos-plan.json, every scheme runs at three budgets; a model's
+// first runs are on a framework with another seed, which must make its own
+// program and hold and leave the shared ones to the model's own framework,
+// and so must a run at that seed after the shared ones exist. A hold of
+// the wrong length is refused. A fresh model run from four goroutines at
+// once must equal its serial runs.
 func TestRunModelReusesProgram(t *testing.T) {
 	f, err := os.Open(filepath.Join("..", "..", "testdata", "chaos-plan.json"))
 	if err != nil {
@@ -290,17 +293,35 @@ func TestRunModelReusesProgram(t *testing.T) {
 				for _, b := range budgets {
 					run(other, m, b)
 				}
+				var last *SchemeRun
 				for _, b := range budgets {
-					run(fw, m, b)
+					if r := run(fw, m, b); r != nil {
+						last = r
+					}
+				}
+				// The model's hold now exists, drawn at its own seed; a
+				// run at the other seed still draws its own.
+				run(other, m, budgets[1])
+				if last == nil {
+					continue
+				}
+				// A hold of the wrong length is refused, not read past.
+				short, err := measure.NewHold(fw.Sys, m.Bench, m.Modules[:n-1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := fw.Clone().execute(m.Bench, m.Modules, last.Alloc, m.Scheme, nil, short); err == nil {
+					t.Errorf("%s %v: a hold of %d ranks was accepted for %d", sysCase.label, m.Scheme, n-1, n)
 				}
 			}
-			shared := models[0].program(fw.Sys.Seed)
+			sharedProg, sharedHold := models[0].program(fw.Sys)
 			for _, m := range models {
-				if p := m.program(fw.Sys.Seed); p == nil || p != shared {
-					t.Errorf("%s %v: model holds program %p, its group %p", sysCase.label, m.Scheme, p, shared)
+				if p, h := m.program(fw.Sys); p == nil || p != sharedProg || h == nil || h != sharedHold {
+					t.Errorf("%s %v: model holds program %p and hold %p, its group %p and %p",
+						sysCase.label, m.Scheme, p, h, sharedProg, sharedHold)
 				}
-				if m.program(other.Sys.Seed) != nil {
-					t.Errorf("%s %v: model offers its program to another seed", sysCase.label, m.Scheme)
+				if p, h := m.program(other.Sys); p != nil || h != nil {
+					t.Errorf("%s %v: model offers its program or hold to another seed", sysCase.label, m.Scheme)
 				}
 			}
 

@@ -233,8 +233,22 @@ type Curve struct {
 
 // Curve resolves the module's power curve for workload p.
 func (m *Module) Curve(p PowerProfile) Curve {
-	return Curve{m: m, p: p, resid: m.residual(p)}
+	return m.CurveWith(p, m.residual(p))
 }
+
+// CurveWith is Curve with the residual already drawn: resid must be
+// Curve(p).Residual() of this module. A caller that resolves one module and
+// workload many times keeps the residual as a plain value (a Curve points
+// at one module) and rebuilds the curve from it without a draw.
+func (m *Module) CurveWith(p PowerProfile, resid float64) Curve {
+	return Curve{m: m, p: p, resid: resid}
+}
+
+// Residual is the curve's per-(module, workload) residual factor.
+func (c Curve) Residual() float64 { return c.resid }
+
+// Profile is the workload profile the curve was resolved for.
+func (c Curve) Profile() PowerProfile { return c.p }
 
 // CPUPower returns the CPU package power the module draws running the
 // curve's workload at frequency f. Frequencies above FNom model turbo;

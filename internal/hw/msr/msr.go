@@ -45,6 +45,9 @@ const (
 var (
 	ErrNotWhitelisted = fmt.Errorf("msr: register not in whitelist")
 	ErrReadOnly       = fmt.Errorf("msr: register is read-only")
+	// ErrIntercepted refuses a combined energy read on a device whose
+	// reads go through a fault interceptor (see AccumulateEnergyRead).
+	ErrIntercepted = fmt.Errorf("msr: energy reads are intercepted")
 )
 
 // access describes the whitelist entry for one register.
@@ -252,6 +255,36 @@ func (d *Device) Write(addr, val uint64) error {
 func (d *Device) AccumulateEnergy(pkgJoules, dramJoules float64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	d.accumulate(pkgJoules, dramJoules)
+}
+
+// AccumulateEnergyRead is AccumulateEnergy followed by ReadEnergy, under
+// one hold of the device lock.
+func (d *Device) AccumulateEnergyRead(pkgJoules, dramJoules float64) (pkg, dram uint64, err error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.icept != nil {
+		return 0, 0, ErrIntercepted
+	}
+	d.accumulate(pkgJoules, dramJoules)
+	return d.regs[regPkgEnergy], d.regs[regDramEnergy], nil
+}
+
+// ReadEnergy is a Read of each energy-status register under one hold of
+// the device lock. A device with a read interceptor refuses with
+// ErrIntercepted and is left untouched: each intercepted read is a poll of
+// its own, at its own poll time.
+func (d *Device) ReadEnergy() (pkg, dram uint64, err error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.icept != nil {
+		return 0, 0, ErrIntercepted
+	}
+	return d.regs[regPkgEnergy], d.regs[regDramEnergy], nil
+}
+
+// accumulate is AccumulateEnergy with the lock held.
+func (d *Device) accumulate(pkgJoules, dramJoules float64) {
 	d.pkgEnergyFrac += pkgJoules * (1 << energyUnitExp)
 	d.dramEnergyFrac += dramJoules * (1 << energyUnitExp)
 	commit := func(frac *float64, reg int) {

@@ -214,15 +214,24 @@ func (c *Controller) PkgLimit() (msr.PowerLimit, error) {
 // Section 5.3: "it is guaranteed that PC will never exceed the CPU power
 // constraint").
 func (c *Controller) OperatingPoint(p module.PowerProfile) (module.OperatingPoint, bool) {
+	// One curve for the whole resolution: the module's residual for p is
+	// drawn once, not once per power evaluation.
+	cv := c.mod.Curve(p)
+	return c.OperatingPointOn(cv, cv.Uncapped())
+}
+
+// OperatingPointOn is OperatingPoint on cv, this module's curve for the
+// workload, whose uncapped point unc (cv.Uncapped()) the caller has already
+// evaluated: a caller that resolves one module and workload under many
+// limits keeps the residual and the uncapped point and draws neither
+// again.
+func (c *Controller) OperatingPointOn(cv module.Curve, unc module.OperatingPoint) (module.OperatingPoint, bool) {
 	lim, err := c.PkgLimit()
 	if err != nil {
 		return module.OperatingPoint{}, false
 	}
-	// One curve for the whole resolution: the module's residual for p is
-	// drawn once, not once per power evaluation.
-	cv := c.mod.Curve(p)
 	if !lim.Enabled {
-		op := c.applySpurious(cv, cv.Uncapped())
+		op := c.applySpurious(cv, unc)
 		c.publishPerfStatus(op.Freq)
 		return op, true
 	}
@@ -239,7 +248,7 @@ func (c *Controller) OperatingPoint(p module.PowerProfile) (module.OperatingPoin
 		mInfeasible.Inc()
 		return module.OperatingPoint{}, false
 	}
-	if unc := cv.Uncapped(); unc.CPUPower > capW {
+	if unc.CPUPower > capW {
 		mClampEvents.Inc()
 		mPowerAboveCap.Observe(float64(unc.CPUPower - capW))
 	}
@@ -249,7 +258,7 @@ func (c *Controller) OperatingPoint(p module.PowerProfile) (module.OperatingPoin
 			c.listener.Throttled(c.mod.ID, op.Freq)
 		}
 	}
-	if loss := c.controlLoss(p, float64(capW)); loss > 0 {
+	if loss := c.controlLoss(cv.Profile(), float64(capW)); loss > 0 {
 		op.Freq = units.Hertz(float64(op.Freq) * (1 - loss))
 		// Power stays pinned at the cap when the cap binds; at a lower
 		// frequency the module would naturally draw less, but RAPL's
@@ -338,14 +347,12 @@ const quarterWrapJoules = 16384
 // slip a full 32-bit wrap (or more) past the Snapshot extension —
 // the multi-wrap gap that previously under-counted.
 func (c *Controller) AccountEnergy(p module.PowerProfile, op module.OperatingPoint, busy, wait units.Seconds) {
-	dramBase := c.mod.DramPower(p, c.mod.Arch.FMin)
-	pkgJ := float64(op.CPUPower)*float64(busy) + float64(op.CPUPower)*WaitCPUFraction*float64(wait)
-	dramJ := float64(op.DramPower)*float64(busy) + float64(dramBase)*float64(wait)
+	pkgJ, dramJ := c.quantum(p, op, busy, wait)
 	if pkgJ < quarterWrapJoules && dramJ < quarterWrapJoules {
 		c.dev.AccumulateEnergy(pkgJ, dramJ)
 		return
 	}
-	steps := int(math.Max(pkgJ, dramJ)/quarterWrapJoules) + 1
+	steps := quantumSteps(pkgJ, dramJ)
 	for i := 0; i < steps; i++ {
 		c.dev.AccumulateEnergy(pkgJ/float64(steps), dramJ/float64(steps))
 		// Fold the intermediate counter values into the 64-bit extension;
@@ -353,6 +360,65 @@ func (c *Controller) AccountEnergy(p module.PowerProfile, op module.OperatingPoi
 		// successful poll reconciles whatever wraps it can still see.
 		_, _ = c.Snapshot()
 	}
+}
+
+// quantum is the package and DRAM energy of op held for busy seconds plus
+// wait seconds of busy-polling.
+func (c *Controller) quantum(p module.PowerProfile, op module.OperatingPoint, busy, wait units.Seconds) (pkgJ, dramJ float64) {
+	dramBase := c.mod.DramPower(p, c.mod.Arch.FMin)
+	pkgJ = float64(op.CPUPower)*float64(busy) + float64(op.CPUPower)*WaitCPUFraction*float64(wait)
+	dramJ = float64(op.DramPower)*float64(busy) + float64(dramBase)*float64(wait)
+	return pkgJ, dramJ
+}
+
+// quantumSteps is how many equal steps commit a quantum of at least a
+// quarter counter period.
+func quantumSteps(pkgJ, dramJ float64) int {
+	return int(math.Max(pkgJ, dramJ)/quarterWrapJoules) + 1
+}
+
+// PollEnergy is a healthy run's energy poll loop on this module: it reads
+// both counters, then chunks times accounts op held for busy plus wait
+// seconds and reads them again, and returns the package and DRAM energy
+// the reads saw, summed chunk by chunk. Result and extension state are bit
+// for bit those of a Snapshot followed, per chunk, by AccountEnergy, a
+// Snapshot and the sum of its Since from the one before. It pays less for
+// them: each commit and the reads after it take the device lock once
+// (msr.Device.AccumulateEnergyRead), the extension is folded under one hold
+// of its lock for the whole loop, and the quantum is computed once. A
+// device with a read interceptor (fault injection) is refused with
+// msr.ErrIntercepted before anything is read or accumulated: its polls go
+// through the interceptor one read at a time.
+func (c *Controller) PollEnergy(p module.PowerProfile, op module.OperatingPoint, busy, wait units.Seconds, chunks int) (pkg, dram units.Joules, err error) {
+	c.emu.Lock()
+	defer c.emu.Unlock()
+	rawPkg, rawDram, err := c.dev.ReadEnergy()
+	if err != nil {
+		return 0, 0, err
+	}
+	prev := c.fold(rawPkg, rawDram)
+	pkgJ, dramJ := c.quantum(p, op, busy, wait)
+	steps, stepPkg, stepDram := 1, pkgJ, dramJ
+	if !(pkgJ < quarterWrapJoules && dramJ < quarterWrapJoules) { // AccountEnergy's test, NaN included
+		steps = quantumSteps(pkgJ, dramJ)
+		stepPkg, stepDram = pkgJ/float64(steps), dramJ/float64(steps)
+	}
+	for ch := 0; ch < chunks; ch++ {
+		// A stepped quantum folds after every step, as AccountEnergy's
+		// self-polls do; the chunk's closing read then sees no change.
+		now := prev
+		for i := 0; i < steps; i++ {
+			if rawPkg, rawDram, err = c.dev.AccumulateEnergyRead(stepPkg, stepDram); err != nil {
+				return 0, 0, err
+			}
+			now = c.fold(rawPkg, rawDram)
+		}
+		dp, dd := now.Since(prev)
+		pkg += dp
+		dram += dd
+		prev = now
+	}
+	return pkg, dram, nil
 }
 
 // EnergySnapshot is a pair of extended (64-bit) counter reads used to
@@ -380,6 +446,12 @@ func (c *Controller) Snapshot() (EnergySnapshot, error) {
 	}
 	c.emu.Lock()
 	defer c.emu.Unlock()
+	return c.fold(pkg, dram), nil
+}
+
+// fold folds raw counter reads into the 64-bit extension and returns the
+// extended values. The caller holds emu.
+func (c *Controller) fold(pkg, dram uint64) EnergySnapshot {
 	if !c.extInit {
 		c.lastPkg, c.lastDram = pkg, dram
 		c.extInit = true
@@ -387,7 +459,7 @@ func (c *Controller) Snapshot() (EnergySnapshot, error) {
 	c.extPkg += (pkg - c.lastPkg) & 0xFFFFFFFF
 	c.extDram += (dram - c.lastDram) & 0xFFFFFFFF
 	c.lastPkg, c.lastDram = pkg, dram
-	return EnergySnapshot{pkg: c.extPkg, dram: c.extDram}, nil
+	return EnergySnapshot{pkg: c.extPkg, dram: c.extDram}
 }
 
 // Since returns the package and DRAM energy accumulated between an earlier

@@ -14,6 +14,7 @@ package measure
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"varpower/internal/attrib"
 	"varpower/internal/cluster"
@@ -99,10 +100,6 @@ type Config struct {
 	// Freqs are the per-rank pinned frequencies (ModePinned).
 	Freqs []units.Hertz
 
-	// Nonce distinguishes repeated runs of the same configuration for the
-	// (small) run-to-run timing noise.
-	Nonce uint64
-
 	// Workers bounds the fan-out of the per-rank resolution and energy
 	// accounting loops: < 1 selects GOMAXPROCS, 1 recovers the serial loop.
 	// Results are byte-identical for every worker count (every module's
@@ -139,6 +136,45 @@ type Config struct {
 	// Bench.Program(len(Modules), sys.Seed), which a caller running one
 	// configuration many times builds once. Nil builds it per run.
 	Program simmpi.Program
+	// Hold, when non-nil, carries the run's per-rank draws that no control
+	// setting changes: it must be NewHold(sys, Bench, Modules) on a system
+	// with sys's seed and architecture, which a caller running one
+	// configuration many times draws once. Nil draws them per run.
+	Hold *Hold
+}
+
+// Hold is the part of a configuration's hardware model that no control
+// setting changes, drawn once per (system seed, benchmark, module list):
+// each rank's workload residual and uncapped operating point on its
+// module, and its run-noise factor. Plain values, not module curves (a
+// curve points at one replica's module), so the runs of every replica of
+// the system may share one Hold; runs only read it.
+type Hold struct {
+	resid    []float64
+	uncapped []module.OperatingPoint
+	noise    []float64
+}
+
+// NewHold draws the hold of bench on modules of sys, rank i on modules[i].
+func NewHold(sys *cluster.System, bench *workload.Benchmark, modules []int) (*Hold, error) {
+	for _, id := range modules {
+		if id < 0 || id >= sys.NumModules() {
+			return nil, fmt.Errorf("measure: module %d outside [0,%d)", id, sys.NumModules())
+		}
+	}
+	prof := bench.ProfileFor(sys.Spec.Arch)
+	h := &Hold{
+		resid:    make([]float64, len(modules)),
+		uncapped: make([]module.OperatingPoint, len(modules)),
+		noise:    make([]float64, len(modules)),
+	}
+	for rank, id := range modules {
+		cv := sys.Module(id).Curve(prof)
+		h.resid[rank] = cv.Residual()
+		h.uncapped[rank] = cv.Uncapped()
+		h.noise[rank] = runNoise(sys.Seed, bench.Name, id)
+	}
+	return h, nil
 }
 
 // RankResult is the measured outcome for one rank/module.
@@ -352,6 +388,9 @@ func validate(sys *cluster.System, cfg *Config) error {
 	default:
 		return fmt.Errorf("measure: unknown mode %d", cfg.Mode)
 	}
+	if h := cfg.Hold; h != nil && len(h.noise) != len(cfg.Modules) {
+		return fmt.Errorf("measure: hold of %d ranks for %d ranks", len(h.noise), len(cfg.Modules))
+	}
 	return nil
 }
 
@@ -364,7 +403,7 @@ func resolve(sys *cluster.System, cfg Config, prof module.PowerProfile, rank, id
 			return module.OperatingPoint{}, err
 		}
 		sys.Governor(id).Release()
-		op, ok := ctl.OperatingPoint(prof)
+		op, ok := operatingPoint(sys, cfg, prof, rank, id)
 		if !ok {
 			return module.OperatingPoint{}, fmt.Errorf("measure: uncapped resolution failed on module %d", id)
 		}
@@ -375,7 +414,7 @@ func resolve(sys *cluster.System, cfg Config, prof module.PowerProfile, rank, id
 		if err := ctl.SetPkgLimit(cfg.CPUCaps[rank], raplWindow); err != nil {
 			return module.OperatingPoint{}, err
 		}
-		op, ok := ctl.OperatingPoint(prof)
+		op, ok := operatingPoint(sys, cfg, prof, rank, id)
 		if !ok {
 			return module.OperatingPoint{}, fmt.Errorf("%w: module %d cap %v", ErrInfeasible, id, cfg.CPUCaps[rank])
 		}
@@ -383,12 +422,36 @@ func resolve(sys *cluster.System, cfg Config, prof module.PowerProfile, rank, id
 
 	case ModePinned:
 		gov := sys.Governor(id)
-		if _, err := gov.SetSpeed(cfg.Freqs[rank]); err != nil {
+		f, err := gov.SetSpeed(cfg.Freqs[rank])
+		if err != nil {
 			return module.OperatingPoint{}, err
+		}
+		if h := cfg.Hold; h != nil {
+			// The governor's point at its selected P-state.
+			return sys.Module(id).CurveWith(prof, h.resid[rank]).AtFrequency(f), nil
 		}
 		return gov.OperatingPoint(prof), nil
 	}
 	return module.OperatingPoint{}, fmt.Errorf("measure: unreachable mode %d", cfg.Mode)
+}
+
+// operatingPoint resolves rank's point under the limit programmed on its
+// module's RAPL controller, from cfg's hold when it carries one.
+func operatingPoint(sys *cluster.System, cfg Config, prof module.PowerProfile, rank, id int) (module.OperatingPoint, bool) {
+	ctl := sys.RAPL(id)
+	if h := cfg.Hold; h != nil {
+		return ctl.OperatingPointOn(sys.Module(id).CurveWith(prof, h.resid[rank]), h.uncapped[rank])
+	}
+	return ctl.OperatingPoint(prof)
+}
+
+// runNoise is the run-to-run timing factor of bench's rank on module id, a
+// truncated normal around 1 keyed by (seed, bench, module). The key's
+// trailing 0 is part of the stream's identity: dropping it would redraw
+// every factor.
+func runNoise(seed uint64, bench string, id int) float64 {
+	rng := xrand.NewKeyed(seed, xrand.HashString("runnoise"), xrand.HashString(bench), uint64(id), 0)
+	return 1 + rng.TruncNormal(0, DefaultRunNoiseSigma, -3, 3)
 }
 
 // simulate runs the SPMD program with per-rank timing derived from the
@@ -403,15 +466,23 @@ func simulate(sys *cluster.System, cfg Config, ops []module.OperatingPoint, prob
 		}
 	}
 	in := sys.Faults()
-	noise := make([]float64, n)
-	for rank := range noise {
-		rng := xrand.NewKeyed(sys.Seed, xrand.HashString("runnoise"),
-			xrand.HashString(cfg.Bench.Name), uint64(cfg.Modules[rank]), cfg.Nonce)
-		noise[rank] = 1 + rng.TruncNormal(0, DefaultRunNoiseSigma, -3, 3)
-		if in != nil {
-			// A degrading node computes slower than its operating point
-			// implies — invisible to resolution, felt only in timing.
-			noise[rank] *= in.SlowFactor(cfg.Modules[rank])
+	var noise []float64
+	switch {
+	case cfg.Hold == nil:
+		noise = make([]float64, n)
+		for rank, id := range cfg.Modules {
+			noise[rank] = runNoise(sys.Seed, cfg.Bench.Name, id)
+		}
+	case in == nil:
+		noise = cfg.Hold.noise
+	default:
+		noise = slices.Clone(cfg.Hold.noise)
+	}
+	if in != nil {
+		// A degrading node computes slower than its operating point
+		// implies — invisible to resolution, felt only in timing.
+		for rank, id := range cfg.Modules {
+			noise[rank] *= in.SlowFactor(id)
 		}
 	}
 	arch := sys.Spec.Arch
@@ -489,9 +560,10 @@ func rankWait(sim simmpi.Result, rank int) units.Seconds {
 }
 
 // accountRank converts one rank's DES timing into energy-counter activity
-// on its module and reads the counters back. On a healthy system each poll
-// reads the counters once: the read that ends one chunk also starts the
-// next, since nothing touches the counters in between. With a fault
+// on its module and reads the counters back. On a healthy system the poll
+// loop is one rapl.Controller.PollEnergy call, which reads the counters
+// once per poll: the read that ends one chunk also starts the next, since
+// nothing touches the counters in between. With a fault
 // injector installed the poll loop hardens: each chunk is read at both
 // ends, reads are retried with poll-time backoff, polls that keep failing
 // or report implausible power are dropped (the rank's energies turn
@@ -515,20 +587,9 @@ func accountRank(sys *cluster.System, cfg Config, prof module.PowerProfile, ops 
 	var pkgJ, dramJ units.Joules
 	var dropped, retries int
 	if in == nil {
-		prev, err := ctl.Snapshot()
-		if err != nil {
+		var err error
+		if pkgJ, dramJ, err = ctl.PollEnergy(prof, ops[rank], chunkBusy, chunkWait, chunks); err != nil {
 			return RankResult{}, err
-		}
-		for c := 0; c < chunks; c++ {
-			ctl.AccountEnergy(prof, ops[rank], chunkBusy, chunkWait)
-			now, err := ctl.Snapshot()
-			if err != nil {
-				return RankResult{}, err
-			}
-			dp, dd := now.Since(prev)
-			pkgJ += dp
-			dramJ += dd
-			prev = now
 		}
 	} else {
 		for c := 0; c < chunks; c++ {

@@ -137,6 +137,7 @@ type RequestTrace struct {
 	route        string
 	method       string
 	tenant       string
+	poll         bool   // see Request.Poll
 	remoteParent SpanID // parent span id carried in by traceparent (zero if none)
 	start        time.Time
 
@@ -230,6 +231,13 @@ type Request struct {
 	RequestID string
 	// Tenant labels the trace and log line (empty omits the field).
 	Tenant string
+	// Poll marks a status read a client repeats until the state it polls
+	// changes (a job poll). Its entry is kept in the ring only when it is
+	// important (an error, shed load or slow); otherwise a polling client
+	// would fill the ring's normal half with its own reads and evict the
+	// entries it polls for. It is logged and seen by the SLO monitor
+	// either way.
+	Poll bool
 }
 
 // StartRequest opens a trace entry for an incoming request: the trace
@@ -247,6 +255,7 @@ func (o *Observer) StartRequest(ctx context.Context, req Request) (context.Conte
 		route:     req.Route,
 		method:    req.Method,
 		tenant:    req.Tenant,
+		poll:      req.Poll,
 		requestID: req.RequestID,
 		start:     o.now(),
 	}
@@ -287,8 +296,9 @@ func (o *Observer) Continue(ctx context.Context, ref Ref, route string) (context
 }
 
 // EndRequest seals a trace entry: the root span ends, the entry is
-// classified (slow/error) and retained in the ring, the SLO monitor
-// observes the outcome, and the request logger emits one structured line.
+// classified (slow/error) and retained in the ring (a poll only when
+// important, see Request.Poll), the SLO monitor observes the outcome, and
+// the request logger emits one structured line.
 // status is the HTTP status code (continuation entries use 200/500).
 func (o *Observer) EndRequest(rt *RequestTrace, status int) {
 	if o == nil || rt == nil {
@@ -306,7 +316,9 @@ func (o *Observer) EndRequest(rt *RequestTrace, status int) {
 	dur, important := rt.dur, rt.important()
 	rt.mu.Unlock()
 
-	o.ring.add(rt, important)
+	if important || !rt.poll {
+		o.ring.add(rt, important)
+	}
 	o.slo.Record(rt.route, dur, status)
 	o.logRequest(rt, status, dur)
 }

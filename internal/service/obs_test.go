@@ -657,6 +657,45 @@ func TestJobTraceCommittedBeforeDone(t *testing.T) {
 	}
 }
 
+// TestJobPollsKeepJobTrace: a client that polls its job over HTTP more
+// times than the ring's normal half holds still finds the job's job.run
+// entry under GET /v1/traces/{id}, because a routine job poll is not kept
+// in the ring. The slow threshold is out of reach, so every entry here is
+// a normal one and only the polls could evict the job's.
+func TestJobPollsKeepJobTrace(t *testing.T) {
+	o := obs.New(obs.Config{RingSize: 128, SlowThreshold: time.Hour}) // 64 normal slots
+	cfg := testConfig()
+	cfg.Obs = o
+	_, hs, c := newTestServer(t, cfg)
+	ctx := context.Background()
+	for i := 0; i < 4; i++ {
+		traceID := fmt.Sprintf("%032x", 0xf0e0+i)
+		var st service.JobStatus
+		postTraced(t, hs.URL+"/v1/jobs", traceID, solveReq(), &st)
+		for polls := 0; polls <= 64 || st.State != service.JobDone; polls++ {
+			j, err := c.Job(ctx, st.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st = *j; st.State == service.JobFailed {
+				t.Fatalf("job %d (%s) failed: %s", i, st.ID, st.Error)
+			}
+		}
+		entries, err := c.Trace(ctx, traceID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.ContainsFunc(entries, func(v obs.TraceView) bool { return v.Route == "job.run" }) {
+			t.Fatalf("job %d was polled and is done, but trace %s has no job.run entry (%d entries)", i, traceID, len(entries))
+		}
+	}
+	for _, rt := range o.Traces() {
+		if rt.View().Route == "/v1/jobs/get" {
+			t.Fatal("the ring kept a routine job poll")
+		}
+	}
+}
+
 // TestOracleColdSolveHoldsPMTOracle: a VaPcOr cold solve's oracle
 // measurement lands under the request's calibrate/measure spans.
 func TestOracleColdSolveHoldsPMTOracle(t *testing.T) {

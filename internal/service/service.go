@@ -533,6 +533,9 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 		return c.(*telemetry.Counter)
 	}
 	o := s.cfg.Obs
+	// A client polls a job until it is done; its routine reads must not
+	// evict the job's own trace from the ring.
+	poll := route == "/v1/jobs/get"
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		mHTTPInflight.Add(1)
 		defer mHTTPInflight.Add(-1)
@@ -544,6 +547,7 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 				Route:       route,
 				Traceparent: r.Header.Get(headerTraceparent),
 				RequestID:   r.Header.Get(headerRequestID),
+				Poll:        poll,
 			})
 			rt = t
 			w.Header().Set(headerTraceparent, rt.Traceparent())
