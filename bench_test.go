@@ -314,7 +314,7 @@ func BenchmarkAblationPVT(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				oracle, err := core.OraclePMT(sys, bench, ids)
+				oracle, err := core.OraclePMTWorkers(sys, bench, ids, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -436,7 +436,7 @@ func BenchmarkExtensionMultiPVT(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		bench := workload.BT()
-		oracle, err := core.OraclePMT(sys, bench, ids)
+		oracle, err := core.OraclePMTWorkers(sys, bench, ids, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -67,6 +67,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -77,7 +78,7 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("experiment", "all", "which artifact to reproduce (all, table1, table2, table3, fig1, fig2, fig3, fig4, fig5, fig6, table4, fig7, fig8, fig9, vt-timeline, resilience, fleet, drift, hetero)")
+		exp     = flag.String("experiment", "all", experimentUsage())
 		modules = flag.Int("modules", 1920, "HA8K module count")
 		system  = flag.String("system", "", "hybrid preset for -experiment hetero (e.g. hybrid, summit; default HA8K-hybrid)")
 		seed    = flag.Uint64("seed", 0, "system seed (0 = default)")
@@ -108,7 +109,7 @@ func main() {
 	if *dump != "" {
 		err = dumpAll(*dump, o)
 	} else {
-		err = run(strings.ToLower(*exp), o)
+		err = run(os.Stdout, strings.ToLower(*exp), o)
 	}
 	if cerr := obs.Close(); cerr != nil && err == nil {
 		err = cerr
@@ -121,239 +122,142 @@ func main() {
 // plotShapes enables ASCII figure rendering alongside the summary tables.
 var plotShapes bool
 
-func run(exp string, o experiments.Options) error {
-	w := os.Stdout
-	wantAll := exp == "all"
-	want := func(name string) bool { return wantAll || exp == name }
-	ran := false
+// An experiment is one section of varsim's output.
+type experiment struct {
+	name, title string
+	// explicitOnly experiments run only when named: "all" skips them.
+	explicitOnly bool
+	show         showFunc
+}
 
-	if want("table1") {
-		ran = true
-		report.Section(w, "Table 1")
-		if err := experiments.RenderTable1(w); err != nil {
-			return err
+// A showFunc prints an experiment's section under its title. grid is the
+// evaluation grid that fig7, fig8 and fig9 share; it is nil until the
+// first of them builds it.
+type showFunc func(w io.Writer, title string, o experiments.Options, grid **experiments.EvalGrid) error
+
+// experimentTable lists varsim's experiments; "all" prints its entries
+// in this order. The package comment says why "all" leaves out each
+// explicit-only entry.
+var experimentTable = []experiment{
+	{"table1", "Table 1", false, static(experiments.RenderTable1)},
+	{"table2", "Table 2", false, static(experiments.RenderTable2)},
+	{"table3", "Table 3", false, static(experiments.RenderTable3)},
+	{"fig4", "Figure 4", false, static(experiments.RenderFigure4)},
+	{"fig1", "Figure 1", false, computed(experiments.Figure1, experiments.RenderFigure1, plotFigure1)},
+	{"fig2", "Figure 2", false, showFigure2},
+	{"fig3", "Figure 3", false, computed(experiments.Figure3, experiments.RenderFigure3, nil)},
+	{"fig5", "Figure 5", false, computed(experiments.Figure5, experiments.RenderFigure5, plotFigure5)},
+	{"fig6", "Figure 6", false, computed(experiments.Figure6, experiments.RenderFigure6, nil)},
+	{"table4", "Table 4", false, computed(experiments.Table4, experiments.RenderTable4, nil)},
+	{"fig7", "Figure 7", false, gridView(experiments.Figure7, experiments.RenderFigure7)},
+	{"fig8", "Figure 8", false, gridView(experiments.Figure8, experiments.RenderFigure8)},
+	{"fig9", "Figure 9", false, gridView(experiments.Figure9, experiments.RenderFigure9)},
+	{"vt-timeline", "Vt timeline", true, computed(experiments.VtTimeline, experiments.RenderVtTimeline, nil)},
+	{"resilience", "Resilience", true, computed(experiments.Resilience, experiments.RenderResilience, nil)},
+	{"fleet", "Fleet", true, computed(experiments.Fleet, experiments.RenderFleet, nil)},
+	{"drift", "Drift", true, computed(experiments.Drift, experiments.RenderDrift, nil)},
+	{"hetero", "Hetero", true, computed(experiments.Hetero, experiments.RenderHetero, nil)},
+}
+
+// experimentUsage is the -experiment flag's help text.
+func experimentUsage() string {
+	all := []string{"all"}
+	var named []string
+	for _, e := range experimentTable {
+		if e.explicitOnly {
+			named = append(named, e.name)
+		} else {
+			all = append(all, e.name)
 		}
 	}
-	if want("table2") {
+	return "which artifact to reproduce (" + strings.Join(all, ", ") + "; only when named: " + strings.Join(named, ", ") + ")"
+}
+
+// run prints the experiment named exp, or with "all" every experiment
+// that is not explicit-only.
+func run(w io.Writer, exp string, o experiments.Options) error {
+	var grid *experiments.EvalGrid
+	ran := false
+	for _, e := range experimentTable {
+		if exp != e.name && (exp != "all" || e.explicitOnly) {
+			continue
+		}
 		ran = true
-		report.Section(w, "Table 2")
-		if err := experiments.RenderTable2(w); err != nil {
+		if err := e.show(w, e.title, o, &grid); err != nil {
 			return err
-		}
-	}
-	if want("table3") {
-		ran = true
-		report.Section(w, "Table 3")
-		if err := experiments.RenderTable3(w); err != nil {
-			return err
-		}
-	}
-	if want("fig4") {
-		ran = true
-		report.Section(w, "Figure 4")
-		if err := experiments.RenderFigure4(w); err != nil {
-			return err
-		}
-	}
-	if want("fig1") {
-		ran = true
-		report.Section(w, "Figure 1")
-		series, err := experiments.Figure1(o)
-		if err != nil {
-			return err
-		}
-		if err := experiments.RenderFigure1(w, series); err != nil {
-			return err
-		}
-		if plotShapes {
-			fmt.Fprintln(w)
-			if err := plotFigure1(w, series); err != nil {
-				return err
-			}
-		}
-	}
-	if want("fig2") {
-		ran = true
-		report.Section(w, "Figure 2")
-		f2i, err := experiments.Figure2i(o)
-		if err != nil {
-			return err
-		}
-		if err := experiments.RenderFigure2i(w, f2i); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-		sweep, err := experiments.Figure2Sweep(o)
-		if err != nil {
-			return err
-		}
-		if err := experiments.RenderFigure2Sweep(w, sweep); err != nil {
-			return err
-		}
-		if plotShapes {
-			fmt.Fprintln(w)
-			if err := plotFigure2ii(w, sweep); err != nil {
-				return err
-			}
-		}
-	}
-	// vt-timeline repeats fig2's *DGEMM runs with the flight recorder
-	// attached, so it only runs when asked for explicitly.
-	if exp == "vt-timeline" {
-		ran = true
-		report.Section(w, "Vt timeline")
-		vt, err := experiments.VtTimeline(o)
-		if err != nil {
-			return err
-		}
-		if err := experiments.RenderVtTimeline(w, vt); err != nil {
-			return err
-		}
-	}
-	// resilience re-runs schemes under injected faults, so — like
-	// vt-timeline — it only runs when asked for explicitly.
-	if exp == "resilience" {
-		ran = true
-		report.Section(w, "Resilience")
-		r, err := experiments.Resilience(o)
-		if err != nil {
-			return err
-		}
-		if err := experiments.RenderResilience(w, r); err != nil {
-			return err
-		}
-	}
-	// fleet builds a 100k-module system and runs the whole pipeline on it;
-	// it only runs when asked for explicitly.
-	if exp == "fleet" {
-		ran = true
-		report.Section(w, "Fleet")
-		fr, err := experiments.Fleet(o)
-		if err != nil {
-			return err
-		}
-		if err := experiments.RenderFleet(w, fr); err != nil {
-			return err
-		}
-	}
-	// drift runs the continuous attribution → drift-detection →
-	// recalibration loop against a cluster with drifting cap enforcement;
-	// it only runs when asked for explicitly (its runs repeat fleet-style
-	// jobs and it installs a fault plan by default).
-	if exp == "drift" {
-		ran = true
-		report.Section(w, "Drift")
-		dr, err := experiments.Drift(o)
-		if err != nil {
-			return err
-		}
-		if err := experiments.RenderDrift(w, dr); err != nil {
-			return err
-		}
-	}
-	// hetero sweeps (scheme × class-budget splitter) on a hybrid
-	// CPU+GPU preset under one machine budget; like fleet it defaults to
-	// its own scale and only runs when asked for explicitly.
-	if exp == "hetero" {
-		ran = true
-		report.Section(w, "Hetero")
-		hr, err := experiments.Hetero(o)
-		if err != nil {
-			return err
-		}
-		if err := experiments.RenderHetero(w, hr); err != nil {
-			return err
-		}
-	}
-	if want("fig3") {
-		ran = true
-		report.Section(w, "Figure 3")
-		f3, err := experiments.Figure3(o)
-		if err != nil {
-			return err
-		}
-		if err := experiments.RenderFigure3(w, f3); err != nil {
-			return err
-		}
-	}
-	if want("fig5") {
-		ran = true
-		report.Section(w, "Figure 5")
-		f5, err := experiments.Figure5(o)
-		if err != nil {
-			return err
-		}
-		if err := experiments.RenderFigure5(w, f5); err != nil {
-			return err
-		}
-		if plotShapes {
-			fmt.Fprintln(w)
-			if err := plotFigure5(w, f5); err != nil {
-				return err
-			}
-		}
-	}
-	if want("fig6") {
-		ran = true
-		report.Section(w, "Figure 6")
-		f6, err := experiments.Figure6(o)
-		if err != nil {
-			return err
-		}
-		if err := experiments.RenderFigure6(w, f6); err != nil {
-			return err
-		}
-	}
-	if want("table4") {
-		ran = true
-		report.Section(w, "Table 4")
-		t4, err := experiments.Table4(o)
-		if err != nil {
-			return err
-		}
-		if err := experiments.RenderTable4(w, t4); err != nil {
-			return err
-		}
-	}
-	if want("fig7") || want("fig8") || want("fig9") {
-		ran = true
-		grid, err := experiments.EvaluationGrid(o)
-		if err != nil {
-			return err
-		}
-		if want("fig7") {
-			report.Section(w, "Figure 7")
-			f7, err := experiments.Figure7(grid)
-			if err != nil {
-				return err
-			}
-			if err := experiments.RenderFigure7(w, f7); err != nil {
-				return err
-			}
-		}
-		if want("fig8") {
-			report.Section(w, "Figure 8")
-			f8, err := experiments.Figure8(grid)
-			if err != nil {
-				return err
-			}
-			if err := experiments.RenderFigure8(w, f8); err != nil {
-				return err
-			}
-		}
-		if want("fig9") {
-			report.Section(w, "Figure 9")
-			f9, err := experiments.Figure9(grid)
-			if err != nil {
-				return err
-			}
-			if err := experiments.RenderFigure9(w, f9); err != nil {
-				return err
-			}
 		}
 	}
 	if !ran {
 		return fmt.Errorf("unknown experiment %q", exp)
 	}
 	return nil
+}
+
+// static shows a table that needs no computation.
+func static(render func(io.Writer) error) showFunc {
+	return func(w io.Writer, title string, _ experiments.Options, _ **experiments.EvalGrid) error {
+		report.Section(w, title)
+		return render(w)
+	}
+}
+
+// computed shows an experiment computed from the options: the header,
+// the computation's table and, with -plot, its plot when it has one.
+func computed[T any](compute func(experiments.Options) (T, error), render, plot func(io.Writer, T) error) showFunc {
+	return func(w io.Writer, title string, o experiments.Options, _ **experiments.EvalGrid) error {
+		report.Section(w, title)
+		v, err := compute(o)
+		if err != nil {
+			return err
+		}
+		if err := render(w, v); err != nil {
+			return err
+		}
+		if plot == nil || !plotShapes {
+			return nil
+		}
+		fmt.Fprintln(w)
+		return plot(w, v)
+	}
+}
+
+// gridView shows a view of the evaluation grid, which the first view
+// builds before its header.
+func gridView[T any](view func(*experiments.EvalGrid) (T, error), render func(io.Writer, T) error) showFunc {
+	return func(w io.Writer, title string, o experiments.Options, grid **experiments.EvalGrid) error {
+		if *grid == nil {
+			g, err := experiments.EvaluationGrid(o)
+			if err != nil {
+				return err
+			}
+			*grid = g
+		}
+		report.Section(w, title)
+		v, err := view(*grid)
+		if err != nil {
+			return err
+		}
+		return render(w, v)
+	}
+}
+
+// showFigure2 prints Figure 2's two panels: the per-module spread of (i),
+// then the cap sweep of (ii) and, with -plot, its plot.
+func showFigure2(w io.Writer, title string, o experiments.Options, grid **experiments.EvalGrid) error {
+	if err := computed(experiments.Figure2i, experiments.RenderFigure2i, nil)(w, title, o, grid); err != nil {
+		return err
+	}
+	fmt.Fprintln(w)
+	sweep, err := experiments.Figure2Sweep(o)
+	if err != nil {
+		return err
+	}
+	if err := experiments.RenderFigure2Sweep(w, sweep); err != nil {
+		return err
+	}
+	if !plotShapes {
+		return nil
+	}
+	fmt.Fprintln(w)
+	return plotFigure2ii(w, sweep)
 }

@@ -339,18 +339,6 @@ func (s *System) AllocateFirst(n int) ([]int, error) {
 	return ids, nil
 }
 
-// AllocateRandom returns n distinct module IDs drawn uniformly — what a
-// batch scheduler hands an application on a shared system. The draw is
-// deterministic in (system seed, nonce).
-func (s *System) AllocateRandom(n int, nonce uint64) ([]int, error) {
-	if n < 1 || n > len(s.modules) {
-		return nil, fmt.Errorf("cluster: allocation of %d from %d modules", n, len(s.modules))
-	}
-	rng := xrand.NewKeyed(s.Seed, 0x616c6c6f63 /* "alloc" */, nonce)
-	perm := rng.Perm(len(s.modules))
-	return perm[:n], nil
-}
-
 // BoardFactor returns the power-delivery factor of measurement board b
 // (≈1, sigma Spec.BoardFactorSigma), deterministic in the system seed.
 func (s *System) BoardFactor(b int) float64 {

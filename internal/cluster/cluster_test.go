@@ -114,37 +114,6 @@ func TestAllocateFirst(t *testing.T) {
 	}
 }
 
-func TestAllocateRandom(t *testing.T) {
-	sys := MustNew(HA8K(), 64, 1)
-	a, err := sys.AllocateRandom(16, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := sys.AllocateRandom(16, 3)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("random allocation not deterministic in nonce")
-		}
-	}
-	c, _ := sys.AllocateRandom(16, 4)
-	diff := false
-	for i := range a {
-		if a[i] != c[i] {
-			diff = true
-		}
-	}
-	if !diff {
-		t.Fatal("different nonces produced identical allocations")
-	}
-	seen := map[int]bool{}
-	for _, id := range a {
-		if seen[id] || id < 0 || id >= 64 {
-			t.Fatalf("invalid allocation %v", a)
-		}
-		seen[id] = true
-	}
-}
-
 func TestBoardFactor(t *testing.T) {
 	sys := MustNew(Vulcan(), 64, 1)
 	if sys.BoardFactor(0) == 1 && sys.BoardFactor(1) == 1 && sys.BoardFactor(2) == 1 {

@@ -89,7 +89,7 @@ func TestMultiPVTImprovesOrMatchesSinglePVT(t *testing.T) {
 	}
 	var singleErrs, multiErrs []float64
 	for _, bench := range workload.Evaluated() {
-		oracle, err := OraclePMT(sys, bench, ids)
+		oracle, err := OraclePMTWorkers(sys, bench, ids, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -134,20 +134,14 @@ func (p *PVT) averages(test TestPair) (PMTEntry, error) {
 	}, nil
 }
 
-// OraclePMT measures every allocated module directly — a complete execution
-// of the application on all modules, the perfect calibration behind the
-// paper's VaPcOr/VaFsOr baselines. Impractical in production (that is the
-// point of the PVT), but it bounds how much accuracy calibration loses. The
-// per-module measurement fans out over GOMAXPROCS workers; use
-// OraclePMTWorkers for an explicit width.
-func OraclePMT(sys *cluster.System, bench *workload.Benchmark, moduleIDs []int) (*PMT, error) {
-	return OraclePMTWorkers(sys, bench, moduleIDs, 0)
-}
-
-// OraclePMTWorkers is OraclePMT with an explicit fan-out width (< 1 selects
-// GOMAXPROCS, 1 is fully serial). Results are byte-identical for every
-// worker count. Duplicate module IDs fall back to the serial loop — their
-// test runs reprogram the shared governor in order.
+// OraclePMTWorkers measures every allocated module directly — a complete
+// execution of the application on all modules, the perfect calibration
+// behind the paper's VaPcOr/VaFsOr baselines. Impractical in production
+// (that is the point of the PVT), but it bounds how much accuracy
+// calibration loses. The per-module measurement fans out over workers
+// (< 1 selects GOMAXPROCS, 1 is fully serial). Results are byte-identical
+// for every worker count. Duplicate module IDs fall back to the serial
+// loop — their test runs reprogram the shared governor in order.
 func OraclePMTWorkers(sys *cluster.System, bench *workload.Benchmark, moduleIDs []int, workers int) (*PMT, error) {
 	return (&Framework{Sys: sys, Workers: workers}).oraclePMT(moduleClass, bench, moduleIDs)
 }

@@ -31,7 +31,7 @@ func TestCalibrateSelfPrediction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := OraclePMT(sys, bench, ids)
+	oracle, err := OraclePMTWorkers(sys, bench, ids, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestCalibrateCrossWorkloadBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		oracle, err := OraclePMT(sys, bench, ids)
+		oracle, err := OraclePMTWorkers(sys, bench, ids, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func TestOraclePMTMatchesModuleModel(t *testing.T) {
 	sys := pvtSystem(t, 8)
 	bench := workload.MHD()
 	prof := bench.ProfileFor(sys.Spec.Arch)
-	pmt, err := OraclePMT(sys, bench, []int{0, 1, 2})
+	pmt, err := OraclePMTWorkers(sys, bench, []int{0, 1, 2}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,6 @@ import (
 	"varpower/internal/flight"
 	"varpower/internal/measure"
 	"varpower/internal/obs"
-	"varpower/internal/simmpi"
 	"varpower/internal/units"
 	"varpower/internal/workload"
 )
@@ -258,36 +257,36 @@ type Model struct {
 
 // modelProgram is what the runs of the models of one BuildModels call
 // share, since they run the same benchmark on the same modules at every
-// budget: the DES program and the hardware model's budget-independent
-// draws (measure.Hold: each rank's workload residual, uncapped operating
-// point and run-noise factor). Both are made on the first RunModel of any
-// of the models, not with the models: a model may never run (SolveHetero
-// builds models only to solve them), and they cost more to make than a
-// solve. Later runs, at any budget and on any replica of the framework
-// that built the models, reuse them; runs only read them, so concurrent
-// cells may share them. Both depend on the system seed, so they serve only
-// runs on systems with the seed of the framework that built the models.
+// budget: one measure.Hold, which carries the DES program and the hardware
+// model's budget-independent draws (each rank's workload residual,
+// uncapped operating point and run-noise factor). It is made on the first
+// RunModel of any of the models, not with the models: a model may never
+// run (SolveHetero builds models only to solve them), and a hold costs
+// more to make than a solve. Later runs, at any budget and on any replica
+// of the framework that built the models, reuse it; runs only read it, so
+// concurrent cells may share it. It depends on the system seed, so it
+// serves only runs on systems with the seed of the framework that built
+// the models.
 type modelProgram struct {
 	seed uint64
 	once sync.Once
-	prog simmpi.Program
 	hold *measure.Hold
 }
 
-// program returns the DES program and the hold for a run of m on sys, or
-// nils when the run must make its own.
-func (m *Model) program(sys *cluster.System) (simmpi.Program, *measure.Hold) {
+// program returns the hold for a run of m on sys, or nil when the run must
+// make its own.
+func (m *Model) program(sys *cluster.System) *measure.Hold {
 	h := m.prog
 	if h == nil || h.seed != sys.Seed {
-		return nil, nil
+		return nil
 	}
 	h.once.Do(func() {
-		// A failed build leaves its part nil: measure.Run then makes it
-		// itself and reports the error where it always has.
-		h.prog, _ = m.Bench.Program(len(m.Modules), sys.Seed)
+		// A failed build leaves the hold nil: measure.Run then makes the
+		// program and draws itself and reports the error where it always
+		// has.
 		h.hold, _ = measure.NewHold(sys, m.Bench, m.Modules)
 	})
-	return h.prog, h.hold
+	return h.hold
 }
 
 // BuildModel is Run's model step: instrument the application and make the
@@ -423,8 +422,7 @@ func (fw *Framework) runModel(span obs.Span, m *Model, budget units.Watts) (*Sch
 		return nil, ErrBudgetInfeasible{Scheme: m.Scheme, Budget: budget}
 	}
 	sp = span.Start("framework.execute")
-	prog, hold := m.program(fw.Sys)
-	res, err := fw.under(sp).execute(m.Bench, m.Modules, alloc, m.Scheme, prog, hold)
+	res, err := fw.under(sp).execute(m.Bench, m.Modules, alloc, m.Scheme, m.program(fw.Sys))
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -440,12 +438,12 @@ func (fw *Framework) runModel(span obs.Span, m *Model, budget units.Watts) (*Sch
 // module to the common α-derived frequency, quantised down to a real
 // P-state.
 func (fw *Framework) Execute(bench *workload.Benchmark, moduleIDs []int, alloc *Allocation, scheme Scheme) (measure.Result, error) {
-	return fw.execute(bench, moduleIDs, alloc, scheme, nil, nil)
+	return fw.execute(bench, moduleIDs, alloc, scheme, nil)
 }
 
-// execute is Execute playing prog from hold, which must be bench's program
-// and hold for moduleIDs on fw's system; nil makes them.
-func (fw *Framework) execute(bench *workload.Benchmark, moduleIDs []int, alloc *Allocation, scheme Scheme, prog simmpi.Program, hold *measure.Hold) (measure.Result, error) {
+// execute is Execute from hold, which must be bench's hold for moduleIDs on
+// fw's system; nil makes the program and draws per run.
+func (fw *Framework) execute(bench *workload.Benchmark, moduleIDs []int, alloc *Allocation, scheme Scheme, hold *measure.Hold) (measure.Result, error) {
 	if len(alloc.Entries) != len(moduleIDs) {
 		return measure.Result{}, fmt.Errorf("core: allocation covers %d modules, job has %d", len(alloc.Entries), len(moduleIDs))
 	}
@@ -456,7 +454,6 @@ func (fw *Framework) execute(bench *workload.Benchmark, moduleIDs []int, alloc *
 		Tenant:   fw.Tenant,
 		JobID:    fw.JobID,
 		Trace:    fw.Trace,
-		Program:  prog,
 		Hold:     hold,
 	}
 	if fw.Recorder != nil {

@@ -213,15 +213,15 @@ func TestBuildModelsSharesMeasurement(t *testing.T) {
 }
 
 // TestRunModelReusesProgram: the models of one BuildModels call share one
-// DES program and one hold, made on their first run, and every run still
-// measures exactly what Execute measures for its allocation on a fresh
-// replica. On HA8K at 32 modules, healthy and under
+// hold (the DES program and the hardware draws), made on their first run,
+// and every run still measures exactly what Execute measures for its
+// allocation on a fresh replica. On HA8K at 32 modules, healthy and under
 // testdata/chaos-plan.json, every scheme runs at three budgets; a model's
 // first runs are on a framework with another seed, which must make its own
-// program and hold and leave the shared ones to the model's own framework,
-// and so must a run at that seed after the shared ones exist. A hold of
-// the wrong length is refused. A fresh model run from four goroutines at
-// once must equal its serial runs.
+// program and draws and leave the shared hold to the model's own
+// framework, and so must a run at that seed after the shared hold exists.
+// A hold of the wrong length is refused. A fresh model run from four
+// goroutines at once must equal its serial runs.
 func TestRunModelReusesProgram(t *testing.T) {
 	f, err := os.Open(filepath.Join("..", "..", "testdata", "chaos-plan.json"))
 	if err != nil {
@@ -260,7 +260,7 @@ func TestRunModelReusesProgram(t *testing.T) {
 		// result against Execute of its allocation on another. A run that
 		// fails (under the chaos plan, a spiking counter leaves the oracle
 		// models a zero cap) must fail as a run of the model without its
-		// program does, and returns nil.
+		// hold does, and returns nil.
 		run := func(on *Framework, m *Model, budget units.Watts) *SchemeRun {
 			t.Helper()
 			r, err := on.Clone().RunModel(m, budget)
@@ -310,18 +310,17 @@ func TestRunModelReusesProgram(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := fw.Clone().execute(m.Bench, m.Modules, last.Alloc, m.Scheme, nil, short); err == nil {
+				if _, err := fw.Clone().execute(m.Bench, m.Modules, last.Alloc, m.Scheme, short); err == nil {
 					t.Errorf("%s %v: a hold of %d ranks was accepted for %d", sysCase.label, m.Scheme, n-1, n)
 				}
 			}
-			sharedProg, sharedHold := models[0].program(fw.Sys)
+			shared := models[0].program(fw.Sys)
 			for _, m := range models {
-				if p, h := m.program(fw.Sys); p == nil || p != sharedProg || h == nil || h != sharedHold {
-					t.Errorf("%s %v: model holds program %p and hold %p, its group %p and %p",
-						sysCase.label, m.Scheme, p, h, sharedProg, sharedHold)
+				if h := m.program(fw.Sys); h == nil || h != shared {
+					t.Errorf("%s %v: model holds %p, its group %p", sysCase.label, m.Scheme, h, shared)
 				}
-				if p, h := m.program(other.Sys); p != nil || h != nil {
-					t.Errorf("%s %v: model offers its program or hold to another seed", sysCase.label, m.Scheme)
+				if m.program(other.Sys) != nil {
+					t.Errorf("%s %v: model offers its hold to another seed", sysCase.label, m.Scheme)
 				}
 			}
 

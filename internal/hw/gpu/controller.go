@@ -49,26 +49,6 @@ var DefaultControl = ControlModel{Overhead: 0.025, Jitter: 0.015}
 // PerfectControl removes controller imperfection (ablations only).
 var PerfectControl = ControlModel{}
 
-// Listener observes a controller's control-plane actions; the flight
-// recorder attaches one per run. Same concurrency contract as
-// rapl.Listener: callbacks fire synchronously on the resolving goroutine,
-// and a listener shared across devices must tolerate concurrent calls from
-// different devices.
-type Listener interface {
-	// LimitSet fires after a board power limit was programmed; w is the
-	// applied (clamped) value.
-	LimitSet(deviceID int, w units.Watts)
-	// LimitCleared fires after the limit was reset to the board default.
-	LimitCleared(deviceID int)
-	// ClockLocked fires after an application clock was locked.
-	ClockLocked(deviceID int, c units.Hertz)
-	// ClockUnlocked fires after locked clocks were released.
-	ClockUnlocked(deviceID int)
-	// Throttled fires when a resolution fell into clock gating (or a
-	// spurious thermal episode); delivered is the effective SM clock.
-	Throttled(deviceID int, delivered units.Hertz)
-}
-
 // FaultModel perturbs the enforced side of the GPU power limit, exactly as
 // rapl.FaultModel does for package caps. internal/faults satisfies it
 // structurally; internal/cluster installs an ID-offsetting adapter so GPU
@@ -86,11 +66,10 @@ type FaultModel interface {
 // locked application clocks). Unlike the RAPL controller there is no MSR
 // emulation underneath: the NVML-style interface is watts-in/watts-out.
 type Controller struct {
-	dev      *Device
-	control  ControlModel
-	seed     uint64
-	listener Listener
-	faults   FaultModel
+	dev     *Device
+	control ControlModel
+	seed    uint64
+	faults  FaultModel
 
 	limit  units.Watts // programmed power limit; 0 = board default (TDP)
 	locked units.Hertz // locked application clock; 0 = unlocked
@@ -110,7 +89,6 @@ func (c *Controller) Init(dev *Device, control ControlModel, seed uint64) {
 	c.dev = dev
 	c.control = control
 	c.seed = seed
-	c.listener = nil
 	c.faults = nil
 	c.limit = 0
 	c.locked = 0
@@ -118,10 +96,6 @@ func (c *Controller) Init(dev *Device, control ControlModel, seed uint64) {
 
 // Device returns the controlled device.
 func (c *Controller) Device() *Device { return c.dev }
-
-// SetListener attaches (or, with nil, detaches) a control-plane listener.
-// Attach before a run and detach after; not safe during use.
-func (c *Controller) SetListener(l Listener) { c.listener = l }
 
 // SetFaultModel attaches (or, with nil, detaches) the enforcement fault
 // model; the model must be stateless.
@@ -137,18 +111,7 @@ func (c *Controller) SetPowerLimit(w units.Watts) (units.Watts, error) {
 	applied := c.dev.Arch.ClampLimit(w)
 	c.limit = applied
 	mLimitWrites.Inc()
-	if c.listener != nil {
-		c.listener.LimitSet(c.dev.ID, applied)
-	}
 	return applied, nil
-}
-
-// ClearPowerLimit resets the limit to the board default (TDP).
-func (c *Controller) ClearPowerLimit() {
-	c.limit = 0
-	if c.listener != nil {
-		c.listener.LimitCleared(c.dev.ID)
-	}
 }
 
 // PowerLimit returns the programmed limit; ok is false at the board
@@ -166,18 +129,12 @@ func (c *Controller) LockClocks(clock units.Hertz) (units.Hertz, error) {
 	q := c.dev.Arch.QuantizeDown(clock)
 	c.locked = q
 	mClockLocks.Inc()
-	if c.listener != nil {
-		c.listener.ClockLocked(c.dev.ID, q)
-	}
 	return q, nil
 }
 
 // UnlockClocks releases locked application clocks.
 func (c *Controller) UnlockClocks() {
 	c.locked = 0
-	if c.listener != nil {
-		c.listener.ClockUnlocked(c.dev.ID)
-	}
 }
 
 // LockedClock returns the locked application clock; ok is false when
@@ -197,9 +154,6 @@ func (c *Controller) OperatingPoint(k KernelProfile) (OperatingPoint, bool) {
 		op := c.dev.AtClock(k, c.locked)
 		if op.Throttled {
 			mThrottleEvents.Inc()
-			if c.listener != nil {
-				c.listener.Throttled(c.dev.ID, op.Clock)
-			}
 		}
 		return c.applySpurious(k, op), true
 	}
@@ -221,9 +175,6 @@ func (c *Controller) OperatingPoint(k KernelProfile) (OperatingPoint, bool) {
 	}
 	if op.Throttled {
 		mThrottleEvents.Inc()
-		if c.listener != nil {
-			c.listener.Throttled(c.dev.ID, op.Clock)
-		}
 	}
 	if loss := c.controlLoss(k, float64(limit)); loss > 0 {
 		op.Clock = units.Hertz(float64(op.Clock) * (1 - loss))
@@ -252,9 +203,6 @@ func (c *Controller) applySpurious(k KernelProfile, op OperatingPoint) Operating
 	}
 	op.Throttled = true
 	mThrottleEvents.Inc()
-	if c.listener != nil {
-		c.listener.Throttled(c.dev.ID, op.Clock)
-	}
 	return op
 }
 

@@ -132,38 +132,41 @@ type Config struct {
 	// leaves it unset, so calibration test runs never grow a trace.
 	Trace obs.Span
 
-	// Program, when non-nil, is the DES program the run plays: it must be
-	// Bench.Program(len(Modules), sys.Seed), which a caller running one
-	// configuration many times builds once. Nil builds it per run.
-	Program simmpi.Program
-	// Hold, when non-nil, carries the run's per-rank draws that no control
-	// setting changes: it must be NewHold(sys, Bench, Modules) on a system
-	// with sys's seed and architecture, which a caller running one
-	// configuration many times draws once. Nil draws them per run.
+	// Hold, when non-nil, carries the run's DES program and per-rank draws,
+	// which no control setting changes: it must be NewHold(sys, Bench,
+	// Modules) on a system with sys's seed and architecture, which a caller
+	// running one configuration many times makes once. Nil makes them per
+	// run.
 	Hold *Hold
 }
 
-// Hold is the part of a configuration's hardware model that no control
-// setting changes, drawn once per (system seed, benchmark, module list):
-// each rank's workload residual and uncapped operating point on its
-// module, and its run-noise factor. Plain values, not module curves (a
-// curve points at one replica's module), so the runs of every replica of
-// the system may share one Hold; runs only read it.
+// Hold is the part of a configuration's run that no control setting
+// changes, made once per (system seed, benchmark, module list): the DES
+// program, and each rank's workload residual and uncapped operating point
+// on its module and its run-noise factor. Plain values, not module curves
+// (a curve points at one replica's module), so the runs of every replica
+// of the system may share one Hold; runs only read it.
 type Hold struct {
+	prog     simmpi.Program
 	resid    []float64
 	uncapped []module.OperatingPoint
 	noise    []float64
 }
 
-// NewHold draws the hold of bench on modules of sys, rank i on modules[i].
+// NewHold makes the hold of bench on modules of sys, rank i on modules[i].
 func NewHold(sys *cluster.System, bench *workload.Benchmark, modules []int) (*Hold, error) {
 	for _, id := range modules {
 		if id < 0 || id >= sys.NumModules() {
 			return nil, fmt.Errorf("measure: module %d outside [0,%d)", id, sys.NumModules())
 		}
 	}
+	prog, err := bench.Program(len(modules), sys.Seed)
+	if err != nil {
+		return nil, err
+	}
 	prof := bench.ProfileFor(sys.Spec.Arch)
 	h := &Hold{
+		prog:     prog,
 		resid:    make([]float64, len(modules)),
 		uncapped: make([]module.OperatingPoint, len(modules)),
 		noise:    make([]float64, len(modules)),
@@ -458,25 +461,23 @@ func runNoise(seed uint64, bench string, id int) float64 {
 // operating points plus the small run-to-run noise.
 func simulate(sys *cluster.System, cfg Config, ops []module.OperatingPoint, probe simmpi.Probe) (simmpi.Result, error) {
 	n := len(cfg.Modules)
-	prog := cfg.Program
-	if prog == nil {
+	in := sys.Faults()
+	var prog simmpi.Program
+	var noise []float64
+	if h := cfg.Hold; h != nil {
+		prog, noise = h.prog, h.noise
+		if in != nil {
+			noise = slices.Clone(noise)
+		}
+	} else {
 		var err error
 		if prog, err = cfg.Bench.Program(n, sys.Seed); err != nil {
 			return simmpi.Result{}, err
 		}
-	}
-	in := sys.Faults()
-	var noise []float64
-	switch {
-	case cfg.Hold == nil:
 		noise = make([]float64, n)
 		for rank, id := range cfg.Modules {
 			noise[rank] = runNoise(sys.Seed, cfg.Bench.Name, id)
 		}
-	case in == nil:
-		noise = cfg.Hold.noise
-	default:
-		noise = slices.Clone(cfg.Hold.noise)
 	}
 	if in != nil {
 		// A degrading node computes slower than its operating point
@@ -486,7 +487,7 @@ func simulate(sys *cluster.System, cfg Config, ops []module.OperatingPoint, prob
 		}
 	}
 	arch := sys.Spec.Arch
-	model := simmpi.ModelFunc(func(rank int, cycles, bytes float64) units.Seconds {
+	model := simmpi.Model(func(rank int, cycles, bytes float64) units.Seconds {
 		f := ops[rank].Freq
 		if f <= 0 {
 			return units.Seconds(1e18)

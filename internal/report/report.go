@@ -31,19 +31,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, row)
 }
 
-// Cell formats a value for a table cell: floats get fixed precision,
-// everything else uses the default format.
-func Cell(v interface{}) string {
-	switch x := v.(type) {
-	case float64:
-		return fmt.Sprintf("%.2f", x)
-	case float32:
-		return fmt.Sprintf("%.2f", x)
-	default:
-		return fmt.Sprint(v)
-	}
-}
-
 // Cellf formats a float with the given number of decimals.
 func Cellf(v float64, decimals int) string {
 	return fmt.Sprintf("%.*f", decimals, v)

@@ -63,12 +63,6 @@ func TestRenderCSV(t *testing.T) {
 }
 
 func TestCells(t *testing.T) {
-	if Cell(1.23456) != "1.23" {
-		t.Errorf("Cell float = %q", Cell(1.23456))
-	}
-	if Cell("s") != "s" || Cell(7) != "7" {
-		t.Error("Cell pass-through wrong")
-	}
 	if Cellf(3.14159, 3) != "3.142" {
 		t.Errorf("Cellf = %q", Cellf(3.14159, 3))
 	}

@@ -756,17 +756,35 @@ func (s *Server) canonical(req SolveRequest) (SolveRequest, *baseSystem, *worklo
 // solveKey renders the canonical request as the content cache key. The
 // system's PVT generation leads: a recalibration bumps it, so every answer
 // computed against the previous table becomes unreachable at once.
-func solveKey(gen uint64, req SolveRequest) string {
-	return fmt.Sprintf("g%d|%s|%s|%s|%.6f|%d|%d|%s|%s",
-		gen, req.System, req.Workload, req.Scheme, req.BudgetWatts, req.Modules, req.Seed, req.Faults, req.Splitter)
-}
+func solveKey(gen uint64, req SolveRequest) string { return cacheKey(gen, req, true) }
 
-// pmtKey is the model cache key: everything but the budget, which the
-// model does not depend on — that is what makes budget sweeps cheap. Like
-// solveKey it is generation-prefixed, since calibration divides by the PVT.
-func pmtKey(gen uint64, req SolveRequest) string {
-	return fmt.Sprintf("g%d|%s|%s|%s|%d|%d|%s",
-		gen, req.System, req.Workload, req.Scheme, req.Modules, req.Seed, req.Faults)
+// pmtKey is the model cache key: everything but the budget (and the
+// splitter), which the model does not depend on — that is what makes
+// budget sweeps cheap. Like solveKey it is generation-prefixed, since
+// calibration divides by the PVT.
+func pmtKey(gen uint64, req SolveRequest) string { return cacheKey(gen, req, false) }
+
+// cacheKey joins the key's fields with '|' in one buffer: "g" and the
+// generation, system, workload, scheme, the budget to six decimals (solve
+// keys only), modules, seed, faults, and the splitter (solve keys only).
+// The bytes are what fmt's %d, %s and %.6f print, since snapshot rows
+// persist the keys.
+func cacheKey(gen uint64, req SolveRequest, solve bool) string {
+	var buf [128]byte
+	b := strconv.AppendUint(append(buf[:0], 'g'), gen, 10)
+	for _, f := range [...]string{req.System, req.Workload, req.Scheme} {
+		b = append(append(b, '|'), f...)
+	}
+	if solve {
+		b = strconv.AppendFloat(append(b, '|'), req.BudgetWatts, 'f', 6, 64)
+	}
+	b = strconv.AppendInt(append(b, '|'), int64(req.Modules), 10)
+	b = strconv.AppendUint(append(b, '|'), req.Seed, 10)
+	b = append(append(b, '|'), req.Faults...)
+	if solve {
+		b = append(append(b, '|'), req.Splitter...)
+	}
+	return string(b)
 }
 
 // frameworkFor materialises the system a canonical request solves against.

@@ -31,7 +31,7 @@ func TestEvaluatedProgramsMatchReference(t *testing.T) {
 				freq[rank] = units.Hertz(rng.Uniform(float64(arch.FMin), float64(arch.FTurbo)))
 				noise[rank] = 1 + rng.TruncNormal(0, 0.003, -3, 3)
 			}
-			model := simmpi.ModelFunc(func(rank int, cycles, bytes float64) units.Seconds {
+			model := simmpi.Model(func(rank int, cycles, bytes float64) units.Seconds {
 				f := freq[rank]
 				t := cycles / float64(f)
 				if bytes > 0 {

@@ -57,7 +57,7 @@ func referenceRun(p Program, size int, m Model, net Network, probe Probe, fs *Fa
 				if !ok {
 					return Result{}, kindMismatch(r, rank, proto, opAt(rank, r))
 				}
-				dt := m.ComputeTime(rank, op.Cycles, op.Bytes)
+				dt := m(rank, op.Cycles, op.Bytes)
 				if dt < 0 {
 					return Result{}, fmt.Errorf("simmpi: negative compute time %v at rank %d round %d", dt, rank, r)
 				}
@@ -415,7 +415,7 @@ func genCase(src source) runCase {
 	for rank := range speed {
 		speed[rank] = 0.5 + src.Float64()
 	}
-	m := ModelFunc(func(rank int, cycles, bytes float64) units.Seconds {
+	m := Model(func(rank int, cycles, bytes float64) units.Seconds {
 		return units.Seconds(cycles*speed[rank] + bytes/1e9)
 	})
 	net := Network{Latency: units.Seconds(amount(1e-3)), Bandwidth: pick(0, 1e6, 1e9)}
@@ -511,7 +511,7 @@ func TestHealthyLoopEntryRule(t *testing.T) {
 		}
 		return ops
 	}
-	m := ModelFunc(func(rank int, cycles, bytes float64) units.Seconds {
+	m := Model(func(rank int, cycles, bytes float64) units.Seconds {
 		return units.Seconds(cycles * (1 + 0.37*float64(rank)))
 	})
 	free := Network{Latency: 0, Bandwidth: 5e9}

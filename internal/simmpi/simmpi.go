@@ -116,23 +116,12 @@ type Program interface {
 }
 
 // Model converts a rank's abstract work into time on whatever hardware the
-// rank is running on.
-type Model interface {
-	// ComputeTime returns the wall time rank needs for the given work; a
-	// negative time fails the run. It must be a pure function of (rank,
-	// cycles, bytes): the engine calls it once per (table, rank) when it
-	// resolves a run, not once per round, including for ranks that die
-	// before the table is played.
-	ComputeTime(rank int, cycles, bytes float64) units.Seconds
-}
-
-// ModelFunc adapts a function to the Model interface.
-type ModelFunc func(rank int, cycles, bytes float64) units.Seconds
-
-// ComputeTime implements Model.
-func (f ModelFunc) ComputeTime(rank int, cycles, bytes float64) units.Seconds {
-	return f(rank, cycles, bytes)
-}
+// rank is running on: it returns the wall time rank needs for the given
+// work, and a negative time fails the run. It must be a pure function of
+// (rank, cycles, bytes): the engine calls it once per (table, rank) when it
+// resolves a run, not once per round, including for ranks that die before
+// the table is played.
+type Model func(rank int, cycles, bytes float64) units.Seconds
 
 // Network describes the interconnect cost model: Cost = Latency +
 // Bytes/Bandwidth per message, with collectives paying a log2(size) latency
@@ -656,7 +645,7 @@ func resolve(tables [][]Op, size, nclocks int, m Model, net Network, tabs []tabl
 			tb.secs, secs = secs[:size], secs[size:]
 			for rank, op := range ops {
 				c := op.(Compute)
-				tb.secs[rank] = m.ComputeTime(rank, c.Cycles, c.Bytes)
+				tb.secs[rank] = m(rank, c.Cycles, c.Bytes)
 				if tb.secs[rank] < 0 {
 					return nil, nil, false, fmt.Errorf("simmpi: negative compute time %v at rank %d in table %d", tb.secs[rank], rank, i)
 				}

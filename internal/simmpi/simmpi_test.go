@@ -28,7 +28,7 @@ func (p sliceProgram) Rounds() int     { return len(p.ops[0]) }
 func (p sliceProgram) Round(r int) int { return r }
 
 func unitModel() Model {
-	return ModelFunc(func(rank int, cycles, bytes float64) units.Seconds {
+	return Model(func(rank int, cycles, bytes float64) units.Seconds {
 		return units.Seconds(cycles) // 1 cycle == 1 second for test clarity
 	})
 }
@@ -36,7 +36,7 @@ func unitModel() Model {
 // skewedModel runs each rank at its own speed, so ranks wait on each
 // other and per-rank sums depend on the order they are added in.
 func skewedModel() Model {
-	return ModelFunc(func(rank int, cycles, _ float64) units.Seconds {
+	return Model(func(rank int, cycles, _ float64) units.Seconds {
 		return units.Seconds(cycles * (1 + 0.37*float64(rank)))
 	})
 }
@@ -186,7 +186,7 @@ func TestBadPeer(t *testing.T) {
 }
 
 func TestNegativeComputeTime(t *testing.T) {
-	bad := ModelFunc(func(rank int, cycles, bytes float64) units.Seconds { return -1 })
+	bad := Model(func(rank int, cycles, bytes float64) units.Seconds { return -1 })
 	p := sliceProgram{ops: [][]Op{{Compute{Cycles: 1}}}}
 	if _, err := RunFaulty(p, 1, bad, zeroNet(), nil, nil); err == nil {
 		t.Fatal("negative compute time accepted")

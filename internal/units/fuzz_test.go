@@ -41,19 +41,3 @@ func FuzzParseWatts(f *testing.F) {
 		}
 	})
 }
-
-// FuzzParseHertz mirrors FuzzParseWatts for frequencies.
-func FuzzParseHertz(f *testing.F) {
-	f.Add("2.7GHz")
-	f.Add("100 MHz")
-	f.Add("x")
-	f.Fuzz(func(t *testing.T, input string) {
-		h, err := ParseHertz(input)
-		if err != nil {
-			return
-		}
-		if math.IsNaN(float64(h)) {
-			t.Fatalf("parsed NaN from %q", input)
-		}
-	})
-}

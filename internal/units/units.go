@@ -18,14 +18,6 @@ import (
 // Watts is electrical power in watts.
 type Watts float64
 
-// Common power scales.
-const (
-	Milliwatt Watts = 1e-3
-	Watt      Watts = 1
-	Kilowatt  Watts = 1e3
-	Megawatt  Watts = 1e6
-)
-
 // String formats the power with an auto-selected SI prefix.
 func (w Watts) String() string {
 	a := math.Abs(float64(w))
@@ -46,12 +38,6 @@ func (w Watts) KW() float64 { return float64(w) / 1e3 }
 
 // Hertz is CPU clock frequency in hertz.
 type Hertz float64
-
-// Common frequency scales.
-const (
-	Megahertz Hertz = 1e6
-	Gigahertz Hertz = 1e9
-)
 
 // GHz returns the frequency in gigahertz.
 func (h Hertz) GHz() float64 { return float64(h) / 1e9 }
@@ -135,26 +121,6 @@ func ParseWatts(s string) (Watts, error) {
 		return Watts(v * 1e3), nil
 	default:
 		return 0, fmt.Errorf("units: parse watts %q: unknown suffix %q", s, suffix)
-	}
-}
-
-// ParseHertz parses strings like "2.7GHz", "2700 MHz", "1200000000".
-func ParseHertz(s string) (Hertz, error) {
-	v, suffix, err := splitQuantity(s)
-	if err != nil {
-		return 0, fmt.Errorf("units: parse hertz %q: %w", s, err)
-	}
-	switch strings.ToLower(suffix) {
-	case "", "hz":
-		return Hertz(v), nil
-	case "khz":
-		return Hertz(v * 1e3), nil
-	case "mhz":
-		return Hertz(v * 1e6), nil
-	case "ghz":
-		return Hertz(v * 1e9), nil
-	default:
-		return 0, fmt.Errorf("units: parse hertz %q: unknown suffix %q", s, suffix)
 	}
 }
 

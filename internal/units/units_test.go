@@ -71,30 +71,6 @@ func TestParseWatts(t *testing.T) {
 	}
 }
 
-func TestParseHertz(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Hertz
-	}{
-		{"2.7GHz", GHz(2.7)},
-		{"2700 MHz", GHz(2.7)},
-		{"1200000000", GHz(1.2)},
-		{"100 kHz", 100e3},
-	}
-	for _, c := range cases {
-		got, err := ParseHertz(c.in)
-		if err != nil {
-			t.Fatalf("ParseHertz(%q): %v", c.in, err)
-		}
-		if math.Abs(float64(got-c.want)) > 1e-3 {
-			t.Errorf("ParseHertz(%q) = %v, want %v", c.in, got, c.want)
-		}
-	}
-	if _, err := ParseHertz("5 parsecs"); err == nil {
-		t.Error("ParseHertz with bad suffix succeeded")
-	}
-}
-
 func TestParseWattsRoundTrip(t *testing.T) {
 	f := func(v float64) bool {
 		w := Watts(math.Abs(math.Mod(v, 1e7)))

@@ -42,7 +42,7 @@ func TestRoundAllocBudget(t *testing.T) {
 // a fixed handful of allocations (the per-rank result slice and the
 // run's resolved tables and clocks), independent of round count.
 func TestCollectiveRunAllocBudget(t *testing.T) {
-	model := simmpi.ModelFunc(func(rank int, cycles, bytes float64) units.Seconds {
+	model := simmpi.Model(func(rank int, cycles, bytes float64) units.Seconds {
 		return units.Seconds(cycles / 2.7e9)
 	})
 	for _, b := range []*Benchmark{MHD(), MVMC(), EP()} {
