@@ -32,8 +32,10 @@ import (
 	"varpower/internal/sched"
 	"varpower/internal/service"
 	"varpower/internal/service/client"
+	"varpower/internal/simmpi"
 	"varpower/internal/units"
 	"varpower/internal/workload"
+	"varpower/internal/xrand"
 )
 
 // paperScale is the full evaluation size; the zero value of every other
@@ -879,6 +881,48 @@ func BenchmarkDESRun(b *testing.B) {
 		}
 	}
 	run() // warm-up: one-time allocations stay out of allocs/op
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}
+
+// BenchmarkDESKernel measures the simmpi DES alone: simmpi.RunFaulty of
+// the 480-rank MHD program, healthy and unprobed, under a fixed model
+// shaped like measure's: cycles over the rank's frequency plus traffic
+// over the bandwidth at that frequency, times the rank's run-to-run noise.
+// Each iteration resolves the program's two tables and plays its 400
+// rounds; BenchmarkDESRun wraps the same kind of run in the α-solve, the
+// operating-point resolve and the energy accounting.
+func BenchmarkDESKernel(b *testing.B) {
+	const ranks = 480
+	arch := cluster.HA8K().Arch
+	prog, err := workload.MHD().Program(ranks, 0x5c15)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := xrand.NewKeyed(0x5c15, xrand.HashString("des-kernel"))
+	freq := make([]units.Hertz, ranks)
+	noise := make([]float64, ranks)
+	for rank := range freq {
+		freq[rank] = units.Hertz(rng.Uniform(float64(arch.FMin), float64(arch.FTurbo)))
+		noise[rank] = 1 + rng.TruncNormal(0, 0.001, -3, 3)
+	}
+	model := simmpi.Model(func(rank int, cycles, bytes float64) units.Seconds {
+		f := freq[rank]
+		t := cycles / float64(f)
+		if bytes > 0 {
+			t += bytes / arch.MemBWAt(f)
+		}
+		return units.Seconds(t * noise[rank])
+	})
+	run := func() {
+		if _, err := simmpi.RunFaulty(prog, ranks, model, simmpi.DefaultNetwork, nil, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	run() // warm-up, as in BenchmarkDESRun
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

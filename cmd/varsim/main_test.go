@@ -76,3 +76,29 @@ func TestRunUnknownExperiment(t *testing.T) {
 		t.Fatalf("run(bogus) printed %q", out.String())
 	}
 }
+
+// TestDocumentedExperimentsExist: every `varsim -experiment X` that
+// README.md and the verify notes run names "all" or an entry of
+// experimentTable, so no documented command exits with unknown experiment.
+func TestDocumentedExperimentsExist(t *testing.T) {
+	known := map[string]bool{"all": true}
+	for _, e := range experimentTable {
+		known[e.name] = true
+	}
+	named := regexp.MustCompile("varsim -experiment ([^\\s`/]+)")
+	for _, doc := range []string{"../../README.md", "../../.claude/skills/verify/SKILL.md"} {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		uses := named.FindAllSubmatch(data, -1)
+		if len(uses) == 0 {
+			t.Errorf("%s runs no varsim -experiment", doc)
+		}
+		for _, m := range uses {
+			if !known[string(m[1])] {
+				t.Errorf("%s runs varsim -experiment %s, which varsim does not have", doc, m[1])
+			}
+		}
+	}
+}

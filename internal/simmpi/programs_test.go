@@ -12,14 +12,17 @@ import (
 )
 
 // TestEvaluatedProgramsMatchReference runs every evaluated benchmark and
-// NPB-EP at 1, 27 and 480 ranks on both engines, healthy and with a few
-// ranks dying mid-run, under a model shaped like measure's: cycles over
-// the rank's frequency plus traffic over the bandwidth at that frequency,
-// times the rank's run-to-run noise.
+// NPB-EP at 1, 8, 12, 27 and 480 ranks on both engines, healthy and with a
+// few ranks dying mid-run, under a model shaped like measure's: cycles
+// over the rank's frequency plus traffic over the bandwidth at that
+// frequency, times the rank's run-to-run noise. The halo programs' torus
+// lists are 0, 3, 4, 6 and 6 peers long at those sizes: the one-rank
+// table has no peer rows, and the others' six-wide rows carry 3, 2 and 0
+// entries of self padding.
 func TestEvaluatedProgramsMatchReference(t *testing.T) {
 	arch := cluster.HA8K().Arch
 	for _, b := range append(workload.Evaluated(), workload.EP()) {
-		for _, size := range []int{1, 27, 480} {
+		for _, size := range []int{1, 8, 12, 27, 480} {
 			prog, err := b.Program(size, 0x5c15)
 			if err != nil {
 				t.Fatal(err)

@@ -24,15 +24,16 @@
 // unrecorded run, such as every grid cell and calibration test run —
 // takes a loop that tests no rank or peer for death and calls no probe,
 // accumulates each rank's times in flat arrays, and finds a Sendrecv's
-// latest peer with integer compares. Any other run takes the general loop,
-// which handles rank deaths and reports to the probe. Both do the same
-// arithmetic in the same per-rank order, so the choice never changes a
-// result or a metric.
+// latest peer with integer compares over six-wide peer rows. Any other run
+// takes the general loop, which handles rank deaths and reports to the
+// probe. Both do the same arithmetic in the same per-rank order, so the
+// choice never changes a result or a metric.
 //
-// Per-rank accounting separates busy time (compute), transfer time (wire
-// cost of messages) and wait time (blocked on slower peers), so experiments
-// can reproduce both the execution-time plots and the cumulative
-// MPI_Sendrecv-time plots.
+// Per-rank accounting separates busy time (compute) from wait time (blocked
+// on slower peers) and keeps the cumulative time inside Sendrecv calls, so
+// experiments can reproduce both the execution-time plots and the
+// cumulative MPI_Sendrecv-time plots; a probe sees each message's wire time
+// as a ProbeXfer interval.
 package simmpi
 
 import (
@@ -162,10 +163,9 @@ type RankStats struct {
 	End units.Seconds
 	// Busy is the time spent computing.
 	Busy units.Seconds
-	// Wait is the time spent blocked on slower peers (all op kinds).
+	// Wait is the time spent blocked on slower peers (all op kinds). The
+	// rest of End is wire time, which a probe sees as ProbeXfer intervals.
 	Wait units.Seconds
-	// Xfer is the wire time of this rank's messages.
-	Xfer units.Seconds
 	// Sendrecv is the cumulative time inside Sendrecv calls (wait + wire) —
 	// the quantity on the x-axis of the paper's Figure 3.
 	Sendrecv units.Seconds
@@ -257,20 +257,23 @@ func RunFaulty(p Program, size int, m Model, net Network, probe Probe, fs *Fault
 	if size < 1 {
 		return Result{}, fmt.Errorf("simmpi: size %d < 1", size)
 	}
+	if size > math.MaxInt32 {
+		return Result{}, fmt.Errorf("simmpi: size %d exceeds the int32 peer rows", size)
+	}
 	fault, err := newFaultState(fs, size)
 	if err != nil {
 		return Result{}, err
 	}
 	// Programs have a handful of tables (workload's have one or two), so
 	// their descriptors live on the stack: a run allocates its result, its
-	// per-rank arrays with the resolved times, and its peer lists. The
-	// healthy loop's four per-rank accumulators are four more of those
+	// per-rank arrays with the resolved times, and its peer rows. The
+	// healthy loop's three per-rank accumulators are three more of those
 	// arrays; a run that may take that loop gets them before resolve tells
 	// whether its times are ordered, and play uses the first two.
 	healthy := fault == nil && probe == nil
 	nclocks := 2
 	if healthy {
-		nclocks = 6
+		nclocks = 5
 	}
 	var small [4]table
 	tabs, clocks, ordered, err := resolve(p.Tables(), size, nclocks, m, net, small[:0])
@@ -377,15 +380,19 @@ func play(p Program, tabs []table, clocks []units.Seconds, ranks []RankStats, pr
 				if fault != nil && fault.dead[rank] {
 					continue
 				}
+				// A padded row's self entries change nothing: rank is
+				// live, and its own arrival never beats start.
 				start := arrive[rank]
 				deadPeer := false
-				for _, peer := range tb.peers[tb.off[rank]:tb.off[rank+1]] {
-					if fault != nil && fault.dead[peer] {
-						deadPeer = true
-						continue
-					}
-					if arrive[peer] > start {
-						start = arrive[peer]
+				for _, row := range tb.row(rank) {
+					for _, peer := range row {
+						if fault != nil && fault.dead[peer] {
+							deadPeer = true
+							continue
+						}
+						if arrive[peer] > start {
+							start = arrive[peer]
+						}
 					}
 				}
 				if deadPeer {
@@ -399,7 +406,6 @@ func play(p Program, tabs []table, clocks []units.Seconds, ranks []RankStats, pr
 				end := start + xfer
 				st := &ranks[rank]
 				st.Wait += start - arrive[rank]
-				st.Xfer += xfer
 				st.Sendrecv += end - arrive[rank]
 				t[rank] = end
 				if probe != nil {
@@ -437,7 +443,6 @@ func play(p Program, tabs []table, clocks []units.Seconds, ranks []RankStats, pr
 				}
 				st := &ranks[rank]
 				st.Wait += max - arrive[rank]
-				st.Xfer += cost
 				t[rank] = max + cost
 				if probe != nil {
 					if max > arrive[rank] {
@@ -475,9 +480,9 @@ func play(p Program, tabs []table, clocks []units.Seconds, ranks []RankStats, pr
 
 // playHealthy is the round loop of a run that no rank can die in and no
 // probe watches, over ordered tables: play's arithmetic in play's per-rank
-// order, with no dead-rank, dead-peer or probe test. clocks holds six
+// order, with no dead-rank, dead-peer or probe test. clocks holds five
 // per-rank arrays: the clocks, a second clock buffer, and each rank's busy,
-// wait, xfer and sendrecv totals, which go into ranks once, at the end. It
+// wait and sendrecv totals, which go into ranks once, at the end. It
 // returns the rounds it played per kind, as play does.
 //
 // Ordered times keep every clock +0, positive or +Inf: clocks start at +0,
@@ -491,8 +496,7 @@ func play(p Program, tabs []table, clocks []units.Seconds, ranks []RankStats, pr
 func playHealthy(p Program, tabs []table, clocks []units.Seconds, ranks []RankStats) (played [kindAllreduce + 1]int, err error) {
 	size := len(ranks)
 	t, next := clocks[:size], clocks[size:2*size]
-	busy, wait := clocks[2*size:3*size], clocks[3*size:4*size]
-	xfer, sendrecv := clocks[4*size:5*size], clocks[5*size:6*size]
+	busy, wait, sendrecv := clocks[2*size:3*size], clocks[3*size:4*size], clocks[4*size:5*size]
 	rounds := p.Rounds()
 	for r := 0; r < rounds; r++ {
 		tb, err := roundTable(p, tabs, r)
@@ -510,19 +514,25 @@ func playHealthy(p Program, tabs []table, clocks []units.Seconds, ranks []RankSt
 		case kindSendrecv:
 			// Every rank leaves the round at its own end time, so the round
 			// reads arrivals from t and writes ends to next, then swaps the
-			// two instead of copying the clocks.
-			for rank, at := range t {
-				latest := math.Float64bits(float64(at))
-				for _, peer := range tb.peers[tb.off[rank]:tb.off[rank+1]] {
-					latest = max(latest, math.Float64bits(float64(t[peer])))
+			// two instead of copying the clocks. The latest arrival is the
+			// integer max of the rank's own clock bits and its peer rows',
+			// self padding included: any grouping gives the same bits.
+			if tb.rows == 1 {
+				exchangeSix(t, next, wait, sendrecv, tb.secs, tb.peers)
+			} else {
+				for rank, at := range t {
+					latest := math.Float64bits(float64(at))
+					for _, row := range tb.row(rank) {
+						for _, peer := range row {
+							latest = max(latest, clockBits(t, peer))
+						}
+					}
+					start := units.Seconds(math.Float64frombits(latest))
+					end := start + tb.secs[rank]
+					wait[rank] += start - at
+					sendrecv[rank] += end - at
+					next[rank] = end
 				}
-				start := units.Seconds(math.Float64frombits(latest))
-				dx := tb.secs[rank]
-				end := start + dx
-				wait[rank] += start - at
-				xfer[rank] += dx
-				sendrecv[rank] += end - at
-				next[rank] = end
 			}
 			t, next = next, t
 
@@ -536,15 +546,42 @@ func playHealthy(p Program, tabs []table, clocks []units.Seconds, ranks []RankSt
 			cost := tb.cost
 			for rank, at := range t {
 				wait[rank] += max - at
-				xfer[rank] += cost
 				t[rank] = max + cost
 			}
 		}
 	}
 	for rank, end := range t {
-		ranks[rank] = RankStats{End: end, Busy: busy[rank], Wait: wait[rank], Xfer: xfer[rank], Sendrecv: sendrecv[rank]}
+		ranks[rank] = RankStats{End: end, Busy: busy[rank], Wait: wait[rank], Sendrecv: sendrecv[rank]}
 	}
 	return played, nil
+}
+
+// exchangeSix is playHealthy's Sendrecv round over a table with one
+// six-wide peer row per rank, the shape of every workload program's halo.
+// It reads a row as six straight-line loads and takes their max as a
+// shallow tree, max(max(self, p0), max(p1, p2), max(p3, p4), p5): four
+// maxes deep where a running max over the seven is six. It is a function
+// of its own because inline in playHealthy the compiler spilled the slice
+// headers and reloaded the table's fields on every rank; other tables'
+// rounds stay inline, so a one-rank run's peerless round costs no call.
+func exchangeSix(t, next, wait, sendrecv, secs []units.Seconds, rows [][rowWidth]int32) {
+	next, wait, sendrecv, secs, rows = next[:len(t)], wait[:len(t)], sendrecv[:len(t)], secs[:len(t)], rows[:len(t)]
+	for rank, at := range t {
+		row := &rows[rank]
+		latest := max(max(math.Float64bits(float64(at)), clockBits(t, row[0])),
+			max(clockBits(t, row[1]), clockBits(t, row[2])),
+			max(clockBits(t, row[3]), clockBits(t, row[4])), clockBits(t, row[5]))
+		start := units.Seconds(math.Float64frombits(latest))
+		end := start + secs[rank]
+		wait[rank] += start - at
+		sendrecv[rank] += end - at
+		next[rank] = end
+	}
+}
+
+// clockBits returns the bits of peer's clock in t.
+func clockBits(t []units.Seconds, peer int32) uint64 {
+	return math.Float64bits(float64(t[peer]))
 }
 
 // opKind is an op's concrete kind. A table's kind is its rank-0 op's, and
@@ -590,9 +627,26 @@ type table struct {
 	// (sendrecv tables); cost is a barrier's or allreduce's tree cost.
 	secs []units.Seconds
 	cost units.Seconds
-	// rank's peers in a sendrecv table are peers[off[rank]:off[rank+1]],
-	// all inside [0, size).
-	off, peers []int
+	// A sendrecv table gives every rank the same number of six-wide peer
+	// rows, all entries inside [0, size): row(rank) holds rank's peer list
+	// in order, padded with rank itself. rows is 1 unless a list is
+	// longer than six, or 0 when every list is empty, as in a one-rank
+	// halo.
+	rows  int
+	peers [][rowWidth]int32
+}
+
+// rowWidth is a peer row's width: six, a 3-D halo's ±1 neighbours and the
+// longest list any workload program has, so every workload table with a
+// peer has one row per rank, which exchangeSix reads as six straight-line
+// loads. A table with a longer list gives every rank as many rows as that
+// list needs, so a star over n ranks costs about n² int32 entries; no
+// workload program is shaped like that.
+const rowWidth = 6
+
+// row returns rank's peer rows in a sendrecv table.
+func (tb *table) row(rank int) [][rowWidth]int32 {
+	return tb.peers[rank*tb.rows : (rank+1)*tb.rows]
 }
 
 // resolve checks a program's tables for a size-rank run and appends them,
@@ -601,11 +655,14 @@ type table struct {
 // it holds a negative compute time or a peer outside the communicator.
 // clocks is nclocks zeroed per-rank arrays back to back, for the round
 // loop's clocks, scratch and accumulators; they share one allocation with
-// every table's per-rank times, and all peer lists share another. ordered
+// every table's per-rank times, and all peer rows share another. A row
+// lists the rank's peers in order, then repeats the rank itself: a rank
+// never arrives after itself, so neither loop's latest arrival changes,
+// and play skips a dead rank before it reads the rank's row. ordered
 // reports that every resolved compute time, wire time and collective cost
 // is ≥ 0 and not NaN, the condition playHealthy's peer scan rests on.
 func resolve(tables [][]Op, size, nclocks int, m Model, net Network, tabs []table) (_ []table, clocks []units.Seconds, ordered bool, err error) {
-	nsecs, nints := nclocks*size, 0
+	nsecs, nrows, base := nclocks*size, 0, len(tabs)
 	for i, ops := range tables {
 		if len(ops) != size {
 			return nil, nil, false, fmt.Errorf("simmpi: table %d has %d ops for %d ranks", i, len(ops), size)
@@ -620,26 +677,28 @@ func resolve(tables [][]Op, size, nclocks int, m Model, net Network, tabs []tabl
 					i, rank, op, ops[0])
 			}
 		}
+		tb := table{kind: kind}
 		switch kind {
 		case kindCompute:
 			nsecs += size
 		case kindSendrecv:
-			nsecs += size
-			nints += size + 1
 			for _, op := range ops {
-				nints += len(op.(Sendrecv).Peers)
+				tb.rows = max(tb.rows, (len(op.(Sendrecv).Peers)+rowWidth-1)/rowWidth)
 			}
+			nsecs += size
+			nrows += size * tb.rows
 		}
+		tabs = append(tabs, tb)
 	}
 	secs := make([]units.Seconds, nsecs)
-	var ints []int
-	if nints > 0 {
-		ints = make([]int, nints)
+	var peers [][rowWidth]int32
+	if nrows > 0 {
+		peers = make([][rowWidth]int32, nrows)
 	}
 	clocks, secs = secs[:nclocks*size], secs[nclocks*size:]
 	ordered = true
 	for i, ops := range tables {
-		tb := table{kind: kindOf(ops[0])}
+		tb := &tabs[base+i]
 		switch tb.kind {
 		case kindCompute:
 			tb.secs, secs = secs[:size], secs[size:]
@@ -653,29 +712,29 @@ func resolve(tables [][]Op, size, nclocks int, m Model, net Network, tabs []tabl
 			}
 		case kindSendrecv:
 			tb.secs, secs = secs[:size], secs[size:]
-			tb.off, ints = ints[:size+1], ints[size+1:]
-			n := 0
+			tb.peers, peers = peers[:size*tb.rows], peers[size*tb.rows:]
 			for rank, op := range ops {
 				sr := op.(Sendrecv)
-				for _, peer := range sr.Peers {
+				row := tb.row(rank)
+				for j := 0; j < len(row)*rowWidth; j++ {
+					peer := rank
+					if j < len(sr.Peers) {
+						peer = sr.Peers[j]
+					}
 					if peer < 0 || peer >= size {
 						return nil, nil, false, fmt.Errorf("simmpi: rank %d in table %d has peer %d outside [0,%d)", rank, i, peer, size)
 					}
+					row[j/rowWidth][j%rowWidth] = int32(peer)
 				}
-				tb.off[rank] = n
-				n += copy(ints[n:], sr.Peers)
 				tb.secs[rank] = net.transfer(sr.Bytes)
 				ordered = ordered && tb.secs[rank] >= 0
 			}
-			tb.off[size] = n
-			tb.peers, ints = ints[:n], ints[n:]
 		case kindBarrier:
 			tb.cost = net.collectiveCost(0, size)
 		case kindAllreduce:
 			tb.cost = net.collectiveCost(ops[0].(Allreduce).Bytes, size)
 		}
 		ordered = ordered && tb.cost >= 0
-		tabs = append(tabs, tb)
 	}
 	return tabs, clocks, ordered, nil
 }

@@ -193,10 +193,17 @@ func TestNegativeComputeTime(t *testing.T) {
 	}
 }
 
+// TestZeroSize: a run needs at least one rank, and no more than an int32
+// peer row can name; either bound fails before anything is allocated.
 func TestZeroSize(t *testing.T) {
 	p := sliceProgram{ops: [][]Op{{Compute{Cycles: 1}}}}
 	if _, err := RunFaulty(p, 0, unitModel(), zeroNet(), nil, nil); err == nil {
 		t.Fatal("zero-rank run accepted")
+	}
+	big := math.MaxInt32
+	big++
+	if _, err := RunFaulty(p, big, unitModel(), zeroNet(), nil, nil); err == nil {
+		t.Fatalf("%d-rank run accepted", big)
 	}
 }
 
@@ -225,26 +232,47 @@ func randomProgram(rng *xrand.Stream, size, rounds int) sliceProgram {
 	return sliceProgram{ops: ops}
 }
 
+// xferProbe sums each rank's ProbeXfer intervals.
+type xferProbe []units.Seconds
+
+func (x xferProbe) Interval(rank, _ int, phase ProbePhase, start, end units.Seconds) {
+	if phase == ProbeXfer {
+		x[rank] += end - start
+	}
+}
+
+func (xferProbe) Collective(int, string, int, units.Seconds, units.Seconds) {}
+
+// TestInvariantsOnRandomPrograms: every rank's End decomposes into busy,
+// wait and the wire time a probe sees as ProbeXfer intervals, in the
+// unprobed run (the healthy loop) and the probed one (the general loop).
 func TestInvariantsOnRandomPrograms(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := xrand.New(seed)
 		size := 2 + rng.Intn(8)
 		rounds := 1 + rng.Intn(12)
 		p := randomProgram(rng, size, rounds)
-		res, err := RunFaulty(p, size, unitModel(), Network{Latency: 0.01, Bandwidth: 1e6}, nil, nil)
+		net := Network{Latency: 0.01, Bandwidth: 1e6}
+		xfer := make(xferProbe, size)
+		probed, err := RunFaulty(p, size, unitModel(), net, xfer, nil)
 		if err != nil {
 			return false
 		}
-		for _, st := range res.Ranks {
-			// End decomposes exactly into busy + wait + transfer.
-			if math.Abs(float64(st.End-(st.Busy+st.Wait+st.Xfer))) > 1e-9 {
-				return false
-			}
-			if st.Wait < 0 || st.Busy < 0 || st.Xfer < 0 || st.Sendrecv < 0 {
-				return false
-			}
-			if st.End > res.Elapsed {
-				return false
+		res, err := RunFaulty(p, size, unitModel(), net, nil, nil)
+		if err != nil {
+			return false
+		}
+		for _, r := range []Result{res, probed} {
+			for rank, st := range r.Ranks {
+				if math.Abs(float64(st.End-(st.Busy+st.Wait+xfer[rank]))) > 1e-9 {
+					return false
+				}
+				if st.Wait < 0 || st.Busy < 0 || st.Sendrecv < 0 {
+					return false
+				}
+				if st.End > r.Elapsed {
+					return false
+				}
 			}
 		}
 		return true

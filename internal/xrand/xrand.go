@@ -113,16 +113,3 @@ func (s *Stream) TruncNormal(mean, sigma, lo, hi float64) float64 {
 func (s *Stream) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*s.Float64()
 }
-
-// Perm returns a random permutation of [0, n) via Fisher–Yates.
-func (s *Stream) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}

@@ -133,23 +133,6 @@ func TestIntn(t *testing.T) {
 	s.Intn(0)
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	s := New(19)
-	for _, n := range []int{0, 1, 2, 17, 100} {
-		p := s.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) invalid: %v", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
 func TestZeroValueStreamUsable(t *testing.T) {
 	var s Stream
 	_ = s.Uint64()
