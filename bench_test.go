@@ -918,7 +918,7 @@ func BenchmarkDESKernel(b *testing.B) {
 		return units.Seconds(t * noise[rank])
 	})
 	run := func() {
-		if _, err := simmpi.RunFaulty(prog, ranks, model, simmpi.DefaultNetwork, nil, nil); err != nil {
+		if _, err := simmpi.RunFaulty(prog, ranks, model, simmpi.DefaultNetwork, nil, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -964,12 +964,17 @@ func BenchmarkCalibratePMT(b *testing.B) {
 
 // BenchmarkPVTSweep measures the install-time calibration layer: the PVT
 // sweep's two microbenchmark test runs on every module of a prebuilt
-// 480-module HA8K system, fanned out over GOMAXPROCS workers, and the
-// population normalisation. It is eval-grid's setup_s without cluster.New.
+// 480-module HA8K system, in chunks of members that each publish their
+// test runs' telemetry once, and the population normalisation. It sweeps
+// serially, so its allocation count is the code's: at GOMAXPROCS workers
+// the fan-out's goroutines, OS threads and wait queues also allocate inside
+// the runtime, by scheduling luck (+0 to +7 per one-iteration run, whatever
+// the warm-up). Every width runs the same chunks, tester and batches; the
+// parallel sweep is eval-grid's setup_s (without cluster.New).
 func BenchmarkPVTSweep(b *testing.B) {
 	sys := cluster.MustNew(cluster.HA8K(), 480, 0x5c15)
 	sweep := func() {
-		if _, err := core.GeneratePVTWorkers(sys, nil, 0); err != nil {
+		if _, err := core.GeneratePVTWorkers(sys, nil, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"varpower/internal/cluster"
+	"varpower/internal/faults"
 	"varpower/internal/flight"
 	"varpower/internal/units"
 	"varpower/internal/workload"
@@ -61,6 +62,49 @@ func TestOraclePMTWorkerDeterminism(t *testing.T) {
 	for _, w := range workerWidths()[1:] {
 		if got := run(w); !reflect.DeepEqual(ref, got) {
 			t.Fatalf("workers=%d produced a different PMT than serial", w)
+		}
+	}
+}
+
+// TestCalibrationWorkerDeterminism: the chunked calibration fan-outs give
+// the same tables at every width — the PVT and, measured after it on the
+// same system, the oracle PMT of every benchmark, deep-equal at workers 1,
+// 2 and GOMAXPROCS — at 37 members (not a multiple of the chunk) and 96,
+// healthy and under the chaos plan.
+func TestCalibrationWorkerDeterminism(t *testing.T) {
+	type tables struct {
+		pvt    *PVT
+		oracle []*PMT
+	}
+	for _, plan := range []*faults.Plan{nil, chaosPlan(t)} {
+		for _, n := range []int{37, 96} {
+			measure := func(w int) tables {
+				t.Helper()
+				sys := calibrationSystem(n, plan)
+				pvt, err := GeneratePVTWorkers(sys, nil, w)
+				if err != nil {
+					t.Fatalf("faulty=%v n=%d workers=%d: %v", plan != nil, n, w, err)
+				}
+				ids, err := sys.AllocateFirst(n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out := tables{pvt: pvt}
+				for _, bench := range workload.All() {
+					pmt, err := OraclePMTWorkers(sys, bench, ids, w)
+					if err != nil {
+						t.Fatalf("faulty=%v n=%d workers=%d %s: %v", plan != nil, n, w, bench.Name, err)
+					}
+					out.oracle = append(out.oracle, pmt)
+				}
+				return out
+			}
+			ref := measure(1)
+			for _, w := range workerWidths()[1:] {
+				if got := measure(w); !reflect.DeepEqual(ref, got) {
+					t.Fatalf("faulty=%v n=%d: workers=%d measured different tables than serial", plan != nil, n, w)
+				}
+			}
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"varpower/internal/hw/gpu"
 	"varpower/internal/hw/module"
 	"varpower/internal/measure"
+	"varpower/internal/telemetry"
 	"varpower/internal/units"
 	"varpower/internal/workload"
 )
@@ -69,8 +70,18 @@ var gpuClass = &class{
 		}
 		return PMTEntry{CPUMax: garch.TDP, CPUMin: min}
 	},
-	testRun: gpuTestRun,
-	table:   func(fw *Framework) *PVT { return fw.GPVT },
+	pairs: gpuPairs,
+	table: func(fw *Framework) *PVT { return fw.GPVT },
+}
+
+// gpuPairs measures devices' test pairs with gpuTestRun. A device run
+// publishes its controller's telemetry at once, so b goes unused.
+func gpuPairs(sys *cluster.System, bench *workload.Benchmark, lo, hi units.Hertz) pairFunc {
+	return func(id int, _ *telemetry.Batch) (TestPair, error) {
+		return pairAt(id, hi, lo, func(clock units.Hertz) (measure.TestRunResult, error) {
+			return gpuTestRun(sys, bench, id, clock)
+		})
+	}
 }
 
 // gpuTestRun reads device id's steady-state board power running bench's

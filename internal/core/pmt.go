@@ -1,11 +1,12 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"varpower/internal/cluster"
 	"varpower/internal/measure"
-	"varpower/internal/parallel"
+	"varpower/internal/telemetry"
 	"varpower/internal/units"
 	"varpower/internal/workload"
 )
@@ -77,18 +78,12 @@ func RunTestPair(sys *cluster.System, bench *workload.Benchmark, id int) (TestPa
 }
 
 // testPair runs bench on member id at the top and then the bottom of the
-// class's clock ladder.
+// class's clock ladder, and publishes the runs' telemetry before it
+// returns.
 func (c *class) testPair(sys *cluster.System, bench *workload.Benchmark, id int) (TestPair, error) {
-	lo, hi := c.ladder(sys.Spec)
-	atMax, err := c.testRun(sys, bench, id, hi)
-	if err != nil {
-		return TestPair{}, fmt.Errorf("core: test run at fmax: %w", err)
-	}
-	atMin, err := c.testRun(sys, bench, id, lo)
-	if err != nil {
-		return TestPair{}, fmt.Errorf("core: test run at fmin: %w", err)
-	}
-	return TestPair{ModuleID: id, AtMax: atMax, AtMin: atMin}, nil
+	var b telemetry.Batch
+	defer b.Flush()
+	return c.tester(sys, bench)(id, &b)
 }
 
 // Calibrate performs the paper's power model calibration (Section 5.2,
@@ -147,9 +142,10 @@ func OraclePMTWorkers(sys *cluster.System, bench *workload.Benchmark, moduleIDs 
 }
 
 // oraclePMT measures every allocated member of class c on the framework's
-// system and width, in allocation order, with its span under fw.Trace. An
-// allocation that lists a member twice is measured serially: that member's
-// test runs reprogram its one governor or controller, in order.
+// system and width, in allocation order and in chunks (forChunks), with its
+// span under fw.Trace. An allocation that lists a member twice is measured
+// serially: that member's test runs reprogram its one governor or
+// controller, in order.
 func (fw *Framework) oraclePMT(c *class, bench *workload.Benchmark, ids []int) (*PMT, error) {
 	span := fw.Trace.Start(c.oracleSpan)
 	span.SetAttr("bench", bench.Name)
@@ -164,18 +160,21 @@ func (fw *Framework) oraclePMT(c *class, bench *workload.Benchmark, ids []int) (
 		}
 		seen[id] = struct{}{}
 	}
-	entries, err := parallel.Map(workers, len(ids), func(i int) (PMTEntry, error) {
-		pair, err := c.testPair(fw.Sys, bench, ids[i])
+	pairs := c.tester(fw.Sys, bench)
+	entries := make([]PMTEntry, len(ids))
+	err := forChunks(context.Background(), workers, len(ids), func(i int, b *telemetry.Batch) error {
+		pair, err := pairs(ids[i], b)
 		if err != nil {
-			return PMTEntry{}, fmt.Errorf("core: oracle PMT %s %d: %w", c.noun, ids[i], err)
+			return fmt.Errorf("core: oracle PMT %s %d: %w", c.noun, ids[i], err)
 		}
-		return PMTEntry{
+		entries[i] = PMTEntry{
 			ModuleID: ids[i],
 			CPUMax:   pair.AtMax.CPUPower,
 			DramMax:  pair.AtMax.DramPower,
 			CPUMin:   pair.AtMin.CPUPower,
 			DramMin:  pair.AtMin.DramPower,
-		}, nil
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, err

@@ -73,7 +73,7 @@ func TestReplicaPoolPoisoning(t *testing.T) {
 		dev.AccumulateEnergy(1e6, 1e6) // sentinel joules on the counters
 		dev.SetPerfStatus(13)          // sentinel frequency ratio
 		dev.SetPollTime(42)
-		if _, err := cfw.Sys.Governor(id).SetSpeed(cfw.Sys.Spec.Arch.FMin); err != nil {
+		if _, err := cfw.Sys.Governor(id).SetSpeed(cfw.Sys.Spec.Arch.FMin, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

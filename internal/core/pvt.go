@@ -30,6 +30,7 @@ import (
 	"varpower/internal/measure"
 	"varpower/internal/obs"
 	"varpower/internal/parallel"
+	"varpower/internal/telemetry"
 	"varpower/internal/units"
 	"varpower/internal/workload"
 )
@@ -129,10 +130,23 @@ type class struct {
 	ladder func(spec cluster.Spec) (lo, hi units.Hertz)
 	// naive is the variation-unaware, application-independent entry.
 	naive func(sys *cluster.System) PMTEntry
-	// testRun measures one member running bench at clock f.
-	testRun func(sys *cluster.System, bench *workload.Benchmark, id int, f units.Hertz) (measure.TestRunResult, error)
+	// pairs returns the measurement of bench's test pairs on sys's
+	// members, at the ladder's ends hi and then lo (see tester).
+	pairs func(sys *cluster.System, bench *workload.Benchmark, lo, hi units.Hertz) pairFunc
 	// table is the class's install-time PVT on fw.
 	table func(fw *Framework) *PVT
+}
+
+// pairFunc measures member id's test pair — its runs at the top and then
+// the bottom of the class's clock ladder — recording the runs' metric
+// writes into b.
+type pairFunc func(id int, b *telemetry.Batch) (TestPair, error)
+
+// tester returns the measurement of bench's test pairs on sys's members
+// of class c, at the ends of the class's clock ladder.
+func (c *class) tester(sys *cluster.System, bench *workload.Benchmark) pairFunc {
+	lo, hi := c.ladder(sys.Spec)
+	return c.pairs(sys, bench, lo, hi)
 }
 
 // moduleClass is the paper's: CPU+DRAM modules on the P-state ladder.
@@ -150,8 +164,41 @@ var moduleClass = &class{
 			DramMin: units.Watts(naiveDramMinRef * float64(arch.DramTDP) / naiveRefDram),
 		}
 	},
-	testRun: measure.TestRun,
-	table:   func(fw *Framework) *PVT { return fw.PVT },
+	pairs: modulePairs,
+	table: func(fw *Framework) *PVT { return fw.PVT },
+}
+
+// modulePairs measures modules' test pairs with one measure.Tester of
+// bench, which builds the one-rank program once for every module and draws
+// each module's residual and run noise once for both of its runs. A bench
+// the tester refuses fails every pair, as its first run would.
+func modulePairs(sys *cluster.System, bench *workload.Benchmark, lo, hi units.Hertz) pairFunc {
+	t, terr := measure.NewTester(sys, bench)
+	return func(id int, b *telemetry.Batch) (TestPair, error) {
+		if terr != nil {
+			return TestPair{}, fmt.Errorf("core: test run at fmax: %w", terr)
+		}
+		m, err := t.Member(id)
+		if err != nil {
+			return TestPair{}, fmt.Errorf("core: test run at fmax: %w", err)
+		}
+		return pairAt(id, hi, lo, func(f units.Hertz) (measure.TestRunResult, error) {
+			return t.Run(m, f, b)
+		})
+	}
+}
+
+// pairAt makes member id's test pair from run at hi and then at lo.
+func pairAt(id int, hi, lo units.Hertz, run func(f units.Hertz) (measure.TestRunResult, error)) (TestPair, error) {
+	atMax, err := run(hi)
+	if err != nil {
+		return TestPair{}, fmt.Errorf("core: test run at fmax: %w", err)
+	}
+	atMin, err := run(lo)
+	if err != nil {
+		return TestPair{}, fmt.Errorf("core: test run at fmin: %w", err)
+	}
+	return TestPair{ModuleID: id, AtMax: atMax, AtMin: atMin}, nil
 }
 
 // GeneratePVT builds the table by test-running the microbenchmark on every
@@ -173,9 +220,11 @@ func GeneratePVTWorkers(sys *cluster.System, micro *workload.Benchmark, workers 
 }
 
 // GeneratePVTCtx is GeneratePVTWorkers with context cancellation; a
-// progress callback attached via parallel.WithProgress receives per-module
-// completion updates (the install-time sweep over a full machine is the
-// longest single phase in the repository).
+// progress callback attached via parallel.WithProgress receives an update
+// per completed chunk of modules (see chunk), out of the sweep's chunk
+// count (the install-time sweep over a full machine is the longest single
+// phase in the repository). Cancellation, too, takes effect between
+// chunks.
 func GeneratePVTCtx(ctx context.Context, sys *cluster.System, micro *workload.Benchmark, workers int) (*PVT, error) {
 	return moduleClass.generate(ctx, sys, sys.NumModules(), micro, workers)
 }
@@ -195,8 +244,9 @@ func (c *class) generate(ctx context.Context, sys *cluster.System, n int, micro 
 	if c.dram {
 		channels = 4
 	}
-	scales, quarantined, err := sweep(ctx, sys, n, channels, workers, func(id int, v []float64) error {
-		pair, err := c.testPair(sys, micro, id)
+	pairs := c.tester(sys, micro)
+	scales, quarantined, err := sweep(ctx, sys, n, channels, workers, func(id int, v []float64, b *telemetry.Batch) error {
+		pair, err := pairs(id, b)
 		if err != nil {
 			return fmt.Errorf("core: PVT test pair on %s %d: %w", c.noun, id, err)
 		}
@@ -227,12 +277,14 @@ func (c *class) generate(ctx context.Context, sys *cluster.System, n int, micro 
 }
 
 // sweep is the install-time calibration every PVT is built by, for every
-// class: it fans out each of the n members' test pair (test fills one
-// value per channel), normalises every channel by its population average,
-// and returns the scales member-major with the quarantine list. Every
-// member's test runs touch only that member and draw from (seed, id)-keyed
-// streams, and the averages are reduced in member order after the
-// fan-out, so the scales are bit-identical for every worker count.
+// class: it fans out each of the n members' test pair in chunks
+// (forChunks; test fills one value per channel and records its runs'
+// metric writes into its chunk's batch), normalises every channel by its
+// population average, and returns the scales member-major with the
+// quarantine list. Every member's test runs touch only that member and
+// draw from (seed, id)-keyed streams, and the averages are reduced in
+// member order after the fan-out, so the scales are bit-identical for
+// every worker count.
 //
 // On faulty hardware a failing pair is retried, then its member is
 // quarantined instead of failing the install, and a MAD pass over each
@@ -243,11 +295,11 @@ func (c *class) generate(ctx context.Context, sys *cluster.System, n int, micro 
 // its exact statistics. Quarantined members are left out of the averages
 // and carry neutral scales of 1: exactly average if a job lands on one,
 // and reported so schedulers can avoid it.
-func sweep(ctx context.Context, sys *cluster.System, n, channels, workers int, test func(id int, v []float64) error) ([]float64, []int, error) {
+func sweep(ctx context.Context, sys *cluster.System, n, channels, workers int, test func(id int, v []float64, b *telemetry.Batch) error) ([]float64, []int, error) {
 	in := sys.Faults()
 	vals := make([]float64, n*channels)
 	quar := make([]bool, n)
-	err := parallel.ForEachCtx(ctx, workers, n, func(_ context.Context, id int) error {
+	err := forChunks(ctx, workers, n, func(id int, b *telemetry.Batch) error {
 		attempts := 1
 		if in != nil {
 			attempts = 1 + pvtRetries
@@ -257,7 +309,7 @@ func sweep(ctx context.Context, sys *cluster.System, n, channels, workers int, t
 			if a > 0 {
 				faults.MetricRetried.Inc()
 			}
-			if err = test(id, vals[id*channels:(id+1)*channels]); err == nil {
+			if err = test(id, vals[id*channels:(id+1)*channels], b); err == nil {
 				return nil
 			}
 		}
@@ -323,6 +375,36 @@ func sweep(ctx context.Context, sys *cluster.System, n, channels, workers int, t
 // pvtRetries bounds the extra test-run attempts per module during a faulty
 // install before the module is quarantined.
 const pvtRetries = 2
+
+// chunk is how many members one task of a calibration fan-out (the
+// install-time sweep, the oracle measurement) measures. Each task records
+// its test runs' metric writes into one telemetry.Batch and publishes it
+// when it ends, so a 480-module sweep takes 15 flushes instead of 960 test
+// runs' worth of shared-metric writes, while its 15 tasks still balance
+// over a few workers. Chunks are fixed by member index, not by worker
+// count, so every width measures the same members in the same order within
+// a chunk. DESIGN.md's calibration section has the measurements.
+const chunk = 32
+
+// forChunks calls fn(i, b) for every member index i in [0, n),
+// fanned out over workers in chunks of consecutive members, in index order
+// within a chunk. Each chunk records into a batch of its own and flushes
+// it when it ends, failing or not, and stops at its first failing member;
+// forChunks returns the error of the lowest failing member (parallel's
+// lowest-index rule over chunks, and the serial order within one), as a
+// serial loop over the members would.
+func forChunks(ctx context.Context, workers, n int, fn func(i int, b *telemetry.Batch) error) error {
+	return parallel.ForEachCtx(ctx, workers, (n+chunk-1)/chunk, func(_ context.Context, c int) error {
+		var b telemetry.Batch
+		defer b.Flush()
+		for i := c * chunk; i < min((c+1)*chunk, n); i++ {
+			if err := fn(i, &b); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
 
 // Save serialises the PVT as JSON (the on-disk form a production system
 // would keep from install time).

@@ -82,15 +82,16 @@ func (g *Governor) Available() []units.Hertz {
 
 // SetSpeed pins the module to the highest available P-state not exceeding
 // f (cpufreq-set --freq semantics round to a ladder entry). It returns the
-// frequency actually selected.
-func (g *Governor) SetSpeed(f units.Hertz) (units.Hertz, error) {
+// frequency actually selected. The call and transition counts go into b,
+// which publishes them when it is flushed; nil publishes them at once.
+func (g *Governor) SetSpeed(f units.Hertz, b *telemetry.Batch) (units.Hertz, error) {
 	if f <= 0 {
 		return 0, fmt.Errorf("cpufreq: non-positive frequency %v", f)
 	}
-	mSetCalls.Inc()
+	b.Inc(mSetCalls)
 	next := g.mod.Arch.QuantizeDown(f)
 	if !g.pinned || next != g.target {
-		mTransitions.Inc()
+		b.Inc(mTransitions)
 	}
 	g.target = next
 	g.pinned = true

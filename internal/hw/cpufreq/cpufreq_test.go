@@ -43,7 +43,7 @@ func TestAvailableLadder(t *testing.T) {
 
 func TestSetSpeedQuantizes(t *testing.T) {
 	g := NewGovernor(testModule())
-	got, err := g.SetSpeed(units.GHz(1.87))
+	got, err := g.SetSpeed(units.GHz(1.87), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestSetSpeedQuantizes(t *testing.T) {
 	if !ok || pin != got {
 		t.Fatalf("Pinned() = %v, %v", pin, ok)
 	}
-	if _, err := g.SetSpeed(0); err == nil {
+	if _, err := g.SetSpeed(0, nil); err == nil {
 		t.Fatal("zero frequency accepted")
 	}
 }
@@ -63,7 +63,7 @@ func TestOperatingPointExact(t *testing.T) {
 	m := testModule()
 	g := NewGovernor(m)
 	p := testProfile()
-	f, _ := g.SetSpeed(units.GHz(1.5))
+	f, _ := g.SetSpeed(units.GHz(1.5), nil)
 	op := g.OperatingPoint(p)
 	if op.Freq != f {
 		t.Fatalf("pinned op freq %v, want %v", op.Freq, f)
@@ -80,7 +80,7 @@ func TestReleaseReturnsToUncapped(t *testing.T) {
 	m := testModule()
 	g := NewGovernor(m)
 	p := testProfile()
-	_, _ = g.SetSpeed(units.GHz(1.5))
+	_, _ = g.SetSpeed(units.GHz(1.5), nil)
 	g.Release()
 	if _, ok := g.Pinned(); ok {
 		t.Fatal("still pinned after release")

@@ -12,6 +12,7 @@
 package measure
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -34,7 +35,9 @@ import (
 // the rank wait-time distribution including the MPI_Finalize barrier tail
 // (simmpi's histogram covers only in-program waits), observed once per run
 // in rank order. Spans time the three pipeline phases of each Run; a test
-// run is one measure.test_run span.
+// run is one measure.test_run phase sample. A Run publishes its metrics as
+// it goes; a test run records its writes into its caller's
+// telemetry.Batch.
 var (
 	mRuns = func() (m [ModePinned + 1]*telemetry.Counter) {
 		for mode := range m {
@@ -128,8 +131,8 @@ type Config struct {
 	Tenant string
 	JobID  string
 
-	// Trace, when traced, parents the run's measure.run span. TestRun
-	// leaves it unset, so calibration test runs never grow a trace.
+	// Trace, when traced, parents the run's measure.run span. Test runs
+	// (Tester) take no Config, so calibration never grows a trace.
 	Trace obs.Span
 
 	// Hold, when non-nil, carries the run's DES program and per-rank draws,
@@ -425,7 +428,7 @@ func resolve(sys *cluster.System, cfg Config, prof module.PowerProfile, rank, id
 
 	case ModePinned:
 		gov := sys.Governor(id)
-		f, err := gov.SetSpeed(cfg.Freqs[rank])
+		f, err := gov.SetSpeed(cfg.Freqs[rank], nil)
 		if err != nil {
 			return module.OperatingPoint{}, err
 		}
@@ -457,32 +460,40 @@ func runNoise(seed uint64, bench string, id int) float64 {
 	return 1 + rng.TruncNormal(0, DefaultRunNoiseSigma, -3, 3)
 }
 
-// simulate runs the SPMD program with per-rank timing derived from the
-// operating points plus the small run-to-run noise.
+// simulate runs cfg's SPMD program with per-rank timing derived from the
+// operating points plus the small run-to-run noise, from cfg's hold when it
+// carries one.
 func simulate(sys *cluster.System, cfg Config, ops []module.OperatingPoint, probe simmpi.Probe) (simmpi.Result, error) {
-	n := len(cfg.Modules)
-	in := sys.Faults()
-	var prog simmpi.Program
-	var noise []float64
 	if h := cfg.Hold; h != nil {
-		prog, noise = h.prog, h.noise
-		if in != nil {
+		noise := h.noise
+		if sys.Faults() != nil {
 			noise = slices.Clone(noise)
 		}
-	} else {
-		var err error
-		if prog, err = cfg.Bench.Program(n, sys.Seed); err != nil {
-			return simmpi.Result{}, err
-		}
-		noise = make([]float64, n)
-		for rank, id := range cfg.Modules {
-			noise[rank] = runNoise(sys.Seed, cfg.Bench.Name, id)
-		}
+		return simulateProgram(sys, h.prog, cfg.Modules, ops, noise, probe, nil)
 	}
+	prog, err := cfg.Bench.Program(len(cfg.Modules), sys.Seed)
+	if err != nil {
+		return simmpi.Result{}, err
+	}
+	noise := make([]float64, len(cfg.Modules))
+	for rank, id := range cfg.Modules {
+		noise[rank] = runNoise(sys.Seed, cfg.Bench.Name, id)
+	}
+	return simulateProgram(sys, prog, cfg.Modules, ops, noise, probe, nil)
+}
+
+// simulateProgram runs prog with rank i on modules[i] at ops[i]'s
+// frequency, its times scaled by the run-noise factor noise[i]. On a
+// faulty system it scales noise in place by each module's slow factor and
+// kills the ranks whose modules the plan kills. The DES's metric writes go
+// into b (nil publishes them at once).
+func simulateProgram(sys *cluster.System, prog simmpi.Program, modules []int, ops []module.OperatingPoint, noise []float64, probe simmpi.Probe, b *telemetry.Batch) (simmpi.Result, error) {
+	n := len(modules)
+	in := sys.Faults()
 	if in != nil {
 		// A degrading node computes slower than its operating point
 		// implies — invisible to resolution, felt only in timing.
-		for rank, id := range cfg.Modules {
+		for rank, id := range modules {
 			noise[rank] *= in.SlowFactor(id)
 		}
 	}
@@ -504,7 +515,7 @@ func simulate(sys *cluster.System, cfg Config, ops []module.OperatingPoint, prob
 		any := false
 		for rank := range deadAt {
 			deadAt[rank] = -1
-			if dt, ok := in.DeathTime(cfg.Modules[rank]); ok {
+			if dt, ok := in.DeathTime(modules[rank]); ok {
 				deadAt[rank] = dt
 				any = true
 			}
@@ -513,16 +524,17 @@ func simulate(sys *cluster.System, cfg Config, ops []module.OperatingPoint, prob
 			fs = &simmpi.FaultSpec{DeadAt: deadAt}
 		}
 	}
-	return simmpi.RunFaulty(prog, n, model, simmpi.DefaultNetwork, probe, fs)
+	return simmpi.RunFaulty(prog, n, model, simmpi.DefaultNetwork, probe, fs, b)
 }
 
 // account converts the DES timing into MSR energy-counter activity and
-// reads the counters back into the result, one accountRank per rank, then
-// observes every rank's wait in rank order and builds the per-rank health
-// verdicts on a faulty system.
+// reads the counters back into the result, one accountRank per rank, each
+// filling its rank's entry in place, then observes every rank's wait in
+// rank order and builds the per-rank health verdicts on a faulty system.
 func account(sys *cluster.System, cfg Config, prof module.PowerProfile, ops []module.OperatingPoint, sim simmpi.Result) (Result, error) {
-	ranks, err := parallel.Map(rankWorkers(cfg), len(cfg.Modules), func(rank int) (RankResult, error) {
-		return accountRank(sys, cfg, prof, ops, sim, rank)
+	ranks := make([]RankResult, len(cfg.Modules))
+	err := parallel.ForEachCtx(context.Background(), rankWorkers(cfg), len(ranks), func(_ context.Context, rank int) error {
+		return accountRank(sys, cfg.Mode, prof, cfg.Modules[rank], ops[rank], sim, rank, &ranks[rank])
 	})
 	if err != nil {
 		return Result{}, err
@@ -532,13 +544,13 @@ func account(sys *cluster.System, cfg Config, prof module.PowerProfile, ops []mo
 	// Reduce in rank order so float accumulation is bit-identical for every
 	// worker count.
 	var totalJ float64
-	for _, r := range ranks {
-		totalJ += float64(r.PkgEnergy) + float64(r.DramEnergy)
+	for i := range ranks {
+		totalJ += float64(ranks[i].PkgEnergy) + float64(ranks[i].DramEnergy)
 	}
 	out.TotalEnergy = units.Joules(totalJ)
 	out.AvgTotalPower = units.AvgPower(out.TotalEnergy, out.Elapsed)
 	if in := sys.Faults(); in != nil {
-		out.Health = health(in, cfg, sim, ranks)
+		out.Health = health(in, sim, ranks)
 	}
 	return out, nil
 }
@@ -560,20 +572,20 @@ func rankWait(sim simmpi.Result, rank int) units.Seconds {
 	return wait
 }
 
-// accountRank converts one rank's DES timing into energy-counter activity
-// on its module and reads the counters back. On a healthy system the poll
-// loop is one rapl.Controller.PollEnergy call, which reads the counters
-// once per poll: the read that ends one chunk also starts the next, since
-// nothing touches the counters in between. With a fault
+// accountRank converts the DES timing of rank, running on module id at op
+// under the control mode, into energy-counter activity on the module,
+// reads the counters back and writes the rank's result to r. On a healthy
+// system the poll loop is one rapl.Controller.PollEnergy call, which reads
+// the counters once per poll: the read that ends one chunk also starts the
+// next, since nothing touches the counters in between. With a fault
 // injector installed the poll loop hardens: each chunk is read at both
 // ends, reads are retried with poll-time backoff, polls that keep failing
 // or report implausible power are dropped (the rank's energies turn
 // partial rather than wrong), and cap-enforcement lag adds its overshoot
 // energy to the counters. It touches only the rank's own module.
-func accountRank(sys *cluster.System, cfg Config, prof module.PowerProfile, ops []module.OperatingPoint, sim simmpi.Result, rank int) (RankResult, error) {
+func accountRank(sys *cluster.System, mode Mode, prof module.PowerProfile, id int, op module.OperatingPoint, sim simmpi.Result, rank int, r *RankResult) error {
 	in := sys.Faults()
 	arch := sys.Spec.Arch
-	id := cfg.Modules[rank]
 	ctl := sys.RAPL(id)
 	st := sim.Ranks[rank]
 	wait := rankWait(sim, rank)
@@ -589,8 +601,8 @@ func accountRank(sys *cluster.System, cfg Config, prof module.PowerProfile, ops 
 	var dropped, retries int
 	if in == nil {
 		var err error
-		if pkgJ, dramJ, err = ctl.PollEnergy(prof, ops[rank], chunkBusy, chunkWait, chunks); err != nil {
-			return RankResult{}, err
+		if pkgJ, dramJ, err = ctl.PollEnergy(prof, op, chunkBusy, chunkWait, chunks); err != nil {
+			return err
 		}
 	} else {
 		for c := 0; c < chunks; c++ {
@@ -608,9 +620,9 @@ func accountRank(sys *cluster.System, cfg Config, prof module.PowerProfile, ops 
 			}
 			readable := err == nil
 			if err != nil && !errors.Is(err, faults.ErrDropped) {
-				return RankResult{}, err
+				return err
 			}
-			if c == 0 && cfg.Mode == ModeCapped {
+			if c == 0 && mode == ModeCapped {
 				// Cap-enforcement lag: the module ran uncapped until the
 				// limit took hold; the counters observe the overshoot.
 				if lag, ok := in.CapLag(id); ok && lag > 0 {
@@ -618,8 +630,8 @@ func accountRank(sys *cluster.System, cfg Config, prof module.PowerProfile, ops 
 						lag = float64(sim.Elapsed)
 					}
 					unc := sys.Module(id).Curve(prof).Uncapped()
-					overPkg := (float64(unc.CPUPower) - float64(ops[rank].CPUPower)) * lag
-					overDram := (float64(unc.DramPower) - float64(ops[rank].DramPower)) * lag
+					overPkg := (float64(unc.CPUPower) - float64(op.CPUPower)) * lag
+					overDram := (float64(unc.DramPower) - float64(op.DramPower)) * lag
 					if overPkg < 0 {
 						overPkg = 0
 					}
@@ -632,7 +644,7 @@ func accountRank(sys *cluster.System, cfg Config, prof module.PowerProfile, ops 
 					}
 				}
 			}
-			ctl.AccountEnergy(prof, ops[rank], chunkBusy, chunkWait)
+			ctl.AccountEnergy(prof, op, chunkBusy, chunkWait)
 			if !readable {
 				// The poll never succeeded: the chunk's energy stays on the
 				// counters (the next successful poll sees it) but this
@@ -647,7 +659,7 @@ func accountRank(sys *cluster.System, cfg Config, prof module.PowerProfile, ops 
 					dropped++
 					continue
 				}
-				return RankResult{}, err
+				return err
 			}
 			dp, dd := now.Since(snap)
 			if chunkDur > 0 {
@@ -664,14 +676,15 @@ func accountRank(sys *cluster.System, cfg Config, prof module.PowerProfile, ops 
 			dramJ += dd
 		}
 	}
-	return RankResult{
-		Rank: rank, ModuleID: id, Op: ops[rank],
+	*r = RankResult{
+		Rank: rank, ModuleID: id, Op: op,
 		Busy: st.Busy, Wait: st.Wait, Sendrecv: st.Sendrecv, End: st.End,
 		PkgEnergy: pkgJ, DramEnergy: dramJ,
 		AvgCPUPower:  units.AvgPower(pkgJ, sim.Elapsed),
 		AvgDramPower: units.AvgPower(dramJ, sim.Elapsed),
 		DroppedPolls: dropped, Retries: retries,
-	}, nil
+	}
+	return nil
 }
 
 // Hardened poll-loop tuning.
@@ -688,7 +701,7 @@ const (
 
 // health builds the per-rank verdicts, worst applicable fault first. Serial
 // and in rank order, so counters and verdicts are deterministic.
-func health(in *faults.Injector, cfg Config, sim simmpi.Result, ranks []RankResult) []ModuleHealth {
+func health(in *faults.Injector, sim simmpi.Result, ranks []RankResult) []ModuleHealth {
 	out := make([]ModuleHealth, len(ranks))
 	for rank, r := range ranks {
 		h := ModuleHealth{Rank: rank, ModuleID: r.ModuleID, Verdict: VerdictOK}
@@ -696,8 +709,7 @@ func health(in *faults.Injector, cfg Config, sim simmpi.Result, ranks []RankResu
 		case sim.Ranks[rank].Dead:
 			h.Verdict = VerdictDead
 			h.Detail = fmt.Sprintf("died at t=%.2fs", float64(sim.Ranks[rank].End))
-			faults.MetricDeadRanks.Inc()
-			faults.CountInjected(faults.KindModuleDeath)
+			countDeath()
 		case r.DroppedPolls > 0 || in.Has(r.ModuleID, faults.KindStuckMSR) ||
 			in.Has(r.ModuleID, faults.KindSpikeMSR) || in.Has(r.ModuleID, faults.KindDropMSR):
 			h.Verdict = VerdictSensorFault
@@ -742,45 +754,104 @@ type TestRunResult struct {
 // ModulePower is CPU + DRAM power.
 func (t TestRunResult) ModulePower() units.Watts { return t.CPUPower + t.DramPower }
 
-// TestRun performs the paper's low-cost single-module test run: pin module
-// id to frequency f, run the benchmark with a single rank, and report the
-// measured average powers. The run is shortened (testIterations) because
-// only steady-state power is needed.
+// countDeath counts a rank that died mid-run: one dead rank and one
+// injected module death.
+func countDeath() {
+	faults.MetricDeadRanks.Inc()
+	faults.CountInjected(faults.KindModuleDeath)
+}
+
+// Tester makes the paper's low-cost single-module test runs of one
+// benchmark on one system: pin a module to a frequency, run the benchmark
+// on it with a single rank, and report the measured average powers. A run
+// is shortened to testIterations, because only steady-state power is
+// needed. It measures what a pinned Run of that one-module configuration
+// measures, through the same simulation and accountRank steps, but pays
+// only for its simulation: no span tree, fan-out, recorder or attribution,
+// and none of the work that is the same for every run. NewTester
+// validates the benchmark, caps its iterations, builds the one-rank
+// program and resolves the power profile once, for every module: rank 0's
+// imbalance draw depends only on the benchmark and the system seed, so
+// every module plays the same program. Member draws what one module's runs
+// share, whatever their clock.
 //
-// A test run is a pinned Run of that one-module configuration, measured by
-// the same resolve, simulate and accountRank steps and counted as a pinned
-// run, but it pays only for its simulation: one untraced measure.test_run
-// span instead of Run's four, and no fan-out, recorder or attribution.
-func TestRun(sys *cluster.System, bench *workload.Benchmark, id int, f units.Hertz) (TestRunResult, error) {
-	short := *bench
-	if short.Iterations > testIterations {
-		short.Iterations = testIterations
+// Every test run of the repository is a Tester's: the PVT sweeps, PMT
+// calibration, the VaFs hold-out and the oracle measurement (core). A
+// Tester only reads its fields, so concurrent runs on distinct modules may
+// share it.
+type Tester struct {
+	sys   *cluster.System
+	bench workload.Benchmark // iterations capped at testIterations
+	prof  module.PowerProfile
+	prog  simmpi.Program
+}
+
+// NewTester makes the tester of bench on sys.
+func NewTester(sys *cluster.System, bench *workload.Benchmark) (*Tester, error) {
+	if bench == nil {
+		return nil, fmt.Errorf("measure: nil benchmark")
 	}
-	cfg := Config{Bench: &short, Modules: []int{id}, Mode: ModePinned, Freqs: []units.Hertz{f}}
-	if err := validate(sys, &cfg); err != nil {
-		return TestRunResult{}, err
+	t := &Tester{sys: sys, bench: *bench}
+	if t.bench.Iterations > testIterations {
+		t.bench.Iterations = testIterations
 	}
-	mRuns[ModePinned].Inc()
+	if err := t.bench.Validate(); err != nil {
+		return nil, err
+	}
+	prog, err := t.bench.Program(1, sys.Seed)
+	if err != nil {
+		return nil, err
+	}
+	t.prog, t.prof = prog, t.bench.ProfileFor(sys.Spec.Arch)
+	return t, nil
+}
+
+// Member is what the test runs of one module share: the module's curve
+// for the benchmark, which carries its workload residual, and its run-noise
+// factor. A test pair draws them once for both of its clocks.
+type Member struct {
+	id    int
+	curve module.Curve
+	noise float64
+}
+
+// Member draws module id's share of its test runs.
+func (t *Tester) Member(id int) (Member, error) {
+	if id < 0 || id >= t.sys.NumModules() {
+		return Member{}, fmt.Errorf("measure: module %d outside [0,%d)", id, t.sys.NumModules())
+	}
+	return Member{id: id, curve: t.sys.Module(id).Curve(t.prof), noise: runNoise(t.sys.Seed, t.bench.Name, id)}, nil
+}
+
+// Run makes m's test run at frequency f and reports the measured average
+// powers. It records every metric write the run makes — one pinned run, the
+// governor's set and transition counts, the DES's rounds and busy/wait
+// samples, one rank wait and one measure.test_run phase sample — into b,
+// which publishes them when it is flushed (nil publishes them at once); a
+// faulty system's fault counters publish at once either way.
+func (t *Tester) Run(m Member, f units.Hertz, b *telemetry.Batch) (TestRunResult, error) {
+	b.Inc(mRuns[ModePinned])
 	var root obs.Span
 	span := root.Start("measure.test_run")
-	defer span.End()
-	prof := short.ProfileFor(sys.Spec.Arch)
-	op, err := resolve(sys, cfg, prof, 0, id)
+	defer span.EndIn(b)
+	sel, err := t.sys.Governor(m.id).SetSpeed(f, b)
 	if err != nil {
 		return TestRunResult{}, err
 	}
-	ops := []module.OperatingPoint{op}
-	sim, err := simulate(sys, cfg, ops, nil)
+	ids := [1]int{m.id}
+	ops := [1]module.OperatingPoint{m.curve.AtFrequency(sel)}
+	noise := [1]float64{m.noise}
+	sim, err := simulateProgram(t.sys, t.prog, ids[:], ops[:], noise[:], nil, b)
 	if err != nil {
 		return TestRunResult{}, err
 	}
-	r, err := accountRank(sys, cfg, prof, ops, sim, 0)
-	if err != nil {
+	var r RankResult
+	if err := accountRank(t.sys, ModePinned, t.prof, m.id, ops[0], sim, 0, &r); err != nil {
 		return TestRunResult{}, err
 	}
-	mRankWait.Observe(float64(rankWait(sim, 0)))
-	if in := sys.Faults(); in != nil {
-		health(in, cfg, sim, []RankResult{r}) // counts a dead test module as Run does
+	b.Observe(mRankWait, float64(rankWait(sim, 0)))
+	if sim.Ranks[0].Dead {
+		countDeath() // as Run's health verdicts count a dead rank
 	}
 	return TestRunResult{Freq: r.Op.Freq, CPUPower: r.AvgCPUPower, DramPower: r.AvgDramPower}, nil
 }

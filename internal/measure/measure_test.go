@@ -181,11 +181,11 @@ func TestTestRun(t *testing.T) {
 	sys, _ := testSystem(t, 4)
 	arch := sys.Spec.Arch
 	bench := workload.MHD()
-	hi, err := TestRun(sys, bench, 2, arch.FNom)
+	hi, err := testRun(sys, bench, 2, arch.FNom)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, err := TestRun(sys, bench, 2, arch.FMin)
+	lo, err := testRun(sys, bench, 2, arch.FMin)
 	if err != nil {
 		t.Fatal(err)
 	}

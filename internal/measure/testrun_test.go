@@ -28,13 +28,31 @@ func referenceTestRun(sys *cluster.System, bench *workload.Benchmark, id int, f 
 	return TestRunResult{Freq: r.Op.Freq, CPUPower: r.AvgCPUPower, DramPower: r.AvgDramPower}, nil
 }
 
-// TestTestRunMatchesRun: TestRun measures exactly what a Run of its
+// testRun is one test run of bench on module id at f: a run of a Tester of
+// its own, which publishes the run's telemetry before testRun returns.
+func testRun(sys *cluster.System, bench *workload.Benchmark, id int, f units.Hertz) (TestRunResult, error) {
+	t, err := NewTester(sys, bench)
+	if err != nil {
+		return TestRunResult{}, err
+	}
+	m, err := t.Member(id)
+	if err != nil {
+		return TestRunResult{}, err
+	}
+	var b telemetry.Batch
+	defer b.Flush()
+	return t.Run(m, f, &b)
+}
+
+// TestTestRunMatchesRun: a test run measures exactly what a Run of its
 // one-module pinned configuration measures — for every benchmark at fmax
 // and fmin, on every module, healthy and under the committed chaos plan
 // (spiking and dropping counters, dying, slow and drifting modules). Each
 // side gets its own fresh clone and runs every module twice back to back,
 // so the energy-counter residue of the first run carries into the second
-// the same way on both.
+// the same way on both. The same holds for a Tester's pairs recorded into
+// chunked batches, as the calibration sweeps make them; core's
+// TestChunkedTestRunsMatchRun checks the sweeps themselves.
 func TestTestRunMatchesRun(t *testing.T) {
 	f, err := os.Open("../../testdata/chaos-plan.json")
 	if err != nil {
@@ -63,14 +81,14 @@ func TestTestRunMatchesRun(t *testing.T) {
 				got, want := base.Clone(), base.Clone()
 				for _, id := range ids {
 					for run := 0; run < 2; run++ {
-						tr, err := TestRun(got, bench, id, freq)
+						tr, err := testRun(got, bench, id, freq)
 						ref, rerr := referenceTestRun(want, bench, id, freq)
 						if (err == nil) != (rerr == nil) {
-							t.Fatalf("faulty=%v %s at %v module %d run %d: TestRun error %v, Run error %v",
+							t.Fatalf("faulty=%v %s at %v module %d run %d: test run error %v, Run error %v",
 								base == faulty, bench.Name, freq, id, run, err, rerr)
 						}
 						if !reflect.DeepEqual(tr, ref) {
-							t.Fatalf("faulty=%v %s at %v module %d run %d: TestRun %+v, Run %+v",
+							t.Fatalf("faulty=%v %s at %v module %d run %d: test run %+v, Run %+v",
 								base == faulty, bench.Name, freq, id, run, tr, ref)
 						}
 						k := key{bench.Name, freq, id, run}
@@ -86,6 +104,42 @@ func TestTestRunMatchesRun(t *testing.T) {
 	}
 	if perturbed == 0 {
 		t.Fatal("the chaos plan changed no test run: the faulty half compares healthy runs")
+	}
+
+	// The calibration sweeps' path: one Tester per benchmark, each
+	// member's draws made once for its pair (fmax, then fmin), and the
+	// runs recorded into one batch per chunk of 32 members. Over 37
+	// members (not a multiple of the chunk) followed by an allocation
+	// that lists modules twice, it measures what the Runs do, member by
+	// member in the same order.
+	order := append(ids[:37:37], 3, 11, 3, 20, 11)
+	for _, base := range []*cluster.System{healthy, faulty} {
+		for _, bench := range benches {
+			got, want := base.Clone(), base.Clone()
+			tester, err := NewTester(got, bench)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var b telemetry.Batch
+			for i, id := range order {
+				m, err := tester.Member(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, freq := range []units.Hertz{arch.FNom, arch.FMin} {
+					tr, err := tester.Run(m, freq, &b)
+					ref, rerr := referenceTestRun(want, bench, id, freq)
+					if err != nil || rerr != nil || tr != ref {
+						t.Fatalf("faulty=%v %s member %d (module %d) at %v: tester %+v (%v), Run %+v (%v)",
+							base == faulty, bench.Name, i, id, freq, tr, err, ref, rerr)
+					}
+				}
+				if (i+1)%32 == 0 {
+					b.Flush()
+				}
+			}
+			b.Flush()
+		}
 	}
 }
 
@@ -116,7 +170,8 @@ func phaseDeltas(fn func()) map[string]uint64 {
 // TestTestRunTimedAsOnePhase pins the calibration telemetry: a test run is
 // one measure.test_run sample and no Run phase, while a Run is one sample
 // of each of its four phases and none of measure.test_run. Both count as a
-// run of their mode, and both observe one rank wait per rank.
+// run of their mode, and both observe one rank wait per rank. Test runs
+// made into a batch publish the same, all at once, when it is flushed.
 func TestTestRunTimedAsOnePhase(t *testing.T) {
 	sys, ids := testSystem(t, 8)
 	arch := sys.Spec.Arch
@@ -125,7 +180,7 @@ func TestTestRunTimedAsOnePhase(t *testing.T) {
 
 	runs, waits := pinned.Value(), wait()
 	got := phaseDeltas(func() {
-		if _, err := TestRun(sys, workload.MHD(), ids[3], arch.FNom); err != nil {
+		if _, err := testRun(sys, workload.MHD(), ids[3], arch.FNom); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -134,13 +189,13 @@ func TestTestRunTimedAsOnePhase(t *testing.T) {
 		want[p] = 0
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("TestRun phase samples %v, want %v", got, want)
+		t.Fatalf("test run phase samples %v, want %v", got, want)
 	}
 	if d := pinned.Value() - runs; d != 1 {
-		t.Fatalf("TestRun counted %v pinned runs, want 1", d)
+		t.Fatalf("test run counted %v pinned runs, want 1", d)
 	}
 	if d := wait() - waits; d != 1 {
-		t.Fatalf("TestRun observed %d rank waits, want 1", d)
+		t.Fatalf("test run observed %d rank waits, want 1", d)
 	}
 
 	freqs := make([]units.Hertz, len(ids))
@@ -166,4 +221,83 @@ func TestTestRunTimedAsOnePhase(t *testing.T) {
 	if d := wait() - waits; d != uint64(len(ids)) {
 		t.Fatalf("Run observed %d rank waits, want %d", d, len(ids))
 	}
+
+	// A batch of k test runs publishes nothing before it is flushed, and
+	// after it exactly k runs' worth: k measure.test_run samples and no Run
+	// phase, k pinned runs, k rank waits, k times one run's rounds of each
+	// kind, and the governor's k set calls.
+	const k = 6
+	one := published()
+	if _, err := testRun(sys, workload.MHD(), ids[0], arch.FMin); err != nil {
+		t.Fatal(err)
+	}
+	perRun := published().minus(one)
+	tester, err := NewTester(sys, workload.MHD())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b telemetry.Batch
+	before := published()
+	for i := 0; i < k; i++ {
+		m, err := tester.Member(ids[i%len(ids)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tester.Run(m, []units.Hertz{arch.FNom, arch.FMin}[i%2], &b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := published().minus(before); got != (publishedCounts{}) {
+		t.Fatalf("%d batched test runs published %+v before the flush", k, got)
+	}
+	b.Flush()
+	wantBatch := publishedCounts{testRuns: k, pinned: k, rankWaits: k, setCalls: k}
+	for kind, n := range perRun.rounds {
+		wantBatch.rounds[kind] = k * n
+	}
+	if got := published().minus(before); got != wantBatch {
+		t.Fatalf("%d batched test runs published %+v, want %+v", k, got, wantBatch)
+	}
+	if perRun.rounds == ([4]float64{}) {
+		t.Fatal("a test run played no rounds")
+	}
+}
+
+// publishedCounts is what the default registry holds of the metrics a test
+// run writes: phase samples, pinned runs, rank waits, governor set calls
+// and DES rounds by kind.
+type publishedCounts struct {
+	testRuns, runPhases, rankWaits uint64
+	pinned, setCalls               float64
+	rounds                         [4]float64 // compute, sendrecv, barrier, allreduce
+}
+
+func published() publishedCounts {
+	reg := telemetry.Default()
+	c := publishedCounts{
+		testRuns:  phaseSamples("measure.test_run"),
+		rankWaits: mRankWait.Snapshot().Count,
+		pinned:    mRuns[ModePinned].Value(),
+		setCalls:  reg.Counter("varpower_cpufreq_set_calls_total", "", nil).Value(),
+	}
+	for _, p := range runPhases {
+		c.runPhases += phaseSamples(p)
+	}
+	for i, kind := range []string{"compute", "sendrecv", "barrier", "allreduce"} {
+		c.rounds[i] = reg.Counter("varpower_mpi_rounds_total", "", telemetry.Labels{"kind": kind}).Value()
+	}
+	return c
+}
+
+// minus is c's growth since before.
+func (c publishedCounts) minus(before publishedCounts) publishedCounts {
+	d := publishedCounts{
+		testRuns: c.testRuns - before.testRuns, runPhases: c.runPhases - before.runPhases,
+		rankWaits: c.rankWaits - before.rankWaits,
+		pinned:    c.pinned - before.pinned, setCalls: c.setCalls - before.setCalls,
+	}
+	for i := range d.rounds {
+		d.rounds[i] = c.rounds[i] - before.rounds[i]
+	}
+	return d
 }

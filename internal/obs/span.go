@@ -131,13 +131,17 @@ func (s *Span) Fail(err error) {
 // End records the span's duration once per variable, and once per traced
 // span however many copies end. A trace entry's root is the request itself
 // (the HTTP metrics time it), so it records no phase.
-func (s *Span) End() {
+func (s *Span) End() { s.EndIn(nil) }
+
+// EndIn is End with the phase sample recorded into b, which publishes it
+// when it is flushed; a nil b publishes it at once, as End does.
+func (s *Span) EndIn(b *telemetry.Batch) {
 	if s == nil || s.done {
 		return
 	}
 	s.done = true
 	if s.n == nil {
-		observePhase(s.name, time.Since(s.start))
+		observePhase(s.name, time.Since(s.start), b)
 		return
 	}
 	rt := s.n.rt
@@ -149,7 +153,7 @@ func (s *Span) End() {
 	}
 	rt.mu.Unlock()
 	if first && s.n != rt.root.n {
-		observePhase(s.name, dur)
+		observePhase(s.name, dur, b)
 	}
 }
 
@@ -158,14 +162,16 @@ func (s *Span) End() {
 // span's End reads the handle without a lock and builds no label key.
 var phaseHists sync.Map // string → *telemetry.Histogram
 
-// observePhase records one phase duration in the default registry.
-func observePhase(name string, d time.Duration) {
+// observePhase records one phase duration in the default registry, through
+// b (nil publishes at once). The phase's series is registered here either
+// way, so batching does not move it in the export order.
+func observePhase(name string, d time.Duration, b *telemetry.Batch) {
 	h, ok := phaseHists.Load(name)
 	if !ok {
 		h, _ = phaseHists.LoadOrStore(name, telemetry.Default().Histogram(telemetry.PhaseDurationMetric,
 			"Wall-clock duration of pipeline phases.", telemetry.DefTimeBuckets, telemetry.Labels{"phase": name}))
 	}
-	h.(*telemetry.Histogram).Observe(d.Seconds())
+	b.Observe(h.(*telemetry.Histogram), d.Seconds())
 }
 
 // WriteTree renders the entry's spans as an indented tree, children under

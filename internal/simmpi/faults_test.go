@@ -38,7 +38,7 @@ func (nopProbe) Collective(int, string, int, units.Seconds, units.Seconds)   {}
 // The timeout only matters once somebody dies.
 func TestRunFaultyNilSpecMatchesRun(t *testing.T) {
 	p := ringProgram(6, 8, 3)
-	want, err := RunFaulty(p, 6, skewedModel(), DefaultNetwork, nil, nil)
+	want, err := RunFaulty(p, 6, skewedModel(), DefaultNetwork, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestRunFaultyNilSpecMatchesRun(t *testing.T) {
 		{"deathless FaultSpec", nil, &FaultSpec{}},
 		{"no-op probe", nopProbe{}, nil},
 	} {
-		got, err := RunFaulty(p, 6, skewedModel(), DefaultNetwork, tc.probe, tc.fs)
+		got, err := RunFaulty(p, 6, skewedModel(), DefaultNetwork, tc.probe, tc.fs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +63,7 @@ func TestRunFaultyNilSpecMatchesRun(t *testing.T) {
 func TestRunFaultyDeadRankFinishesDegraded(t *testing.T) {
 	const size = 6
 	p := ringProgram(size, 10, 3)
-	healthy, err := RunFaulty(p, size, unitModel(), zeroNet(), nil, nil)
+	healthy, err := RunFaulty(p, size, unitModel(), zeroNet(), nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestRunFaultyDeadRankFinishesDegraded(t *testing.T) {
 		deadAt[i] = -1
 	}
 	deadAt[2] = 10 // mid-run: each iteration is >= 3 s of compute
-	res, err := RunFaulty(p, size, unitModel(), zeroNet(), nil, &FaultSpec{DeadAt: deadAt})
+	res, err := RunFaulty(p, size, unitModel(), zeroNet(), nil, &FaultSpec{DeadAt: deadAt}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestRunFaultyDeathAtZeroAndAllDead(t *testing.T) {
 	p := ringProgram(size, 5, 2)
 	// A rank dead from t=0 participates in nothing.
 	deadAt := []units.Seconds{0, -1, -1, -1}
-	res, err := RunFaulty(p, size, unitModel(), zeroNet(), nil, &FaultSpec{DeadAt: deadAt})
+	res, err := RunFaulty(p, size, unitModel(), zeroNet(), nil, &FaultSpec{DeadAt: deadAt}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestRunFaultyDeathAtZeroAndAllDead(t *testing.T) {
 	// Everyone dead: the run still terminates (elapsed = latest death
 	// processing point, no survivors to wait on).
 	all := []units.Seconds{0, 1, 2, 3}
-	res, err = RunFaulty(p, size, unitModel(), zeroNet(), nil, &FaultSpec{DeadAt: all})
+	res, err = RunFaulty(p, size, unitModel(), zeroNet(), nil, &FaultSpec{DeadAt: all}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestRunFaultyDeathAtZeroAndAllDead(t *testing.T) {
 
 func TestRunFaultyRejectsBadSpec(t *testing.T) {
 	p := ringProgram(4, 2, 1)
-	_, err := RunFaulty(p, 4, unitModel(), zeroNet(), nil, &FaultSpec{DeadAt: []units.Seconds{1}})
+	_, err := RunFaulty(p, 4, unitModel(), zeroNet(), nil, &FaultSpec{DeadAt: []units.Seconds{1}}, nil)
 	if err == nil {
 		t.Fatal("mismatched DeadAt length accepted")
 	}
@@ -160,7 +160,7 @@ func TestRunFaultySendrecvTimeoutSemantics(t *testing.T) {
 	}
 	deadAt := []units.Seconds{-1, -1, 0}
 	res, err := RunFaulty(sliceProgram{ops: ops}, 3, unitModel(), zeroNet(), nil,
-		&FaultSpec{DeadAt: deadAt, Timeout: 2})
+		&FaultSpec{DeadAt: deadAt, Timeout: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func TestEvaluatedProgramsMatchReference(t *testing.T) {
 				}
 				return units.Seconds(t * noise[rank])
 			})
-			healthy, err := simmpi.RunFaulty(prog, size, model, simmpi.DefaultNetwork, nil, nil)
+			healthy, err := simmpi.RunFaulty(prog, size, model, simmpi.DefaultNetwork, nil, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -313,13 +313,13 @@ func sameBits(a, b Result) bool {
 // times are ordered; the probed run always takes the general loop.
 func matchReference(p Program, size int, m Model, net Network, fs *FaultSpec, keep int) string {
 	want, wantErr := referenceRun(p, size, m, net, nil, fs)
-	got, gotErr := RunFaulty(p, size, m, net, nil, fs)
+	got, gotErr := RunFaulty(p, size, m, net, nil, fs, nil)
 	if msg := compareRuns(got, gotErr, want, wantErr); msg != "" {
 		return "unprobed: " + msg
 	}
 	wantLog, gotLog := &probeLog{keep: keep}, &probeLog{keep: keep}
 	want, wantErr = referenceRun(p, size, m, net, wantLog, fs)
-	got, gotErr = RunFaulty(p, size, m, net, gotLog, fs)
+	got, gotErr = RunFaulty(p, size, m, net, gotLog, fs, nil)
 	if msg := compareRuns(got, gotErr, want, wantErr); msg != "" {
 		return "probed: " + msg
 	}
@@ -558,7 +558,7 @@ func TestHealthyLoopEntryRule(t *testing.T) {
 			t.Fatalf("%s: resolve reports ordered %v (err %v), want %v", tc.name, ordered, err, tc.ordered)
 		}
 		want, wantErr := referenceRun(p, size, m, tc.net, nil, nil)
-		got, gotErr := RunFaulty(p, size, m, tc.net, nil, nil)
+		got, gotErr := RunFaulty(p, size, m, tc.net, nil, nil, nil)
 		if msg := compareRuns(got, gotErr, want, wantErr); msg != "" {
 			t.Errorf("%s: %s", tc.name, msg)
 		}
@@ -603,7 +603,9 @@ func TestSpreadCoversLiveRanksOnly(t *testing.T) {
 	for _, run := range []struct {
 		name string
 		run  func(Program, int, Model, Network, Probe, *FaultSpec) (Result, error)
-	}{{"engine", RunFaulty}, {"reference", referenceRun}} {
+	}{{"engine", func(p Program, size int, m Model, net Network, probe Probe, fs *FaultSpec) (Result, error) {
+		return RunFaulty(p, size, m, net, probe, fs, nil)
+	}}, {"reference", referenceRun}} {
 		var rounds []collectiveCall
 		probe := &collectiveProbe{rounds: &rounds}
 		res, err := run.run(p, size, unitModel(), zeroNet(), probe, &FaultSpec{DeadAt: deadAt})
@@ -681,7 +683,7 @@ func TestMalformedTablesRejectedBeforeAnyRound(t *testing.T) {
 	} {
 		p := tableProgram{tables: [][]Op{ok, tc.bad}, schedule: tc.schedule}
 		log := &probeLog{}
-		_, err := RunFaulty(p, size, unitModel(), zeroNet(), log, tc.fs)
+		_, err := RunFaulty(p, size, unitModel(), zeroNet(), log, tc.fs, nil)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %v, want %q", tc.name, err, tc.want)
 		}
@@ -690,7 +692,7 @@ func TestMalformedTablesRejectedBeforeAnyRound(t *testing.T) {
 		}
 	}
 	p := tableProgram{tables: [][]Op{ok}, schedule: []int{0, 1}}
-	if _, err := RunFaulty(p, size, unitModel(), zeroNet(), nil, nil); err == nil || !strings.Contains(err.Error(), "round 1 plays table 1 of 1") {
+	if _, err := RunFaulty(p, size, unitModel(), zeroNet(), nil, nil, nil); err == nil || !strings.Contains(err.Error(), "round 1 plays table 1 of 1") {
 		t.Errorf("schedule past the tables: error %v", err)
 	}
 }

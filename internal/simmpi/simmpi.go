@@ -49,8 +49,9 @@ import (
 // (Figures 3 and 5 are distributions over exactly these quantities), and
 // how much communication structure each run carried. Busy/wait are in
 // *virtual* (simulated) seconds. A run tallies its rounds per kind locally
-// and flushes the tallies and its per-rank samples once, when it finishes,
-// so the round loop touches no shared metric.
+// and publishes the tallies and its per-rank samples once, when it
+// finishes, through the caller's telemetry.Batch, so the round loop
+// touches no shared metric.
 var (
 	mRounds = func() (m [kindAllreduce + 1]*telemetry.Counter) {
 		for kind := kindCompute; kind <= kindAllreduce; kind++ {
@@ -253,7 +254,13 @@ func (f *faultState) dies(rank int, t units.Seconds) bool {
 // play. Both loops do the same arithmetic in the same per-rank order, so a
 // nil spec and a deathless one, probed or not, give bit-identical results
 // and metrics.
-func RunFaulty(p Program, size int, m Model, net Network, probe Probe, fs *FaultSpec) (Result, error) {
+//
+// The run's metric writes — its rounds per kind, those of a failing run
+// included, and every rank's busy and wait time, in rank order — go into
+// b, which the caller flushes; a nil b publishes them before RunFaulty
+// returns. A calibration test run passes its sweep's batch; every other
+// caller passes nil.
+func RunFaulty(p Program, size int, m Model, net Network, probe Probe, fs *FaultSpec, b *telemetry.Batch) (Result, error) {
 	if size < 1 {
 		return Result{}, fmt.Errorf("simmpi: size %d < 1", size)
 	}
@@ -289,7 +296,7 @@ func RunFaulty(p Program, size int, m Model, net Network, probe Probe, fs *Fault
 	}
 	for kind, n := range played {
 		if n > 0 {
-			mRounds[kind].Add(float64(n))
+			b.Add(mRounds[kind], float64(n))
 		}
 	}
 	if err != nil {
@@ -304,8 +311,8 @@ func RunFaulty(p Program, size int, m Model, net Network, probe Probe, fs *Fault
 			res.Elapsed = st.End
 		}
 	}
-	mRankBusy.ObserveEach(size, func(rank int) float64 { return float64(res.Ranks[rank].Busy) })
-	mRankWait.ObserveEach(size, func(rank int) float64 { return float64(res.Ranks[rank].Wait) })
+	b.ObserveEach(mRankBusy, size, func(rank int) float64 { return float64(res.Ranks[rank].Busy) })
+	b.ObserveEach(mRankWait, size, func(rank int) float64 { return float64(res.Ranks[rank].Wait) })
 	if res.Elapsed == 0 && fault != nil {
 		// Every rank died: report the last death as completion.
 		res.Elapsed = maxAny

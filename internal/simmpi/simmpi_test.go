@@ -48,7 +48,7 @@ func TestComputeOnly(t *testing.T) {
 		{Compute{Cycles: 2}, Compute{Cycles: 3}},
 		{Compute{Cycles: 1}, Compute{Cycles: 1}},
 	}}
-	res, err := RunFaulty(p, 2, unitModel(), zeroNet(), nil, nil)
+	res, err := RunFaulty(p, 2, unitModel(), zeroNet(), nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestBarrierEqualizes(t *testing.T) {
 		{Compute{Cycles: 10}, Barrier{}},
 		{Compute{Cycles: 2}, Barrier{}},
 	}}
-	res, err := RunFaulty(p, 2, unitModel(), zeroNet(), nil, nil)
+	res, err := RunFaulty(p, 2, unitModel(), zeroNet(), nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestSendrecvPairwise(t *testing.T) {
 		{Compute{Cycles: 7}, Sendrecv{Peers: []int{1}, Bytes: 2}},
 		{Compute{Cycles: 3}, Sendrecv{Peers: []int{0}, Bytes: 2}},
 	}}
-	res, err := RunFaulty(p, 2, unitModel(), net, nil, nil)
+	res, err := RunFaulty(p, 2, unitModel(), net, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestHaloChainPropagation(t *testing.T) {
 		}
 		return ops
 	}
-	res, err := RunFaulty(sliceProgram{ops: mkRound(5)}, 4, unitModel(), zeroNet(), nil, nil)
+	res, err := RunFaulty(sliceProgram{ops: mkRound(5)}, 4, unitModel(), zeroNet(), nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestAllreduceCost(t *testing.T) {
 		{Allreduce{Bytes: 8}},
 		{Allreduce{Bytes: 8}},
 	}}
-	res, err := RunFaulty(p, 4, unitModel(), net, nil, nil)
+	res, err := RunFaulty(p, 4, unitModel(), net, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestSPMDViolation(t *testing.T) {
 		{Compute{Cycles: 1}},
 		{Barrier{}},
 	}}
-	_, err := RunFaulty(p, 2, unitModel(), zeroNet(), nil, nil)
+	_, err := RunFaulty(p, 2, unitModel(), zeroNet(), nil, nil, nil)
 	if err == nil || !strings.Contains(err.Error(), "SPMD violation") {
 		t.Fatalf("want SPMD violation, got %v", err)
 	}
@@ -180,7 +180,7 @@ func TestBadPeer(t *testing.T) {
 		{Sendrecv{Peers: []int{5}}},
 		{Sendrecv{Peers: []int{0}}},
 	}}
-	if _, err := RunFaulty(p, 2, unitModel(), zeroNet(), nil, nil); err == nil {
+	if _, err := RunFaulty(p, 2, unitModel(), zeroNet(), nil, nil, nil); err == nil {
 		t.Fatal("out-of-range peer accepted")
 	}
 }
@@ -188,7 +188,7 @@ func TestBadPeer(t *testing.T) {
 func TestNegativeComputeTime(t *testing.T) {
 	bad := Model(func(rank int, cycles, bytes float64) units.Seconds { return -1 })
 	p := sliceProgram{ops: [][]Op{{Compute{Cycles: 1}}}}
-	if _, err := RunFaulty(p, 1, bad, zeroNet(), nil, nil); err == nil {
+	if _, err := RunFaulty(p, 1, bad, zeroNet(), nil, nil, nil); err == nil {
 		t.Fatal("negative compute time accepted")
 	}
 }
@@ -197,12 +197,12 @@ func TestNegativeComputeTime(t *testing.T) {
 // peer row can name; either bound fails before anything is allocated.
 func TestZeroSize(t *testing.T) {
 	p := sliceProgram{ops: [][]Op{{Compute{Cycles: 1}}}}
-	if _, err := RunFaulty(p, 0, unitModel(), zeroNet(), nil, nil); err == nil {
+	if _, err := RunFaulty(p, 0, unitModel(), zeroNet(), nil, nil, nil); err == nil {
 		t.Fatal("zero-rank run accepted")
 	}
 	big := math.MaxInt32
 	big++
-	if _, err := RunFaulty(p, big, unitModel(), zeroNet(), nil, nil); err == nil {
+	if _, err := RunFaulty(p, big, unitModel(), zeroNet(), nil, nil, nil); err == nil {
 		t.Fatalf("%d-rank run accepted", big)
 	}
 }
@@ -254,11 +254,11 @@ func TestInvariantsOnRandomPrograms(t *testing.T) {
 		p := randomProgram(rng, size, rounds)
 		net := Network{Latency: 0.01, Bandwidth: 1e6}
 		xfer := make(xferProbe, size)
-		probed, err := RunFaulty(p, size, unitModel(), net, xfer, nil)
+		probed, err := RunFaulty(p, size, unitModel(), net, xfer, nil, nil)
 		if err != nil {
 			return false
 		}
-		res, err := RunFaulty(p, size, unitModel(), net, nil, nil)
+		res, err := RunFaulty(p, size, unitModel(), net, nil, nil, nil)
 		if err != nil {
 			return false
 		}
@@ -285,11 +285,11 @@ func TestInvariantsOnRandomPrograms(t *testing.T) {
 func TestDeterministic(t *testing.T) {
 	rng := xrand.New(77)
 	p := randomProgram(rng, 6, 10)
-	a, err := RunFaulty(p, 6, unitModel(), DefaultNetwork, nil, nil)
+	a, err := RunFaulty(p, 6, unitModel(), DefaultNetwork, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunFaulty(p, 6, unitModel(), DefaultNetwork, nil, nil)
+	b, err := RunFaulty(p, 6, unitModel(), DefaultNetwork, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,8 @@ func (p cutProgram) Round(r int) int {
 // through both loops — the healthy one (no spec, no probe) and the general
 // one (a no-op probe) — and must flush the same; a run that fails still
 // counts the rounds it played. A run with a rank dying mid-run flushes a
-// sample for the dead rank too.
+// sample for the dead rank too. Each case runs twice: publishing at once,
+// and into a batch that publishes the same when it is flushed.
 func TestRunFlushesMetricsOncePerRun(t *testing.T) {
 	const size, iters = 6, 5
 	p := ringProgram(size, iters, 3)
@@ -49,24 +50,26 @@ func TestRunFlushesMetricsOncePerRun(t *testing.T) {
 	whole[kindCompute], whole[kindSendrecv], whole[kindAllreduce], whole[kindBarrier] = iters, iters, iters, 1
 	cut[kindCompute], cut[kindSendrecv], cut[kindAllreduce] = 2, 1, 1
 
-	var healthy Result
-	for _, loop := range []struct {
-		name  string
-		probe Probe
-	}{{"healthy loop", nil}, {"general loop", nopProbe{}}} {
-		res := checkFlush(t, loop.name, p, size, model, loop.probe, nil, whole)
-		if loop.probe == nil {
-			healthy = res
-		} else if !sameBits(res, healthy) {
-			t.Fatalf("%s: result\n%+v\nwant the healthy loop's\n%+v", loop.name, res, healthy)
+	for _, batched := range []bool{false, true} {
+		var healthy Result
+		for _, loop := range []struct {
+			name  string
+			probe Probe
+		}{{"healthy loop", nil}, {"general loop", nopProbe{}}} {
+			res := checkFlush(t, loop.name, p, size, model, loop.probe, nil, whole, batched)
+			if loop.probe == nil {
+				healthy = res
+			} else if !sameBits(res, healthy) {
+				t.Fatalf("%s: result\n%+v\nwant the healthy loop's\n%+v", loop.name, res, healthy)
+			}
+			checkFlush(t, loop.name+", failing at round 4", cutProgram{p, 4}, size, model, loop.probe, nil, cut, batched)
 		}
-		checkFlush(t, loop.name+", failing at round 4", cutProgram{p, 4}, size, model, loop.probe, nil, cut)
-	}
 
-	deadAt := []units.Seconds{-1, -1, 7.3, -1, -1, -1}
-	res := checkFlush(t, "dying rank", p, size, model, nil, &FaultSpec{DeadAt: deadAt}, whole)
-	if !res.Ranks[2].Dead {
-		t.Fatal("rank 2 survived its death time")
+		deadAt := []units.Seconds{-1, -1, 7.3, -1, -1, -1}
+		res := checkFlush(t, "dying rank", p, size, model, nil, &FaultSpec{DeadAt: deadAt}, whole, batched)
+		if !res.Ranks[2].Dead {
+			t.Fatal("rank 2 survived its death time")
+		}
 	}
 }
 
@@ -76,15 +79,27 @@ func TestRunFlushesMetricsOncePerRun(t *testing.T) {
 // run fails (only cutProgram runs are meant to), no sample. The run
 // observes into empty busy and wait histograms, so each sum starts from
 // zero whatever ran before, and an order that changes its bits in one
-// test order changes them in all.
-func checkFlush(t *testing.T, name string, p Program, size int, m Model, probe Probe, fs *FaultSpec, rounds [kindAllreduce + 1]float64) Result {
+// test order changes them in all. With batched, the run publishes into a
+// batch, which must hold every write back until it is flushed.
+func checkFlush(t *testing.T, name string, p Program, size int, m Model, probe Probe, fs *FaultSpec, rounds [kindAllreduce + 1]float64, batched bool) Result {
 	t.Helper()
 	defer func(busy, wait *telemetry.Histogram) { mRankBusy, mRankWait = busy, wait }(mRankBusy, mRankWait)
 	reg := telemetry.NewRegistry()
 	mRankBusy = reg.Histogram("busy", "", telemetry.SecondBuckets, nil)
 	mRankWait = reg.Histogram("wait", "", telemetry.SecondBuckets, nil)
 	want, busy, wait := roundCounts(), mRankBusy.Snapshot(), mRankWait.Snapshot()
-	res, err := RunFaulty(p, size, m, DefaultNetwork, probe, fs)
+	var b *telemetry.Batch
+	if batched {
+		name += ", batched"
+		b = new(telemetry.Batch)
+	}
+	res, err := RunFaulty(p, size, m, DefaultNetwork, probe, fs, b)
+	if batched {
+		if roundCounts() != want || mRankBusy.Snapshot().Count != 0 || mRankWait.Snapshot().Count != 0 {
+			t.Fatalf("%s: the run published before its batch was flushed", name)
+		}
+		b.Flush()
+	}
 	_, fails := p.(cutProgram)
 	if (err != nil) != fails {
 		t.Fatalf("%s: error %v", name, err)
