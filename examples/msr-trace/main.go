@@ -46,7 +46,7 @@ func main() {
 	}
 
 	// Program a 65 W PL1 with the paper's 1 ms window and read it back.
-	if err := ctl.SetPkgLimit(65, 0.001); err != nil {
+	if err := ctl.SetPkgLimit(65, 0.001, nil); err != nil {
 		log.Fatal(err)
 	}
 	limRaw, _ := dev.Read(msr.PkgPowerLimit)

@@ -31,6 +31,11 @@ var exportKeep = map[string]string{
 	"internal/config.SaveSystem":            "the write half of LoadSystem's format; the round-trip and fuzz tests pin the format with it",
 	"internal/core.LoadPVT":                 "the read half of pvtgen's PVT file; the integration test reads pvtgen's output back with it",
 	"internal/core.GeneratePVTLibrary":      "entry to the multi-PVT extension (BenchmarkExtensionMultiPVT, runners.golden's multipvt lines), kept until it gets a varsim experiment or goes whole",
+	// measure runs the DES through (*simmpi.Scratch).RunFaulty, which keeps
+	// a run's memory for the next one.
+	"internal/simmpi.RunFaulty": "the DES with memory of its own: the engine's tests and fuzzing, BenchmarkDESKernel and workload's allocation budgets run it",
+	// ByName builds only the benchmark it returns, from its registry.
+	"internal/workload.All": "the seven models in the paper's order; the core, measure and workload tests range over every benchmark with it",
 }
 
 // TestExportsHaveCallers: every exported top-level function under

@@ -132,13 +132,13 @@ func TestSetControlModel(t *testing.T) {
 	sys := MustNew(HA8K(), 4, 1)
 	prof := testWorkloadProfile()
 	ctl := sys.RAPL(0)
-	if err := ctl.SetPkgLimit(70, 0.001); err != nil {
+	if err := ctl.SetPkgLimit(70, 0.001, nil); err != nil {
 		t.Fatal(err)
 	}
 	jittered, _ := ctl.OperatingPoint(prof)
 	sys.SetControlModel(rapl.PerfectControl)
 	ctl = sys.RAPL(0)
-	if err := ctl.SetPkgLimit(70, 0.001); err != nil {
+	if err := ctl.SetPkgLimit(70, 0.001, nil); err != nil {
 		t.Fatal(err)
 	}
 	perfect, _ := ctl.OperatingPoint(prof)

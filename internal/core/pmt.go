@@ -162,7 +162,11 @@ func (fw *Framework) oraclePMT(c *class, bench *workload.Benchmark, ids []int) (
 	}
 	pairs := c.tester(fw.Sys, bench)
 	entries := make([]PMTEntry, len(ids))
-	err := forChunks(context.Background(), workers, len(ids), func(i int, b *telemetry.Batch) error {
+	var free *batches
+	if fw.mem != nil {
+		free = &fw.mem.chunks
+	}
+	err := forChunks(context.Background(), workers, len(ids), free, func(i int, b *telemetry.Batch) error {
 		pair, err := pairs(ids[i], b)
 		if err != nil {
 			return fmt.Errorf("core: oracle PMT %s %d: %w", c.noun, ids[i], err)

@@ -24,23 +24,37 @@ import (
 // 64-bit counter extensions, governor pins, listeners — and reapplying the
 // base system's control model and fault injector. The determinism suite
 // pins this with pooled-vs-fresh equivalence and pool-poisoning tests.
+//
+// Idle replicas wait in a mutex-guarded free list, not a sync.Pool: a Get
+// after a Put always recycles, where a sync.Pool drops its items on a GC
+// cycle (and, under the race detector, a random share of Puts). The list
+// holds at most as many replicas as were ever borrowed at once, and it
+// lives as long as the pool.
 type ReplicaPool struct {
 	base *Framework
-	pool sync.Pool
+	mu   sync.Mutex
+	idle []*Framework
 }
 
 // NewReplicaPool returns a pool of replicas of base. The base framework
 // itself is never handed out.
 func NewReplicaPool(base *Framework) *ReplicaPool {
-	p := &ReplicaPool{base: base}
-	p.pool.New = func() any { return p.base.Clone() }
-	return p
+	return &ReplicaPool{base: base}
 }
 
 // Get returns a replica ready to run: a recycled one when available (reset
 // at Put time), otherwise a fresh Clone of the base.
 func (p *ReplicaPool) Get() *Framework {
-	return p.pool.Get().(*Framework)
+	p.mu.Lock()
+	if n := len(p.idle); n > 0 {
+		fw := p.idle[n-1]
+		p.idle[n-1] = nil
+		p.idle = p.idle[:n-1]
+		p.mu.Unlock()
+		return fw
+	}
+	p.mu.Unlock()
+	return p.base.Clone()
 }
 
 // Put resets fw's system to its power-on state and shelves the replica for
@@ -48,7 +62,8 @@ func (p *ReplicaPool) Get() *Framework {
 // Put. Any recorder, collector or trace span attached for the borrow is
 // detached (Clone never copies them either), and a Workers width set for
 // the borrow is restored to the base framework's, so the next borrower
-// starts from exactly what Clone would give it.
+// starts from exactly what Clone would give it. The replica keeps its run
+// memory (see Framework), which no result refers to.
 func (p *ReplicaPool) Put(fw *Framework) {
 	if fw == nil {
 		return
@@ -59,5 +74,7 @@ func (p *ReplicaPool) Put(fw *Framework) {
 	fw.Tenant, fw.JobID = "", ""
 	fw.Trace = obs.Span{}
 	fw.Sys.Reset()
-	p.pool.Put(fw)
+	p.mu.Lock()
+	p.idle = append(p.idle, fw)
+	p.mu.Unlock()
 }

@@ -24,6 +24,7 @@ import (
 	"io"
 	"math"
 	"slices"
+	"sync"
 
 	"varpower/internal/cluster"
 	"varpower/internal/faults"
@@ -299,7 +300,7 @@ func sweep(ctx context.Context, sys *cluster.System, n, channels, workers int, t
 	in := sys.Faults()
 	vals := make([]float64, n*channels)
 	quar := make([]bool, n)
-	err := forChunks(ctx, workers, n, func(id int, b *telemetry.Batch) error {
+	err := forChunks(ctx, workers, n, nil, func(id int, b *telemetry.Batch) error {
 		attempts := 1
 		if in != nil {
 			attempts = 1 + pvtRetries
@@ -388,22 +389,55 @@ const chunk = 32
 
 // forChunks calls fn(i, b) for every member index i in [0, n),
 // fanned out over workers in chunks of consecutive members, in index order
-// within a chunk. Each chunk records into a batch of its own and flushes
-// it when it ends, failing or not, and stops at its first failing member;
-// forChunks returns the error of the lowest failing member (parallel's
-// lowest-index rule over chunks, and the serial order within one), as a
-// serial loop over the members would.
-func forChunks(ctx context.Context, workers, n int, fn func(i int, b *telemetry.Batch) error) error {
+// within a chunk. Each chunk records into a batch of its own, taken from
+// free (nil: a list of the call's own), and flushes it when it ends,
+// failing or not, and stops at its first failing member; forChunks returns
+// the error of the lowest failing member (parallel's lowest-index rule
+// over chunks, and the serial order within one), as a serial loop over
+// the members would.
+func forChunks(ctx context.Context, workers, n int, free *batches, fn func(i int, b *telemetry.Batch) error) error {
+	if free == nil {
+		free = new(batches)
+	}
 	return parallel.ForEachCtx(ctx, workers, (n+chunk-1)/chunk, func(_ context.Context, c int) error {
-		var b telemetry.Batch
+		b := free.get()
+		defer free.put(b)
 		defer b.Flush()
 		for i := c * chunk; i < min((c+1)*chunk, n); i++ {
-			if err := fn(i, &b); err != nil {
+			if err := fn(i, b); err != nil {
 				return err
 			}
 		}
 		return nil
 	})
+}
+
+// batches is a free list of the batches chunks record into: a chunk takes
+// one and puts it back flushed, so the chunks of a fan-out grow one batch
+// per concurrent worker, not one each. Safe for concurrent use.
+type batches struct {
+	mu   sync.Mutex
+	free []*telemetry.Batch
+}
+
+// get takes a batch off the list, or makes one when the list is empty.
+func (l *batches) get() *telemetry.Batch {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.free)
+	if n == 0 {
+		return new(telemetry.Batch)
+	}
+	b := l.free[n-1]
+	l.free = l.free[:n-1]
+	return b
+}
+
+// put returns a flushed batch to the list.
+func (l *batches) put(b *telemetry.Batch) {
+	l.mu.Lock()
+	l.free = append(l.free, b)
+	l.mu.Unlock()
 }
 
 // Save serialises the PVT as JSON (the on-disk form a production system

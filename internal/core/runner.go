@@ -57,6 +57,28 @@ type Framework struct {
 	// the oracle measurement (test runs open none); Clone does not copy it
 	// and ReplicaPool.Put detaches it.
 	Trace obs.Span
+
+	// mem is the memory the framework's runs reuse (see runMemory); nil,
+	// as in a Framework literal, makes every run allocate its own.
+	// Clone gives the replica memory of its own, and a pooled replica
+	// keeps its memory across borrows.
+	mem *runMemory
+}
+
+// runMemory is what a framework's runs use and do not return, kept across
+// them: for final runs, the measure.Runner (its metric batch, operating
+// points and DES scratch) and the per-rank caps or clocks a run programs;
+// for oracle measurements, the chunks' batches. A final run holds mu while
+// it uses the memory; a framework should not run two runs at once (they
+// would clobber each other's limits), but one that runs jobs on disjoint
+// modules concurrently (sched) may, and a run that finds the memory held
+// makes its own. chunks guards itself.
+type runMemory struct {
+	mu     sync.Mutex
+	run    measure.Runner
+	caps   []units.Watts
+	freqs  []units.Hertz
+	chunks batches
 }
 
 // NewFramework instantiates the framework, generating the system's PVT with
@@ -73,7 +95,7 @@ func NewFrameworkWorkers(sys *cluster.System, micro *workload.Benchmark, workers
 	if err != nil {
 		return nil, err
 	}
-	return &Framework{Sys: sys, PVT: pvt, Workers: workers}, nil
+	return &Framework{Sys: sys, PVT: pvt, Workers: workers, mem: new(runMemory)}, nil
 }
 
 // NewFrameworkWithPVT binds a previously generated (e.g. loaded) PVT.
@@ -84,7 +106,7 @@ func NewFrameworkWithPVT(sys *cluster.System, pvt *PVT) (*Framework, error) {
 	if pvt.System != sys.Spec.Name {
 		return nil, fmt.Errorf("core: PVT is for %q, system is %q", pvt.System, sys.Spec.Name)
 	}
-	return &Framework{Sys: sys, PVT: pvt}, nil
+	return &Framework{Sys: sys, PVT: pvt, mem: new(runMemory)}, nil
 }
 
 // Clone returns a framework over an independent replica of the system,
@@ -92,9 +114,9 @@ func NewFrameworkWithPVT(sys *cluster.System, pvt *PVT) (*Framework, error) {
 // byte-identically to the original — see cluster.System.Clone — which lets
 // sweep engines run many (benchmark, budget, scheme) evaluations
 // concurrently without the runs clobbering each other's RAPL limits and
-// pinned frequencies.
+// pinned frequencies. The replica gets run memory of its own.
 func (fw *Framework) Clone() *Framework {
-	return &Framework{Sys: fw.Sys.Clone(), PVT: fw.PVT, GPVT: fw.GPVT, Workers: fw.Workers}
+	return &Framework{Sys: fw.Sys.Clone(), PVT: fw.PVT, GPVT: fw.GPVT, Workers: fw.Workers, mem: new(runMemory)}
 }
 
 // BuildPMT constructs the scheme's power model for the allocated modules:
@@ -256,13 +278,13 @@ type Model struct {
 }
 
 // modelProgram is what the runs of the models of one BuildModels call
-// share, since they run the same benchmark on the same modules at every
-// budget: one measure.Hold, which carries the DES program and the hardware
-// model's budget-independent draws (each rank's workload residual,
-// uncapped operating point and run-noise factor). It is made on the first
-// RunModel of any of the models, not with the models: a model may never
-// run (SolveHetero builds models only to solve them), and a hold costs
-// more to make than a solve. Later runs, at any budget and on any replica
+// (or, through ShareHold, of several) share, since they run the same
+// benchmark on the same modules at every budget: one measure.Hold, which
+// carries the DES program and the hardware model's budget-independent
+// draws (each rank's workload residual, uncapped operating point and
+// run-noise factor). It is made on the first RunModel of any of the
+// models, not with the models: a model may never run (SolveHetero builds
+// models only to solve them), and a hold costs more to make than a solve. Later runs, at any budget and on any replica
 // of the framework that built the models, reuse it; runs only read it, so
 // concurrent cells may share it. It depends on the system seed, so it
 // serves only runs on systems with the seed of the framework that built
@@ -287,6 +309,32 @@ func (m *Model) program(sys *cluster.System) *measure.Hold {
 		h.hold, _ = measure.NewHold(sys, m.Bench, m.Modules)
 	})
 	return h.hold
+}
+
+// ShareHold makes models share one hold, so the groups of schemes of one
+// benchmark (ModelGroups), each built by a BuildModels call of its own,
+// make one hold between them instead of one per group: a hold depends only
+// on the system seed, the benchmark and the module list, which such models
+// have in common. The models must come from BuildModels on replicas of one
+// framework, for one benchmark (the same *workload.Benchmark) and equal
+// module lists; otherwise ShareHold returns an error and changes nothing.
+// Call it before any of the models runs. The models' runs measure exactly
+// what they would with a hold per group.
+func ShareHold(models []*Model) error {
+	if len(models) == 0 {
+		return nil
+	}
+	first := models[0]
+	for _, m := range models {
+		if m.prog == nil || m.prog.seed != first.prog.seed || m.class != first.class ||
+			m.Bench != first.Bench || !slices.Equal(m.Modules, first.Modules) {
+			return fmt.Errorf("core: models built apart or for different benchmarks, modules or seeds cannot share a hold")
+		}
+	}
+	for _, m := range models {
+		m.prog = first.prog
+	}
+	return nil
 }
 
 // BuildModel is Run's model step: instrument the application and make the
@@ -459,22 +507,30 @@ func (fw *Framework) execute(bench *workload.Benchmark, moduleIDs []int, alloc *
 	if fw.Recorder != nil {
 		cfg.RecordLabel = fmt.Sprintf("%s/%v", bench.Name, scheme)
 	}
+	mem := fw.mem
+	if mem == nil || !mem.mu.TryLock() {
+		mem = new(runMemory)
+	} else {
+		defer mem.mu.Unlock()
+	}
 	if scheme.UsesFS() {
 		f := fw.Sys.Spec.Arch.QuantizeDown(alloc.Freq)
 		cfg.Mode = measure.ModePinned
-		cfg.Freqs = make([]units.Hertz, len(moduleIDs))
-		for i := range cfg.Freqs {
-			cfg.Freqs[i] = f
+		mem.freqs = slices.Grow(mem.freqs[:0], len(moduleIDs))
+		for range moduleIDs {
+			mem.freqs = append(mem.freqs, f)
 		}
+		cfg.Freqs = mem.freqs
 	} else {
-		caps := alloc.CPUCaps()
-		for i, c := range caps {
-			if c <= 0 {
-				return measure.Result{}, fmt.Errorf("core: non-positive CPU cap %v for module %d", c, alloc.Entries[i].ModuleID)
+		mem.caps = mem.caps[:0]
+		for _, e := range alloc.Entries {
+			if e.Pcpu <= 0 {
+				return measure.Result{}, fmt.Errorf("core: non-positive CPU cap %v for module %d", e.Pcpu, e.ModuleID)
 			}
+			mem.caps = append(mem.caps, e.Pcpu)
 		}
 		cfg.Mode = measure.ModeCapped
-		cfg.CPUCaps = caps
+		cfg.CPUCaps = mem.caps
 	}
-	return measure.Run(fw.Sys, cfg)
+	return mem.run.Run(fw.Sys, cfg)
 }

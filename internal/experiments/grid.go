@@ -58,7 +58,8 @@ type EvalGrid struct {
 // models are built once, before its cells: one task per group of schemes
 // that share a measurement (core.ModelGroups), each on a fresh replica so
 // its test runs start from power-on counters exactly as a per-cell Run's
-// would. The cells then only solve and execute. Both stages fan out over
+// would. All of a benchmark's models then share one hold (core.ShareHold),
+// made by the first of its cells to run. The cells only solve and execute. Both stages fan out over
 // Options.Workers goroutines, each task on its own framework replica (the
 // PVT is shared read-only; the system replica keeps RAPL limits and pinned
 // frequencies private to the task). Every worker count — including the
@@ -154,9 +155,20 @@ func EvaluationGrid(o Options) (*EvalGrid, error) {
 		return nil, err
 	}
 	models := make(map[modelKey]builtModel)
+	byBench := make(map[string][]*core.Model)
 	for i, s := range modelSpecs {
 		for j, scheme := range s.schemes {
 			models[modelKey{s.bench.Name, scheme}] = built[i][j]
+			if built[i][j].err == nil {
+				byBench[s.bench.Name] = append(byBench[s.bench.Name], built[i][j].model)
+			}
+		}
+	}
+	// A benchmark's groups run the same program on the same modules: one
+	// hold serves all of their cells.
+	for _, ms := range byBench {
+		if err := core.ShareHold(ms); err != nil {
+			return nil, err
 		}
 	}
 	g.Cells, err = parallel.MapCtx(o.stageCtx("grid"), o.Workers, len(specs), func(ctx context.Context, i int) (GridCell, error) {

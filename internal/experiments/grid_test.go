@@ -285,6 +285,66 @@ func withoutEnergy(c GridCell) GridCell {
 	return c
 }
 
+// TestGridSharedHoldMatchesPerGroupHolds: a 48-module grid, whose
+// benchmarks' model groups share one hold, deep-equals the grid the same
+// models give with a hold per group (each group's BuildModels on a fresh
+// replica, each cell's RunModel on another at one worker), energies
+// included. The hold count itself is pinned in core
+// (TestShareHoldOneHoldPerBenchmark).
+func TestGridSharedHoldMatchesPerGroupHolds(t *testing.T) {
+	o := smallOpts()
+	o.HA8KModules = 48
+	g, err := EvaluationGrid(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := core.NewReplicaPool(g.FW)
+	var want []GridCell
+	for _, bench := range workload.Evaluated() {
+		constraints := g.T4.EvaluatedConstraints(bench.Name)
+		if len(constraints) == 0 {
+			continue
+		}
+		models := make(map[core.Scheme]*core.Model)
+		for _, schemes := range core.ModelGroups(core.AllSchemes()) {
+			fw := pool.Get()
+			ms, err := fw.BuildModels(bench, g.Modules, schemes)
+			pool.Put(fw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, s := range schemes {
+				models[s] = ms[i]
+			}
+		}
+		for _, cs := range constraints {
+			for _, scheme := range core.AllSchemes() {
+				fw := pool.Get()
+				fw.Workers = 1
+				run, err := fw.RunModel(models[scheme], CsForScale(cs, len(g.Modules)))
+				pool.Put(fw)
+				cell := GridCell{Bench: bench.Name, Cs: cs, Scheme: scheme, Err: err}
+				if err == nil {
+					cell.Elapsed, cell.AvgTotalPower = run.Elapsed(), run.Result.AvgTotalPower
+					if scheme == core.VaFs {
+						cell.Run = run
+					}
+				}
+				want = append(want, cell)
+			}
+		}
+	}
+	if len(g.Cells) != len(want) || len(want) == 0 {
+		t.Fatalf("%d cells, reference %d", len(g.Cells), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(g.Cells[i], want[i]) {
+			c := g.Cells[i]
+			t.Fatalf("cell %s %v %v differs from its per-group-hold reference", c.Bench, c.Cs, c.Scheme)
+		}
+	}
+}
+
 func TestGridSpeedupBaseline(t *testing.T) {
 	g := buildGrid(t)
 	// Naive speedup over itself is exactly 1.

@@ -102,9 +102,11 @@ func (g *Governor) SetSpeed(f units.Hertz, b *telemetry.Batch) (units.Hertz, err
 }
 
 // Release returns the module to hardware-managed (ondemand/turbo) operation.
-func (g *Governor) Release() {
+// A release of a pinned module is counted into b, which publishes it when
+// it is flushed; nil publishes it at once.
+func (g *Governor) Release(b *telemetry.Batch) {
 	if g.pinned {
-		mReleases.Inc()
+		b.Inc(mReleases)
 		if g.listener != nil {
 			g.listener.Released(g.mod.ID)
 		}

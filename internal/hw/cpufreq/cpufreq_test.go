@@ -81,7 +81,7 @@ func TestReleaseReturnsToUncapped(t *testing.T) {
 	g := NewGovernor(m)
 	p := testProfile()
 	_, _ = g.SetSpeed(units.GHz(1.5), nil)
-	g.Release()
+	g.Release(nil)
 	if _, ok := g.Pinned(); ok {
 		t.Fatal("still pinned after release")
 	}

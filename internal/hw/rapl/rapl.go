@@ -163,8 +163,10 @@ func (c *Controller) Module() *module.Module { return c.mod }
 func (c *Controller) Device() *msr.Device { return c.dev }
 
 // SetPkgLimit enables a package power cap of w averaged over the given
-// window, writing the encoded limit through the MSR interface.
-func (c *Controller) SetPkgLimit(w units.Watts, window units.Seconds) error {
+// window, writing the encoded limit through the MSR interface. The limit
+// write is counted into b, which publishes it when it is flushed; nil
+// publishes it at once.
+func (c *Controller) SetPkgLimit(w units.Watts, window units.Seconds, b *telemetry.Batch) error {
 	if w <= 0 {
 		return fmt.Errorf("rapl: non-positive package limit %v", w)
 	}
@@ -174,7 +176,7 @@ func (c *Controller) SetPkgLimit(w units.Watts, window units.Seconds) error {
 		Enabled: true,
 		Clamp:   true,
 	})
-	mLimitWrites.Inc()
+	b.Inc(mLimitWrites)
 	if err := c.dev.Write(msr.PkgPowerLimit, raw); err != nil {
 		return err
 	}
@@ -217,21 +219,23 @@ func (c *Controller) OperatingPoint(p module.PowerProfile) (module.OperatingPoin
 	// One curve for the whole resolution: the module's residual for p is
 	// drawn once, not once per power evaluation.
 	cv := c.mod.Curve(p)
-	return c.OperatingPointOn(cv, cv.Uncapped())
+	return c.OperatingPointOn(cv, cv.Uncapped(), nil)
 }
 
 // OperatingPointOn is OperatingPoint on cv, this module's curve for the
 // workload, whose uncapped point unc (cv.Uncapped()) the caller has already
 // evaluated: a caller that resolves one module and workload under many
 // limits keeps the residual and the uncapped point and draws neither
-// again.
-func (c *Controller) OperatingPointOn(cv module.Curve, unc module.OperatingPoint) (module.OperatingPoint, bool) {
+// again. The resolution's clamp, throttle and infeasibility counts and its
+// power-above-cap sample go into b, which publishes them when it is
+// flushed; nil publishes them at once, as OperatingPoint does.
+func (c *Controller) OperatingPointOn(cv module.Curve, unc module.OperatingPoint, b *telemetry.Batch) (module.OperatingPoint, bool) {
 	lim, err := c.PkgLimit()
 	if err != nil {
 		return module.OperatingPoint{}, false
 	}
 	if !lim.Enabled {
-		op := c.applySpurious(cv, unc)
+		op := c.applySpurious(cv, unc, b)
 		c.publishPerfStatus(op.Freq)
 		return op, true
 	}
@@ -245,15 +249,15 @@ func (c *Controller) OperatingPointOn(cv module.Curve, unc module.OperatingPoint
 	}
 	op, ok := cv.Capped(capW)
 	if !ok {
-		mInfeasible.Inc()
+		b.Inc(mInfeasible)
 		return module.OperatingPoint{}, false
 	}
 	if unc.CPUPower > capW {
-		mClampEvents.Inc()
-		mPowerAboveCap.Observe(float64(unc.CPUPower - capW))
+		b.Inc(mClampEvents)
+		b.Observe(mPowerAboveCap, float64(unc.CPUPower-capW))
 	}
 	if op.Throttled {
-		mThrottleEvents.Inc()
+		b.Inc(mThrottleEvents)
 		if c.listener != nil {
 			c.listener.Throttled(c.mod.ID, op.Freq)
 		}
@@ -270,16 +274,16 @@ func (c *Controller) OperatingPointOn(cv module.Curve, unc module.OperatingPoint
 		}
 		op.DramPower = cv.DramPower(op.Freq)
 	}
-	op = c.applySpurious(cv, op)
+	op = c.applySpurious(cv, op, b)
 	c.publishPerfStatus(op.Freq)
 	return op, true
 }
 
 // applySpurious applies an injected thermal-throttle episode to a resolved
 // operating point: delivered frequency drops by the episode's fraction and
-// power follows the module's natural draw at the reduced clock. No-op
-// without a fault model.
-func (c *Controller) applySpurious(cv module.Curve, op module.OperatingPoint) module.OperatingPoint {
+// power follows the module's natural draw at the reduced clock, and the
+// throttle is counted into b. No-op without a fault model.
+func (c *Controller) applySpurious(cv module.Curve, op module.OperatingPoint, b *telemetry.Batch) module.OperatingPoint {
 	if c.faults == nil {
 		return op
 	}
@@ -293,7 +297,7 @@ func (c *Controller) applySpurious(cv module.Curve, op module.OperatingPoint) mo
 	}
 	op.DramPower = cv.DramPower(op.Freq)
 	op.Throttled = true
-	mThrottleEvents.Inc()
+	b.Inc(mThrottleEvents)
 	if c.listener != nil {
 		c.listener.Throttled(c.mod.ID, op.Freq)
 	}

@@ -38,7 +38,7 @@ func newController(control ControlModel) *Controller {
 
 func TestSetAndReadLimit(t *testing.T) {
 	c := newController(PerfectControl)
-	if err := c.SetPkgLimit(70, 0.001); err != nil {
+	if err := c.SetPkgLimit(70, 0.001, nil); err != nil {
 		t.Fatal(err)
 	}
 	lim, err := c.PkgLimit()
@@ -55,7 +55,7 @@ func TestSetAndReadLimit(t *testing.T) {
 	if lim.Enabled {
 		t.Fatal("limit still enabled after clear")
 	}
-	if err := c.SetPkgLimit(0, 0.001); err == nil {
+	if err := c.SetPkgLimit(0, 0.001, nil); err == nil {
 		t.Fatal("zero limit accepted")
 	}
 }
@@ -64,7 +64,7 @@ func TestOperatingPointRespectsCap(t *testing.T) {
 	c := newController(DefaultControl)
 	p := testProfile()
 	for _, cap := range []units.Watts{90, 70, 55, 45} {
-		if err := c.SetPkgLimit(cap, 0.001); err != nil {
+		if err := c.SetPkgLimit(cap, 0.001, nil); err != nil {
 			t.Fatal(err)
 		}
 		op, ok := c.OperatingPoint(p)
@@ -98,8 +98,8 @@ func TestControlLossBounds(t *testing.T) {
 	p := testProfile()
 	ideal := newController(PerfectControl)
 	for _, cap := range []units.Watts{90, 70, 55} {
-		_ = c.SetPkgLimit(cap, 0.001)
-		_ = ideal.SetPkgLimit(cap, 0.001)
+		_ = c.SetPkgLimit(cap, 0.001, nil)
+		_ = ideal.SetPkgLimit(cap, 0.001, nil)
 		got, _ := c.OperatingPoint(p)
 		want, _ := ideal.OperatingPoint(p)
 		loss := 1 - float64(got.Freq)/float64(want.Freq)
@@ -113,8 +113,8 @@ func TestControlLossDeterministic(t *testing.T) {
 	p := testProfile()
 	a := newController(DefaultControl)
 	b := newController(DefaultControl)
-	_ = a.SetPkgLimit(70, 0.001)
-	_ = b.SetPkgLimit(70, 0.001)
+	_ = a.SetPkgLimit(70, 0.001, nil)
+	_ = b.SetPkgLimit(70, 0.001, nil)
 	opA, _ := a.OperatingPoint(p)
 	opB, _ := b.OperatingPoint(p)
 	if opA != opB {
@@ -125,7 +125,7 @@ func TestControlLossDeterministic(t *testing.T) {
 func TestInfeasibleCap(t *testing.T) {
 	c := newController(PerfectControl)
 	floor := c.Module().IdleFloor()
-	if err := c.SetPkgLimit(floor-2, 0.001); err != nil {
+	if err := c.SetPkgLimit(floor-2, 0.001, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := c.OperatingPoint(testProfile()); ok {
@@ -136,7 +136,7 @@ func TestInfeasibleCap(t *testing.T) {
 func TestPerfStatusPublished(t *testing.T) {
 	c := newController(PerfectControl)
 	p := testProfile()
-	_ = c.SetPkgLimit(70, 0.001)
+	_ = c.SetPkgLimit(70, 0.001, nil)
 	op, _ := c.OperatingPoint(p)
 	raw, err := c.Device().Read(msr.IA32PerfStatus)
 	if err != nil {
@@ -151,7 +151,7 @@ func TestPerfStatusPublished(t *testing.T) {
 func TestEnergyAccounting(t *testing.T) {
 	c := newController(PerfectControl)
 	p := testProfile()
-	_ = c.SetPkgLimit(70, 0.001)
+	_ = c.SetPkgLimit(70, 0.001, nil)
 	op, _ := c.OperatingPoint(p)
 	snap, err := c.Snapshot()
 	if err != nil {

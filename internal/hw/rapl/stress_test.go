@@ -74,7 +74,7 @@ func TestControllerConcurrentEnergyStress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iterations/4; i++ {
-				if err := c.SetPkgLimit(60, 0.001); err != nil {
+				if err := c.SetPkgLimit(60, 0.001, nil); err != nil {
 					t.Error(err)
 					return
 				}

@@ -35,9 +35,9 @@ import (
 // the rank wait-time distribution including the MPI_Finalize barrier tail
 // (simmpi's histogram covers only in-program waits), observed once per run
 // in rank order. Spans time the three pipeline phases of each Run; a test
-// run is one measure.test_run phase sample. A Run publishes its metrics as
-// it goes; a test run records its writes into its caller's
-// telemetry.Batch.
+// run is one measure.test_run phase sample. A Run records every metric
+// write it makes into one telemetry.Batch and publishes it when it
+// returns; a test run records its writes into its caller's batch.
 var (
 	mRuns = func() (m [ModePinned + 1]*telemetry.Counter) {
 		for mode := range m {
@@ -282,16 +282,49 @@ func (r Result) Degraded() bool {
 	return false
 }
 
-// Run executes cfg on the system.
+// Run executes cfg on the system, with memory of its own.
 func Run(sys *cluster.System, cfg Config) (Result, error) {
+	var r Runner
+	return r.Run(sys, cfg)
+}
+
+// Runner makes runs one after another and keeps, across them, the memory
+// a run uses and does not return: its metric batch, its operating points
+// and the DES's scratch (simmpi.Scratch). A caller that makes many runs,
+// such as a framework replica running grid cells, keeps one Runner and
+// allocates that memory once. Whatever Run returns is freshly allocated,
+// so a result stays valid after later runs. The zero Runner is ready to
+// use. A Runner is not safe for concurrent use: concurrent runs need a
+// Runner each.
+type Runner struct {
+	batch telemetry.Batch // the run's metric writes, published when it returns
+	ops   []module.OperatingPoint
+	noise []float64 // a faulty run's copy of its hold's run noise
+	sim   simmpi.Scratch
+}
+
+// Run executes cfg on the system. Every metric write the run makes — the
+// run count, each rank's RAPL limit write, clamp, throttle and infeasible
+// counts and power-above-cap sample, the governor's counts, the DES's
+// rounds and busy/wait samples, the rank waits and the phase samples of
+// the run's spans — is recorded into r's batch and published once, when
+// Run returns, failing or not. Each metric receives its writes in the
+// order an unbatched run would make them, so a serial program publishes
+// exactly what it would without batching. Two kinds of writes still
+// publish at once: fault counters, and the per-rank writes of a
+// resolution that fans out over more than one worker (a batch is not safe
+// for concurrent use).
+func (r *Runner) Run(sys *cluster.System, cfg Config) (Result, error) {
 	if err := validate(sys, &cfg); err != nil {
 		return Result{}, err
 	}
-	mRuns[cfg.Mode].Inc()
+	b := &r.batch
+	defer b.Flush()
+	b.Inc(mRuns[cfg.Mode])
 	span := cfg.Trace.Start("measure.run")
 	span.SetAttr("bench", cfg.Bench.Name)
 	span.SetInt("ranks", len(cfg.Modules))
-	defer span.End()
+	defer span.EndIn(b)
 	prof := cfg.Bench.ProfileFor(sys.Spec.Arch)
 
 	var rec *recording
@@ -305,7 +338,7 @@ func Run(sys *cluster.System, cfg Config) (Result, error) {
 		defer rec.detach(sys)
 	}
 
-	ops, err := resolveAll(sys, cfg, prof, span)
+	ops, err := r.resolveAll(sys, cfg, prof, span)
 	if err != nil {
 		return Result{}, err
 	}
@@ -315,14 +348,14 @@ func Run(sys *cluster.System, cfg Config) (Result, error) {
 		probe = rec
 	}
 	sp := span.Start("measure.simulate")
-	res, err := simulate(sys, cfg, ops, probe)
-	sp.End()
+	res, err := r.simulate(sys, cfg, ops, probe)
+	sp.EndIn(b)
 	if err != nil {
 		return Result{}, err
 	}
 	sp = span.Start("measure.account")
-	out, err := account(sys, cfg, prof, ops, res)
-	sp.End()
+	out, err := account(sys, cfg, prof, ops, res, b)
+	sp.EndIn(b)
 	if err != nil {
 		return Result{}, err
 	}
@@ -342,24 +375,40 @@ func Run(sys *cluster.System, cfg Config) (Result, error) {
 // first step on its own: nothing is simulated or accounted, the energy
 // counters are untouched, and no run is counted. Callers that need only
 // the operating points (Table 4's feasibility boundaries) skip the DES and
-// the energy polls.
+// the energy polls. Its metric writes publish when it returns.
 func Resolve(sys *cluster.System, cfg Config) ([]module.OperatingPoint, error) {
 	if err := validate(sys, &cfg); err != nil {
 		return nil, err
 	}
-	return resolveAll(sys, cfg, cfg.Bench.ProfileFor(sys.Spec.Arch), cfg.Trace)
+	var r Runner
+	defer r.batch.Flush()
+	return r.resolveAll(sys, cfg, cfg.Bench.ProfileFor(sys.Spec.Arch), cfg.Trace)
 }
 
-// resolveAll resolves each rank's steady-state operating point under a
-// measure.resolve span. Each rank programs and reads only its own module's
-// RAPL controller and governor, so the fan-out is safe whenever the module
-// IDs are distinct.
-func resolveAll(sys *cluster.System, cfg Config, prof module.PowerProfile, parent obs.Span) ([]module.OperatingPoint, error) {
+// resolveAll resolves each rank's steady-state operating point into r's
+// operating points under a measure.resolve span. Each rank programs and
+// reads only its own module's RAPL controller and governor, so the fan-out
+// is safe whenever the module IDs are distinct. The ranks record their
+// metric writes into r's batch, unless they fan out over more than one
+// worker: then they publish them at once.
+func (r *Runner) resolveAll(sys *cluster.System, cfg Config, prof module.PowerProfile, parent obs.Span) ([]module.OperatingPoint, error) {
 	sp := parent.Start("measure.resolve")
-	defer sp.End()
-	return parallel.Map(rankWorkers(cfg), len(cfg.Modules), func(rank int) (module.OperatingPoint, error) {
-		return resolve(sys, cfg, prof, rank, cfg.Modules[rank])
+	defer sp.EndIn(&r.batch)
+	n, workers := len(cfg.Modules), rankWorkers(cfg)
+	var b *telemetry.Batch
+	if parallel.Workers(workers, n) == 1 {
+		b = &r.batch
+	}
+	r.ops = slices.Grow(r.ops[:0], n)[:n]
+	err := parallel.ForEachCtx(context.Background(), workers, n, func(_ context.Context, rank int) error {
+		op, err := resolve(sys, cfg, prof, rank, cfg.Modules[rank], b)
+		r.ops[rank] = op
+		return err
 	})
+	if err != nil {
+		return nil, err
+	}
+	return r.ops, nil
 }
 
 // validate checks the configuration shape.
@@ -400,16 +449,17 @@ func validate(sys *cluster.System, cfg *Config) error {
 	return nil
 }
 
-// resolve determines one rank's operating point under the control mode.
-func resolve(sys *cluster.System, cfg Config, prof module.PowerProfile, rank, id int) (module.OperatingPoint, error) {
+// resolve determines one rank's operating point under the control mode,
+// recording its metric writes into b.
+func resolve(sys *cluster.System, cfg Config, prof module.PowerProfile, rank, id int, b *telemetry.Batch) (module.OperatingPoint, error) {
 	switch cfg.Mode {
 	case ModeUncapped:
 		ctl := sys.RAPL(id)
 		if err := ctl.ClearPkgLimit(); err != nil {
 			return module.OperatingPoint{}, err
 		}
-		sys.Governor(id).Release()
-		op, ok := operatingPoint(sys, cfg, prof, rank, id)
+		sys.Governor(id).Release(b)
+		op, ok := operatingPoint(sys, cfg, prof, rank, id, b)
 		if !ok {
 			return module.OperatingPoint{}, fmt.Errorf("measure: uncapped resolution failed on module %d", id)
 		}
@@ -417,10 +467,10 @@ func resolve(sys *cluster.System, cfg Config, prof module.PowerProfile, rank, id
 
 	case ModeCapped:
 		ctl := sys.RAPL(id)
-		if err := ctl.SetPkgLimit(cfg.CPUCaps[rank], raplWindow); err != nil {
+		if err := ctl.SetPkgLimit(cfg.CPUCaps[rank], raplWindow, b); err != nil {
 			return module.OperatingPoint{}, err
 		}
-		op, ok := operatingPoint(sys, cfg, prof, rank, id)
+		op, ok := operatingPoint(sys, cfg, prof, rank, id, b)
 		if !ok {
 			return module.OperatingPoint{}, fmt.Errorf("%w: module %d cap %v", ErrInfeasible, id, cfg.CPUCaps[rank])
 		}
@@ -428,7 +478,7 @@ func resolve(sys *cluster.System, cfg Config, prof module.PowerProfile, rank, id
 
 	case ModePinned:
 		gov := sys.Governor(id)
-		f, err := gov.SetSpeed(cfg.Freqs[rank], nil)
+		f, err := gov.SetSpeed(cfg.Freqs[rank], b)
 		if err != nil {
 			return module.OperatingPoint{}, err
 		}
@@ -442,13 +492,15 @@ func resolve(sys *cluster.System, cfg Config, prof module.PowerProfile, rank, id
 }
 
 // operatingPoint resolves rank's point under the limit programmed on its
-// module's RAPL controller, from cfg's hold when it carries one.
-func operatingPoint(sys *cluster.System, cfg Config, prof module.PowerProfile, rank, id int) (module.OperatingPoint, bool) {
+// module's RAPL controller, from cfg's hold when it carries one, recording
+// its metric writes into b.
+func operatingPoint(sys *cluster.System, cfg Config, prof module.PowerProfile, rank, id int, b *telemetry.Batch) (module.OperatingPoint, bool) {
 	ctl := sys.RAPL(id)
 	if h := cfg.Hold; h != nil {
-		return ctl.OperatingPointOn(sys.Module(id).CurveWith(prof, h.resid[rank]), h.uncapped[rank])
+		return ctl.OperatingPointOn(sys.Module(id).CurveWith(prof, h.resid[rank]), h.uncapped[rank], b)
 	}
-	return ctl.OperatingPoint(prof)
+	cv := sys.Module(id).Curve(prof)
+	return ctl.OperatingPointOn(cv, cv.Uncapped(), b)
 }
 
 // runNoise is the run-to-run timing factor of bench's rank on module id, a
@@ -462,14 +514,15 @@ func runNoise(seed uint64, bench string, id int) float64 {
 
 // simulate runs cfg's SPMD program with per-rank timing derived from the
 // operating points plus the small run-to-run noise, from cfg's hold when it
-// carries one.
-func simulate(sys *cluster.System, cfg Config, ops []module.OperatingPoint, probe simmpi.Probe) (simmpi.Result, error) {
+// carries one, in r's DES scratch and recording into r's batch.
+func (r *Runner) simulate(sys *cluster.System, cfg Config, ops []module.OperatingPoint, probe simmpi.Probe) (simmpi.Result, error) {
 	if h := cfg.Hold; h != nil {
 		noise := h.noise
 		if sys.Faults() != nil {
-			noise = slices.Clone(noise)
+			r.noise = append(r.noise[:0], noise...)
+			noise = r.noise
 		}
-		return simulateProgram(sys, h.prog, cfg.Modules, ops, noise, probe, nil)
+		return simulateProgram(sys, h.prog, cfg.Modules, ops, noise, probe, &r.sim, &r.batch)
 	}
 	prog, err := cfg.Bench.Program(len(cfg.Modules), sys.Seed)
 	if err != nil {
@@ -479,15 +532,16 @@ func simulate(sys *cluster.System, cfg Config, ops []module.OperatingPoint, prob
 	for rank, id := range cfg.Modules {
 		noise[rank] = runNoise(sys.Seed, cfg.Bench.Name, id)
 	}
-	return simulateProgram(sys, prog, cfg.Modules, ops, noise, probe, nil)
+	return simulateProgram(sys, prog, cfg.Modules, ops, noise, probe, &r.sim, &r.batch)
 }
 
 // simulateProgram runs prog with rank i on modules[i] at ops[i]'s
-// frequency, its times scaled by the run-noise factor noise[i]. On a
-// faulty system it scales noise in place by each module's slow factor and
-// kills the ranks whose modules the plan kills. The DES's metric writes go
-// into b (nil publishes them at once).
-func simulateProgram(sys *cluster.System, prog simmpi.Program, modules []int, ops []module.OperatingPoint, noise []float64, probe simmpi.Probe, b *telemetry.Batch) (simmpi.Result, error) {
+// frequency, its times scaled by the run-noise factor noise[i], in the
+// DES scratch mem (nil allocates the run's own). On a faulty system it
+// scales noise in place by each module's slow factor and kills the ranks
+// whose modules the plan kills. The DES's metric writes go into b (nil
+// publishes them at once).
+func simulateProgram(sys *cluster.System, prog simmpi.Program, modules []int, ops []module.OperatingPoint, noise []float64, probe simmpi.Probe, mem *simmpi.Scratch, b *telemetry.Batch) (simmpi.Result, error) {
 	n := len(modules)
 	in := sys.Faults()
 	if in != nil {
@@ -524,14 +578,15 @@ func simulateProgram(sys *cluster.System, prog simmpi.Program, modules []int, op
 			fs = &simmpi.FaultSpec{DeadAt: deadAt}
 		}
 	}
-	return simmpi.RunFaulty(prog, n, model, simmpi.DefaultNetwork, probe, fs, b)
+	return mem.RunFaulty(prog, n, model, simmpi.DefaultNetwork, probe, fs, b)
 }
 
 // account converts the DES timing into MSR energy-counter activity and
 // reads the counters back into the result, one accountRank per rank, each
-// filling its rank's entry in place, then observes every rank's wait in
-// rank order and builds the per-rank health verdicts on a faulty system.
-func account(sys *cluster.System, cfg Config, prof module.PowerProfile, ops []module.OperatingPoint, sim simmpi.Result) (Result, error) {
+// filling its rank's entry in place, then records every rank's wait into b
+// in rank order and builds the per-rank health verdicts on a faulty
+// system.
+func account(sys *cluster.System, cfg Config, prof module.PowerProfile, ops []module.OperatingPoint, sim simmpi.Result, b *telemetry.Batch) (Result, error) {
 	ranks := make([]RankResult, len(cfg.Modules))
 	err := parallel.ForEachCtx(context.Background(), rankWorkers(cfg), len(ranks), func(_ context.Context, rank int) error {
 		return accountRank(sys, cfg.Mode, prof, cfg.Modules[rank], ops[rank], sim, rank, &ranks[rank])
@@ -539,7 +594,7 @@ func account(sys *cluster.System, cfg Config, prof module.PowerProfile, ops []mo
 	if err != nil {
 		return Result{}, err
 	}
-	mRankWait.ObserveEach(len(ranks), func(rank int) float64 { return float64(rankWait(sim, rank)) })
+	b.ObserveEach(mRankWait, len(ranks), func(rank int) float64 { return float64(rankWait(sim, rank)) })
 	out := Result{Ranks: ranks, Elapsed: sim.Elapsed}
 	// Reduce in rank order so float accumulation is bit-identical for every
 	// worker count.
@@ -676,14 +731,14 @@ func accountRank(sys *cluster.System, mode Mode, prof module.PowerProfile, id in
 			dramJ += dd
 		}
 	}
-	*r = RankResult{
-		Rank: rank, ModuleID: id, Op: op,
-		Busy: st.Busy, Wait: st.Wait, Sendrecv: st.Sendrecv, End: st.End,
-		PkgEnergy: pkgJ, DramEnergy: dramJ,
-		AvgCPUPower:  units.AvgPower(pkgJ, sim.Elapsed),
-		AvgDramPower: units.AvgPower(dramJ, sim.Elapsed),
-		DroppedPolls: dropped, Retries: retries,
-	}
+	// Field by field: a composite literal would be built on the stack and
+	// copied into *r.
+	r.Rank, r.ModuleID, r.Op = rank, id, op
+	r.Busy, r.Wait, r.Sendrecv, r.End = st.Busy, st.Wait, st.Sendrecv, st.End
+	r.PkgEnergy, r.DramEnergy = pkgJ, dramJ
+	r.AvgCPUPower = units.AvgPower(pkgJ, sim.Elapsed)
+	r.AvgDramPower = units.AvgPower(dramJ, sim.Elapsed)
+	r.DroppedPolls, r.Retries = dropped, retries
 	return nil
 }
 
@@ -841,7 +896,7 @@ func (t *Tester) Run(m Member, f units.Hertz, b *telemetry.Batch) (TestRunResult
 	ids := [1]int{m.id}
 	ops := [1]module.OperatingPoint{m.curve.AtFrequency(sel)}
 	noise := [1]float64{m.noise}
-	sim, err := simulateProgram(t.sys, t.prog, ids[:], ops[:], noise[:], nil, b)
+	sim, err := simulateProgram(t.sys, t.prog, ids[:], ops[:], noise[:], nil, nil, b)
 	if err != nil {
 		return TestRunResult{}, err
 	}

@@ -54,11 +54,12 @@ func TestHealthyPollReadsOnce(t *testing.T) {
 	}
 
 	prof := bench.ProfileFor(ref.Spec.Arch)
-	ops, err := resolveAll(ref, cfg, prof, obs.Span{})
+	var r Runner
+	ops, err := r.resolveAll(ref, cfg, prof, obs.Span{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := simulate(ref, cfg, ops, nil)
+	sim, err := r.simulate(ref, cfg, ops, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

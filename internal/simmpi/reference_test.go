@@ -554,7 +554,7 @@ func TestHealthyLoopEntryRule(t *testing.T) {
 			}
 		}
 		p := tableProgram{tables: tc.tables, schedule: schedule}
-		if _, _, ordered, err := resolve(p.Tables(), size, 5, m, tc.net, nil); err != nil || ordered != tc.ordered {
+		if _, _, ordered, err := resolve(p.Tables(), size, 5, m, tc.net, nil, nil); err != nil || ordered != tc.ordered {
 			t.Fatalf("%s: resolve reports ordered %v (err %v), want %v", tc.name, ordered, err, tc.ordered)
 		}
 		want, wantErr := referenceRun(p, size, m, tc.net, nil, nil)
@@ -572,7 +572,7 @@ func TestResolveReportsOrderedTimes(t *testing.T) {
 	seen := map[bool]int{}
 	for seed := 0; seed < 3000; seed++ {
 		c := genCase(xrand.New(uint64(seed)))
-		tabs, _, ordered, err := resolve(c.prog.Tables(), c.size, 2, c.m, c.net, nil)
+		tabs, _, ordered, err := resolve(c.prog.Tables(), c.size, 2, c.m, c.net, nil, nil)
 		if err != nil {
 			continue
 		}

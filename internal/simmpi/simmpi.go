@@ -39,6 +39,7 @@ package simmpi
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"varpower/internal/telemetry"
 	"varpower/internal/units"
@@ -241,12 +242,64 @@ func (f *faultState) dies(rank int, t units.Seconds) bool {
 	return !f.dead[rank] && f.deadAt[rank] >= 0 && t >= f.deadAt[rank]
 }
 
+// Scratch is the memory a run allocates and does not return — its
+// resolved per-rank times and clocks, its peer rows and its per-rank stats
+// — kept for the next run made through it. The zero Scratch is ready to
+// use, and a nil *Scratch makes each run allocate its own. A Scratch is
+// not safe for concurrent use, and a run's Result.Ranks live in it: they
+// are overwritten by its next run.
+type Scratch struct {
+	secs  []units.Seconds
+	peers [][rowWidth]int32
+	ranks []RankStats
+}
+
+// floats returns n per-rank times, the first zero of them zeroed: the
+// clocks and accumulators, which a run reads before it writes; the rest
+// are every table's times, which resolve writes before any round reads
+// them.
+func (s *Scratch) floats(n, zero int) []units.Seconds {
+	if s == nil {
+		return make([]units.Seconds, n)
+	}
+	s.secs = slices.Grow(s.secs[:0], n)[:n]
+	clear(s.secs[:zero])
+	return s.secs
+}
+
+// rows returns n peer rows, which resolve fills before any round reads
+// them.
+func (s *Scratch) rows(n int) [][rowWidth]int32 {
+	if s == nil {
+		return make([][rowWidth]int32, n)
+	}
+	s.peers = slices.Grow(s.peers[:0], n)[:n]
+	return s.peers
+}
+
+// stats returns n zeroed per-rank stats.
+func (s *Scratch) stats(n int) []RankStats {
+	if s == nil {
+		return make([]RankStats, n)
+	}
+	s.ranks = slices.Grow(s.ranks[:0], n)[:n]
+	clear(s.ranks)
+	return s.ranks
+}
+
+// RunFaulty is (*Scratch).RunFaulty with a run's own memory.
+func RunFaulty(p Program, size int, m Model, net Network, probe Probe, fs *FaultSpec, b *telemetry.Batch) (Result, error) {
+	var s *Scratch
+	return s.RunFaulty(p, size, m, net, probe, fs, b)
+}
+
 // RunFaulty executes the program on size ranks against the model and
-// network. A non-nil fs injects rank deaths: listed ranks die at their
-// appointed times and the run finishes degraded instead of deadlocking. A
-// non-nil probe is told every per-rank phase interval and every
-// communication round's arrival spread, in a deterministic order from the
-// serial round loop; it cannot change the result.
+// network, in s's memory (see Scratch). A non-nil fs injects rank deaths:
+// listed ranks die at their appointed times and the run finishes degraded
+// instead of deadlocking. A non-nil probe is told every per-rank phase
+// interval and every communication round's arrival spread, in a
+// deterministic order from the serial round loop; it cannot change the
+// result.
 //
 // A run with neither a fault spec nor a probe, whose resolved times are
 // ordered (see resolve), plays its rounds in playHealthy, which tests no
@@ -258,9 +311,9 @@ func (f *faultState) dies(rank int, t units.Seconds) bool {
 // The run's metric writes — its rounds per kind, those of a failing run
 // included, and every rank's busy and wait time, in rank order — go into
 // b, which the caller flushes; a nil b publishes them before RunFaulty
-// returns. A calibration test run passes its sweep's batch; every other
-// caller passes nil.
-func RunFaulty(p Program, size int, m Model, net Network, probe Probe, fs *FaultSpec, b *telemetry.Batch) (Result, error) {
+// returns. A calibration test run passes its sweep's batch and a measured
+// run its measure.Runner's.
+func (s *Scratch) RunFaulty(p Program, size int, m Model, net Network, probe Probe, fs *FaultSpec, b *telemetry.Batch) (Result, error) {
 	if size < 1 {
 		return Result{}, fmt.Errorf("simmpi: size %d < 1", size)
 	}
@@ -272,22 +325,23 @@ func RunFaulty(p Program, size int, m Model, net Network, probe Probe, fs *Fault
 		return Result{}, err
 	}
 	// Programs have a handful of tables (workload's have one or two), so
-	// their descriptors live on the stack: a run allocates its result, its
-	// per-rank arrays with the resolved times, and its peer rows. The
-	// healthy loop's three per-rank accumulators are three more of those
-	// arrays; a run that may take that loop gets them before resolve tells
-	// whether its times are ordered, and play uses the first two.
+	// their descriptors live on the stack: a run needs its result's
+	// per-rank stats, its per-rank arrays with the resolved times, and its
+	// peer rows, which come from s. The healthy loop's three per-rank
+	// accumulators are three more of those arrays; a run that may take
+	// that loop gets them before resolve tells whether its times are
+	// ordered, and play uses the first two.
 	healthy := fault == nil && probe == nil
 	nclocks := 2
 	if healthy {
 		nclocks = 5
 	}
 	var small [4]table
-	tabs, clocks, ordered, err := resolve(p.Tables(), size, nclocks, m, net, small[:0])
+	tabs, clocks, ordered, err := resolve(p.Tables(), size, nclocks, m, net, small[:0], s)
 	if err != nil {
 		return Result{}, err
 	}
-	res := Result{Ranks: make([]RankStats, size)}
+	res := Result{Ranks: s.stats(size)}
 	var played [kindAllreduce + 1]int // rounds per kind
 	if healthy && ordered {
 		played, err = playHealthy(p, tabs, clocks, res.Ranks)
@@ -661,14 +715,14 @@ func (tb *table) row(rank int) [][rowWidth]int32 {
 // it is not one op per rank, if any rank's op is not rank 0's kind, or if
 // it holds a negative compute time or a peer outside the communicator.
 // clocks is nclocks zeroed per-rank arrays back to back, for the round
-// loop's clocks, scratch and accumulators; they share one allocation with
-// every table's per-rank times, and all peer rows share another. A row
+// loop's clocks, scratch and accumulators; they share one array of mem's
+// with every table's per-rank times, and all peer rows share another. A row
 // lists the rank's peers in order, then repeats the rank itself: a rank
 // never arrives after itself, so neither loop's latest arrival changes,
 // and play skips a dead rank before it reads the rank's row. ordered
 // reports that every resolved compute time, wire time and collective cost
 // is ≥ 0 and not NaN, the condition playHealthy's peer scan rests on.
-func resolve(tables [][]Op, size, nclocks int, m Model, net Network, tabs []table) (_ []table, clocks []units.Seconds, ordered bool, err error) {
+func resolve(tables [][]Op, size, nclocks int, m Model, net Network, tabs []table, mem *Scratch) (_ []table, clocks []units.Seconds, ordered bool, err error) {
 	nsecs, nrows, base := nclocks*size, 0, len(tabs)
 	for i, ops := range tables {
 		if len(ops) != size {
@@ -697,10 +751,10 @@ func resolve(tables [][]Op, size, nclocks int, m Model, net Network, tabs []tabl
 		}
 		tabs = append(tabs, tb)
 	}
-	secs := make([]units.Seconds, nsecs)
+	secs := mem.floats(nsecs, nclocks*size)
 	var peers [][rowWidth]int32
 	if nrows > 0 {
-		peers = make([][rowWidth]int32, nrows)
+		peers = mem.rows(nrows)
 	}
 	clocks, secs = secs[:nclocks*size], secs[nclocks*size:]
 	ordered = true

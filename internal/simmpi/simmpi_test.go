@@ -299,3 +299,73 @@ func TestDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestScratchReuseMatchesFreshRun: a Scratch's next run is bit-identical
+// to a run with memory of its own, whatever its runs before it were: a
+// larger run (more ranks, more tables and peer rows), a probed run and a
+// run with a dying rank (the general loop), a run that fails at round 4,
+// and a one-rank run with no peer row. A result read before the scratch's
+// next run is the fresh run's too. Runs of 48 and 480 ranks.
+func TestScratchReuseMatchesFreshRun(t *testing.T) {
+	for _, size := range []int{48, 480} {
+		p := ringProgram(size, 6, 3)
+		big := ringProgram(2*size, 9, 2)
+		for rank := range big.ops {
+			big.ops[rank][3] = Sendrecv{Peers: []int{0, 1, 2, 3, 4, 5, 6, (rank + 1) % (2 * size)}, Bytes: 8}
+		}
+		deadAt := make([]units.Seconds, size)
+		for i := range deadAt {
+			deadAt[i] = -1
+		}
+		deadAt[size/3] = 7.3
+		var s Scratch
+		for _, prev := range []struct {
+			name string
+			run  func() error
+		}{
+			{"a larger run", func() error {
+				_, err := s.RunFaulty(big, 2*size, skewedModel(), DefaultNetwork, nil, nil, nil)
+				return err
+			}},
+			{"a probed run", func() error {
+				_, err := s.RunFaulty(p, size, skewedModel(), DefaultNetwork, nopProbe{}, nil, nil)
+				return err
+			}},
+			{"a run with a dying rank", func() error {
+				_, err := s.RunFaulty(p, size, skewedModel(), DefaultNetwork, nil, &FaultSpec{DeadAt: deadAt}, nil)
+				return err
+			}},
+			{"a run failing at round 4", func() error {
+				if _, err := s.RunFaulty(cutProgram{big, 4}, 2*size, skewedModel(), DefaultNetwork, nil, nil, nil); err == nil {
+					t.Fatal("the cut program ran to its end")
+				}
+				return nil
+			}},
+			{"a one-rank run", func() error {
+				_, err := s.RunFaulty(ringProgram(1, 3, 5), 1, skewedModel(), DefaultNetwork, nil, nil, nil)
+				return err
+			}},
+		} {
+			if err := prev.run(); err != nil {
+				t.Fatalf("%d ranks, %s: %v", size, prev.name, err)
+			}
+			for _, c := range []struct {
+				name  string
+				probe Probe
+				fs    *FaultSpec
+			}{{"healthy", nil, nil}, {"probed", nopProbe{}, nil}, {"dying", nil, &FaultSpec{DeadAt: deadAt}}} {
+				want, err := RunFaulty(p, size, skewedModel(), DefaultNetwork, c.probe, c.fs, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := s.RunFaulty(p, size, skewedModel(), DefaultNetwork, c.probe, c.fs, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameBits(got, want) {
+					t.Fatalf("%d ranks: a %s run after %s differs from a fresh run", size, c.name, prev.name)
+				}
+			}
+		}
+	}
+}

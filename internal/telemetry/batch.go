@@ -30,7 +30,7 @@ type Batch struct {
 type batched struct {
 	ctr         *Counter
 	hist        *Histogram
-	first, last int32 // the metric's first and last write in Batch.writes
+	first, last int32 // the metric's first and last write in Batch.writes (-1: none yet)
 }
 
 // batchWrite is one recorded value, linked to its metric's next write.
@@ -68,31 +68,49 @@ func (b *Batch) ObserveEach(h *Histogram, n int, v func(i int) float64) {
 		h.ObserveEach(n, v)
 		return
 	}
+	if n <= 0 {
+		return
+	}
+	m := b.metric(nil, h)
 	for i := 0; i < n; i++ {
-		b.record(nil, h, v(i))
+		b.push(m, v(i))
 	}
 }
 
-// record appends one write of v to the metric (c or h) and links it to the
-// metric's chain. A batch writes a handful of distinct metrics, so the
-// metric is found by a linear scan.
+// record appends one write of v to the metric (c or h).
 func (b *Batch) record(c *Counter, h *Histogram, v float64) {
+	b.push(b.metric(c, h), v)
+}
+
+// metric returns the batch's entry for the metric (c or h), adding it
+// with an empty chain on its first write. A batch writes a handful of
+// distinct metrics, so the entry is found by a linear scan.
+func (b *Batch) metric(c *Counter, h *Histogram) int {
 	if b.writes == nil {
 		// A test pair makes about twenty writes to ten metrics: room for
 		// it from the start, so a batch grows only past a few pairs.
 		b.writes = make([]batchWrite, 0, 64)
 		b.metrics = make([]batched, 0, 16)
 	}
-	i := int32(len(b.writes))
-	b.writes = append(b.writes, batchWrite{v: v, next: -1})
 	for k := range b.metrics {
 		if m := &b.metrics[k]; m.ctr == c && m.hist == h {
-			b.writes[m.last].next = i
-			m.last = i
-			return
+			return k
 		}
 	}
-	b.metrics = append(b.metrics, batched{ctr: c, hist: h, first: i, last: i})
+	b.metrics = append(b.metrics, batched{ctr: c, hist: h, first: -1, last: -1})
+	return len(b.metrics) - 1
+}
+
+// push appends v to the chain of metric k.
+func (b *Batch) push(k int, v float64) {
+	i := int32(len(b.writes))
+	b.writes = append(b.writes, batchWrite{v: v, next: -1})
+	if m := &b.metrics[k]; m.last < 0 {
+		m.first, m.last = i, i
+	} else {
+		b.writes[m.last].next = i
+		m.last = i
+	}
 }
 
 // Flush publishes every recorded write, each metric's in recorded order,

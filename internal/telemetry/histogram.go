@@ -123,8 +123,7 @@ func (h *Histogram) add(v float64) (int, bool) {
 		h.dropped++
 		return 0, false
 	}
-	// Bucket index: first bound >= v, or the +Inf bucket.
-	i := sort.SearchFloat64s(h.bounds, v)
+	i := bucket(h.bounds, v)
 	h.counts[i]++
 	h.count++
 	h.sum += v
@@ -135,6 +134,23 @@ func (h *Histogram) add(v float64) (int, bool) {
 		h.max = v
 	}
 	return i, true
+}
+
+// bucket returns the index of the first bound ≥ v, or len(bounds) (the
+// +Inf bucket) when there is none: sort.SearchFloat64s's answer for
+// ascending bounds, by a binary search written out so no closure runs per
+// probe.
+func bucket(bounds []float64, v float64) int {
+	lo, hi := 0, len(bounds)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if bounds[mid] < v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // HistSnapshot is a consistent copy of a histogram's state.

@@ -2,7 +2,10 @@ package telemetry
 
 import (
 	"math"
+	"sort"
 	"testing"
+
+	"varpower/internal/xrand"
 )
 
 func TestHistogramEmpty(t *testing.T) {
@@ -142,6 +145,38 @@ func TestObserveEachMatchesSequentialObserve(t *testing.T) {
 	for i := range want.Counts {
 		if got.Counts[i] != want.Counts[i] {
 			t.Fatalf("bucket %d: batched %d, sequential %d", i, got.Counts[i], want.Counts[i])
+		}
+	}
+}
+
+// TestBucketMatchesSearchFloat64s: the written-out bucket search returns
+// sort.SearchFloat64s's index for every bound of the repository's layouts,
+// each bound's ±1-ULP neighbours, ±0 and 10^6 random values spread over
+// every layout's range and beyond it.
+func TestBucketMatchesSearchFloat64s(t *testing.T) {
+	layouts := map[string][]float64{
+		"DefTimeBuckets": DefTimeBuckets,
+		"WattBuckets":    WattBuckets,
+		"SecondBuckets":  SecondBuckets,
+	}
+	rng := xrand.New(11)
+	for name, bounds := range layouts {
+		check := func(v float64) {
+			if got, want := bucket(bounds, v), sort.SearchFloat64s(bounds, v); got != want {
+				t.Fatalf("%s: bucket(%v) = %d, sort.SearchFloat64s %d", name, v, got, want)
+			}
+		}
+		check(0)
+		check(math.Copysign(0, -1))
+		for _, b := range bounds {
+			check(b)
+			check(math.Nextafter(b, math.Inf(-1)))
+			check(math.Nextafter(b, math.Inf(1)))
+		}
+		// Log-uniform over three decades either side of the layout.
+		lo, hi := math.Log(bounds[0]/1e3), math.Log(bounds[len(bounds)-1]*1e3)
+		for i := 0; i < 1e6; i++ {
+			check(math.Exp(lo + (hi-lo)*rng.Float64()))
 		}
 	}
 }

@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"varpower/internal/hw/module"
 )
@@ -166,9 +167,38 @@ func MVMC() *Benchmark {
 // exhibited both memory and CPU boundedness" (Section 5.3).
 func PVTMicrobenchmark() *Benchmark { return StarSTREAM() }
 
+// registered is one benchmark model of the registry: its name, its
+// case-folded name (foldName) and its constructor.
+type registered struct {
+	name, folded string
+	make         func() *Benchmark
+}
+
+// registry lists the seven benchmark models in the paper's order, so a
+// lookup builds only the benchmark it returns.
+var registry = func() []registered {
+	out := []registered{
+		{name: "*DGEMM", make: DGEMM},
+		{name: "*STREAM", make: StarSTREAM},
+		{name: "NPB-EP", make: EP},
+		{name: "NPB-BT", make: BT},
+		{name: "NPB-SP", make: SP},
+		{name: "MHD", make: MHD},
+		{name: "mVMC", make: MVMC},
+	}
+	for i := range out {
+		out[i].folded = foldName(out[i].name)
+	}
+	return out
+}()
+
 // All returns the seven benchmark models in the paper's order.
 func All() []*Benchmark {
-	return []*Benchmark{DGEMM(), StarSTREAM(), EP(), BT(), SP(), MHD(), MVMC()}
+	out := make([]*Benchmark, len(registry))
+	for i, e := range registry {
+		out[i] = e.make()
+	}
+	return out
 }
 
 // Evaluated returns the six benchmarks of the evaluation section (Table 4
@@ -178,17 +208,21 @@ func Evaluated() []*Benchmark {
 }
 
 // ByName looks up a benchmark by its exact or case-folded name; the NPB
-// kernels also answer to their bare names ("bt" → NPB-BT).
+// kernels also answer to their bare names ("bt" → NPB-BT). It folds name
+// once and builds only the benchmark it returns, a fresh one per call.
 func ByName(name string) (*Benchmark, error) {
-	want := foldName(name)
-	for _, b := range All() {
-		if b.Name == name || foldName(b.Name) == want || foldName(b.Name) == "npb"+want {
-			return b, nil
+	var buf [32]byte
+	want := appendFolded(buf[:0], name)
+	for _, e := range registry {
+		// string(want) in a comparison does not allocate.
+		if e.name == name || e.folded == string(want) ||
+			strings.HasPrefix(e.folded, "npb") && e.folded[len("npb"):] == string(want) {
+			return e.make(), nil
 		}
 	}
-	var names []string
-	for _, b := range All() {
-		names = append(names, b.Name)
+	names := make([]string, len(registry))
+	for i, e := range registry {
+		names[i] = e.name
 	}
 	sort.Strings(names)
 	return nil, fmt.Errorf("workload: unknown benchmark %q (have %v)", name, names)
@@ -197,7 +231,11 @@ func ByName(name string) (*Benchmark, error) {
 // foldName normalises benchmark names for lookup: lower case, stripping
 // '*' and '-'.
 func foldName(s string) string {
-	out := make([]byte, 0, len(s))
+	return string(appendFolded(make([]byte, 0, len(s)), s))
+}
+
+// appendFolded appends foldName(s) to out.
+func appendFolded(out []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		c := s[i]
 		switch {
@@ -208,5 +246,5 @@ func foldName(s string) string {
 			out = append(out, c)
 		}
 	}
-	return string(out)
+	return out
 }

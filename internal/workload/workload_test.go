@@ -1,7 +1,11 @@
 package workload
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -44,6 +48,59 @@ func TestByName(t *testing.T) {
 		}
 		if b.Name != want {
 			t.Errorf("ByName(%q) = %s, want %s", in, b.Name, want)
+		}
+	}
+}
+
+// byNameReference is ByName as a plain scan: build every benchmark, fold
+// each candidate's name, and match the exact name, the folded name or the
+// bare NPB alias.
+func byNameReference(name string) (*Benchmark, error) {
+	want := foldName(name)
+	for _, b := range All() {
+		if b.Name == name || foldName(b.Name) == want || foldName(b.Name) == "npb"+want {
+			return b, nil
+		}
+	}
+	var names []string
+	for _, b := range All() {
+		names = append(names, b.Name)
+	}
+	sort.Strings(names)
+	return nil, fmt.Errorf("workload: unknown benchmark %q (have %v)", name, names)
+}
+
+// TestByNameMatchesReference: for every benchmark's exact name, its folded
+// name, its bare NPB alias and case and punctuation variants, and for
+// unknown names, ByName returns what the plain scan returns — an equal
+// benchmark or the same error text — and a fresh benchmark per call.
+func TestByNameMatchesReference(t *testing.T) {
+	queries := []string{"", "nosuch", "npb", "NPB-", "*", "dgemm2", "npbnpbbt", "bt ", "Npb_BT"}
+	for _, b := range All() {
+		f := foldName(b.Name)
+		queries = append(queries, b.Name, f, strings.ToUpper(b.Name), strings.ToUpper(f), "-"+b.Name+"*")
+		if strings.HasPrefix(f, "npb") {
+			queries = append(queries, f[len("npb"):], strings.ToUpper(f[len("npb"):]))
+		}
+	}
+	for _, q := range queries {
+		got, err := ByName(q)
+		want, werr := byNameReference(q)
+		if (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() {
+			t.Fatalf("ByName(%q): error %v, reference %v", q, err, werr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("ByName(%q) = %+v, reference %+v", q, got, want)
+		}
+		if got != nil {
+			if again, _ := ByName(q); again == got {
+				t.Fatalf("ByName(%q) returned the same benchmark twice", q)
+			}
+		}
+	}
+	for i, b := range All() {
+		if registry[i].name != b.Name || registry[i].folded != foldName(b.Name) {
+			t.Errorf("registry entry %d names %q (folded %q), its benchmark %q", i, registry[i].name, registry[i].folded, b.Name)
 		}
 	}
 }
