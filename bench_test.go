@@ -302,7 +302,7 @@ func BenchmarkAblationPVT(b *testing.B) {
 		b.Run(micro.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sys := cluster.MustNew(cluster.HA8K(), n, 0x5c15)
-				pvt, err := core.GeneratePVT(sys, micro)
+				pvt, err := core.GeneratePVTWorkers(sys, micro, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -423,41 +423,6 @@ func BenchmarkExtensionDynamic(b *testing.B) {
 		b.ReportMetric(float64(static.Elapsed())/float64(dyn.Elapsed), "dyn-speedup-vs-static")
 		b.ReportMetric(dyn.Epochs[0].ModelError*100, "epoch0-model-err-%")
 		b.ReportMetric(dyn.Epochs[len(dyn.Epochs)-1].ModelError*100, "final-model-err-%")
-	}
-}
-
-// BenchmarkExtensionMultiPVT measures Section 6.1's multi-PVT selection:
-// NPB-BT calibration error with the library versus the fixed *STREAM PVT.
-func BenchmarkExtensionMultiPVT(b *testing.B) {
-	const n = 256
-	sys := cluster.MustNew(cluster.HA8K(), n, 0x5c15)
-	ids, _ := sys.AllocateFirst(n)
-	lib, err := core.GeneratePVTLibrary(sys, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		bench := workload.BT()
-		oracle, err := core.OraclePMTWorkers(sys, bench, ids, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		multi, sel, err := lib.SelectAndCalibrate(sys, bench, ids)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var sum float64
-		for j := range multi.Entries {
-			p := float64(multi.Entries[j].ModuleMax())
-			a := float64(oracle.Entries[j].ModuleMax())
-			d := (p - a) / a
-			if d < 0 {
-				d = -d
-			}
-			sum += d
-		}
-		b.ReportMetric(sum/float64(n)*100, "multi-pvt-err-%")
-		b.ReportMetric(sel.Errors["*STREAM"]*100, "stream-holdout-err-%")
 	}
 }
 

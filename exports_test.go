@@ -30,7 +30,6 @@ var exportKeep = map[string]string{
 	"internal/hw/msr.EnergyCounterToJoules": "the absolute-read codec beside EnergyDeltaJoules; the msr tests decode raw counters with it",
 	"internal/config.SaveSystem":            "the write half of LoadSystem's format; the round-trip and fuzz tests pin the format with it",
 	"internal/core.LoadPVT":                 "the read half of pvtgen's PVT file; the integration test reads pvtgen's output back with it",
-	"internal/core.GeneratePVTLibrary":      "entry to the multi-PVT extension (BenchmarkExtensionMultiPVT, runners.golden's multipvt lines), kept until it gets a varsim experiment or goes whole",
 	// measure runs the DES through (*simmpi.Scratch).RunFaulty, which keeps
 	// a run's memory for the next one.
 	"internal/simmpi.RunFaulty": "the DES with memory of its own: the engine's tests and fuzzing, BenchmarkDESKernel and workload's allocation budgets run it",

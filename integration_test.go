@@ -114,7 +114,7 @@ func TestPVTFileWorkflow(t *testing.T) {
 	// The production workflow: generate a PVT at install time, store it,
 	// load it in a job prologue, budget with it.
 	sys := cluster.MustNew(cluster.HA8K(), 24, 0x5c15)
-	pvt, err := core.GeneratePVT(sys, nil)
+	pvt, err := core.GeneratePVTWorkers(sys, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -108,10 +108,6 @@ func TestRunDynamicValidation(t *testing.T) {
 
 	// Every extension runner reports an infeasible budget as
 	// ErrBudgetInfeasible under the scheme it enforces through.
-	lib, err := GeneratePVTLibrary(fw.Sys, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const budget = 8 * 20
 	for _, r := range []struct {
 		name   string
@@ -128,10 +124,6 @@ func TestRunDynamicValidation(t *testing.T) {
 		}},
 		{"phased-adaptive", "core: phase 0 (*DGEMM): ", func(fs bool) error {
 			_, err := fw.RunPhasedAdaptive(twoPhases(), ids, budget, fs)
-			return err
-		}},
-		{"multipvt", "", func(fs bool) error {
-			_, _, err := fw.RunMultiPVT(lib, workload.DGEMM(), ids, budget, fs)
 			return err
 		}},
 	} {

@@ -14,7 +14,7 @@ func TestCalibrateSelfPrediction(t *testing.T) {
 	// reproduce the oracle almost exactly: the latent factors cancel and
 	// only the (tiny, σ=1%) *STREAM residual and run noise remain.
 	sys := pvtSystem(t, 48)
-	pvt, err := GeneratePVT(sys, nil)
+	pvt, err := GeneratePVTWorkers(sys, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestCalibrateCrossWorkloadBounded(t *testing.T) {
 	// Calibration of a different workload carries mix/residual error but
 	// stays bounded (the paper: < 5% typical, ~10% for NPB-BT).
 	sys := pvtSystem(t, 96)
-	pvt, err := GeneratePVT(sys, nil)
+	pvt, err := GeneratePVTWorkers(sys, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestCalibrateCrossWorkloadBounded(t *testing.T) {
 
 func TestCalibrateUnknownModule(t *testing.T) {
 	sys := pvtSystem(t, 8)
-	pvt, _ := GeneratePVT(sys, nil)
+	pvt, _ := GeneratePVTWorkers(sys, nil, 0)
 	pair := TestPair{ModuleID: 99}
 	if _, err := Calibrate(pvt, pair, workload.DGEMM(), []int{0}); err == nil {
 		t.Error("unknown test module accepted")

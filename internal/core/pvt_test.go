@@ -18,7 +18,7 @@ func pvtSystem(t *testing.T, n int) *cluster.System {
 
 func TestGeneratePVTShape(t *testing.T) {
 	sys := pvtSystem(t, 64)
-	pvt, err := GeneratePVT(sys, nil)
+	pvt, err := GeneratePVTWorkers(sys, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestGeneratePVTShape(t *testing.T) {
 
 func TestPVTEntryLookup(t *testing.T) {
 	sys := pvtSystem(t, 8)
-	pvt, err := GeneratePVT(sys, nil)
+	pvt, err := GeneratePVTWorkers(sys, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestPVTEntryLookup(t *testing.T) {
 
 func TestPVTSaveLoadRoundTrip(t *testing.T) {
 	sys := pvtSystem(t, 16)
-	pvt, err := GeneratePVT(sys, nil)
+	pvt, err := GeneratePVTWorkers(sys, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestLoadPVTRejectsGarbage(t *testing.T) {
 
 func TestGeneratePVTCustomMicrobenchmark(t *testing.T) {
 	sys := pvtSystem(t, 8)
-	pvt, err := GeneratePVT(sys, workload.DGEMM())
+	pvt, err := GeneratePVTWorkers(sys, workload.DGEMM(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

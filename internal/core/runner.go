@@ -26,12 +26,13 @@ type Framework struct {
 	// NewHeteroFramework or the caller sets it.
 	GPVT *PVT
 
-	// Workers bounds the fan-out of the framework's per-module loops
-	// (oracle measurement, final-run resolution and accounting): < 1
-	// selects GOMAXPROCS, 1 recovers the fully serial pipeline. Results
-	// are byte-identical for every worker count, so a caller that already
-	// runs replicas concurrently (EvaluationGrid's cells) may set 1 on
-	// each borrowed replica; ReplicaPool.Put restores the base width.
+	// Workers bounds the fan-out of the framework's calibration sweeps
+	// (the install-time PVT, the oracle measurement, PVT refresh) and of
+	// the sweep engines that run on it (overprov's points, sched's jobs):
+	// < 1 selects GOMAXPROCS, 1 recovers the fully serial pipeline.
+	// Results are byte-identical for every worker count. A measured run
+	// (Execute) resolves and accounts its ranks serially at every width.
+	// ReplicaPool.Put restores the base width on a borrowed replica.
 	Workers int
 
 	// Recorder, when non-nil, attaches the framework's *final* application
@@ -198,6 +199,22 @@ func (fw *Framework) fsMargin(c *class, pmt *PMT, bench *workload.Benchmark, ids
 		}
 	}
 	return 0, fmt.Errorf("core: holdout %s %d missing from PMT", c.noun, holdout)
+}
+
+// holdoutError scores a predicted entry against the held-out module's
+// measured powers: the mean relative error of module power at fmax and
+// fmin.
+func holdoutError(pred PMTEntry, measured TestPair) float64 {
+	eMax := relErr(float64(pred.ModuleMax()), float64(measured.AtMax.ModulePower()))
+	eMin := relErr(float64(pred.ModuleMin()), float64(measured.AtMin.ModulePower()))
+	return (eMax + eMin) / 2
+}
+
+func relErr(pred, act float64) float64 {
+	if act == 0 {
+		return 0
+	}
+	return math.Abs(pred-act) / math.Abs(act)
 }
 
 // closestToMean picks, among the allocated ids other than skip, the one
@@ -496,7 +513,7 @@ func (fw *Framework) execute(bench *workload.Benchmark, moduleIDs []int, alloc *
 		return measure.Result{}, fmt.Errorf("core: allocation covers %d modules, job has %d", len(alloc.Entries), len(moduleIDs))
 	}
 	cfg := measure.Config{
-		Bench: bench, Modules: moduleIDs, Workers: fw.Workers,
+		Bench: bench, Modules: moduleIDs,
 		Recorder: fw.Recorder,
 		Attrib:   fw.Attrib,
 		Tenant:   fw.Tenant,

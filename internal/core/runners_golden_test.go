@@ -21,10 +21,9 @@ var update = flag.Bool("update", false, "rewrite the testdata golden files")
 // full formats a number at full precision, so a one-ulp change shows.
 func full(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
 
-// TestRunnersGolden pins the dynamic, phased and multi-PVT runners under
-// PC and FS enforcement: every epoch's or phase's α, frequency, elapsed
-// time and power (and the dynamic runner's model error), and the
-// multi-PVT run's chosen microbenchmark, α, elapsed time and average power.
+// TestRunnersGolden pins the dynamic and phased runners under PC and FS
+// enforcement: every epoch's or phase's α, frequency, elapsed time and
+// power, and the dynamic runner's model error.
 func TestRunnersGolden(t *testing.T) {
 	var buf bytes.Buffer
 	for _, fs := range []bool{false, true} {
@@ -55,18 +54,6 @@ func TestRunnersGolden(t *testing.T) {
 					p.Phase, p.Bench, full(p.Alpha), full(float64(p.Freq)), full(float64(p.Elapsed)), full(float64(p.Power)))
 			}
 		}
-
-		fw, ids = testFramework(t, 48)
-		lib, err := GeneratePVTLibrary(fw.Sys, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		run, sel, err := fw.RunMultiPVT(lib, workload.BT(), ids, units.Watts(48*70), fs)
-		if err != nil {
-			t.Fatalf("multi-PVT %v: %v", mode, err)
-		}
-		fmt.Fprintf(&buf, "multipvt %v chosen=%s alpha=%s elapsed=%s power=%s\n", mode,
-			sel.Chosen.Microbenchmark, full(run.Alloc.Alpha), full(float64(run.Elapsed())), full(float64(run.Result.AvgTotalPower)))
 	}
 
 	path := filepath.Join("testdata", "runners.golden")

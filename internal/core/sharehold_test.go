@@ -63,7 +63,6 @@ func TestShareHoldOneHoldPerBenchmark(t *testing.T) {
 				run := func(m *Model) (*SchemeRun, error) {
 					rfw := pool.Get()
 					defer pool.Put(rfw)
-					rfw.Workers = 1
 					return rfw.RunModel(m, budget)
 				}
 				got, gerr := run(shared[i])

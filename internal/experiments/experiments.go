@@ -56,11 +56,14 @@ type Options struct {
 	HeteroModules int
 	HeteroSystem  string
 
-	// Workers bounds every generator's fan-out — per-module measurement,
-	// PVT construction, and the evaluation grid's (benchmark, constraint,
-	// scheme) cells: < 1 selects GOMAXPROCS, 1 recovers the serial engine.
-	// Per-module RNG streams make the rendered artifacts byte-identical
-	// for every worker count.
+	// Workers bounds every generator's fan-out — the calibration sweeps
+	// (PVT construction, oracle measurement) and the sweep engines (Table
+	// 4's rows, the evaluation grid's models and cells, the resilience,
+	// overprovisioning and hetero cells, Figure 1's panels): < 1 selects
+	// GOMAXPROCS, 1 recovers the serial engine. A measured run resolves
+	// and accounts its ranks serially at every width. Per-module RNG
+	// streams make the rendered artifacts byte-identical for every worker
+	// count.
 	Workers int
 
 	// Progress, when non-nil, receives live completion updates from the

@@ -49,13 +49,11 @@ type Fig1Series struct {
 func Figure1(o Options) ([]Fig1Series, error) {
 	o = o.withDefaults()
 	// The three panels are entirely independent machines; they build
-	// concurrently, and each panel's per-rank measurement fans out too.
+	// concurrently.
 	panels := []func() (Fig1Series, error){
-		func() (Fig1Series, error) { return socketSeries(cluster.Cab(), o.CabSockets, o.Seed, false, o.Workers) },
-		func() (Fig1Series, error) { return boardSeries(cluster.Vulcan(), o.VulcanBoards, o.Seed, o.Workers) },
-		func() (Fig1Series, error) {
-			return socketSeries(cluster.Teller(), o.TellerSockets, o.Seed, true, o.Workers)
-		},
+		func() (Fig1Series, error) { return socketSeries(cluster.Cab(), o.CabSockets, o.Seed, false) },
+		func() (Fig1Series, error) { return boardSeries(cluster.Vulcan(), o.VulcanBoards, o.Seed) },
+		func() (Fig1Series, error) { return socketSeries(cluster.Teller(), o.TellerSockets, o.Seed, true) },
 	}
 	names := []string{"Cab", "Vulcan", "Teller"}
 	return parallel.Map(o.Workers, len(panels), func(i int) (Fig1Series, error) {
@@ -71,7 +69,7 @@ func Figure1(o Options) ([]Fig1Series, error) {
 // uncapped and independently (the final tiny reduction is the only
 // communication, so per-rank busy time is the single-socket execution
 // time).
-func epRun(spec cluster.Spec, n int, seed uint64, workers int) (*cluster.System, measure.Result, error) {
+func epRun(spec cluster.Spec, n int, seed uint64) (*cluster.System, measure.Result, error) {
 	sys, err := cluster.New(spec, n, seed)
 	if err != nil {
 		return nil, measure.Result{}, err
@@ -84,7 +82,6 @@ func epRun(spec cluster.Spec, n int, seed uint64, workers int) (*cluster.System,
 		Bench:   workload.EP(),
 		Modules: ids,
 		Mode:    measure.ModeUncapped,
-		Workers: workers,
 	})
 	if err != nil {
 		return nil, measure.Result{}, err
@@ -95,8 +92,8 @@ func epRun(spec cluster.Spec, n int, seed uint64, workers int) (*cluster.System,
 // socketSeries builds a per-socket panel. Power is read through the
 // system's measurement technique: RAPL counters on Cab, a PowerInsight
 // sensor (with its ADC noise and calibration offset) on Teller.
-func socketSeries(spec cluster.Spec, n int, seed uint64, usePI bool, workers int) (Fig1Series, error) {
-	sys, res, err := epRun(spec, n, seed, workers)
+func socketSeries(spec cluster.Spec, n int, seed uint64, usePI bool) (Fig1Series, error) {
+	sys, res, err := epRun(spec, n, seed)
 	if err != nil {
 		return Fig1Series{}, err
 	}
@@ -122,9 +119,9 @@ func socketSeries(spec cluster.Spec, n int, seed uint64, usePI bool, workers int
 // boardSeries builds the Vulcan panel: power is the EMON-measured sum of
 // each 32-node board (including the board's power-delivery factor), and a
 // board's execution time is its slowest node.
-func boardSeries(spec cluster.Spec, boards int, seed uint64, workers int) (Fig1Series, error) {
+func boardSeries(spec cluster.Spec, boards int, seed uint64) (Fig1Series, error) {
 	per := spec.ModulesPerBoard
-	sys, res, err := epRun(spec, boards*per, seed, workers)
+	sys, res, err := epRun(spec, boards*per, seed)
 	if err != nil {
 		return Fig1Series{}, err
 	}

@@ -62,7 +62,7 @@ func Figure2i(o Options) ([]Fig2iResult, error) {
 	var out []Fig2iResult
 	for _, b := range []*workload.Benchmark{workload.DGEMM(), workload.MHD()} {
 		res, err := measure.Run(sys, measure.Config{
-			Bench: b, Modules: ids, Mode: measure.ModeUncapped, Workers: o.Workers,
+			Bench: b, Modules: ids, Mode: measure.ModeUncapped,
 			Recorder: o.Recorder, RecordLabel: b.Name + "/uncapped", Trace: o.Trace,
 		})
 		if err != nil {
@@ -174,7 +174,7 @@ func capSweep(sys *cluster.System, ids []int, bench *workload.Benchmark, cms []u
 	avg := pmt.Averages()
 
 	base, err := measure.Run(sys, measure.Config{
-		Bench: bench, Modules: ids, Mode: measure.ModeUncapped, Workers: workers,
+		Bench: bench, Modules: ids, Mode: measure.ModeUncapped,
 		Recorder: rec, RecordLabel: bench.Name + "/uncapped",
 	})
 	if err != nil {
@@ -194,7 +194,7 @@ func capSweep(sys *cluster.System, ids []int, bench *workload.Benchmark, cms []u
 				caps[i] = ccpu
 			}
 			res, err = measure.Run(sys, measure.Config{
-				Bench: bench, Modules: ids, Mode: measure.ModeCapped, CPUCaps: caps, Workers: workers,
+				Bench: bench, Modules: ids, Mode: measure.ModeCapped, CPUCaps: caps,
 				Recorder: rec, RecordLabel: fmt.Sprintf("%s/Cm=%.0fW", bench.Name, float64(cm)),
 			})
 			if err != nil {

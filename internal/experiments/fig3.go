@@ -71,7 +71,7 @@ func Figure3(o Options) (Fig3Result, error) {
 	out := Fig3Result{Modules: n}
 	for _, cm := range fig3Caps {
 		cfg := measure.Config{
-			Bench: bench, Modules: ids, Mode: measure.ModeUncapped, Workers: o.Workers,
+			Bench: bench, Modules: ids, Mode: measure.ModeUncapped,
 			Recorder: o.Recorder, RecordLabel: fmt.Sprintf("fig3/%s/Cm=%.0fW", bench.Name, float64(cm)),
 			Trace: o.Trace,
 		}

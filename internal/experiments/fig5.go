@@ -69,7 +69,7 @@ func Figure5(o Options) ([]Fig5Result, error) {
 			for i := range freqs {
 				freqs[i] = f
 			}
-			res, err := measure.Run(sys, measure.Config{Bench: b, Modules: ids, Mode: measure.ModePinned, Freqs: freqs, Workers: o.Workers})
+			res, err := measure.Run(sys, measure.Config{Bench: b, Modules: ids, Mode: measure.ModePinned, Freqs: freqs})
 			if err != nil {
 				return nil, fmt.Errorf("experiments: figure 5 %s at %v: %w", b.Name, f, err)
 			}

@@ -68,7 +68,7 @@ func Figure8(g *EvalGrid) (Fig8Result, error) {
 }
 
 func fig8PowerPerf(g *EvalGrid, bench *workload.Benchmark) (Fig8iSeries, error) {
-	base, err := measure.Run(g.Sys, measure.Config{Bench: bench, Modules: g.Modules, Mode: measure.ModeUncapped, Workers: g.Opts.Workers})
+	base, err := measure.Run(g.Sys, measure.Config{Bench: bench, Modules: g.Modules, Mode: measure.ModeUncapped})
 	if err != nil {
 		return Fig8iSeries{}, err
 	}

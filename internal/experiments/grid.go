@@ -66,12 +66,6 @@ type EvalGrid struct {
 // serial 1 — evaluates the same sequence of tasks on fresh replicas, so the
 // grid is byte-identical regardless of parallelism.
 //
-// The cell stage is the grid's only fan-out level: there are many more
-// cells than workers, so each cell runs its replica at Workers = 1 instead
-// of fanning its per-rank loops out again (Framework.Workers gives the same
-// results at every width). The model stage has few tasks, so it keeps its
-// replicas' per-rank fan-out.
-//
 // The final runs' measured energies can differ from a per-cell Run's by at
 // most one RAPL unit (2⁻¹⁶ J) per 30 s poll chunk: a cell's counters no
 // longer carry the sub-unit residue of test runs made earlier on its
@@ -184,7 +178,6 @@ func EvaluationGrid(o Options) (*EvalGrid, error) {
 		if err == nil {
 			cfw := pool.Get()
 			cfw.Trace = span
-			cfw.Workers = 1
 			run, err = cfw.RunModel(m.model, CsForScale(s.cs, len(ids)))
 			pool.Put(cfw)
 		}

@@ -320,7 +320,6 @@ func TestGridSharedHoldMatchesPerGroupHolds(t *testing.T) {
 		for _, cs := range constraints {
 			for _, scheme := range core.AllSchemes() {
 				fw := pool.Get()
-				fw.Workers = 1
 				run, err := fw.RunModel(models[scheme], CsForScale(cs, len(g.Modules)))
 				pool.Put(fw)
 				cell := GridCell{Bench: bench.Name, Cs: cs, Scheme: scheme, Err: err}

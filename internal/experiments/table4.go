@@ -94,11 +94,11 @@ func Table4(o Options) (Table4Result, error) {
 			rsys.Reset()
 			sysPool.Put(rsys)
 		}()
-		unc, err := measure.Resolve(rsys, measure.Config{Bench: b, Modules: ids, Mode: measure.ModeUncapped, Workers: o.Workers, Trace: span})
+		unc, err := measure.Resolve(rsys, measure.Config{Bench: b, Modules: ids, Mode: measure.ModeUncapped, Trace: span})
 		if err != nil {
 			return Table4Row{}, fmt.Errorf("experiments: table 4 %s: %w", b.Name, err)
 		}
-		min, err := measure.Resolve(rsys, measure.Config{Bench: b, Modules: ids, Mode: measure.ModePinned, Freqs: fmins, Workers: o.Workers, Trace: span})
+		min, err := measure.Resolve(rsys, measure.Config{Bench: b, Modules: ids, Mode: measure.ModePinned, Freqs: fmins, Trace: span})
 		if err != nil {
 			return Table4Row{}, fmt.Errorf("experiments: table 4 %s at fmin: %w", b.Name, err)
 		}

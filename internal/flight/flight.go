@@ -284,9 +284,9 @@ func (r *ring[T]) items() []T {
 
 // Capture accumulates one run's records with run-relative times. Samples,
 // intervals and rounds must be recorded from a single goroutine (the
-// serial DES loop and the post-run synthesis pass); events may arrive from
-// the parallel per-rank resolution fan-out and are kept in per-module
-// lanes so their interleaving cannot affect the export order.
+// serial DES loop and the post-run synthesis pass); events are kept in
+// per-module lanes, flattened in module order, so the order in which a
+// run programs its modules cannot affect the export order.
 type Capture struct {
 	Label string
 	hz    float64

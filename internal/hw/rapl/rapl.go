@@ -71,9 +71,11 @@ var PerfectControl = ControlModel{}
 // limit clears, and resolutions that fell below FMin into duty-cycle
 // throttling. The flight recorder (internal/flight) attaches one per run
 // via measure. Callbacks are invoked synchronously on whatever goroutine
-// drives the controller — per-rank resolution may fan out, so a listener
-// shared across modules must be safe for concurrent use from different
-// modules (the same module is always driven from one goroutine at a time).
+// drives the controller. A run drives its modules one after another, but
+// concurrent runs on disjoint modules of one system may drive different
+// modules at once, so a listener shared across modules must be safe for
+// concurrent use from different modules (the same module is always driven
+// from one goroutine at a time).
 // Listeners observe only; they cannot change controller behaviour.
 type Listener interface {
 	// LimitSet fires after a package limit was programmed.

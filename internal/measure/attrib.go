@@ -31,7 +31,7 @@ import (
 // *enforced* (drifted) limit — the measured/expected residual is exactly
 // 1 on a faithful module and the drift magnitude when enforcement drifted,
 // with wait fractions, slow nodes and non-binding caps all cancelling.
-func observeAttrib(sys *cluster.System, cfg Config, prof module.PowerProfile, ops []module.OperatingPoint, sim simmpi.Result, out Result) {
+func observeAttrib(sys *cluster.System, cfg *Config, prof module.PowerProfile, ops []module.OperatingPoint, sim simmpi.Result, out Result) {
 	arch := sys.Spec.Arch
 	o := attrib.RunObservation{
 		Tenant:   cfg.Tenant,

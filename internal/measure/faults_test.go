@@ -167,31 +167,3 @@ func TestControlFaultVerdicts(t *testing.T) {
 		t.Fatalf("slow node busy %v not above healthy %v", res.Ranks[4].Busy, res.Ranks[3].Busy)
 	}
 }
-
-// TestFaultyRunDeterministicAcrossWorkers: the same plan and seed give
-// deeply equal results at every worker width — faults do not break the
-// engine's determinism contract.
-func TestFaultyRunDeterministicAcrossWorkers(t *testing.T) {
-	plan := &faults.Plan{Events: []faults.Event{
-		{Module: 2, Kind: faults.KindModuleDeath, Start: 6},
-		{Module: 5, Kind: faults.KindDropMSR, Start: 0, Duration: 20},
-		{Module: 7, Kind: faults.KindSlowNode, Magnitude: 1.3},
-	}}
-	var ref Result
-	for i, workers := range []int{1, 2, 0} {
-		sys, ids := faultySystem(t, 10, plan)
-		cfg := cappedConfig(ids)
-		cfg.Workers = workers
-		res, err := Run(sys, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			ref = res
-			continue
-		}
-		if !reflect.DeepEqual(ref, res) {
-			t.Fatalf("workers=%d diverged from workers=1 under faults", workers)
-		}
-	}
-}

@@ -12,7 +12,6 @@
 package measure
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -23,7 +22,6 @@ import (
 	"varpower/internal/flight"
 	"varpower/internal/hw/module"
 	"varpower/internal/obs"
-	"varpower/internal/parallel"
 	"varpower/internal/simmpi"
 	"varpower/internal/telemetry"
 	"varpower/internal/units"
@@ -102,14 +100,6 @@ type Config struct {
 	CPUCaps []units.Watts
 	// Freqs are the per-rank pinned frequencies (ModePinned).
 	Freqs []units.Hertz
-
-	// Workers bounds the fan-out of the per-rank resolution and energy
-	// accounting loops: < 1 selects GOMAXPROCS, 1 recovers the serial loop.
-	// Results are byte-identical for every worker count (every module's
-	// draws come from its own keyed RNG stream); parallelism is silently
-	// disabled when Modules carries duplicate IDs, whose RAPL/governor
-	// programming is order-dependent.
-	Workers int
 
 	// Recorder, when non-nil, captures the run's flight record — phase
 	// intervals, control-plane events, straggler rounds and synthesized
@@ -303,17 +293,16 @@ type Runner struct {
 	sim   simmpi.Scratch
 }
 
-// Run executes cfg on the system. Every metric write the run makes — the
-// run count, each rank's RAPL limit write, clamp, throttle and infeasible
+// Run executes cfg on the system, resolving and accounting its ranks one
+// after another in rank order. Every metric write the run makes — the run
+// count, each rank's RAPL limit write, clamp, throttle and infeasible
 // counts and power-above-cap sample, the governor's counts, the DES's
 // rounds and busy/wait samples, the rank waits and the phase samples of
 // the run's spans — is recorded into r's batch and published once, when
 // Run returns, failing or not. Each metric receives its writes in the
 // order an unbatched run would make them, so a serial program publishes
-// exactly what it would without batching. Two kinds of writes still
-// publish at once: fault counters, and the per-rank writes of a
-// resolution that fans out over more than one worker (a batch is not safe
-// for concurrent use).
+// exactly what it would without batching. Fault counters still publish
+// at once.
 func (r *Runner) Run(sys *cluster.System, cfg Config) (Result, error) {
 	if err := validate(sys, &cfg); err != nil {
 		return Result{}, err
@@ -338,7 +327,7 @@ func (r *Runner) Run(sys *cluster.System, cfg Config) (Result, error) {
 		defer rec.detach(sys)
 	}
 
-	ops, err := r.resolveAll(sys, cfg, prof, span)
+	ops, err := r.resolveAll(sys, &cfg, prof, span)
 	if err != nil {
 		return Result{}, err
 	}
@@ -348,23 +337,23 @@ func (r *Runner) Run(sys *cluster.System, cfg Config) (Result, error) {
 		probe = rec
 	}
 	sp := span.Start("measure.simulate")
-	res, err := r.simulate(sys, cfg, ops, probe)
+	res, err := r.simulate(sys, &cfg, ops, probe)
 	sp.EndIn(b)
 	if err != nil {
 		return Result{}, err
 	}
 	sp = span.Start("measure.account")
-	out, err := account(sys, cfg, prof, ops, res, b)
+	out, err := account(sys, &cfg, prof, ops, res, b)
 	sp.EndIn(b)
 	if err != nil {
 		return Result{}, err
 	}
 	if rec != nil {
-		rec.finish(sys, cfg, prof, ops, res)
+		rec.finish(sys, &cfg, prof, ops, res)
 		cfg.Recorder.Commit(rec.cap)
 	}
 	if cfg.Attrib != nil {
-		observeAttrib(sys, cfg, prof, ops, res, out)
+		observeAttrib(sys, &cfg, prof, ops, res, out)
 	}
 	return out, nil
 }
@@ -382,31 +371,22 @@ func Resolve(sys *cluster.System, cfg Config) ([]module.OperatingPoint, error) {
 	}
 	var r Runner
 	defer r.batch.Flush()
-	return r.resolveAll(sys, cfg, cfg.Bench.ProfileFor(sys.Spec.Arch), cfg.Trace)
+	return r.resolveAll(sys, &cfg, cfg.Bench.ProfileFor(sys.Spec.Arch), cfg.Trace)
 }
 
-// resolveAll resolves each rank's steady-state operating point into r's
-// operating points under a measure.resolve span. Each rank programs and
-// reads only its own module's RAPL controller and governor, so the fan-out
-// is safe whenever the module IDs are distinct. The ranks record their
-// metric writes into r's batch, unless they fan out over more than one
-// worker: then they publish them at once.
-func (r *Runner) resolveAll(sys *cluster.System, cfg Config, prof module.PowerProfile, parent obs.Span) ([]module.OperatingPoint, error) {
+// resolveAll resolves each rank's steady-state operating point, in rank
+// order, into r's operating points under a measure.resolve span, recording
+// the ranks' metric writes into r's batch. It stops at the first rank that
+// fails, leaving the later ranks' modules unprogrammed.
+func (r *Runner) resolveAll(sys *cluster.System, cfg *Config, prof module.PowerProfile, parent obs.Span) ([]module.OperatingPoint, error) {
 	sp := parent.Start("measure.resolve")
 	defer sp.EndIn(&r.batch)
-	n, workers := len(cfg.Modules), rankWorkers(cfg)
-	var b *telemetry.Batch
-	if parallel.Workers(workers, n) == 1 {
-		b = &r.batch
-	}
-	r.ops = slices.Grow(r.ops[:0], n)[:n]
-	err := parallel.ForEachCtx(context.Background(), workers, n, func(_ context.Context, rank int) error {
-		op, err := resolve(sys, cfg, prof, rank, cfg.Modules[rank], b)
-		r.ops[rank] = op
-		return err
-	})
-	if err != nil {
-		return nil, err
+	r.ops = slices.Grow(r.ops[:0], len(cfg.Modules))[:len(cfg.Modules)]
+	for rank, id := range cfg.Modules {
+		var err error
+		if r.ops[rank], err = resolve(sys, cfg, prof, rank, id, &r.batch); err != nil {
+			return nil, err
+		}
 	}
 	return r.ops, nil
 }
@@ -451,7 +431,7 @@ func validate(sys *cluster.System, cfg *Config) error {
 
 // resolve determines one rank's operating point under the control mode,
 // recording its metric writes into b.
-func resolve(sys *cluster.System, cfg Config, prof module.PowerProfile, rank, id int, b *telemetry.Batch) (module.OperatingPoint, error) {
+func resolve(sys *cluster.System, cfg *Config, prof module.PowerProfile, rank, id int, b *telemetry.Batch) (module.OperatingPoint, error) {
 	switch cfg.Mode {
 	case ModeUncapped:
 		ctl := sys.RAPL(id)
@@ -494,7 +474,7 @@ func resolve(sys *cluster.System, cfg Config, prof module.PowerProfile, rank, id
 // operatingPoint resolves rank's point under the limit programmed on its
 // module's RAPL controller, from cfg's hold when it carries one, recording
 // its metric writes into b.
-func operatingPoint(sys *cluster.System, cfg Config, prof module.PowerProfile, rank, id int, b *telemetry.Batch) (module.OperatingPoint, bool) {
+func operatingPoint(sys *cluster.System, cfg *Config, prof module.PowerProfile, rank, id int, b *telemetry.Batch) (module.OperatingPoint, bool) {
 	ctl := sys.RAPL(id)
 	if h := cfg.Hold; h != nil {
 		return ctl.OperatingPointOn(sys.Module(id).CurveWith(prof, h.resid[rank]), h.uncapped[rank], b)
@@ -515,7 +495,7 @@ func runNoise(seed uint64, bench string, id int) float64 {
 // simulate runs cfg's SPMD program with per-rank timing derived from the
 // operating points plus the small run-to-run noise, from cfg's hold when it
 // carries one, in r's DES scratch and recording into r's batch.
-func (r *Runner) simulate(sys *cluster.System, cfg Config, ops []module.OperatingPoint, probe simmpi.Probe) (simmpi.Result, error) {
+func (r *Runner) simulate(sys *cluster.System, cfg *Config, ops []module.OperatingPoint, probe simmpi.Probe) (simmpi.Result, error) {
 	if h := cfg.Hold; h != nil {
 		noise := h.noise
 		if sys.Faults() != nil {
@@ -582,22 +562,19 @@ func simulateProgram(sys *cluster.System, prog simmpi.Program, modules []int, op
 }
 
 // account converts the DES timing into MSR energy-counter activity and
-// reads the counters back into the result, one accountRank per rank, each
-// filling its rank's entry in place, then records every rank's wait into b
-// in rank order and builds the per-rank health verdicts on a faulty
-// system.
-func account(sys *cluster.System, cfg Config, prof module.PowerProfile, ops []module.OperatingPoint, sim simmpi.Result, b *telemetry.Batch) (Result, error) {
+// reads the counters back into the result, one accountRank per rank in
+// rank order, each filling its rank's entry in place, then records every
+// rank's wait into b in rank order and builds the per-rank health verdicts
+// on a faulty system.
+func account(sys *cluster.System, cfg *Config, prof module.PowerProfile, ops []module.OperatingPoint, sim simmpi.Result, b *telemetry.Batch) (Result, error) {
 	ranks := make([]RankResult, len(cfg.Modules))
-	err := parallel.ForEachCtx(context.Background(), rankWorkers(cfg), len(ranks), func(_ context.Context, rank int) error {
-		return accountRank(sys, cfg.Mode, prof, cfg.Modules[rank], ops[rank], sim, rank, &ranks[rank])
-	})
-	if err != nil {
-		return Result{}, err
+	for rank, id := range cfg.Modules {
+		if err := accountRank(sys, cfg.Mode, prof, id, ops[rank], sim, rank, &ranks[rank]); err != nil {
+			return Result{}, err
+		}
 	}
 	b.ObserveEach(mRankWait, len(ranks), func(rank int) float64 { return float64(rankWait(sim, rank)) })
 	out := Result{Ranks: ranks, Elapsed: sim.Elapsed}
-	// Reduce in rank order so float accumulation is bit-identical for every
-	// worker count.
 	var totalJ float64
 	for i := range ranks {
 		totalJ += float64(ranks[i].PkgEnergy) + float64(ranks[i].DramEnergy)
@@ -781,23 +758,6 @@ func health(in *faults.Injector, sim simmpi.Result, ranks []RankResult) []Module
 	return out
 }
 
-// rankWorkers resolves the per-rank fan-out width. A module listed twice
-// would see order-dependent limit programming and interleaved energy
-// accounting, so duplicates force the serial path.
-func rankWorkers(cfg Config) int {
-	if cfg.Workers == 1 || len(cfg.Modules) == 1 {
-		return 1
-	}
-	seen := make(map[int]struct{}, len(cfg.Modules))
-	for _, id := range cfg.Modules {
-		if _, dup := seen[id]; dup {
-			return 1
-		}
-		seen[id] = struct{}{}
-	}
-	return cfg.Workers
-}
-
 // TestRunResult is what a single-module test run measures: average CPU and
 // DRAM power at a pinned frequency.
 type TestRunResult struct {
@@ -822,7 +782,7 @@ func countDeath() {
 // is shortened to testIterations, because only steady-state power is
 // needed. It measures what a pinned Run of that one-module configuration
 // measures, through the same simulation and accountRank steps, but pays
-// only for its simulation: no span tree, fan-out, recorder or attribution,
+// only for its simulation: no span tree, recorder or attribution,
 // and none of the work that is the same for every run. NewTester
 // validates the benchmark, caps its iterations, builds the one-rank
 // program and resolves the power profile once, for every module: rank 0's

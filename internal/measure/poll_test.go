@@ -46,7 +46,7 @@ func TestHealthyPollReadsOnce(t *testing.T) {
 	for i := range caps {
 		caps[i] = 40
 	}
-	cfg := Config{Bench: bench, Modules: ids, Mode: ModeCapped, CPUCaps: caps, Workers: 1}
+	cfg := Config{Bench: bench, Modules: ids, Mode: ModeCapped, CPUCaps: caps}
 	ref := sys.Clone()
 	got, err := Run(sys.Clone(), cfg)
 	if err != nil {
@@ -55,11 +55,11 @@ func TestHealthyPollReadsOnce(t *testing.T) {
 
 	prof := bench.ProfileFor(ref.Spec.Arch)
 	var r Runner
-	ops, err := r.resolveAll(ref, cfg, prof, obs.Span{})
+	ops, err := r.resolveAll(ref, &cfg, prof, obs.Span{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := r.simulate(ref, cfg, ops, nil)
+	sim, err := r.simulate(ref, &cfg, ops, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,9 +17,8 @@ import (
 )
 
 // recording bridges one run to its flight capture. The probe methods are
-// invoked from the serial DES loop; the listener methods may fire from the
-// parallel per-rank resolution fan-out (flight.Capture keeps per-module
-// event lanes, so that concurrency cannot affect exported order).
+// invoked from the DES loop and the listener methods from the run's
+// rank-order resolution, both on the run's goroutine.
 type recording struct {
 	cap *flight.Capture
 	// modules maps rank -> module ID (Config.Modules).
@@ -95,7 +94,7 @@ func (rec *recording) detach(sys *cluster.System) {
 // finalize-barrier tails, the duty-cycle throttle overlays, and each
 // module's synthesized sample stream — and seals the capture. Must run on
 // the caller's goroutine (it writes the capture's serial stores).
-func (rec *recording) finish(sys *cluster.System, cfg Config, prof module.PowerProfile, ops []module.OperatingPoint, sim simmpi.Result) {
+func (rec *recording) finish(sys *cluster.System, cfg *Config, prof module.PowerProfile, ops []module.OperatingPoint, sim simmpi.Result) {
 	// Ranks that finished early busy-poll in MPI_Finalize until the
 	// straggler arrives — the visible cost of Vt on the timeline. A dead
 	// rank never reaches finalize; it gets a death event instead.

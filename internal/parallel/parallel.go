@@ -1,8 +1,12 @@
 // Package parallel provides the bounded worker-pool fan-out primitive the
-// simulation's hot paths are built on: per-module measurement loops, PVT and
-// PMT construction over module populations, and the evaluation grid's
-// (benchmark, constraint, scheme) cells are all embarrassingly parallel
-// because every module draws from its own SplitMix64 stream (internal/xrand).
+// simulation's sweeps are built on: the calibration sweeps (PVT and oracle
+// PMT construction over module populations) and the sweep engines (Table
+// 4's rows, the evaluation grid's (benchmark, constraint, scheme) cells,
+// the resilience, overprovisioning and hetero cells, sched's jobs) are all
+// embarrassingly parallel because every module draws from its own
+// SplitMix64 stream (internal/xrand). A measured run (measure.Run) is not
+// a sweep: it resolves and accounts its ranks serially, and its
+// concurrency comes from the sweep that runs it.
 //
 // The engine therefore guarantees determinism: for a pure task function,
 // Map and ForEachCtx produce results — including which error is reported —
@@ -27,8 +31,8 @@
 // reads no clock and takes no lock per task. Its only metric is
 // varpower_parallel_tasks_total, which each worker adds to once, when it
 // exits. The sweep stages time their own tasks with spans (grid.cell,
-// grid.model, table4.row, hetero.cell); per-module and per-rank tasks are
-// not timed one by one.
+// grid.model, table4.row, hetero.cell); per-module tasks are not timed one
+// by one.
 package parallel
 
 import (
@@ -59,7 +63,7 @@ type ProgressFunc func(done, total int)
 // WithProgress attaches a progress callback to ctx; MapCtx/ForEachCtx
 // invocations under that context report per-task completion to it. Nested
 // fan-outs inherit the context, so attach progress only at the granularity
-// you want reported (e.g. grid cells, not per-rank inner loops) — or strip
+// you want reported (e.g. grid cells, not per-module inner loops) — or strip
 // it with WithProgress(ctx, nil).
 func WithProgress(ctx context.Context, fn ProgressFunc) context.Context {
 	return context.WithValue(ctx, progressKey{}, fn)
