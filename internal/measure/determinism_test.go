@@ -2,13 +2,62 @@ package measure
 
 import (
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
 	"varpower/internal/faults"
+	"varpower/internal/parallel"
 	"varpower/internal/units"
 	"varpower/internal/workload"
 )
+
+// TestRunWorkerDeterminism: a measured run — operating points, energies,
+// elapsed and sync times for every rank — must be deep-equal whether it is
+// made alone or by one of several sweep workers running measured runs on
+// clones of one system at once, in every enforcement mode.
+func TestRunWorkerDeterminism(t *testing.T) {
+	widths := []int{1, 2}
+	if p := runtime.GOMAXPROCS(0); p != 1 && p != 2 {
+		widths = append(widths, p)
+	}
+	const n, runs = 96, 4
+	sys, ids := testSystem(t, n)
+	caps := make([]units.Watts, n)
+	freqs := make([]units.Hertz, n)
+	for i := range caps {
+		caps[i] = 65
+		freqs[i] = sys.Spec.Arch.FMin
+	}
+	for _, mode := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"uncapped", Config{Mode: ModeUncapped}},
+		{"capped", Config{Mode: ModeCapped, CPUCaps: caps}},
+		{"pinned", Config{Mode: ModePinned, Freqs: freqs}},
+	} {
+		cfg := mode.cfg
+		cfg.Bench, cfg.Modules = workload.MHD(), ids
+		ref, err := Run(sys.Clone(), cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", mode.name, err)
+		}
+		for _, w := range widths {
+			got, err := parallel.Map(w, runs, func(int) (Result, error) {
+				return Run(sys.Clone(), cfg)
+			})
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", mode.name, w, err)
+			}
+			for i, res := range got {
+				if !reflect.DeepEqual(ref, res) {
+					t.Fatalf("%s: run %d of %d workers differs from the run made alone", mode.name, i, w)
+				}
+			}
+		}
+	}
+}
 
 // TestPooledRunnerMatchesFreshRun: a Runner that keeps its memory across
 // runs measures exactly what a fresh Run measures. Two replicas of one

@@ -6,6 +6,7 @@ import (
 
 	"varpower/internal/cluster"
 	"varpower/internal/faults"
+	"varpower/internal/parallel"
 	"varpower/internal/units"
 	"varpower/internal/workload"
 )
@@ -165,5 +166,37 @@ func TestControlFaultVerdicts(t *testing.T) {
 	// minimal while healthy ranks wait on it.
 	if res.Ranks[4].Busy <= res.Ranks[3].Busy {
 		t.Fatalf("slow node busy %v not above healthy %v", res.Ranks[4].Busy, res.Ranks[3].Busy)
+	}
+}
+
+// TestFaultyRunDeterministicAcrossWorkers: the same plan and seed give
+// deeply equal results whether the run is made alone or by sweep workers
+// of every width running it on clones of one faulty system at once — the
+// clones share the plan, and faults do not break the engine's determinism
+// contract.
+func TestFaultyRunDeterministicAcrossWorkers(t *testing.T) {
+	plan := &faults.Plan{Events: []faults.Event{
+		{Module: 2, Kind: faults.KindModuleDeath, Start: 6},
+		{Module: 5, Kind: faults.KindDropMSR, Start: 0, Duration: 20},
+		{Module: 7, Kind: faults.KindSlowNode, Magnitude: 1.3},
+	}}
+	sys, ids := faultySystem(t, 10, plan)
+	cfg := cappedConfig(ids)
+	ref, err := Run(sys.Clone(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 0} {
+		got, err := parallel.Map(workers, 4, func(int) (Result, error) {
+			return Run(sys.Clone(), cfg)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, res := range got {
+			if !reflect.DeepEqual(ref, res) {
+				t.Fatalf("workers=%d: run %d diverged from the run made alone under faults", workers, i)
+			}
+		}
 	}
 }
