@@ -505,8 +505,9 @@ func BenchmarkExtensionOverprovisioning(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(res.BestPoint().Modules), "optimal-modules")
-		b.ReportMetric(float64(res.BestPoint().Elapsed), "best-elapsed-s")
+		best := res.Points[res.Best]
+		b.ReportMetric(float64(best.Modules), "optimal-modules")
+		b.ReportMetric(float64(best.Elapsed), "best-elapsed-s")
 	}
 }
 

@@ -13,9 +13,9 @@ import (
 	"testing"
 )
 
-// exportKeep lists the exported top-level functions under internal/ that
-// no non-test code calls but that stay, each with its reason.
-// TestExportsHaveCallers keeps the list exact.
+// exportKeep lists the exported top-level functions (dir.Name) and methods
+// (dir.Type.Name) under internal/ that no non-test code calls but that
+// stay, each with its reason. TestExportsHaveCallers keeps the list exact.
 var exportKeep = map[string]string{
 	// cluster builds its hardware in place with each type's Init, so
 	// deleting these constructors would only move the same lines into the
@@ -35,14 +35,22 @@ var exportKeep = map[string]string{
 	"internal/simmpi.RunFaulty": "the DES with memory of its own: the engine's tests and fuzzing, BenchmarkDESKernel and workload's allocation budgets run it",
 	// ByName builds only the benchmark it returns, from its registry.
 	"internal/workload.All": "the seven models in the paper's order; the core, measure and workload tests range over every benchmark with it",
+
+	"internal/xrand.Stream.Intn":             "the bounded draw the test generators (simmpi, telemetry, core, service) make their cases with",
+	"internal/flight.f6.MarshalJSON":         "json.Marshaler: encoding/json calls it for every trace timestamp and duration",
+	"internal/hw/gpu.Controller.LockedClock": "the read-back half of LockClocks; the gpu tests and TestHeteroEndToEndFS check a lock with it",
+	"internal/report.Table.NumRows":          "the report and experiments tests check each table's size with it",
 }
 
-// TestExportsHaveCallers: every exported top-level function under
-// internal/ has a non-test caller in the root or bench module, or is on
-// exportKeep; and every exportKeep entry still exists and still has no
-// caller. A caller is a qualified reference (pkg.Name) from another
-// package, or a reference to the name inside its own package other than
-// its declaration.
+// TestExportsHaveCallers: every exported top-level function and every
+// exported method under internal/ has a non-test caller in the root or
+// bench module, or is on exportKeep; and every exportKeep entry still
+// exists and still has no caller. A function's caller is a qualified
+// reference (pkg.Name) from another package, or a reference to the name
+// inside its own package other than its declaration. A method counts as
+// called when any non-test file selects its name (x.Name): without type
+// information the test cannot tell receivers apart, so it can only miss
+// an uncalled method, never flag a called one.
 func TestExportsHaveCallers(t *testing.T) {
 	fset := token.NewFileSet()
 	files := map[string][]*ast.File{} // by directory, relative to the root
@@ -71,22 +79,32 @@ func TestExportsHaveCallers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Exported top-level functions under internal/, keyed dir.Name.
+	// Exported top-level functions under internal/, keyed dir.Name, and
+	// exported methods, keyed dir.Type.Name with their names in methods.
 	declared := map[string]bool{}
+	methods := map[string]string{}
 	for dir, pkgFiles := range files {
 		if !strings.HasPrefix(dir, "internal/") {
 			continue
 		}
 		for _, f := range pkgFiles {
 			for _, d := range f.Decls {
-				if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && fn.Name.IsExported() {
+				fn, ok := d.(*ast.FuncDecl)
+				switch {
+				case !ok || !fn.Name.IsExported():
+				case fn.Recv == nil:
 					declared[dir+"."+fn.Name.Name] = true
+				default:
+					key := dir + "." + recvType(fn.Recv.List[0].Type) + "." + fn.Name.Name
+					declared[key] = true
+					methods[key] = fn.Name.Name
 				}
 			}
 		}
 	}
 
 	called := map[string]bool{}
+	selected := map[string]bool{} // every name any non-test file selects
 	for dir, pkgFiles := range files {
 		for _, f := range pkgFiles {
 			// Local names of the internal packages this file imports.
@@ -112,6 +130,7 @@ func TestExportsHaveCallers(t *testing.T) {
 					skip[n.Name] = true
 				case *ast.SelectorExpr:
 					skip[n.Sel] = true
+					selected[n.Sel.Name] = true
 					if x, ok := n.X.(*ast.Ident); ok {
 						if rel, ok := imports[x.Name]; ok {
 							called[rel+"."+n.Sel.Name] = true
@@ -125,6 +144,10 @@ func TestExportsHaveCallers(t *testing.T) {
 				return true
 			})
 		}
+	}
+
+	for key, name := range methods {
+		called[key] = selected[name]
 	}
 
 	var uncalled []string
@@ -145,4 +168,20 @@ func TestExportsHaveCallers(t *testing.T) {
 			t.Errorf("exportKeep lists %s, which now has a caller: drop it from the list", fn)
 		}
 	}
+}
+
+// recvType is the name of a method's receiver type, without its pointer
+// and type parameters.
+func recvType(x ast.Expr) string {
+	switch x := x.(type) {
+	case *ast.StarExpr:
+		return recvType(x.X)
+	case *ast.IndexExpr:
+		return recvType(x.X)
+	case *ast.IndexListExpr:
+		return recvType(x.X)
+	case *ast.Ident:
+		return x.Name
+	}
+	return ""
 }

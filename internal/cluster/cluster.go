@@ -114,11 +114,8 @@ type System struct {
 	devices     []msr.Device
 	controllers []rapl.Controller
 	governors   []cpufreq.Governor
-	// ladder is the architecture's P-state ladder, built once and shared by
-	// every governor (read-only by contract).
-	ladder  []units.Hertz
-	control rapl.ControlModel
-	faults  *faults.Injector
+	control     rapl.ControlModel
+	faults      *faults.Injector
 
 	// GPU device class (empty slices on CPU-only systems), laid out
 	// struct-of-arrays like the module population.
@@ -146,7 +143,6 @@ func New(spec Spec, count int, seed uint64) (*System, error) {
 		devices:     make([]msr.Device, count),
 		controllers: make([]rapl.Controller, count),
 		governors:   make([]cpufreq.Governor, count),
-		ladder:      spec.Arch.PStates(),
 		control:     rapl.DefaultControl,
 	}
 	if spec.Hybrid() {
@@ -177,7 +173,7 @@ func (s *System) initModules() {
 		s.modules[i].Init(i, s.Spec.Arch, s.Seed)
 		s.devices[i].Init(tdp)
 		s.controllers[i].Init(&s.modules[i], &s.devices[i], s.control, s.Seed)
-		s.governors[i].Init(&s.modules[i], s.ladder)
+		s.governors[i].Init(&s.modules[i])
 	}
 	for i := range s.gpus {
 		s.gpus[i].Init(i, s.Spec.GPU.Arch, s.Seed)
@@ -280,19 +276,19 @@ func (s *System) InstallFaults(in *faults.Injector) {
 
 // Reset restores the system to the state a fresh Clone would have: every
 // device, controller and governor is reinitialised in place (power-on
-// registers, cleared energy extensions, unpinned clocks, detached
-// listeners) and the control model and fault injector are reapplied. The
-// modules themselves are immutable and keep their drawn factors. Because
-// the component Init methods write every field, a Reset system measures
-// bit-identically to a fresh Clone — the invariant that makes pooled
-// replica reuse (internal/core ReplicaPool) invisible to results. Must not
-// be called concurrently with a run on this system.
+// registers, cleared energy extensions, unpinned clocks) and the control
+// model and fault injector are reapplied. The modules themselves are
+// immutable and keep their drawn factors. Because the component Init
+// methods write every field, a Reset system measures bit-identically to a
+// fresh Clone — the invariant that makes pooled replica reuse
+// (internal/core ReplicaPool) invisible to results. Must not be called
+// concurrently with a run on this system.
 func (s *System) Reset() {
 	tdp := float64(s.Spec.Arch.TDP)
 	for i := range s.modules {
 		s.devices[i].Init(tdp)
 		s.controllers[i].Init(&s.modules[i], &s.devices[i], s.control, s.Seed)
-		s.governors[i].Init(&s.modules[i], s.ladder)
+		s.governors[i].Init(&s.modules[i])
 	}
 	for i := range s.gpus {
 		s.gctls[i].Init(&s.gpus[i], gpu.DefaultControl, s.Seed)

@@ -21,9 +21,9 @@ import (
 // The reuse invariant is bit-identity: a recycled replica must measure
 // exactly like a fresh clone. System.Reset guarantees it by rewriting every
 // mutable field — MSR registers and fractional-energy accumulators, RAPL
-// 64-bit counter extensions, governor pins, listeners — and reapplying the
-// base system's control model and fault injector. The determinism suite
-// pins this with pooled-vs-fresh equivalence and pool-poisoning tests.
+// 64-bit counter extensions, governor pins — and reapplying the base
+// system's control model and fault injector. The determinism suite pins
+// this with pooled-vs-fresh equivalence and pool-poisoning tests.
 //
 // Idle replicas wait in a mutex-guarded free list, not a sync.Pool: a Get
 // after a Put always recycles, where a sync.Pool drops its items on a GC

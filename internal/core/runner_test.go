@@ -36,19 +36,8 @@ func TestSchemesMetadata(t *testing.T) {
 	if len(AllSchemes()) != 6 {
 		t.Fatal("the paper evaluates six schemes")
 	}
-	if Naive.VariationAware() || Pc.VariationAware() {
-		t.Error("Naive/Pc must be variation-unaware")
-	}
-	for _, s := range []Scheme{VaPc, VaPcOr, VaFs, VaFsOr} {
-		if !s.VariationAware() {
-			t.Errorf("%v must be variation-aware", s)
-		}
-	}
 	if !VaFs.UsesFS() || !VaFsOr.UsesFS() || VaPc.UsesFS() || Naive.UsesFS() {
 		t.Error("FS flags wrong")
-	}
-	if !VaPcOr.Oracle() || !VaFsOr.Oracle() || VaPc.Oracle() {
-		t.Error("oracle flags wrong")
 	}
 	if Naive.String() != "Naive" || VaFsOr.String() != "VaFsOr" {
 		t.Error("scheme names wrong")

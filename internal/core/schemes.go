@@ -68,23 +68,9 @@ func (s Scheme) String() string {
 	}
 }
 
-// VariationAware reports whether the scheme derives per-module allocations
-// from manufacturing-variability data.
-func (s Scheme) VariationAware() bool {
-	switch s {
-	case VaPc, VaPcOr, VaFs, VaFsOr:
-		return true
-	default:
-		return false
-	}
-}
-
 // UsesFS reports whether the scheme is enforced with frequency selection
 // (cpufrequtils) rather than RAPL power capping.
 func (s Scheme) UsesFS() bool { return s == VaFs || s == VaFsOr }
-
-// Oracle reports whether the scheme assumes perfect model calibration.
-func (s Scheme) Oracle() bool { return s == VaPcOr || s == VaFsOr }
 
 // measurement names the test runs a scheme's model rests on; schemes with
 // the same measurement can share one (see ModelGroups).

@@ -22,19 +22,6 @@ var ResilienceSchemes = []core.Scheme{core.Naive, core.VaPc, core.VaFs}
 // (80 W per module — mid-table, feasible for every benchmark).
 var ResilienceCs = units.Watts(80 * 1920)
 
-// resilienceHorizon is the virtual-seconds extent generated fault plans
-// target. MHD at the experiment's scales runs for tens of virtual seconds,
-// so windows and deaths placed inside this horizon land mid-run.
-const resilienceHorizon = 10
-
-// resilienceRates returns the generated fault-level ladder — the shared
-// faults.Ladder vocabulary, placed inside this experiment's horizon.
-// Probabilities are per-module incidences, so expected fault counts scale
-// with the module count.
-func resilienceRates() []faults.Level {
-	return faults.Ladder(resilienceHorizon)
-}
-
 // ResilienceCell is one (fault level, scheme) evaluation.
 type ResilienceCell struct {
 	Level  string
@@ -129,7 +116,9 @@ func Resilience(o Options) (*ResilienceResult, error) {
 		}
 		levels = []level{{name: "none"}, {name: name, plan: o.Faults}}
 	} else {
-		for _, r := range resilienceRates() {
+		// The shared faults.Ladder vocabulary. Probabilities are per-module
+		// incidences, so expected fault counts scale with the module count.
+		for _, r := range faults.Ladder() {
 			p, err := faults.Generate(o.Seed, r.Spec, o.HA8KModules)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: resilience %s plan: %w", r.Name, err)

@@ -140,7 +140,7 @@ func TestNilAndEmptyPlanYieldNilInjector(t *testing.T) {
 	if _, ok := in.DeathTime(0); ok {
 		t.Fatal("nil injector killed a module")
 	}
-	if in.Faulted(0) || in.Has(0, KindStuckMSR) {
+	if in.Has(0, KindStuckMSR) {
 		t.Fatal("nil injector reports faults")
 	}
 }

@@ -187,11 +187,6 @@ func (in *Injector) DeathTime(module int) (units.Seconds, bool) {
 	return units.Seconds(e.Start), true
 }
 
-// Faulted reports whether the plan schedules any fault for the module.
-func (in *Injector) Faulted(module int) bool {
-	return in != nil && len(in.byModule[module]) > 0
-}
-
 // Has reports whether the plan schedules an event of kind k for the module.
 // Unlike the query methods above it has no counting side-effect, so health
 // reporting can classify modules without inflating injection counters.

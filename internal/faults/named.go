@@ -17,37 +17,41 @@ type Level struct {
 	Spec RateSpec
 }
 
+// ladderHorizon is the virtual-seconds extent the ladder's windowed faults
+// and deaths are placed inside. MHD at the resilience experiment's scales
+// runs for tens of virtual seconds, so they land mid-run.
+const ladderHorizon = 10
+
 // Ladder returns the named severity rungs in increasing order, with windowed
-// faults and deaths placed inside the given virtual-seconds horizon (0
-// selects the RateSpec default). "none" is the healthy rung: its plan is
-// empty and its injector nil, so it is byte-identical to not asking for
-// faults at all.
-func Ladder(horizon float64) []Level {
+// faults and deaths placed inside ladderHorizon. "none" is the healthy
+// rung: its plan is empty and its injector nil, so it is byte-identical to
+// not asking for faults at all.
+func Ladder() []Level {
 	return []Level{
 		{Name: "none", Spec: RateSpec{}},
 		{Name: "low", Spec: RateSpec{
 			StuckMSR: 0.01, SpikeMSR: 0.01, DropMSR: 0.01,
 			CapDrift: 0.01, SlowNode: 0.01, ModuleDeath: 0.01,
-			Horizon: horizon,
+			Horizon: ladderHorizon,
 		}},
 		{Name: "medium", Spec: RateSpec{
 			StuckMSR: 0.03, SpikeMSR: 0.03, DropMSR: 0.03,
 			CapDrift: 0.03, CapLag: 0.02, ThermalThrottle: 0.02,
 			SlowNode: 0.03, ModuleDeath: 0.03,
-			Horizon: horizon,
+			Horizon: ladderHorizon,
 		}},
 		{Name: "high", Spec: RateSpec{
 			StuckMSR: 0.06, SpikeMSR: 0.06, DropMSR: 0.06,
 			CapDrift: 0.06, CapLag: 0.04, ThermalThrottle: 0.04,
 			SlowNode: 0.06, ModuleDeath: 0.06,
-			Horizon: horizon,
+			Horizon: ladderHorizon,
 		}},
 	}
 }
 
 // LevelNames returns the ladder's names in severity order.
 func LevelNames() []string {
-	rungs := Ladder(0)
+	rungs := Ladder()
 	names := make([]string, len(rungs))
 	for i, l := range rungs {
 		names[i] = l.Name
@@ -55,11 +59,11 @@ func LevelNames() []string {
 	return names
 }
 
-// LevelByName resolves a severity name (case-insensitive) to its rung with
-// the given horizon. Unknown names report the valid vocabulary so API
-// consumers get an actionable error.
-func LevelByName(name string, horizon float64) (Level, error) {
-	for _, l := range Ladder(horizon) {
+// LevelByName resolves a severity name (case-insensitive) to its rung.
+// Unknown names report the valid vocabulary so API consumers get an
+// actionable error.
+func LevelByName(name string) (Level, error) {
+	for _, l := range Ladder() {
 		if strings.EqualFold(l.Name, name) {
 			return l, nil
 		}

@@ -9,7 +9,7 @@ import (
 // and generates a valid plan; "none" must be empty so it is equivalent to
 // not injecting faults at all.
 func TestLadderSpecsValidateAndGenerate(t *testing.T) {
-	for _, l := range Ladder(10) {
+	for _, l := range Ladder() {
 		if err := l.Spec.Validate(); err != nil {
 			t.Fatalf("rung %s: %v", l.Name, err)
 		}
@@ -28,18 +28,18 @@ func TestLadderSpecsValidateAndGenerate(t *testing.T) {
 
 // TestLevelByName resolves case-insensitively and rejects unknown names.
 func TestLevelByName(t *testing.T) {
-	l, err := LevelByName("Medium", 10)
+	l, err := LevelByName("Medium")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if l.Name != "medium" || l.Spec.Horizon != 10 {
 		t.Fatalf("got %+v", l)
 	}
-	want := Ladder(10)[2].Spec
+	want := Ladder()[2].Spec
 	if !reflect.DeepEqual(l.Spec, want) {
 		t.Fatalf("spec mismatch: %+v != %+v", l.Spec, want)
 	}
-	if _, err := LevelByName("catastrophic", 10); err == nil {
+	if _, err := LevelByName("catastrophic"); err == nil {
 		t.Fatal("unknown level must error")
 	}
 }

@@ -18,12 +18,11 @@
 //
 // Recording is strictly write-only with respect to simulation state — no
 // simulated result can change because a recorder was attached — and
-// deterministic: one run's capture is filled either from the serial DES
-// loop (intervals, rounds, samples) or from per-module lanes whose
-// interleaving cannot leak into the export order (events), so the same
-// seed and configuration produce a byte-identical trace at any -workers
-// width. Memory is bounded flight-recorder style: every store is a ring
-// that keeps the most recent entries and counts what it dropped.
+// deterministic: one run's capture is filled from one goroutine, and its
+// events are kept in per-module lanes exported in module order, so the
+// same seed and configuration produce a byte-identical trace at any
+// -workers width. Memory is bounded flight-recorder style: every store is
+// a ring that keeps the most recent entries and counts what it dropped.
 package flight
 
 import (
@@ -282,11 +281,11 @@ func (r *ring[T]) items() []T {
 
 // --- capture ---------------------------------------------------------------
 
-// Capture accumulates one run's records with run-relative times. Samples,
-// intervals and rounds must be recorded from a single goroutine (the
-// serial DES loop and the post-run synthesis pass); events are kept in
-// per-module lanes, flattened in module order, so the order in which a
-// run programs its modules cannot affect the export order.
+// Capture accumulates one run's records with run-relative times, all
+// recorded from one goroutine (the run's resolution, its DES loop and the
+// post-run synthesis pass). Events are kept in per-module lanes, flattened
+// in module order, so the order in which a run programs its modules cannot
+// affect the export order.
 type Capture struct {
 	Label string
 	hz    float64
@@ -297,7 +296,6 @@ type Capture struct {
 	intervals ring[Interval]
 	rounds    ring[Round]
 
-	evMu    sync.Mutex
 	events  map[int]*ring[Event]
 	evOrder []int
 
@@ -327,13 +325,12 @@ func (c *Capture) Collective(round int, kind string, rank, module int, earliest,
 	c.rounds.push(Round{Round: round, Kind: kind, Rank: rank, Module: module, Earliest: earliest, Latest: latest})
 }
 
-// Event records a control-plane event for the module. Safe for concurrent
-// use across modules (per-module lanes).
+// Event records a control-plane event in the module's lane, after the
+// lane's earlier events.
 func (c *Capture) Event(module int, kind EventKind, value float64) {
 	if c == nil {
 		return
 	}
-	c.evMu.Lock()
 	lane, ok := c.events[module]
 	if !ok {
 		r := newRing[Event](eventLaneCap)
@@ -342,7 +339,6 @@ func (c *Capture) Event(module int, kind EventKind, value float64) {
 		c.evOrder = append(c.evOrder, module)
 	}
 	lane.push(Event{Module: module, Kind: kind, Value: value})
-	c.evMu.Unlock()
 }
 
 // eventLaneCap bounds one module's control events per run; a run programs
@@ -515,11 +511,9 @@ func (r *Recorder) Commit(c *Capture) {
 	mDropped["samples"].Add(float64(c.samples.dropped))
 	mDropped["intervals"].Add(float64(c.intervals.dropped))
 	mDropped["rounds"].Add(float64(c.rounds.dropped))
-	c.evMu.Lock()
 	for _, lane := range c.events {
 		mDropped["events"].Add(float64(lane.dropped))
 	}
-	c.evMu.Unlock()
 	r.mu.Lock()
 	if r.runs.len() == r.cfg.MaxRuns {
 		mDropped["runs"].Inc()
@@ -576,8 +570,8 @@ func (t Timeline) Empty() bool {
 
 // Snapshot stitches the retained runs into one timeline, shifting each
 // run's relative times by the cumulative extent of the runs before it.
-// Event lanes are flattened in module order (deterministic regardless of
-// the resolution fan-out that filled them).
+// Event lanes are flattened in module order, whatever order the run's
+// modules were programmed in.
 func (r *Recorder) Snapshot() Timeline {
 	r.mu.Lock()
 	caps := r.runs.items()
@@ -602,7 +596,6 @@ func (r *Recorder) Snapshot() Timeline {
 			v.Rounds[i].Earliest += base
 			v.Rounds[i].Latest += base
 		}
-		c.evMu.Lock()
 		mods := make([]int, len(c.evOrder))
 		copy(mods, c.evOrder)
 		sort.Ints(mods)
@@ -614,7 +607,6 @@ func (r *Recorder) Snapshot() Timeline {
 			}
 			v.Dropped += lane.dropped
 		}
-		c.evMu.Unlock()
 		v.Dropped += c.samples.dropped + c.intervals.dropped + c.rounds.dropped
 		tl.Runs = append(tl.Runs, v)
 		base = v.End

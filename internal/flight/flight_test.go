@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"varpower/internal/units"
@@ -120,26 +119,21 @@ func TestSnapshotStitchesRuns(t *testing.T) {
 	}
 }
 
-// TestEventLanesDeterministic fills event lanes from concurrent goroutines
-// in scrambled order — the resolution fan-out — and asserts the snapshot
-// flattens them identically every time: per-module lanes in sorted module
-// order, insertion order within a lane.
+// TestEventLanesDeterministic fills event lanes in scrambled module order,
+// a module's two events apart, and asserts the snapshot flattens them
+// identically every time: per-module lanes in sorted module order,
+// insertion order within a lane.
 func TestEventLanesDeterministic(t *testing.T) {
 	render := func(seed int64) []Event {
 		rec := New(Config{Hz: -1})
 		c := rec.NewCapture("x")
-		perm := rand.New(rand.NewSource(seed)).Perm(32)
-		var wg sync.WaitGroup
-		for _, m := range perm {
-			m := m
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				c.Event(m, EventCapSet, float64(m))
-				c.Event(m, EventThrottle, float64(m)+0.5)
-			}()
+		rng := rand.New(rand.NewSource(seed))
+		for _, m := range rng.Perm(32) {
+			c.Event(m, EventCapSet, float64(m))
 		}
-		wg.Wait()
+		for _, m := range rng.Perm(32) {
+			c.Event(m, EventThrottle, float64(m)+0.5)
+		}
 		c.Seal(1)
 		rec.Commit(c)
 		return rec.Snapshot().Runs[0].Events
@@ -149,13 +143,17 @@ func TestEventLanesDeterministic(t *testing.T) {
 		t.Fatalf("events = %d, want 64", len(first))
 	}
 	for i, e := range first {
-		if e.Module != i/2 {
-			t.Fatalf("event %d on module %d, want sorted module order", i, e.Module)
+		want := Event{Module: i / 2, Kind: EventCapSet, Value: float64(i / 2)}
+		if i%2 == 1 {
+			want.Kind, want.Value = EventThrottle, float64(i/2)+0.5
+		}
+		if e != want {
+			t.Fatalf("event %d is %+v, want %+v: lanes in sorted module order, insertion order within a lane", i, e, want)
 		}
 	}
 	for seed := int64(2); seed < 6; seed++ {
 		if got := render(seed); fmt.Sprint(got) != fmt.Sprint(first) {
-			t.Fatalf("event order varies with goroutine scheduling:\n%v\nvs\n%v", got, first)
+			t.Fatalf("event order varies with the order modules were recorded in:\n%v\nvs\n%v", got, first)
 		}
 	}
 }

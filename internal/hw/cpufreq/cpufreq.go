@@ -27,57 +27,26 @@ var (
 		"Governor releases back to hardware-managed operation.", nil)
 )
 
-// Listener observes a governor's control-plane actions (frequency pins and
-// releases back to hardware control). Callbacks run synchronously on the
-// goroutine driving the governor; a listener shared across modules must
-// tolerate concurrent calls from different modules. Listeners observe only.
-type Listener interface {
-	// SpeedSet fires after SetSpeed pinned the module; f is the ladder
-	// frequency actually selected.
-	SpeedSet(moduleID int, f units.Hertz)
-	// Released fires when the module returns to hardware-managed operation.
-	Released(moduleID int)
-}
-
 // Governor pins one module's frequency.
 type Governor struct {
-	mod      *module.Module
-	ladder   []units.Hertz
-	target   units.Hertz
-	pinned   bool
-	listener Listener
+	mod    *module.Module
+	target units.Hertz
+	pinned bool
 }
 
-// SetListener attaches (or, with nil, detaches) a control-plane listener.
-// Attach before a run and detach after; not safe concurrently with use.
-func (g *Governor) SetListener(l Listener) { g.listener = l }
-
-// NewGovernor creates a governor for the module with its architecture's
-// P-state ladder.
+// NewGovernor creates an unpinned governor for the module.
 func NewGovernor(mod *module.Module) *Governor {
 	g := &Governor{}
-	g.Init(mod, mod.Arch.PStates())
+	g.Init(mod)
 	return g
 }
 
-// Init (re)initialises the governor in place: unpinned, listener detached,
-// using the given P-state ladder. The ladder may be shared across the
-// governors of one system (internal/cluster builds it once per
-// architecture) — governors never mutate it, and Available hands out
-// copies. Must not race with concurrent use; callers reset between runs.
-func (g *Governor) Init(mod *module.Module, ladder []units.Hertz) {
+// Init (re)initialises the governor in place: unpinned. Must not race with
+// concurrent use; callers reset between runs.
+func (g *Governor) Init(mod *module.Module) {
 	g.mod = mod
-	g.ladder = ladder
 	g.target = 0
 	g.pinned = false
-	g.listener = nil
-}
-
-// Available returns the selectable frequencies, ascending.
-func (g *Governor) Available() []units.Hertz {
-	out := make([]units.Hertz, len(g.ladder))
-	copy(out, g.ladder)
-	return out
 }
 
 // SetSpeed pins the module to the highest available P-state not exceeding
@@ -95,27 +64,21 @@ func (g *Governor) SetSpeed(f units.Hertz, b *telemetry.Batch) (units.Hertz, err
 	}
 	g.target = next
 	g.pinned = true
-	if g.listener != nil {
-		g.listener.SpeedSet(g.mod.ID, g.target)
-	}
 	return g.target, nil
 }
 
-// Release returns the module to hardware-managed (ondemand/turbo) operation.
-// A release of a pinned module is counted into b, which publishes it when
-// it is flushed; nil publishes it at once.
-func (g *Governor) Release(b *telemetry.Batch) {
-	if g.pinned {
+// Release returns the module to hardware-managed (ondemand/turbo) operation
+// and reports whether a userspace frequency was in force. A release of a
+// pinned module is counted into b, which publishes it when it is flushed;
+// nil publishes it at once.
+func (g *Governor) Release(b *telemetry.Batch) bool {
+	pinned := g.pinned
+	if pinned {
 		b.Inc(mReleases)
-		if g.listener != nil {
-			g.listener.Released(g.mod.ID)
-		}
 	}
 	g.pinned = false
+	return pinned
 }
-
-// Pinned reports whether a userspace frequency is in force, and which.
-func (g *Governor) Pinned() (units.Hertz, bool) { return g.target, g.pinned }
 
 // OperatingPoint resolves the steady-state operating point for workload p:
 // the pinned frequency when set, otherwise the module's uncapped behaviour.

@@ -28,16 +28,24 @@ func testProfile() module.PowerProfile {
 	return module.PowerProfile{Workload: "t", DynPower: 60, StaticPower: 25, DramBase: 6, DramDyn: 6}
 }
 
+// TestAvailableLadder: the governor selects each of the architecture's 16
+// P-states exactly, and a request between two steps the lower one.
 func TestAvailableLadder(t *testing.T) {
-	g := NewGovernor(testModule())
-	ladder := g.Available()
+	m := testModule()
+	g := NewGovernor(m)
+	ladder := m.Arch.PStates()
 	if len(ladder) != 16 {
 		t.Fatalf("ladder length %d, want 16", len(ladder))
 	}
-	// The returned slice must be a copy.
-	ladder[0] = 0
-	if g.Available()[0] == 0 {
-		t.Fatal("Available exposes internal state")
+	for i, f := range ladder {
+		if got, err := g.SetSpeed(f, nil); err != nil || got != f {
+			t.Fatalf("SetSpeed(%v) selected %v, %v", f, got, err)
+		}
+		if i > 0 {
+			if got, _ := g.SetSpeed((ladder[i-1]+f)/2, nil); got != ladder[i-1] {
+				t.Fatalf("SetSpeed between %v and %v selected %v", ladder[i-1], f, got)
+			}
+		}
 	}
 }
 
@@ -50,9 +58,8 @@ func TestSetSpeedQuantizes(t *testing.T) {
 	if math.Abs(got.GHz()-1.8) > 1e-9 {
 		t.Fatalf("SetSpeed(1.87 GHz) selected %v, want 1.8 GHz", got)
 	}
-	pin, ok := g.Pinned()
-	if !ok || pin != got {
-		t.Fatalf("Pinned() = %v, %v", pin, ok)
+	if !g.pinned || g.target != got {
+		t.Fatalf("pinned %v at %v", g.pinned, g.target)
 	}
 	if _, err := g.SetSpeed(0, nil); err == nil {
 		t.Fatal("zero frequency accepted")
@@ -80,9 +87,14 @@ func TestReleaseReturnsToUncapped(t *testing.T) {
 	m := testModule()
 	g := NewGovernor(m)
 	p := testProfile()
+	if g.Release(nil) {
+		t.Fatal("an unpinned governor reported a pin")
+	}
 	_, _ = g.SetSpeed(units.GHz(1.5), nil)
-	g.Release(nil)
-	if _, ok := g.Pinned(); ok {
+	if !g.Release(nil) {
+		t.Fatal("a pinned governor reported no pin")
+	}
+	if g.Release(nil) {
 		t.Fatal("still pinned after release")
 	}
 	if op := g.OperatingPoint(p); op != m.Curve(p).Uncapped() {

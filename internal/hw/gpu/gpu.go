@@ -108,24 +108,6 @@ func (a *Arch) Validate() error {
 	return a.Variation.Validate()
 }
 
-// SMClocks returns the lockable application-clock ladder from ClockMin to
-// ClockNom inclusive, ascending — the analogue of module.Arch.PStates.
-// (Boost clocks above ClockNom are not lockable; they are what the firmware
-// does on its own when power and thermals allow.)
-func (a *Arch) SMClocks() []units.Hertz {
-	var ladder []units.Hertz
-	for c := a.ClockMin; c <= a.ClockNom+a.ClockStep/2; c += a.ClockStep {
-		if c > a.ClockNom {
-			c = a.ClockNom
-		}
-		ladder = append(ladder, c)
-	}
-	if ladder[len(ladder)-1] != a.ClockNom {
-		ladder = append(ladder, a.ClockNom)
-	}
-	return ladder
-}
-
 // QuantizeDown returns the highest lockable clock not exceeding c, or
 // ClockMin if c is below the ladder.
 func (a *Arch) QuantizeDown(c units.Hertz) units.Hertz {

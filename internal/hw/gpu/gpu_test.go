@@ -13,6 +13,24 @@ import (
 // presets are the two GPU architectures the hybrid systems ship with.
 func presets() []*gpu.Arch { return []*gpu.Arch{cluster.K20XArch(), cluster.V100Arch()} }
 
+// smClocks is the lockable application-clock ladder from ClockMin to
+// ClockNom inclusive, ascending, in ClockStep steps: the analogue of
+// module.Arch.PStates. (Boost clocks above ClockNom are not lockable; they
+// are what the firmware does on its own when power and thermals allow.)
+func smClocks(a *gpu.Arch) []units.Hertz {
+	var ladder []units.Hertz
+	for c := a.ClockMin; c <= a.ClockNom+a.ClockStep/2; c += a.ClockStep {
+		if c > a.ClockNom {
+			c = a.ClockNom
+		}
+		ladder = append(ladder, c)
+	}
+	if ladder[len(ladder)-1] != a.ClockNom {
+		ladder = append(ladder, a.ClockNom)
+	}
+	return ladder
+}
+
 // testKernel is a compute-heavy kernel that keeps every device well above
 // its idle floor across the lockable ladder.
 func testKernel(arch *gpu.Arch) gpu.KernelProfile {
@@ -58,7 +76,7 @@ func TestSetPowerLimitClampsIntoProgrammableRange(t *testing.T) {
 func TestLockClocksQuantisesDownToTheLadder(t *testing.T) {
 	for _, arch := range presets() {
 		c := gpu.NewController(gpu.New(0, arch, 7), gpu.DefaultControl, 7)
-		ladder := arch.SMClocks()
+		ladder := smClocks(arch)
 		for in := arch.ClockMin; in <= arch.ClockBoost; in += units.MHz(7) {
 			got, err := c.LockClocks(in)
 			if err != nil {
@@ -92,7 +110,7 @@ func TestBoardPowerMonotoneAlongLadder(t *testing.T) {
 		for id := 0; id < 16; id++ {
 			d := gpu.New(id, arch, 0x5c15)
 			prev := units.Watts(math.Inf(-1))
-			for _, c := range arch.SMClocks() {
+			for _, c := range smClocks(arch) {
 				p := d.BoardPower(k, c)
 				if p < prev {
 					t.Fatalf("%s device %d: board power fell from %v to %v at %v", arch.Name, id, prev, p, c)
@@ -108,7 +126,7 @@ func TestClockForPowerInvertsBoardPower(t *testing.T) {
 		k := testKernel(arch)
 		for id := 0; id < 16; id++ {
 			d := gpu.New(id, arch, 0x5c15)
-			for _, c := range arch.SMClocks() {
+			for _, c := range smClocks(arch) {
 				p := d.BoardPower(k, c)
 				got, ok := d.ClockForPower(k, p)
 				if !ok || math.Abs(float64(got-c)) > 1e-9*float64(c) {

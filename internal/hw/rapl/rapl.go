@@ -67,26 +67,6 @@ var DefaultControl = ControlModel{Overhead: 0.02, Jitter: 0.012}
 // PerfectControl removes controller imperfection; used by ablation benches.
 var PerfectControl = ControlModel{}
 
-// Listener observes a controller's control-plane actions: limit writes,
-// limit clears, and resolutions that fell below FMin into duty-cycle
-// throttling. The flight recorder (internal/flight) attaches one per run
-// via measure. Callbacks are invoked synchronously on whatever goroutine
-// drives the controller. A run drives its modules one after another, but
-// concurrent runs on disjoint modules of one system may drive different
-// modules at once, so a listener shared across modules must be safe for
-// concurrent use from different modules (the same module is always driven
-// from one goroutine at a time).
-// Listeners observe only; they cannot change controller behaviour.
-type Listener interface {
-	// LimitSet fires after a package limit was programmed.
-	LimitSet(moduleID int, w units.Watts)
-	// LimitCleared fires after package capping was disabled.
-	LimitCleared(moduleID int)
-	// Throttled fires when a resolution exhausted DVFS below FMin;
-	// delivered is the duty-cycled effective frequency.
-	Throttled(moduleID int, delivered units.Hertz)
-}
-
 // FaultModel perturbs the *enforced* side of RAPL: the cap the hardware
 // actually holds for a programmed limit (cap drift), and spurious
 // thermal-throttle episodes that cut delivered frequency independently of
@@ -103,12 +83,11 @@ type FaultModel interface {
 
 // Controller drives one module's RAPL interface.
 type Controller struct {
-	mod      *module.Module
-	dev      *msr.Device
-	control  ControlModel
-	seed     uint64
-	listener Listener
-	faults   FaultModel
+	mod     *module.Module
+	dev     *msr.Device
+	control ControlModel
+	seed    uint64
+	faults  FaultModel
 
 	// 64-bit extension of the 32-bit energy-status counters: every read
 	// folds the wrapped delta since the previous read into ext*, so two
@@ -123,11 +102,6 @@ type Controller struct {
 	extInit           bool
 }
 
-// SetListener attaches (or, with nil, detaches) a control-plane listener.
-// Not safe to call concurrently with controller use; attach before a run
-// and detach after.
-func (c *Controller) SetListener(l Listener) { c.listener = l }
-
 // SetFaultModel attaches (or, with nil, detaches) the enforcement fault
 // model. Install before any run; the model must be stateless (it is queried
 // from whatever goroutine resolves the module's operating point).
@@ -141,7 +115,7 @@ func NewController(mod *module.Module, dev *msr.Device, control ControlModel, se
 }
 
 // Init (re)initialises the controller in place: attachment fields are set,
-// the listener and fault model are detached, and the 64-bit counter
+// the fault model is detached, and the 64-bit counter
 // extension is cleared. Every field is written, so a controller reset
 // through Init is bit-identical to a fresh one — required for pooled
 // replica reuse (a stale extension origin would shift quantised energy
@@ -151,7 +125,6 @@ func (c *Controller) Init(mod *module.Module, dev *msr.Device, control ControlMo
 	c.dev = dev
 	c.control = control
 	c.seed = seed
-	c.listener = nil
 	c.faults = nil
 	c.extPkg, c.extDram = 0, 0
 	c.lastPkg, c.lastDram = 0, 0
@@ -179,24 +152,12 @@ func (c *Controller) SetPkgLimit(w units.Watts, window units.Seconds, b *telemet
 		Clamp:   true,
 	})
 	b.Inc(mLimitWrites)
-	if err := c.dev.Write(msr.PkgPowerLimit, raw); err != nil {
-		return err
-	}
-	if c.listener != nil {
-		c.listener.LimitSet(c.mod.ID, w)
-	}
-	return nil
+	return c.dev.Write(msr.PkgPowerLimit, raw)
 }
 
 // ClearPkgLimit disables package power capping.
 func (c *Controller) ClearPkgLimit() error {
-	if err := c.dev.Write(msr.PkgPowerLimit, 0); err != nil {
-		return err
-	}
-	if c.listener != nil {
-		c.listener.LimitCleared(c.mod.ID)
-	}
-	return nil
+	return c.dev.Write(msr.PkgPowerLimit, 0)
 }
 
 // PkgLimit reads back the decoded package power limit.
@@ -260,9 +221,6 @@ func (c *Controller) OperatingPointOn(cv module.Curve, unc module.OperatingPoint
 	}
 	if op.Throttled {
 		b.Inc(mThrottleEvents)
-		if c.listener != nil {
-			c.listener.Throttled(c.mod.ID, op.Freq)
-		}
 	}
 	if loss := c.controlLoss(cv.Profile(), float64(capW)); loss > 0 {
 		op.Freq = units.Hertz(float64(op.Freq) * (1 - loss))
@@ -300,9 +258,6 @@ func (c *Controller) applySpurious(cv module.Curve, op module.OperatingPoint, b 
 	op.DramPower = cv.DramPower(op.Freq)
 	op.Throttled = true
 	b.Inc(mThrottleEvents)
-	if c.listener != nil {
-		c.listener.Throttled(c.mod.ID, op.Freq)
-	}
 	return op
 }
 

@@ -74,15 +74,13 @@ func (p spyProgram) Round(r int) int {
 	return p.Program.Round(r)
 }
 
-// spyControl calls check when a limit or a clock is programmed on its
-// module (a rapl and a cpufreq listener).
-type spyControl struct{ check func() }
+// spyEnforcement is a rapl.FaultModel that calls check while its module's
+// programmed limit is resolved; it enforces the limit as programmed and
+// injects no throttle.
+type spyEnforcement struct{ check func() }
 
-func (s spyControl) LimitSet(int, units.Watts)  { s.check() }
-func (s spyControl) LimitCleared(int)           {}
-func (s spyControl) Throttled(int, units.Hertz) {}
-func (s spyControl) SpeedSet(int, units.Hertz)  { s.check() }
-func (s spyControl) Released(int)               {}
+func (s spyEnforcement) EffectiveCap(_ int, w units.Watts) units.Watts { s.check(); return w }
+func (s spyEnforcement) SpuriousThrottle(int) (float64, bool)          { return 0, false }
 
 // kindRounds counts prog's rounds per kind, by the series of
 // varpower_mpi_rounds_total that counts them.
@@ -107,8 +105,8 @@ func kindRounds(prog simmpi.Program) map[string]float64 {
 
 // TestRunPublishesWhenItReturns: a measured run publishes none of its
 // metric writes before it returns — the registry reads the same while the
-// last rank's limit or clock is programmed and while the DES plays its
-// last round — and once it has returned, each metric has received exactly
+// last capped rank's limit is resolved and while the DES plays its last
+// round — and once it has returned, each metric has received exactly
 // the writes an unbatched run makes: one run, per-rank limit writes, clamp
 // events and power-above-cap samples, throttles, governor sets and
 // transitions, the DES's rounds per kind and per-rank busy and wait
@@ -168,14 +166,13 @@ func TestRunPublishesWhenItReturns(t *testing.T) {
 			hold.prog = spyProgram{Program: prog, check: check}
 			cfg.Hold = hold
 		}
-		sys.RAPL(ids[last]).SetListener(spyControl{check})
-		sys.Governor(ids[last]).SetListener(spyControl{check})
+		sys.RAPL(ids[last]).SetFaultModel(spyEnforcement{check})
 
 		_, err = Run(sys, cfg)
 		if (err != nil) != c.fail {
 			t.Fatalf("%s: error %v", c.name, err)
 		}
-		if wantChecks := 1 + btoi(c.holdOn && !c.fail); checks != wantChecks {
+		if wantChecks := btoi(c.mode == ModeCapped) + btoi(c.holdOn && !c.fail); checks != wantChecks {
 			t.Fatalf("%s: %d mid-run checks ran, want %d", c.name, checks, wantChecks)
 		}
 

@@ -37,7 +37,7 @@ func TestHoldMatchesDraws(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	level, err := faults.LevelByName("high", 10)
+	level, err := faults.LevelByName("high")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -317,25 +317,23 @@ func (r *Runner) Run(sys *cluster.System, cfg Config) (Result, error) {
 	prof := cfg.Bench.ProfileFor(sys.Spec.Arch)
 
 	var rec *recording
+	var capt *flight.Capture
+	var probe simmpi.Probe
 	if cfg.Recorder != nil {
 		label := cfg.RecordLabel
 		if label == "" {
 			label = cfg.Bench.Name + "/" + cfg.Mode.String()
 		}
-		rec = &recording{cap: cfg.Recorder.NewCapture(label), modules: cfg.Modules}
-		rec.attach(sys)
-		defer rec.detach(sys)
+		capt = cfg.Recorder.NewCapture(label)
+		rec = &recording{cap: capt, modules: cfg.Modules}
+		probe = rec
 	}
 
-	ops, err := r.resolveAll(sys, &cfg, prof, span)
+	ops, err := r.resolveAll(sys, &cfg, prof, span, capt)
 	if err != nil {
 		return Result{}, err
 	}
 
-	var probe simmpi.Probe
-	if rec != nil {
-		probe = rec
-	}
 	sp := span.Start("measure.simulate")
 	res, err := r.simulate(sys, &cfg, ops, probe)
 	sp.EndIn(b)
@@ -371,20 +369,21 @@ func Resolve(sys *cluster.System, cfg Config) ([]module.OperatingPoint, error) {
 	}
 	var r Runner
 	defer r.batch.Flush()
-	return r.resolveAll(sys, &cfg, cfg.Bench.ProfileFor(sys.Spec.Arch), cfg.Trace)
+	return r.resolveAll(sys, &cfg, cfg.Bench.ProfileFor(sys.Spec.Arch), cfg.Trace, nil)
 }
 
 // resolveAll resolves each rank's steady-state operating point, in rank
 // order, into r's operating points under a measure.resolve span, recording
-// the ranks' metric writes into r's batch. It stops at the first rank that
-// fails, leaving the later ranks' modules unprogrammed.
-func (r *Runner) resolveAll(sys *cluster.System, cfg *Config, prof module.PowerProfile, parent obs.Span) ([]module.OperatingPoint, error) {
+// the ranks' metric writes into r's batch and their control events into
+// capt (nil records none). It stops at the first rank that fails, leaving
+// the later ranks' modules unprogrammed.
+func (r *Runner) resolveAll(sys *cluster.System, cfg *Config, prof module.PowerProfile, parent obs.Span, capt *flight.Capture) ([]module.OperatingPoint, error) {
 	sp := parent.Start("measure.resolve")
 	defer sp.EndIn(&r.batch)
 	r.ops = slices.Grow(r.ops[:0], len(cfg.Modules))[:len(cfg.Modules)]
 	for rank, id := range cfg.Modules {
 		var err error
-		if r.ops[rank], err = resolve(sys, cfg, prof, rank, id, &r.batch); err != nil {
+		if r.ops[rank], err = resolve(sys, cfg, prof, rank, id, &r.batch, capt); err != nil {
 			return nil, err
 		}
 	}
@@ -430,27 +429,32 @@ func validate(sys *cluster.System, cfg *Config) error {
 }
 
 // resolve determines one rank's operating point under the control mode,
-// recording its metric writes into b.
-func resolve(sys *cluster.System, cfg *Config, prof module.PowerProfile, rank, id int, b *telemetry.Batch) (module.OperatingPoint, error) {
+// recording its metric writes into b and each control action it takes
+// into capt: the limit cleared (and a pin released) or set, the P-state
+// pinned, and a resolution that fell into duty-cycle throttling, with the
+// clock the module runs at.
+func resolve(sys *cluster.System, cfg *Config, prof module.PowerProfile, rank, id int, b *telemetry.Batch, capt *flight.Capture) (module.OperatingPoint, error) {
 	switch cfg.Mode {
 	case ModeUncapped:
-		ctl := sys.RAPL(id)
-		if err := ctl.ClearPkgLimit(); err != nil {
+		if err := sys.RAPL(id).ClearPkgLimit(); err != nil {
 			return module.OperatingPoint{}, err
 		}
-		sys.Governor(id).Release(b)
-		op, ok := operatingPoint(sys, cfg, prof, rank, id, b)
+		capt.Event(id, flight.EventCapClear, 0)
+		if sys.Governor(id).Release(b) {
+			capt.Event(id, flight.EventFreqRelease, 0)
+		}
+		op, ok := operatingPoint(sys, cfg, prof, rank, id, b, capt)
 		if !ok {
 			return module.OperatingPoint{}, fmt.Errorf("measure: uncapped resolution failed on module %d", id)
 		}
 		return op, nil
 
 	case ModeCapped:
-		ctl := sys.RAPL(id)
-		if err := ctl.SetPkgLimit(cfg.CPUCaps[rank], raplWindow, b); err != nil {
+		if err := sys.RAPL(id).SetPkgLimit(cfg.CPUCaps[rank], raplWindow, b); err != nil {
 			return module.OperatingPoint{}, err
 		}
-		op, ok := operatingPoint(sys, cfg, prof, rank, id, b)
+		capt.Event(id, flight.EventCapSet, float64(cfg.CPUCaps[rank]))
+		op, ok := operatingPoint(sys, cfg, prof, rank, id, b, capt)
 		if !ok {
 			return module.OperatingPoint{}, fmt.Errorf("%w: module %d cap %v", ErrInfeasible, id, cfg.CPUCaps[rank])
 		}
@@ -462,6 +466,7 @@ func resolve(sys *cluster.System, cfg *Config, prof module.PowerProfile, rank, i
 		if err != nil {
 			return module.OperatingPoint{}, err
 		}
+		capt.Event(id, flight.EventFreqPin, float64(f))
 		if h := cfg.Hold; h != nil {
 			// The governor's point at its selected P-state.
 			return sys.Module(id).CurveWith(prof, h.resid[rank]).AtFrequency(f), nil
@@ -473,14 +478,21 @@ func resolve(sys *cluster.System, cfg *Config, prof module.PowerProfile, rank, i
 
 // operatingPoint resolves rank's point under the limit programmed on its
 // module's RAPL controller, from cfg's hold when it carries one, recording
-// its metric writes into b.
-func operatingPoint(sys *cluster.System, cfg *Config, prof module.PowerProfile, rank, id int, b *telemetry.Batch) (module.OperatingPoint, bool) {
+// its metric writes into b and a throttled point's clock into capt.
+func operatingPoint(sys *cluster.System, cfg *Config, prof module.PowerProfile, rank, id int, b *telemetry.Batch, capt *flight.Capture) (module.OperatingPoint, bool) {
 	ctl := sys.RAPL(id)
+	var op module.OperatingPoint
+	var ok bool
 	if h := cfg.Hold; h != nil {
-		return ctl.OperatingPointOn(sys.Module(id).CurveWith(prof, h.resid[rank]), h.uncapped[rank], b)
+		op, ok = ctl.OperatingPointOn(sys.Module(id).CurveWith(prof, h.resid[rank]), h.uncapped[rank], b)
+	} else {
+		cv := sys.Module(id).Curve(prof)
+		op, ok = ctl.OperatingPointOn(cv, cv.Uncapped(), b)
 	}
-	cv := sys.Module(id).Curve(prof)
-	return ctl.OperatingPointOn(cv, cv.Uncapped(), b)
+	if op.Throttled {
+		capt.Event(id, flight.EventThrottle, float64(op.Freq))
+	}
+	return op, ok
 }
 
 // runNoise is the run-to-run timing factor of bench's rank on module id, a

@@ -55,7 +55,7 @@ func TestHealthyPollReadsOnce(t *testing.T) {
 
 	prof := bench.ProfileFor(ref.Spec.Arch)
 	var r Runner
-	ops, err := r.resolveAll(ref, &cfg, prof, obs.Span{})
+	ops, err := r.resolveAll(ref, &cfg, prof, obs.Span{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

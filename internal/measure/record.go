@@ -1,10 +1,9 @@
-// Flight-recorder bridge: adapts one run's flight.Capture to the hook
-// interfaces the substrate exposes — simmpi.Probe for per-rank phase
-// intervals and per-round stragglers, rapl.Listener / cpufreq.Listener for
-// control-plane events — and synthesizes the per-module sample stream from
-// the operating points the run resolved. Everything here is write-only
-// with respect to simulation state: a run measures byte-identically with
-// and without a recorder attached.
+// Flight-recorder bridge: adapts one run's flight.Capture to simmpi.Probe
+// for per-rank phase intervals and per-round stragglers, and synthesizes
+// the per-module sample stream from the operating points the run resolved.
+// The run's control events are recorded by resolve as it takes each
+// action. Everything here is write-only with respect to simulation state:
+// a run measures byte-identically with and without a recorder attached.
 package measure
 
 import (
@@ -17,8 +16,7 @@ import (
 )
 
 // recording bridges one run to its flight capture. The probe methods are
-// invoked from the DES loop and the listener methods from the run's
-// rank-order resolution, both on the run's goroutine.
+// invoked from the DES loop, on the run's goroutine.
 type recording struct {
 	cap *flight.Capture
 	// modules maps rank -> module ID (Config.Modules).
@@ -47,47 +45,6 @@ func (rec *recording) Interval(rank, round int, phase simmpi.ProbePhase, start, 
 // Collective implements simmpi.Probe.
 func (rec *recording) Collective(round int, kind string, straggler int, earliest, latest units.Seconds) {
 	rec.cap.Collective(round, kind, straggler, rec.modules[straggler], earliest, latest)
-}
-
-// LimitSet implements rapl.Listener.
-func (rec *recording) LimitSet(moduleID int, w units.Watts) {
-	rec.cap.Event(moduleID, flight.EventCapSet, float64(w))
-}
-
-// LimitCleared implements rapl.Listener.
-func (rec *recording) LimitCleared(moduleID int) {
-	rec.cap.Event(moduleID, flight.EventCapClear, 0)
-}
-
-// Throttled implements rapl.Listener.
-func (rec *recording) Throttled(moduleID int, delivered units.Hertz) {
-	rec.cap.Event(moduleID, flight.EventThrottle, float64(delivered))
-}
-
-// SpeedSet implements cpufreq.Listener.
-func (rec *recording) SpeedSet(moduleID int, f units.Hertz) {
-	rec.cap.Event(moduleID, flight.EventFreqPin, float64(f))
-}
-
-// Released implements cpufreq.Listener.
-func (rec *recording) Released(moduleID int) {
-	rec.cap.Event(moduleID, flight.EventFreqRelease, 0)
-}
-
-// attach hooks the run's modules up to the capture.
-func (rec *recording) attach(sys *cluster.System) {
-	for _, id := range rec.modules {
-		sys.RAPL(id).SetListener(rec)
-		sys.Governor(id).SetListener(rec)
-	}
-}
-
-// detach removes the hooks so later unrecorded runs stay silent.
-func (rec *recording) detach(sys *cluster.System) {
-	for _, id := range rec.modules {
-		sys.RAPL(id).SetListener(nil)
-		sys.Governor(id).SetListener(nil)
-	}
 }
 
 // finish records everything only known after the DES completed — the

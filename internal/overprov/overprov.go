@@ -142,6 +142,3 @@ func Analyze(fw *core.Framework, bench *workload.Benchmark, budget units.Watts,
 	}
 	return res, nil
 }
-
-// BestPoint returns the optimal configuration.
-func (r *Result) BestPoint() Point { return r.Points[r.Best] }

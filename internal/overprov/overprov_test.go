@@ -69,7 +69,7 @@ func TestAnalyzeSweep(t *testing.T) {
 	if last.Feasible {
 		t.Fatalf("192 modules at %.1f W/module unexpectedly feasible", float64(last.CmAvg))
 	}
-	best := res.BestPoint()
+	best := res.Points[res.Best]
 	if !best.Feasible {
 		t.Fatal("best point infeasible")
 	}

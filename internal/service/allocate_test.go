@@ -42,7 +42,7 @@ func freshReplica(t *testing.T, spec cluster.Spec, boot *faults.Plan, level stri
 	}
 	plan := boot
 	if level != "" {
-		l, err := faults.LevelByName(level, 10)
+		l, err := faults.LevelByName(level)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -102,9 +102,6 @@ type Config struct {
 	JobWorkers int
 	// CacheSize bounds each cache's retained entries (default 4096).
 	CacheSize int
-	// FaultHorizon is the virtual-seconds horizon for named fault levels
-	// (default 10, matching the resilience experiment).
-	FaultHorizon float64
 	// Faults, when non-nil, is a fault plan installed on every owned system
 	// at startup — the daemon then serves a degrading cluster (cap-drift,
 	// failing sensors) instead of a pristine one, which is what the
@@ -160,9 +157,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheSize == 0 {
 		c.CacheSize = 4096
-	}
-	if c.FaultHorizon == 0 {
-		c.FaultHorizon = 10
 	}
 	return c
 }
@@ -728,7 +722,7 @@ func (s *Server) canonical(req SolveRequest) (SolveRequest, *baseSystem, *worklo
 		return req, nil, nil, 0, 0, fmt.Errorf("modules %d outside [1, %d]", req.Modules, b.spec.TotalModules())
 	}
 	if req.Faults != "" {
-		level, err := faults.LevelByName(req.Faults, s.cfg.FaultHorizon)
+		level, err := faults.LevelByName(req.Faults)
 		if err != nil {
 			return req, nil, nil, 0, 0, err
 		}
@@ -808,7 +802,7 @@ func (s *Server) frameworkFor(req SolveRequest, b *baseSystem) (fw *core.Framewo
 		return nil, nil, err
 	}
 	if req.Faults != "" {
-		level, err := faults.LevelByName(req.Faults, s.cfg.FaultHorizon)
+		level, err := faults.LevelByName(req.Faults)
 		if err != nil {
 			return nil, nil, err
 		}

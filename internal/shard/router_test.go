@@ -159,7 +159,7 @@ func TestRouterRelaysFixedLengthBodies(t *testing.T) {
 func TestRouterFailsOverToSecondary(t *testing.T) {
 	f := newFleet(t, shard.RouterConfig{})
 	primary := f.set.Primary("HA8K").Name
-	secondary, _ := f.set.Secondary("HA8K")
+	secondary := f.set.RankFor("HA8K")[1]
 
 	before, status, _ := f.solve(t)
 	if status != http.StatusOK {

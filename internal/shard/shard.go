@@ -112,16 +112,6 @@ func (s *Set) RankFor(key string) []Member {
 // Primary returns key's owning member.
 func (s *Set) Primary(key string) Member { return s.RankFor(key)[0] }
 
-// Secondary returns key's designated failover member (false for a
-// single-member set).
-func (s *Set) Secondary(key string) (Member, bool) {
-	r := s.RankFor(key)
-	if len(r) < 2 {
-		return Member{}, false
-	}
-	return r[1], true
-}
-
 // Assign splits systems for the shard named self: eager systems are the
 // ones self primarily owns (built and calibrated at boot); lazy systems
 // are the ones self is secondary for (registered, but materialised only if

@@ -96,17 +96,17 @@ func TestRankForMinimalReassignment(t *testing.T) {
 func TestSecondaryDiffersFromPrimary(t *testing.T) {
 	s, _ := ParseSet("a=h:1,b=h:2,c=h:3")
 	for _, sys := range []string{"HA8K", "Cab", "BG/Q Vulcan", "Teller"} {
-		sec, ok := s.Secondary(sys)
-		if !ok {
-			t.Fatalf("no secondary for %q", sys)
+		ranked := s.RankFor(sys)
+		if len(ranked) != 3 {
+			t.Fatalf("%q ranks %d members, want 3", sys, len(ranked))
 		}
-		if sec.Name == s.Primary(sys).Name {
+		if ranked[1].Name == s.Primary(sys).Name {
 			t.Fatalf("secondary == primary for %q", sys)
 		}
 	}
 	single, _ := ParseSet("a=h:1")
-	if _, ok := single.Secondary("HA8K"); ok {
-		t.Fatal("single-member set reported a secondary")
+	if n := len(single.RankFor("HA8K")); n != 1 {
+		t.Fatalf("single-member set ranks %d members", n)
 	}
 }
 
@@ -127,8 +127,7 @@ func TestAssignPartition(t *testing.T) {
 		}
 		for _, sys := range lazy {
 			lazyCount[sys]++
-			sec, _ := s.Secondary(sys)
-			if sec.Name != m.Name {
+			if s.RankFor(sys)[1].Name != m.Name {
 				t.Errorf("%q lazy on %q but not its secondary", sys, m.Name)
 			}
 		}

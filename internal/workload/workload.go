@@ -319,14 +319,9 @@ func (t *Torus3D) rank(x, y, z int) int {
 	return x + t.Dims[0]*(y+t.Dims[1]*z)
 }
 
-// Neighbors returns the distinct ±1 torus neighbours of rank in each
-// dimension with extent > 1, excluding rank itself.
-func (t *Torus3D) Neighbors(rank int) []int {
-	return t.AppendNeighbors(nil, rank)
-}
-
-// AppendNeighbors appends rank's neighbours (same set and order as
-// Neighbors) to dst and returns the extended slice. With a dst of
+// AppendNeighbors appends rank's distinct ±1 torus neighbours in each
+// dimension with extent > 1, excluding rank itself, to dst and returns the
+// extended slice. With a dst of
 // sufficient capacity it does not allocate, which lets Program pack every
 // rank's list into one flat backing array.
 func (t *Torus3D) AppendNeighbors(dst []int, rank int) []int {

@@ -271,13 +271,13 @@ func TestTorusNeighborsSymmetric(t *testing.T) {
 		size := int(sz)%200 + 2
 		topo := NewTorus3D(size)
 		for r := 0; r < size; r++ {
-			for _, p := range topo.Neighbors(r) {
+			for _, p := range topo.AppendNeighbors(nil, r) {
 				if p == r || p < 0 || p >= size {
 					return false
 				}
 				// Symmetry: if p is a neighbour of r, r is one of p.
 				found := false
-				for _, q := range topo.Neighbors(p) {
+				for _, q := range topo.AppendNeighbors(nil, p) {
 					if q == r {
 						found = true
 					}
@@ -297,13 +297,13 @@ func TestTorusNeighborsSymmetric(t *testing.T) {
 func TestTorusNeighborCount(t *testing.T) {
 	topo := NewTorus3D(64) // 4×4×4
 	for r := 0; r < 64; r++ {
-		if n := len(topo.Neighbors(r)); n != 6 {
+		if n := len(topo.AppendNeighbors(nil, r)); n != 6 {
 			t.Fatalf("rank %d has %d neighbours on a 4×4×4 torus, want 6", r, n)
 		}
 	}
 	// Degenerate dimensions collapse duplicate neighbours.
 	small := NewTorus3D(2)
-	if n := len(small.Neighbors(0)); n != 1 {
+	if n := len(small.AppendNeighbors(nil, 0)); n != 1 {
 		t.Fatalf("2-rank torus neighbour count %d, want 1", n)
 	}
 }
